@@ -56,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Optional
 
 from .params import ParamTable, parse_rational
@@ -212,8 +212,8 @@ class PatternModel:
 
 
 # group caps and compound cuts of the built-in 50-type model; single-variable
-# caps are kept in PatternModel.caps and also re-emitted by
-# builtin_model_constraints() for validation.
+# caps are derived from the breakpoints by _genuine_caps() and also
+# re-emitted by builtin_model_constraints() for validation.
 _GROUP_CAPS = [
     ("group_1_7", {i: 1 for i in range(1, 8)}, 1),
     ("group_8_13", {i: 1 for i in range(8, 14)}, 2),
@@ -230,24 +230,9 @@ _COMPOUND_CUTS = [
 ]
 
 
-def _builtin_caps(ntypes: int) -> tuple:
-    caps = [None] * (ntypes + 1)
-    for m in range(1, ntypes + 1):
-        if m <= 7:
-            caps[m] = 1
-        elif m <= 13:
-            caps[m] = 2
-        elif m <= 15:
-            caps[m] = 3
-        elif m == 16:
-            caps[m] = 4
-        elif m == 17:
-            caps[m] = 5
-        elif m <= 19:
-            caps[m] = 6
-        else:
-            caps[m] = m - 13
-    return tuple(caps)
+def _genuine_caps(table: ParamTable) -> tuple:
+    """Per-type caps: the most type-m items, each above t[m+1], in one bin."""
+    return (None, *(ceil(1 / table.t[m + 1]) - 1 for m in range(1, table.k + 1)))
 
 
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
@@ -258,7 +243,7 @@ def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
     cons = [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _GROUP_CAPS]
     if include_cuts:
         cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
-    model = PatternModel(sizes=sizes, caps=_builtin_caps(table.k),
+    model = PatternModel(sizes=sizes, caps=_genuine_caps(table),
                          constraints=tuple(cons))
     return model if n == table.k else model.truncated(n)
 
@@ -270,7 +255,7 @@ def builtin_model_constraints(table: ParamTable) -> list:
     compound cuts; used by the cut-validation suite.
     """
     cons = [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _GROUP_CAPS]
-    caps = _builtin_caps(table.k)
+    caps = _genuine_caps(table)
     for m in list(range(14, 18)) + list(range(20, table.k + 1)):
         cons.append(LinearCut.make(f"cap_{m}", {m: 1}, caps[m]))
     cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
@@ -416,16 +401,50 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel,
 
 # -- cut validation -----------------------------------------------------------
 
+def _genuine_peak(cut: LinearCut, model: PatternModel, stop=None):
+    """Largest left side of ``cut`` over genuine patterns; (peak, pattern).
+
+    A genuine pattern has every item strictly above its type's infimum size,
+    so it satisfies the strict knapsack sum x_m * sizes[m] < capacity.  The
+    search enumerates all integer assignments to the cut's support under
+    that constraint (variables outside the support stay zero, which is safe
+    because coefficients are nonnegative).  It ends at the first pattern
+    whose left side exceeds ``stop`` when one is given.
+    """
+    support = [m for m in cut.support if m <= model.ntypes]
+    S, CAP = _scaled_sizes(model)
+    coeff = dict(cut.coeffs)
+    best: Optional[Fraction] = None
+    best_pat: dict = {}
+    assign = [0] * len(support)
+
+    def rec(pos: int, used: int, lhs: Fraction) -> bool:
+        nonlocal best, best_pat
+        if best is None or lhs > best:
+            best = lhs
+            best_pat = {support[t]: v for t, v in enumerate(assign[:pos]) if v}
+            if stop is not None and best > stop:
+                return True
+        if pos == len(support):
+            return False
+        m = support[pos]
+        for v in range((CAP - 1 - used) // S[m] + 1):
+            assign[pos] = v
+            if rec(pos + 1, used + v * S[m], lhs + v * coeff[m]):
+                return True
+        assign[pos] = 0
+        return False
+
+    rec(0, 0, Fraction(0))
+    return best, best_pat
+
+
 def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
                  node_limit: int = 10 ** 7) -> Optional[dict]:
     """Check that no genuine pattern violates ``cut``; None when valid.
 
-    A genuine pattern has every item strictly above its type's infimum size,
-    so it satisfies the strict knapsack sum x_m * sizes[m] < capacity.  The
-    check enumerates all integer assignments to the cut's support under that
-    strict constraint (variables outside the support stay zero, which is
-    safe because coefficients are nonnegative) and returns a violating
-    assignment if one exists.
+    Returns the first genuine pattern (see :func:`_genuine_peak`) whose left
+    side exceeds the cut's right-hand side.
     """
     support = [m for m in cut.support if m <= model.ntypes]
     if len(support) > max_support:
@@ -436,28 +455,8 @@ def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
         est *= (CAP - 1) // S[m] + 1
         if est > node_limit:
             raise ValueError(f"enumeration space exceeds {node_limit} nodes")
-    coeff = dict(cut.coeffs)
-    counterexample: Optional[dict] = None
-
-    def rec(pos: int, used: int, lhs: Fraction) -> bool:
-        nonlocal counterexample
-        if lhs > cut.rhs:
-            counterexample = {support[t]: v for t, v in enumerate(assign[:pos]) if v}
-            return True
-        if pos == len(support):
-            return False
-        m = support[pos]
-        vmax = (CAP - 1 - used) // S[m]
-        for v in range(vmax + 1):
-            assign[pos] = v
-            if rec(pos + 1, used + v * S[m], lhs + v * coeff[m]):
-                return True
-        assign[pos] = 0
-        return False
-
-    assign = [0] * len(support)
-    rec(0, 0, Fraction(0))
-    return counterexample
+    peak, pattern = _genuine_peak(cut, model, stop=cut.rhs)
+    return pattern if peak > cut.rhs else None
 
 
 def cut_max_lhs(cut: LinearCut, model: PatternModel):
@@ -466,29 +465,7 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
     Used to derive the tightest valid right-hand side and to build mutation
     tests (any rhs strictly below this maximum admits a counterexample).
     """
-    support = [m for m in cut.support if m <= model.ntypes]
-    S, CAP = _scaled_sizes(model)
-    coeff = dict(cut.coeffs)
-    best = Fraction(0)
-    best_pat: dict = {}
-    assign = [0] * len(support)
-
-    def rec(pos: int, used: int, lhs: Fraction):
-        nonlocal best, best_pat
-        if lhs > best:
-            best = lhs
-            best_pat = {support[t]: v for t, v in enumerate(assign[:pos]) if v}
-        if pos == len(support):
-            return
-        m = support[pos]
-        vmax = (CAP - 1 - used) // S[m]
-        for v in range(vmax + 1):
-            assign[pos] = v
-            rec(pos + 1, used + v * S[m], lhs + v * coeff[m])
-        assign[pos] = 0
-
-    rec(0, 0, Fraction(0))
-    return best, best_pat
+    return _genuine_peak(cut, model)
 
 
 # -- certificate assembly ------------------------------------------------------

@@ -132,7 +132,7 @@ def cmd_pack1d(args) -> int:
                  "weight_slack": str(slack), "_elapsed": time.perf_counter() - t0}
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
-        st = ShState(table)
+        st = ShState(table, keep_trace=bool(args.trace_out))
         for s in inst.items:
             st.insert(s)
         rep = bound_check(st)
@@ -147,13 +147,10 @@ def cmd_pack1d(args) -> int:
             if rep.slack > weighting.slack_allowance(table):
                 failures.append(f"cost bound slack {rep.slack} over allowance")
         if args.trace_out:
-            st2 = ShState(table, keep_trace=True)
-            for s in inst.items:
-                st2.insert(s)
             with open(args.trace_out, "w", encoding="utf-8") as fh:
                 fh.write("item_index,size,type,color,group_before,"
                          "group_after,bin_id,opened\n")
-                for tr in st2.trace:
+                for tr in st.trace:
                     fh.write(tr.csv_row() + "\n")
         cost = st.cost
     report = _report_common(args, inst, cost, lb, extra)

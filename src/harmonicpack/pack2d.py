@@ -18,10 +18,10 @@ loads at gamma*t <= Delta[phi], so slices never overlap; items never
 overlap inside a slice because their heights are stacked.
 
 The geometric grid is materialized as an exact-rational ladder with one
-multiplication by (1-d) per step, rounded to 15 decimal digits per step to
-keep denominators bounded (the ideal power's digits grow linearly with m,
-which is infeasible for m in the tens of thousands).  The relative drift
-after m steps is below m * 1e-15 and every membership test is exact
+multiplication by (1-d) per step, truncated to 18 significant digits per
+step to keep denominators bounded (the ideal power's digits grow linearly
+with m, which is infeasible for m in the tens of thousands).  The relative
+drift after m steps is below m * 1e-17 and every membership test is exact
 against the materialized values, so slices always cover their items.
 
 The two-orientation average satisfies the slice analysis bound
@@ -43,6 +43,9 @@ from .harmonic import harmonic_type, w_h
 from .params import ParamTable
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet
+
+# significant digits kept per step of the tiny-width ladder
+_SIG_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,11 @@ class TinyGrid:
 
     _shared: dict = {}
 
-    def __init__(self, eps: Fraction, delta: Fraction, sig_digits: int = 18):
+    def __init__(self, eps: Fraction, delta: Fraction):
         if not 0 < delta < Fraction(1, 2):
             raise ValueError("grid parameter must lie in (0, 1/2)")
         self.eps = eps
         self.delta = delta
-        self._sig = sig_digits
         self._vals = [eps]
         self._log_ratio = math.log1p(-float(delta))
 
@@ -92,7 +94,7 @@ class TinyGrid:
             # round to bounded significant digits; the relative error per
             # step is far below the grid ratio, so the ladder stays
             # strictly decreasing and denominators stay small
-            q = 10 ** (self._sig - 1 - math.floor(math.log10(float(nxt))))
+            q = 10 ** (_SIG_DIGITS - 1 - math.floor(math.log10(float(nxt))))
             vals.append(Fraction(int(nxt * q), q))
         return vals[m]
 
@@ -223,15 +225,7 @@ class TensorRun:
 
     def weight_bounds(self, wset: WeightFunctionSet) -> list:
         """Per-case totals of W_H(height) * W_case(width class); 1-based."""
-        tail = self._tiny_weight * wset.tail_slope
-        out = [None]
-        for case in range(1, wset.num_cases + 1):
-            row = wset.values[case]
-            s = sum((self._height_weight[i] * row[i]
-                     for i in range(1, self.table.k + 1)
-                     if self._height_weight[i]), Fraction(0))
-            out.append(s + tail)
-        return out
+        return wset.case_totals(self._height_weight, self._tiny_weight)
 
     def max_weight_bound(self, wset: WeightFunctionSet) -> Fraction:
         return max(self.weight_bounds(wset)[1:])

@@ -90,10 +90,6 @@ class ParamTable:
         cnt = bisect_left(self._asc_breaks, size)
         return self.k + 1 - cnt
 
-    def gamma_space(self, i: int) -> Fraction:
-        """Space gamma[i] * t[i] needed to reserve a full red load of type i."""
-        return self.gamma[i] * self.t[i]
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:

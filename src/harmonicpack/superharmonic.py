@@ -62,7 +62,9 @@ class Bin:
             if table.phi[self.blue_type] == 0:
                 return f"({self.blue_type})"
             return f"({self.blue_type},?)"
-        return f"(?,{self.red_type})"
+        if self.red_type is not None:
+            return f"(?,{self.red_type})"
+        return "nf"  # Next-Fit bins hold tail items only
 
     @property
     def content_sum(self) -> Fraction:
@@ -134,11 +136,6 @@ class ShState:
         # indeterminate pools, FIFO per type
         self._blue_indet: list = [None] + [deque() for _ in range(k)]  # (i,?) bins
         self._red_indet: list = [None] + [deque() for _ in range(k)]  # (?,j) bins
-        # census counters
-        self._n_blue_only = [0] * (k + 1)
-        self._n_blue_indet = [0] * (k + 1)
-        self._n_red_indet = [0] * (k + 1)
-        self._n_pairs: dict = {}
         # space needed for a full red load, per type
         self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
         # red-convertible blue types (phi > 0) and red types (alpha > 0), ascending
@@ -179,102 +176,84 @@ class ShState:
         table = self.table
         idx = self.items_packed
         self.items_packed += 1
+        cost = self.cost
         i = table.classify(size)
         if i == table.k + 1:
-            tr = self._insert_tiny(idx, size)
+            color = "tiny"
+            b, before = self._insert_tiny(size)
         else:
             self.s[i] += 1
             if self.e[i] < int(table.alpha[i] * self.s[i]):
                 self.e[i] += 1
-                tr = self._insert_red(idx, i, size)
+                color = "red"
+                b, before = self._insert_red(i, size)
             else:
-                tr = self._insert_blue(idx, i, size)
+                color = "blue"
+                b, before = self._insert_blue(i, size)
+        tr = PlacementTrace(idx, size, i, color, before, b.group(table), b.bid,
+                            self.cost != cost)
         if self.keep_trace:
             self.trace.append(tr)
         return tr
 
-    def _insert_tiny(self, idx: int, size: Fraction) -> PlacementTrace:
+    # Each placement helper returns (bin, group before the item), with "-"
+    # when the item opened the bin (Next-Fit bins are always "nf").
+
+    def _insert_tiny(self, size: Fraction):
         self.small_mass += size
         self.small_count += 1
         b = self._nf_bin
         if b is not None and self.nf_fill + size <= 1:
             self.nf_fill += size
             b.blue_sum += size  # content only; NF bins never join groups
-            return PlacementTrace(idx, size, self.table.k + 1, "tiny",
-                                  "nf", "nf", b.bid, False)
+            return b, "nf"
         b = self._open_bin()
         self._nf_bin = b
         self.nf_fill = size
         self.nf_bins += 1
         b.blue_sum = size
-        return PlacementTrace(idx, size, self.table.k + 1, "tiny",
-                              "nf", "nf", b.bid, True)
+        return b, "nf"
 
-    def _insert_red(self, idx: int, i: int, size: Fraction) -> PlacementTrace:
+    def _insert_red(self, i: int, size: Fraction):
         table = self.table
         b = self._red_open[i]
+        if b is None:
+            # convert the oldest blue-indeterminate bin with enough reserved space
+            need = self._red_space[i]
+            for j in self._convertible_blue:
+                pool = self._blue_indet[j]
+                if pool and table.Delta[table.phi[j]] >= need:
+                    b = pool.popleft()
+                    break
         if b is not None:
             before = b.group(table)
             self._add_red(b, i, size)
-            return PlacementTrace(idx, size, i, "red", before, b.group(table),
-                                  b.bid, False)
-        # convert the oldest blue-indeterminate bin with enough reserved space
-        need = self._red_space[i]
-        best = None
-        for j in self._convertible_blue:
-            pool = self._blue_indet[j]
-            if pool and table.Delta[table.phi[j]] >= need:
-                best = pool
-                break
-        if best is not None:
-            b = best.popleft()
-            self._n_blue_indet[b.blue_type] -= 1
-            before = b.group(table)
-            self._add_red(b, i, size)
-            self._n_pairs[(b.blue_type, i)] = self._n_pairs.get((b.blue_type, i), 0) + 1
-            return PlacementTrace(idx, size, i, "red", before, b.group(table),
-                                  b.bid, False)
+            return b, before
         b = self._open_bin()
         self._add_red(b, i, size)
         self._red_indet[i].append(b)
-        self._n_red_indet[i] += 1
-        return PlacementTrace(idx, size, i, "red", "-", b.group(table), b.bid, True)
+        return b, "-"
 
-    def _insert_blue(self, idx: int, i: int, size: Fraction) -> PlacementTrace:
+    def _insert_blue(self, i: int, size: Fraction):
         table = self.table
         b = self._blue_open[i]
+        if b is None and table.phi[i] > 0:
+            # convert the oldest red-indeterminate bin whose reds fit our space
+            space = table.Delta[table.phi[i]]
+            for j in self._red_types:
+                pool = self._red_indet[j]
+                if pool and self._red_space[j] <= space:
+                    b = pool.popleft()
+                    break
         if b is not None:
             before = b.group(table)
             self._add_blue(b, i, size)
-            return PlacementTrace(idx, size, i, "blue", before, b.group(table),
-                                  b.bid, False)
-        if table.phi[i] == 0:
-            b = self._open_bin()
-            self._add_blue(b, i, size)
-            self._n_blue_only[i] += 1
-            return PlacementTrace(idx, size, i, "blue", "-", b.group(table),
-                                  b.bid, True)
-        # convert the oldest red-indeterminate bin whose reds fit our space
-        space = table.Delta[table.phi[i]]
-        best = None
-        for j in self._red_types:
-            pool = self._red_indet[j]
-            if pool and self._red_space[j] <= space:
-                best = pool
-                break
-        if best is not None:
-            b = best.popleft()
-            self._n_red_indet[b.red_type] -= 1
-            before = b.group(table)
-            self._add_blue(b, i, size)
-            self._n_pairs[(i, b.red_type)] = self._n_pairs.get((i, b.red_type), 0) + 1
-            return PlacementTrace(idx, size, i, "blue", before, b.group(table),
-                                  b.bid, False)
+            return b, before
         b = self._open_bin()
         self._add_blue(b, i, size)
-        self._blue_indet[i].append(b)
-        self._n_blue_indet[i] += 1
-        return PlacementTrace(idx, size, i, "blue", "-", b.group(table), b.bid, True)
+        if table.phi[i] > 0:
+            self._blue_indet[i].append(b)
+        return b, "-"
 
     def pack(self, sizes) -> "ShState":
         for s in sizes:
@@ -288,37 +267,26 @@ class ShState:
         counts.append(self.small_count)
         return counts
 
-    def group_census(self, recount: bool = False) -> GroupCensus:
-        """Current group and item census.
-
-        With ``recount`` the counts are rebuilt from the bins themselves
-        instead of the incremental counters (used by the test-suite to
-        cross-check the bookkeeping).
-        """
-        if not recount:
-            blue_only = {i: n for i, n in enumerate(self._n_blue_only) if n}
-            blue_indet = {i: n for i, n in enumerate(self._n_blue_indet) if n}
-            red_indet = {i: n for i, n in enumerate(self._n_red_indet) if n}
-            pairs = {ij: n for ij, n in self._n_pairs.items() if n}
-        else:
-            blue_only: dict = {}
-            blue_indet: dict = {}
-            red_indet: dict = {}
-            pairs: dict = {}
-            nf_seen = 0
-            for b in self.bins:
-                if b.blue_type is None and b.red_type is None:
-                    nf_seen += 1
-                    continue
-                if b.blue_type is not None and b.red_type is not None:
-                    key = (b.blue_type, b.red_type)
-                    pairs[key] = pairs.get(key, 0) + 1
-                elif b.blue_type is not None:
-                    d = blue_only if self.table.phi[b.blue_type] == 0 else blue_indet
-                    d[b.blue_type] = d.get(b.blue_type, 0) + 1
-                else:
-                    red_indet[b.red_type] = red_indet.get(b.red_type, 0) + 1
-            assert nf_seen == self.nf_bins
+    def group_census(self) -> GroupCensus:
+        """Current group and item census, counted from the bins themselves."""
+        blue_only: dict = {}
+        blue_indet: dict = {}
+        red_indet: dict = {}
+        pairs: dict = {}
+        nf_seen = 0
+        for b in self.bins:
+            if b.blue_type is None and b.red_type is None:
+                nf_seen += 1
+                continue
+            if b.blue_type is not None and b.red_type is not None:
+                key = (b.blue_type, b.red_type)
+                pairs[key] = pairs.get(key, 0) + 1
+            elif b.blue_type is not None:
+                d = blue_only if self.table.phi[b.blue_type] == 0 else blue_indet
+                d[b.blue_type] = d.get(b.blue_type, 0) + 1
+            else:
+                red_indet[b.red_type] = red_indet.get(b.red_type, 0) + 1
+        assert nf_seen == self.nf_bins
         return GroupCensus(blue_only=blue_only, blue_indet=blue_indet,
                            red_indet=red_indet, pairs=pairs,
                            items=self.type_counts(), nf_bins=self.nf_bins,

@@ -96,9 +96,6 @@ class WeightFunctionSet:
             return blue_half + red
         return blue_half + red_half
 
-    def weight_of_type(self, case: int, i: int) -> Fraction:
-        return self.values[case][i]
-
     def w(self, size: Fraction, case: int) -> Fraction:
         """Weight of an item of ``size`` under ``case`` (w_sh)."""
         if not 1 <= case <= self.num_cases:
@@ -111,8 +108,9 @@ class WeightFunctionSet:
     def case_totals(self, type_counts, tail_mass: Fraction) -> list:
         """Total charge per case for an item multiset given as type counts.
 
-        ``type_counts[i]`` is the number of type-i items (1-based, length
-        k+1 used), ``tail_mass`` the summed size of tail-type items.
+        ``type_counts[i]`` is the number of type-i items, or any other
+        per-type multiplier such as a summed height weight (1-based, length
+        k+1 used); ``tail_mass`` is the summed size of tail-type items.
         Returns a 1-based list of K+1 Fractions.
         """
         k = self.table.k

@@ -245,6 +245,16 @@ class TestValidateCut:
                                      peak - Fraction(1, 100))
             assert validate_cut(mutated, model) is not None
 
+    def test_derived_caps_match_published_table(self, table, model):
+        published = ([None] + [1] * 7 + [2] * 6 + [3, 3, 4, 5, 6, 6]
+                     + [m - 13 for m in range(20, 51)])
+        assert list(model.caps) == published
+        for cut in builtin_model_constraints(table):
+            if cut.name.startswith("cap_"):
+                assert cut.rhs == published[int(cut.name[4:])]
+            peak, _ = cut_max_lhs(cut, model)
+            assert (validate_cut(cut, model) is None) == (peak <= cut.rhs), cut.name
+
     def test_support_limit(self, model):
         cut = LinearCut.make("wide", {m: 1 for m in range(20, 29)}, 100)
         with pytest.raises(ValueError):

@@ -85,6 +85,18 @@ class TestReports:
                             "group_after,bin_id,opened")
         assert len(lines) == 51
 
+    def test_trace_out_comes_from_the_reported_run(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        args = ("pack1d", "--n", "400", "--seed", "4", "--verify")
+        plain = run_cli(*args)
+        traced = run_cli(*args, "--trace-out", str(trace))
+        assert plain.returncode == traced.returncode == 0
+        assert traced.stdout == plain.stdout
+        rows = trace.read_text().strip().splitlines()[1:]
+        assert len(rows) == 400
+        bins = {row.split(",")[-2] for row in rows}  # groups hold commas
+        assert len(bins) == int(json.loads(plain.stdout)["cost"])
+
 
 class TestBoundCommand:
     def test_bound_csv_and_summary(self):

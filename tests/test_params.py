@@ -47,7 +47,7 @@ class TestBuiltinTable:
         # type j fits space m iff gamma_j * t_j <= Delta_m; matches the
         # published acceptance lists per space
         accepted = {m: [j for j in range(1, 51)
-                        if table.alpha[j] > 0 and table.gamma_space(j) <= table.Delta[m]]
+                        if table.alpha[j] > 0 and table.gamma[j] * table.t[j] <= table.Delta[m]]
                     for m in range(1, 7)}
         assert accepted[1] == [15, 16, 17, 18, 19, 20] + list(range(21, 50))
         assert accepted[2] == [13] + accepted[1]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -129,13 +130,28 @@ class TestStateInvariants:
         assert c.pairs == {} and c.blue_indet == {}
         assert st.cost == 58
 
-    def test_census_recount_matches_incremental(self, table):
-        st = ShState(table)
+    def test_census_matches_placement_trace(self, table):
+        # the trace records every bin's group as items arrive, so the last
+        # group_after per bin is the group the census must count it in
+        st = ShState(table, keep_trace=True)
         for s in grid_sizes(random.Random(9), 4000):
             st.insert(s)
-        a, b = st.group_census(), st.group_census(recount=True)
-        assert (a.blue_only, a.blue_indet, a.red_indet, a.pairs) == \
-               (b.blue_only, b.blue_indet, b.red_indet, b.pairs)
+        last = {tr.bin_id: tr.group_after for tr in st.trace}
+        tally = Counter(last.values())
+        c = st.group_census()
+        assert c.nf_bins > 0 and c.pairs and c.blue_only
+        assert tally.pop("nf", 0) == c.nf_bins
+        census = Counter()
+        for i, n in c.blue_only.items():
+            census[f"({i})"] += n
+        for i, n in c.blue_indet.items():
+            census[f"({i},?)"] += n
+        for j, n in c.red_indet.items():
+            census[f"(?,{j})"] += n
+        for (i, j), n in c.pairs.items():
+            census[f"({i},{j})"] += n
+        assert tally == census
+        assert len(last) == c.cost
 
     def test_feasibility_and_open_bins(self, table):
         st = ShState(table)
