@@ -23,6 +23,9 @@ Two independent maximizers are provided:
     truncated models (at most 15 types); kept free of the ordering and
     pruning machinery so it can serve as an independent oracle.
 
+The cut audit (:func:`validate_cut`, :func:`cut_max_lhs`) runs on
+:func:`pattern_max` too, over the strict model of genuine patterns.
+
 The certificate machinery combines a per-coordinate weighting pair: for
 cases i, j of the 1D weighting set,
 
@@ -211,13 +214,12 @@ class PatternModel:
                             constraints=tuple(cons), capacity=self.capacity)
 
 
-# group caps and compound cuts of the built-in 50-type model; single-variable
-# caps are derived from the breakpoints by _genuine_caps() and also
-# re-emitted by builtin_model_constraints() for validation.
-_GROUP_CAPS = [
-    ("group_1_7", {i: 1 for i in range(1, 8)}, 1),
-    ("group_8_13", {i: 1 for i in range(8, 14)}, 2),
-    ("pair_18_19", {18: 1, 19: 1}, 6),
+# groups of the built-in 50-type model whose items share one cap; every cap,
+# of a group or of a single type, is derived by _genuine_cap()
+_GROUPS = [
+    ("group_1_7", range(1, 8)),
+    ("group_8_13", range(8, 14)),
+    ("pair_18_19", (18, 19)),
 ]
 
 _COMPOUND_CUTS = [
@@ -230,9 +232,14 @@ _COMPOUND_CUTS = [
 ]
 
 
-def _genuine_caps(table: ParamTable) -> tuple:
-    """Per-type caps: the most type-m items, each above t[m+1], in one bin."""
-    return (None, *(ceil(1 / table.t[m + 1]) - 1 for m in range(1, table.k + 1)))
+def _genuine_cap(table: ParamTable, types) -> int:
+    """Most items of ``types``, each above t[max(types)+1], in one bin."""
+    return ceil(1 / table.t[max(types) + 1]) - 1
+
+
+def _group_caps(table: ParamTable) -> list:
+    return [LinearCut.make(name, {m: 1 for m in types}, _genuine_cap(table, types))
+            for name, types in _GROUPS]
 
 
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
@@ -240,24 +247,20 @@ def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
     """The pattern model of the built-in instance (sizes are t[m+1])."""
     n = table.k if num_types is None else num_types
     sizes = (None, *(table.t[m + 1] for m in range(1, table.k + 1)))
-    cons = [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _GROUP_CAPS]
+    cons = _group_caps(table)
     if include_cuts:
         cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
-    model = PatternModel(sizes=sizes, caps=_genuine_caps(table),
-                         constraints=tuple(cons))
+    caps = (None, *(_genuine_cap(table, (m,)) for m in range(1, table.k + 1)))
+    model = PatternModel(sizes=sizes, caps=caps, constraints=tuple(cons))
     return model if n == table.k else model.truncated(n)
 
 
 def builtin_model_constraints(table: ParamTable) -> list:
-    """Every published constraint of the built-in model as LinearCuts.
-
-    Includes the single-variable caps, the three group caps and the six
-    compound cuts; used by the cut-validation suite.
-    """
-    cons = [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _GROUP_CAPS]
-    caps = _genuine_caps(table)
-    for m in list(range(14, 18)) + list(range(20, table.k + 1)):
-        cons.append(LinearCut.make(f"cap_{m}", {m: 1}, caps[m]))
+    """The group caps, the caps of ungrouped types and the compound cuts."""
+    grouped = {m for _, types in _GROUPS for m in types}
+    cons = _group_caps(table)
+    cons += [LinearCut.make(f"cap_{m}", {m: 1}, _genuine_cap(table, (m,)))
+             for m in range(1, table.k + 1) if m not in grouped]
     cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
     return cons
 
@@ -401,50 +404,33 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel,
 
 # -- cut validation -----------------------------------------------------------
 
-def _genuine_peak(cut: LinearCut, model: PatternModel, stop=None):
+def _genuine_peak(cut: LinearCut, model: PatternModel):
     """Largest left side of ``cut`` over genuine patterns; (peak, pattern).
 
-    A genuine pattern has every item strictly above its type's infimum size,
-    so it satisfies the strict knapsack sum x_m * sizes[m] < capacity.  The
-    search enumerates all integer assignments to the cut's support under
-    that constraint (variables outside the support stay zero, which is safe
-    because coefficients are nonnegative).  It ends at the first pattern
-    whose left side exceeds ``stop`` when one is given.
+    Genuine items lie strictly above their types' infimum sizes, so a genuine
+    pattern fits one grid unit below the capacity.  The strict model (types up
+    to the cut's largest, that capacity, no caps or constraints beyond it)
+    holds exactly the genuine patterns; :func:`pattern_max` maximizes the
+    cut's nonnegative coefficients over it with a zero tail.
     """
-    support = [m for m in cut.support if m <= model.ntypes]
-    S, CAP = _scaled_sizes(model)
+    n = max((m for m in cut.support if m <= model.ntypes), default=0)
+    S, CAP = _scaled_sizes(model.truncated(n))
+    strict = PatternModel(sizes=model.sizes[:n + 1], constraints=(),
+                          caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
+                          capacity=model.capacity * Fraction(CAP - 1, CAP))
     coeff = dict(cut.coeffs)
-    best: Optional[Fraction] = None
-    best_pat: dict = {}
-    assign = [0] * len(support)
-
-    def rec(pos: int, used: int, lhs: Fraction) -> bool:
-        nonlocal best, best_pat
-        if best is None or lhs > best:
-            best = lhs
-            best_pat = {support[t]: v for t, v in enumerate(assign[:pos]) if v}
-            if stop is not None and best > stop:
-                return True
-        if pos == len(support):
-            return False
-        m = support[pos]
-        for v in range((CAP - 1 - used) // S[m] + 1):
-            assign[pos] = v
-            if rec(pos + 1, used + v * S[m], lhs + v * coeff[m]):
-                return True
-        assign[pos] = 0
-        return False
-
-    rec(0, 0, Fraction(0))
-    return best, best_pat
+    fn = PiecewiseFn(values=(None, *(coeff.get(m, 0) for m in range(1, n + 1))),
+                     tail_slope=Fraction(0))
+    return pattern_max(fn, strict)
 
 
 def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
                  node_limit: int = 10 ** 7) -> Optional[dict]:
     """Check that no genuine pattern violates ``cut``; None when valid.
 
-    Returns the first genuine pattern (see :func:`_genuine_peak`) whose left
-    side exceeds the cut's right-hand side.
+    Otherwise returns the heaviest counterexample, the argmax pattern of
+    :func:`_genuine_peak`.  Refuses cuts wider than ``max_support`` or with
+    more than ``node_limit`` assignments to their support.
     """
     support = [m for m in cut.support if m <= model.ntypes]
     if len(support) > max_support:
@@ -455,7 +441,7 @@ def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
         est *= (CAP - 1) // S[m] + 1
         if est > node_limit:
             raise ValueError(f"enumeration space exceeds {node_limit} nodes")
-    peak, pattern = _genuine_peak(cut, model, stop=cut.rhs)
+    peak, pattern = _genuine_peak(cut, model)
     return pattern if peak > cut.rhs else None
 
 

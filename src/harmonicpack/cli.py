@@ -57,26 +57,36 @@ def _emit(data, fmt: str, stream=None):
 
 
 def _instance_from_args(args, dims: int) -> generators.Instance:
+    """The instance named by --input, or else by --kind/--n/--seed/--bins."""
     if args.input:
         spec = generators.InstanceSpec(kind="file", dims=dims,
                                        params={"path": args.input})
     else:
-        p = {}
-        if args.kind == "tiled-known-opt":
-            p["bins"] = args.bins
-        spec = generators.InstanceSpec(kind=args.kind, n=args.n,
-                                       seed=args.seed, dims=dims, params=p)
+        spec = generators.InstanceSpec(
+            kind=args.kind, n=args.n, seed=args.seed, dims=dims,
+            params={"bins": args.bins} if args.kind == "tiled-known-opt" else {})
     return generators.generate(spec)
 
 
-def _add_instance_args(sub, dims: int):
-    sub.add_argument("--input", help="instance file (overrides --kind)")
+def _add_instance_args(sub, with_input: bool = True):
+    if with_input:
+        sub.add_argument("--input", help="instance file (overrides --kind)")
+    else:
+        sub.set_defaults(input=None)
     sub.add_argument("--kind", default="uniform",
                      choices=["uniform", "harmonic-adversarial", "tiled-known-opt"])
     sub.add_argument("--n", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--bins", type=int, default=10,
                      help="bins for tiled-known-opt")
+
+
+def _sh_audit(st: ShState, rep) -> list:
+    """Violations of a finished SH+ run, given its cost-bound report."""
+    bad = st.check_feasibility()
+    if rep.slack > weighting.slack_allowance(st.table):
+        bad.append(f"cost bound slack {rep.slack} over allowance")
+    return bad
 
 
 def _report_common(args, inst, cost, lower_bound, extra: dict) -> dict:
@@ -99,17 +109,11 @@ def cmd_dump_params(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = generators.InstanceSpec(
-        kind=args.kind, n=args.n, seed=args.seed, dims=args.dims,
-        params={"bins": args.bins} if args.kind == "tiled-known-opt" else {})
-    inst = generators.generate(spec)
+    inst = _instance_from_args(args, args.dims)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for it in inst.items:
-            if args.dims == 1:
-                out.write(f"{float(it):.9f}\n")
-            else:
-                out.write(f"{float(it.w):.9f} {float(it.h):.9f}\n")
+        for it in inst.items:  # exact: "p/q" or an integer
+            out.write(f"{it}\n" if args.dims == 1 else f"{it.w} {it.h}\n")
     finally:
         if args.out:
             out.close()
@@ -138,14 +142,7 @@ def cmd_pack1d(args) -> int:
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
                  "weight_slack": str(rep.slack), "_elapsed": time.perf_counter() - t0}
-        failures = []
-        if args.verify:
-            failures += st.check_feasibility()
-            if any(st.e[i] != int(table.alpha[i] * st.s[i])
-                   for i in range(1, table.k + 1)):
-                failures.append("red-count law broken")
-            if rep.slack > weighting.slack_allowance(table):
-                failures.append(f"cost bound slack {rep.slack} over allowance")
+        failures = _sh_audit(st, rep) if args.verify else []
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
                 fh.write("item_index,size,type,color,group_before,"
@@ -178,11 +175,10 @@ def cmd_pack2d(args) -> int:
         cost = tc.avg
         runs = [hxb, bxh]
     else:
-        run = TensorRun(table, args.orientation, delta, keep_geometry=True)
         items = inst.items if args.orientation == "hxb" else \
             [it.transposed for it in inst.items]
-        for it in items:
-            run.insert(it)
+        run = TensorRun(table, args.orientation, delta,
+                        keep_geometry=args.verify).pack(items)
         cost = run.cost
         runs = [run]
     rows = []
@@ -190,7 +186,7 @@ def cmd_pack2d(args) -> int:
         rows.append({"orientation": run.orientation, "bins": run.cost,
                      "slices": len(run.slices),
                      "weight_bound": f"{float(run.max_weight_bound(wset)):.6f}"})
-        if args.verify and run.keep_geometry:
+        if args.verify:
             failures += validate_geometry(run)
     if args.format == "csv":
         _emit(rows, "csv")
@@ -279,16 +275,11 @@ def cmd_verify(args) -> int:
     st = ShState(table)
     for _ in range(4000):
         st.insert(Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
-    if any(st.e[i] != int(table.alpha[i] * st.s[i]) for i in range(1, table.k + 1)):
-        failures.append("sh: red-count law broken")
-    failures += [f"sh: {b}" for b in st.check_feasibility()]
-    rep = bound_check(st, wset)
-    if rep.slack > weighting.slack_allowance(table):
-        failures.append(f"sh: bound slack {float(rep.slack):.2f} over allowance")
+    failures += [f"sh: {b}" for b in _sh_audit(st, bound_check(st, wset))]
 
-    from .pack2d import Item2D
-    items = [Item2D(Fraction(rng.randint(1, 10 ** 6), 10 ** 6),
-                    Fraction(rng.randint(1, 10 ** 6), 10 ** 6)) for _ in range(500)]
+    items = [generators.Item2D(Fraction(rng.randint(1, 10 ** 6), 10 ** 6),
+                               Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
+             for _ in range(500)]
     _, hxb, bxh = tensor_cost(items, table, keep_geometry=True)
     failures += [f"2d: {v}" for v in validate_geometry(hxb)[:5]]
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
@@ -320,19 +311,15 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_dump_params)
 
     p = sub.add_parser("gen", help="write a deterministic instance file")
-    p.add_argument("--kind", default="uniform",
-                   choices=["uniform", "harmonic-adversarial", "tiled-known-opt"])
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_instance_args(p, with_input=False)
     p.add_argument("--dims", type=int, default=1, choices=[1, 2])
-    p.add_argument("--bins", type=int, default=10)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("pack1d", help="run a 1D packer")
     p.add_argument("--algorithm", default="sh+", choices=["harmonic", "sh+"])
     p.add_argument("--k", type=int, default=38, help="harmonic index")
-    _add_instance_args(p, dims=1)
+    _add_instance_args(p)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--trace-out", help="write the placement trace CSV here")
     p.add_argument("--format", default="json", choices=["json", "csv"])
@@ -343,7 +330,7 @@ def main(argv=None) -> int:
     p.add_argument("--orientation", default="tensor-avg",
                    choices=["hxb", "bxh", "tensor-avg"])
     p.add_argument("--delta", default="1/10000")
-    _add_instance_args(p, dims=2)
+    _add_instance_args(p)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--timing", action="store_true")

@@ -26,13 +26,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .pack2d import Item2D
 from .params import parse_rational
 
 GRID = 10 ** 6
 
 _DEFAULT_LEVELS = ("1/2", "1/3", "1/7", "1/43")
 _DEFAULT_PATTERN_1D = ("0.51", "0.49")
+
+
+@dataclass(frozen=True)
+class Item2D:
+    w: Fraction
+    h: Fraction
+
+    def __post_init__(self):
+        if not (0 < self.w <= 1 and 0 < self.h <= 1):
+            raise ValueError(f"rectangle {self.w} x {self.h} outside (0,1]^2")
+
+    @property
+    def transposed(self) -> "Item2D":
+        return Item2D(w=self.h, h=self.w)
 
 
 @dataclass(frozen=True)

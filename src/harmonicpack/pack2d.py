@@ -26,7 +26,7 @@ against the materialized values, so slices always cover their items.
 
 The two-orientation average satisfies the slice analysis bound
 
-    2 (1-d) * avg_cost <= maxW(width-first run) + maxW(height-first run) + C
+    avg_cost <= (maxW(width-first run) + maxW(height-first run)) / (2 (1-d)) + C
 
 where maxW is the largest, over the 1D weighting cases, of
 sum_items W_H(stacked coordinate) * W_case(slice class of the other
@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .generators import Item2D
 from .harmonic import harmonic_type, w_h
 from .params import ParamTable
 from .superharmonic import ShState
@@ -46,20 +47,6 @@ from .weighting import WeightFunctionSet
 
 # significant digits kept per step of the tiny-width ladder
 _SIG_DIGITS = 18
-
-
-@dataclass(frozen=True)
-class Item2D:
-    w: Fraction
-    h: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.w <= 1 and 0 < self.h <= 1):
-            raise ValueError(f"rectangle {self.w} x {self.h} outside (0,1]^2")
-
-    @property
-    def transposed(self) -> "Item2D":
-        return Item2D(w=self.h, h=self.w)
 
 
 class TinyGrid:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 def parse_rational(text: str | int | float | Fraction) -> Fraction:
@@ -63,13 +63,15 @@ class ParamTable:
     t: tuple  # t[1..k+2], index 0 is None
     alpha: tuple  # alpha[1..k]
     beta: tuple  # beta[1..k]
-    delta: tuple  # delta[1..k], leftover 1 - t[i]*beta[i]
+    delta: tuple = field(init=False)  # delta[1..k], leftover 1 - t[i]*beta[i]
     Delta: tuple  # Delta[0..K]
     phi: tuple  # phi[1..k], values in 0..K
     varphi: tuple  # varphi[1..k], values in 0..K
     gamma: tuple  # gamma[1..k]
 
     def __post_init__(self):
+        object.__setattr__(self, "delta", (None, *(
+            1 - self.t[i] * self.beta[i] for i in range(1, self.k + 1))))
         # ascending breakpoint list used by classify():
         #   [t[k+1], t[k], ..., t[2]]
         asc = [self.t[i] for i in range(self.k + 1, 1, -1)]
@@ -127,9 +129,8 @@ class ParamTable:
         phi = (None, *(int(x) for x in data["phi"]))
         varphi = (None, *(int(x) for x in data["varphi"]))
         Delta = tuple(parse_rational(x) for x in data["Delta"])
-        delta = (None, *(1 - t[i] * beta[i] for i in range(1, k + 1)))
-        return cls(k=k, K=bigk, t=t, alpha=alpha, beta=beta, delta=delta,
-                   Delta=Delta, phi=phi, varphi=varphi, gamma=gamma)
+        return cls(k=k, K=bigk, t=t, alpha=alpha, beta=beta, Delta=Delta,
+                   phi=phi, varphi=varphi, gamma=gamma)
 
     @classmethod
     def loads(cls, text: str) -> "ParamTable":
@@ -198,10 +199,9 @@ def builtin_shplus() -> ParamTable:
     phi = [None, *(r[3] for r in rows)]
     varphi = [None, *(r[4] for r in rows)]
     gamma = [None, *(r[5] for r in rows)]
-    delta = [None, *(1 - t[i] * beta[i] for i in range(1, k + 1))]
     return ParamTable(
         k=k, K=6,
-        t=tuple(t), alpha=tuple(alpha), beta=tuple(beta), delta=tuple(delta),
+        t=tuple(t), alpha=tuple(alpha), beta=tuple(beta),
         Delta=tuple(parse_rational(d) for d in _DELTAS),
         phi=tuple(phi), varphi=tuple(varphi), gamma=tuple(gamma),
     )
@@ -241,8 +241,6 @@ def validate(table: ParamTable) -> list:
         want_beta = int(1 / ti)
         if table.beta[i] != want_beta:
             v.append(f"beta[{i}] != floor(1/t[{i}]) = {want_beta}")
-        if table.delta[i] != 1 - ti * table.beta[i]:
-            v.append(f"delta[{i}] != 1 - t[{i}]*beta[{i}]")
         if not (0 <= table.phi[i] <= K):
             v.append(f"phi[{i}] outside 0..K")
         if table.phi[i] > 0 and not table.Delta[table.phi[i]] <= table.delta[i]:

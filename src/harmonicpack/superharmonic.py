@@ -317,9 +317,10 @@ class ShState:
         return n + (self.nf_fill is not None)
 
     def check_feasibility(self) -> list:
-        """Capacity and reserved-space violations across all bins (tests)."""
+        """Red-count, capacity and reserved-space violations of the run."""
         table = self.table
-        bad = []
+        bad = [f"type {i}: red-count law broken" for i in range(1, table.k + 1)
+               if self.e[i] != int(table.alpha[i] * self.s[i])]
         for b in self.bins:
             if b.content_sum > 1:
                 bad.append(f"bin {b.bid}: content {b.content_sum} > 1")

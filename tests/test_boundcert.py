@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -214,9 +215,13 @@ class TestValidateCut:
         assert validate_cut(cut, model) is None
 
     def test_fabricated_cap_yields_counterexample(self, model):
+        # the counterexample is the heaviest genuine pattern: 37 items just
+        # above 1/38 fit one bin
         cut = LinearCut.make("x50_le_2", {50: 1}, 2)
         cex = validate_cut(cut, model)
-        assert cex == {50: 3}
+        assert cex == {50: 37}
+        assert cut.lhs(cex) > cut.rhs
+        assert sum(model.sizes[m] * c for m, c in cex.items()) < 1
 
     def test_unsound_published_cut_detected(self, model):
         # 5x7 + 3.53x11 + 1.47x18 <= 9 excludes the genuine pattern
@@ -249,11 +254,35 @@ class TestValidateCut:
         published = ([None] + [1] * 7 + [2] * 6 + [3, 3, 4, 5, 6, 6]
                      + [m - 13 for m in range(20, 51)])
         assert list(model.caps) == published
+        groups = {c.name: c.rhs for c in model.constraints
+                  if not c.name.startswith("cut_")}
+        assert groups == {"group_1_7": 1, "group_8_13": 2, "pair_18_19": 6}
+        cap_names = [c.name for c in builtin_model_constraints(table)
+                     if c.name.startswith("cap_")]
+        assert cap_names == [f"cap_{m}" for m in [*range(14, 18), *range(20, 51)]]
         for cut in builtin_model_constraints(table):
             if cut.name.startswith("cap_"):
                 assert cut.rhs == published[int(cut.name[4:])]
             peak, _ = cut_max_lhs(cut, model)
             assert (validate_cut(cut, model) is None) == (peak <= cut.rhs), cut.name
+
+    def test_peak_matches_brute_force_on_strict_model(self, table):
+        # genuine patterns are those that fit strictly: on the common grid of
+        # the sizes they leave at least one grid unit of the bin free
+        model12 = shplus_pattern_model(table, include_cuts=False, num_types=12)
+        grid = lcm(*(size.denominator for size in model12.sizes[1:]))
+        strict = PatternModel(sizes=model12.sizes, caps=(None, *([10] * 12)),
+                              constraints=(), capacity=Fraction(grid - 1, grid))
+        rnd = random.Random(2024)
+        for _ in range(200):
+            support = rnd.sample(range(1, 13), rnd.randint(1, 5))
+            coeffs = {m: Fraction(rnd.randint(0, 30), rnd.randint(1, 7))
+                      for m in support}
+            cut = LinearCut.make("r", coeffs, rnd.randint(-3, 20))
+            fn = PiecewiseFn(values=(None, *(coeffs.get(m, Fraction(0))
+                                             for m in range(1, 13))),
+                             tail_slope=Fraction(0))
+            assert cut_max_lhs(cut, model12)[0] == brute_force_max(fn, strict)[0]
 
     def test_support_limit(self, model):
         cut = LinearCut.make("wide", {m: 1 for m in range(20, 29)}, 100)

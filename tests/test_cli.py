@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from harmonicpack.cli import main
+from harmonicpack.generators import InstanceSpec, generate
 from harmonicpack.params import ParamTable, validate
 
 
@@ -62,6 +66,28 @@ class TestReports:
         assert out.read_text() == text1
         r = run_cli("pack1d", "--input", str(out))
         assert r.returncode == 0
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("kind", ["uniform", "harmonic-adversarial",
+                                      "tiled-known-opt"])
+    def test_gen_file_is_exact(self, tmp_path, kind, dims):
+        out = tmp_path / "inst.txt"
+        args = ["--kind", kind, "--n", "60", "--seed", "3", "--bins", "4"]
+        assert main(["gen", *args, "--dims", str(dims), "--out", str(out)]) == 0
+        spec = InstanceSpec(kind=kind, n=60, seed=3, dims=dims,
+                            params={"bins": 4} if kind == "tiled-known-opt" else {})
+        loaded = generate(InstanceSpec(kind="file", dims=dims,
+                                       params={"path": str(out)}))
+        assert loaded.items == generate(spec).items
+
+    def test_pack1d_from_gen_file_matches_generated_run(self, tmp_path):
+        out = tmp_path / "inst.txt"
+        gen = ("--kind", "harmonic-adversarial", "--n", "400")
+        assert run_cli("gen", *gen, "--out", str(out)).returncode == 0
+        from_file = json.loads(run_cli("pack1d", "--input", str(out)).stdout)
+        direct = json.loads(run_cli("pack1d", *gen).stdout)
+        for key in ("cost", "weight_slack", "final_case"):
+            assert from_file[key] == direct[key], key
 
     def test_pack2d_csv_format(self):
         r = run_cli("pack2d", "--orientation", "hxb", "--n", "100",
