@@ -404,14 +404,16 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel,
 
 # -- cut validation -----------------------------------------------------------
 
-def _genuine_peak(cut: LinearCut, model: PatternModel):
-    """Largest left side of ``cut`` over genuine patterns; (peak, pattern).
+def cut_max_lhs(cut: LinearCut, model: PatternModel):
+    """Maximum of the cut's left side over genuine patterns; (value, pattern).
 
     Genuine items lie strictly above their types' infimum sizes, so a genuine
     pattern fits one grid unit below the capacity.  The strict model (types up
     to the cut's largest, that capacity, no caps or constraints beyond it)
     holds exactly the genuine patterns; :func:`pattern_max` maximizes the
-    cut's nonnegative coefficients over it with a zero tail.
+    cut's nonnegative coefficients over it with a zero tail.  Used to validate
+    cuts, to derive the tightest valid right-hand side and to build mutation
+    tests (any rhs strictly below this maximum admits a counterexample).
     """
     n = max((m for m in cut.support if m <= model.ntypes), default=0)
     S, CAP = _scaled_sizes(model.truncated(n))
@@ -429,7 +431,7 @@ def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
     """Check that no genuine pattern violates ``cut``; None when valid.
 
     Otherwise returns the heaviest counterexample, the argmax pattern of
-    :func:`_genuine_peak`.  Refuses cuts wider than ``max_support`` or with
+    :func:`cut_max_lhs`.  Refuses cuts wider than ``max_support`` or with
     more than ``node_limit`` assignments to their support.
     """
     support = [m for m in cut.support if m <= model.ntypes]
@@ -441,17 +443,8 @@ def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
         est *= (CAP - 1) // S[m] + 1
         if est > node_limit:
             raise ValueError(f"enumeration space exceeds {node_limit} nodes")
-    peak, pattern = _genuine_peak(cut, model)
+    peak, pattern = cut_max_lhs(cut, model)
     return pattern if peak > cut.rhs else None
-
-
-def cut_max_lhs(cut: LinearCut, model: PatternModel):
-    """Maximum of the cut's left side over genuine patterns; (value, pattern).
-
-    Used to derive the tightest valid right-hand side and to build mutation
-    tests (any rhs strictly below this maximum admits a counterexample).
-    """
-    return _genuine_peak(cut, model)
 
 
 # -- certificate assembly ------------------------------------------------------

@@ -68,6 +68,16 @@ def _instance_from_args(args, dims: int) -> generators.Instance:
     return generators.generate(spec)
 
 
+def _at_least(least: int):
+    """argparse type: an integer no smaller than ``least``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def _add_instance_args(sub, with_input: bool = True):
     if with_input:
         sub.add_argument("--input", help="instance file (overrides --kind)")
@@ -75,9 +85,9 @@ def _add_instance_args(sub, with_input: bool = True):
         sub.set_defaults(input=None)
     sub.add_argument("--kind", default="uniform",
                      choices=["uniform", "harmonic-adversarial", "tiled-known-opt"])
-    sub.add_argument("--n", type=int, default=1000)
+    sub.add_argument("--n", type=_at_least(0), default=1000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--bins", type=int, default=10,
+    sub.add_argument("--bins", type=_at_least(1), default=10,
                      help="bins for tiled-known-opt")
 
 
@@ -89,8 +99,8 @@ def _sh_audit(st: ShState, rep) -> list:
     return bad
 
 
-def _report_common(args, inst, cost, lower_bound, extra: dict) -> dict:
-    elapsed = extra.pop("_elapsed", None)
+def _report_common(args, inst, cost, lower_bound, extra: dict,
+                   elapsed: float) -> dict:
     report = {
         "instance": f"{inst.spec.kind}/n={len(inst.items)}/seed={inst.spec.seed}",
         "cost": str(cost),
@@ -132,8 +142,8 @@ def cmd_pack1d(args) -> int:
             packer.insert(s)
         cost = packer.cost
         slack = packer.weight_slack()
-        extra = {"algorithm": f"harmonic({args.k})",
-                 "weight_slack": str(slack), "_elapsed": time.perf_counter() - t0}
+        extra = {"algorithm": f"harmonic({args.k})", "weight_slack": str(slack)}
+        elapsed = time.perf_counter() - t0
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
         st = ShState(table, keep_trace=bool(args.trace_out))
@@ -141,7 +151,8 @@ def cmd_pack1d(args) -> int:
             st.insert(s)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
-                 "weight_slack": str(rep.slack), "_elapsed": time.perf_counter() - t0}
+                 "weight_slack": str(rep.slack)}
+        elapsed = time.perf_counter() - t0
         failures = _sh_audit(st, rep) if args.verify else []
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
@@ -150,7 +161,7 @@ def cmd_pack1d(args) -> int:
                 for tr in st.trace:
                     fh.write(tr.csv_row() + "\n")
         cost = st.cost
-    report = _report_common(args, inst, cost, lb, extra)
+    report = _report_common(args, inst, cost, lb, extra, elapsed)
     _emit(report, args.format)
     if failures:
         for f in failures:
@@ -191,9 +202,9 @@ def cmd_pack2d(args) -> int:
     if args.format == "csv":
         _emit(rows, "csv")
     else:
-        extra = {"algorithm": args.orientation, "runs": rows,
-                 "_elapsed": time.perf_counter() - t0}
-        report = _report_common(args, inst, cost, lb, extra)
+        extra = {"algorithm": args.orientation, "runs": rows}
+        report = _report_common(args, inst, cost, lb, extra,
+                                time.perf_counter() - t0)
         _emit(report, "json")
     if failures:
         for f in failures[:20]:
@@ -215,7 +226,8 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _load_lambda(path) -> dict:
+def _load_lambda(path, ncases: int) -> dict:
+    """The mixing weights of a JSON file; every case pair must be present."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     table = {}
@@ -227,13 +239,17 @@ def _load_lambda(path) -> dict:
         for key, lam in raw.items():
             i, j = (int(x) for x in key.split(","))
             table[(i, j)] = params.parse_rational(lam)
+    for i in range(1, ncases + 1):
+        for j in range(1, ncases + 1):
+            if (i, j) not in table:
+                raise ValueError(f"lambda table {path} lacks the pair {i},{j}")
     return table
 
 
 def cmd_bound(args) -> int:
     table = params.builtin_shplus()
     wset = WeightFunctionSet(table)
-    lam = _load_lambda(args.lambda_file) if args.lambda_file else None
+    lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
     cert = boundcert.ratio_certificate(
         wset, lam_table=lam, mode=args.mode,
         include_cuts=not args.no_cuts,
@@ -353,7 +369,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # bad input files, sizes or flags
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -27,12 +27,17 @@ def harmonic_type(size: Fraction, k: int) -> int:
     return size.denominator // size.numerator
 
 
+def harmonic_weight(i: int, count: int, size_sum: Fraction, k: int) -> Fraction:
+    """W_H of ``count`` type-i items of total size ``size_sum``: 1/i per
+    item for i < k, k/(k-1) * ``size_sum`` for the tail type i = k."""
+    if i < k:
+        return Fraction(count, i)
+    return Fraction(k, k - 1) * size_sum
+
+
 def w_h(size: Fraction, k: int) -> Fraction:
     """Weight of an item: 1/i on (1/(i+1), 1/i], linear k/(k-1) on the tail."""
-    i = harmonic_type(size, k)
-    if i < k:
-        return Fraction(1, i)
-    return Fraction(k, k - 1) * size
+    return harmonic_weight(harmonic_type(size, k), 1, size, k)
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class HarmonicPacker:
     One packer per run; replaying the same item sequence reproduces the
     same placements.  ``closed_bins[i]`` counts closed type-i bins;
     ``closed_tiny_sums`` records the content of every closed type-k bin
-    (used by the census checks).
+    (used by the census checks and by :attr:`total_weight`).
     """
 
     def __init__(self, k: int):
@@ -55,8 +60,6 @@ class HarmonicPacker:
             raise ValueError("k must be at least 2")
         self.k = k
         self.cost = 0
-        self.total_weight = Fraction(0)
-        self.items_packed = 0
         # per type i < k: (bin_id, item count); type k: (bin_id, content sum)
         self._open: dict = {}
         self._open_tiny = None
@@ -70,21 +73,12 @@ class HarmonicPacker:
 
     def insert(self, size: Fraction) -> Placement:
         i = harmonic_type(size, self.k)
-        self.total_weight += w_h(size, self.k)
-        self.items_packed += 1
         if i < self.k:
-            slot = self._open.get(i)
-            if slot is None:
-                bid = self._new_bin()
-                count = 1
-                opened = True
-            else:
-                bid, count = slot
-                count += 1
-                opened = False
+            slot = self._open.pop(i, None)
+            opened = slot is None
+            bid, count = (self._new_bin(), 1) if opened else (slot[0], slot[1] + 1)
             if count == i:
                 self.closed_bins[i] += 1
-                self._open.pop(i, None)
             else:
                 self._open[i] = (bid, count)
             return Placement(bin_id=bid, opened=opened)
@@ -106,6 +100,18 @@ class HarmonicPacker:
     @property
     def open_bin_count(self) -> int:
         return len(self._open) + (self._open_tiny is not None)
+
+    @property
+    def total_weight(self) -> Fraction:
+        """Summed W_H of the packed items, read from the bins: a closed
+        type-i bin (i < k) holds i items, the type-k bins hold the tail."""
+        k = self.k
+        counts = [n * i for i, n in enumerate(self.closed_bins)]
+        for i, (_, n) in self._open.items():
+            counts[i] += n
+        tail = sum(self.closed_tiny_sums, self._open_tiny[1] if self._open_tiny else 0)
+        return sum((harmonic_weight(i, counts[i], 0, k) for i in range(1, k)),
+                   harmonic_weight(k, 0, tail, k))
 
     def weight_slack(self) -> Fraction:
         """cost - total weight; at most k by the open-bin argument."""

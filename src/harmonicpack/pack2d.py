@@ -30,7 +30,7 @@ The two-orientation average satisfies the slice analysis bound
 
 where maxW is the largest, over the 1D weighting cases, of
 sum_items W_H(stacked coordinate) * W_case(slice class of the other
-coordinate); the test-suite pins C = 300.
+coordinate), which a run sums slice by slice; the test-suite pins C = 300.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .generators import Item2D
-from .harmonic import harmonic_type, w_h
+from .harmonic import harmonic_type, harmonic_weight, w_h
 from .params import ParamTable
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet
@@ -103,6 +103,7 @@ class Slice:
     width: Fraction  # class value
     bin_id: int
     x: Fraction
+    width_type: int  # table type of the widths, k+1 for the tiny grid
     height_type: int  # Harmonic type of the heights stacked here
     y_fill: Fraction = Fraction(0)
     count: int = 0
@@ -125,7 +126,8 @@ class TensorRun:
     ``orientation`` is "hxb" (slices cut by width, heights stacked) or
     "bxh" (the transpose; callers feed transposed items and read the
     geometry transposed).  Heights are stacked with Harmonic index
-    1/eps (38 for the built-in table).
+    1/eps (38 for the built-in table).  The weight totals are read from
+    the slices, each of which holds one width class and one height type.
     """
 
     def __init__(self, table: ParamTable, orientation: str = "hxb",
@@ -146,10 +148,6 @@ class TensorRun:
         self.placements: list = []
         self.items_packed = 0
         self._open: dict = {}  # (class key, height type) -> Slice
-        # weight accounting: per classified width type, total height weight;
-        # tiny classes weighted by class value directly
-        self._height_weight = [Fraction(0)] * (table.k + 1)
-        self._tiny_weight = Fraction(0)
 
     @property
     def cost(self) -> int:
@@ -169,31 +167,20 @@ class TensorRun:
             return (b.blue_count - 1) * width
         if trace.color == "red":
             return 1 - b.red_sum
-        return self.inner.nf_fill - width  # tiny: Next Fit, left to right
-
-    def _new_slice(self, width: Fraction, height_type: int) -> Slice:
-        trace = self.inner.insert(width)
-        sl = Slice(sid=len(self.slices), width=width, bin_id=trace.bin_id,
-                   x=self._slice_x(trace, width), height_type=height_type)
-        self.slices.append(sl)
-        return sl
+        return b.blue_sum - width  # tiny: Next Fit, left to right
 
     def insert(self, item: Item2D) -> Placement2D:
         key, width = self.width_class(item.w)
-        hw = w_h(item.h, self.hk)
-        if key[0] == "t":
-            self._height_weight[key[1]] += hw
-        else:
-            self._tiny_weight += width * hw
         ht = harmonic_type(item.h, self.hk)
         slot = (key, ht)
         sl = self._open.get(slot)
-        if sl is not None:
-            full = (sl.count >= ht) if ht < self.hk else (sl.y_fill + item.h > 1)
-            if full:
-                sl = None
-        if sl is None:
-            sl = self._new_slice(width, ht)
+        if sl is None or (sl.count >= ht if ht < self.hk else sl.y_fill + item.h > 1):
+            trace = self.inner.insert(width)
+            sl = Slice(sid=len(self.slices), width=width, bin_id=trace.bin_id,
+                       x=self._slice_x(trace, width),
+                       width_type=key[1] if key[0] == "t" else self.table.k + 1,
+                       height_type=ht)
+            self.slices.append(sl)
             self._open[slot] = sl
         p = Placement2D(item_index=self.items_packed, bin_id=sl.bin_id,
                         slice_id=sl.sid, x=sl.x, y=sl.y_fill,
@@ -212,7 +199,12 @@ class TensorRun:
 
     def weight_bounds(self, wset: WeightFunctionSet) -> list:
         """Per-case totals of W_H(height) * W_case(width class); 1-based."""
-        return wset.case_totals(self._height_weight, self._tiny_weight)
+        k = self.table.k
+        per_type = [Fraction(0)] * (k + 2)  # k+1: tiny, weighted by class value
+        for sl in self.slices:
+            hw = harmonic_weight(sl.height_type, sl.count, sl.y_fill, self.hk)
+            per_type[sl.width_type] += hw if sl.width_type <= k else sl.width * hw
+        return wset.case_totals(per_type, per_type[k + 1])
 
     def max_weight_bound(self, wset: WeightFunctionSet) -> Fraction:
         return max(self.weight_bounds(wset)[1:])

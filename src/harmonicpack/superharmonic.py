@@ -123,9 +123,7 @@ class ShState:
         self.bins: list = []
         self.cost = 0
         self.items_packed = 0
-        self.small_mass = Fraction(0)  # summed size of tail items
         self.small_count = 0
-        self.nf_fill: Optional[Fraction] = None
         self._nf_bin: Optional[Bin] = None
         self.nf_bins = 0
         self.keep_trace = keep_trace
@@ -200,18 +198,12 @@ class ShState:
     # when the item opened the bin (Next-Fit bins are always "nf").
 
     def _insert_tiny(self, size: Fraction):
-        self.small_mass += size
         self.small_count += 1
         b = self._nf_bin
-        if b is not None and self.nf_fill + size <= 1:
-            self.nf_fill += size
-            b.blue_sum += size  # content only; NF bins never join groups
-            return b, "nf"
-        b = self._open_bin()
-        self._nf_bin = b
-        self.nf_fill = size
-        self.nf_bins += 1
-        b.blue_sum = size
+        if b is None or b.blue_sum + size > 1:
+            b = self._nf_bin = self._open_bin()
+            self.nf_bins += 1
+        b.blue_sum += size  # content only; NF bins never join groups
         return b, "nf"
 
     def _insert_red(self, i: int, size: Fraction):
@@ -261,6 +253,12 @@ class ShState:
         return self
 
     # -- inspection ----------------------------------------------------------
+
+    @property
+    def small_mass(self) -> Fraction:
+        """Summed size of the tail items: the content of the Next-Fit bins."""
+        return sum((b.blue_sum for b in self.bins
+                    if b.blue_type is None and b.red_type is None), Fraction(0))
 
     def type_counts(self) -> list:
         counts = self.s[:]
@@ -314,7 +312,7 @@ class ShState:
         """Bins that are neither blue-full nor red-full (plus the NF bin)."""
         n = sum(1 for b in self._blue_open if b is not None)
         n += sum(1 for b in self._red_open if b is not None)
-        return n + (self.nf_fill is not None)
+        return n + (self._nf_bin is not None)
 
     def check_feasibility(self) -> list:
         """Red-count, capacity and reserved-space violations of the run."""

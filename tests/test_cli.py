@@ -37,6 +37,39 @@ class TestExitCodes:
         assert "forced violation" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    # {dir} is a per-test directory holding the input files written below
+    @pytest.mark.parametrize("argv,fragment", [
+        ("pack1d --input {dir}/missing.txt", "No such file"),
+        ("pack1d --input {dir}/too_big.txt", "3/2"),
+        ("pack1d --algorithm harmonic --k 1", "k must be at least 2"),
+        ("pack2d --n 10 --delta 0", "grid parameter"),
+        ("bound --lambda-file {dir}/not_json.json", "Expecting"),
+        ("bound --lambda-file {dir}/lacks_pair.json", "lacks the pair 3,4"),
+        ("pack1d --n -3", "--n: must be at least 0"),
+        ("gen --kind tiled-known-opt --bins 0", "--bins: must be at least 1"),
+    ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
+            "lambda-lacks-pair", "negative-n", "bins-0"])
+    def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
+        (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
+        (tmp_path / "not_json.json").write_text("{not json")
+        (tmp_path / "lacks_pair.json").write_text(json.dumps(
+            {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)
+             if (i, j) != (3, 4)}))
+        try:
+            rc = main(argv.format(dir=tmp_path).split())
+        except SystemExit as exc:  # argparse rejects bad flags this way
+            rc = exc.code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert rc == 1
+        assert len(errors) == 1 and fragment in errors[0], err
+        assert "Traceback" not in err
+        # anything else on stderr is argparse's usage block
+        assert all(line.startswith(("usage:", " ")) for line in err.splitlines()
+                   if not line.startswith("error:")), err
+
+
 class TestReports:
     def test_dump_params_round_trips(self):
         r = run_cli("dump-params")

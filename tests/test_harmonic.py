@@ -91,6 +91,19 @@ class TestPacking:
         assert p.cost <= p.total_weight + k
         assert p.open_bin_count <= k
 
+    @pytest.mark.parametrize("k", [2, 7, 38])
+    def test_total_weight_is_sum_of_item_weights(self, k):
+        # a third of the sizes fall on the tail; prefixes leave bins open
+        rng = random.Random(k)
+        sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 1, k)))
+                 for _ in range(3000)]
+        p = HarmonicPacker(k)
+        for n, s in enumerate(sizes, start=1):
+            p.insert(s)
+            if n in (1, 2, 17, 500, 2999, 3000):
+                assert p.total_weight == sum((w_h(x, k) for x in sizes[:n]),
+                                             Fraction(0)), n
+
     def test_cost_bound_adversarial(self):
         # items just above the reciprocals waste maximal space
         p = HarmonicPacker(38)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (Item2D, Placement2D, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 
@@ -92,6 +93,31 @@ class TestSlicePacking:
         for i in range(1, table.k + 1):
             assert per_type[i] == run.inner.s[i]
         assert per_type[table.k + 1] == run.inner.small_count
+
+    @pytest.mark.parametrize("orientation", ["hxb", "bxh"])
+    def test_weight_bounds_sum_item_weights(self, table, wset, orientation):
+        # a quarter of the widths and heights are tiny; prefixes leave
+        # slices open
+        rng = random.Random(21)
+
+        def side():
+            if rng.random() < 0.25:
+                return Fraction(rng.randint(1, 1000), 38 * 10 ** rng.randint(3, 5))
+            return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+
+        items = [Item2D(side(), side()) for _ in range(600)]
+        if orientation == "bxh":
+            items = [it.transposed for it in items]
+        run = TensorRun(table, orientation, Fraction(1, 100))
+        charges = []  # (W_H(h), class value of w) per rectangle
+        for n, it in enumerate(items, start=1):
+            run.insert(it)
+            charges.append((w_h(it.h, run.hk), run.width_class(it.w)[1]))
+            if n in (1, 33, 300, 600):
+                totals = run.weight_bounds(wset)
+                for c in range(1, wset.num_cases + 1):
+                    assert totals[c] == sum((hw * wset.w(v, c) for hw, v in charges),
+                                            Fraction(0)), (n, c)
 
     def test_transpose_run_equals_swapped_items(self, table):
         items = grid_items(random.Random(8), 1500)

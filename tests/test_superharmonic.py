@@ -78,6 +78,18 @@ class TestCascadeTraces:
         assert st.nf_bins == 2
         assert st.small_count == 101
 
+    def test_small_mass_is_summed_tail_size(self, table):
+        rng = random.Random(12)
+        st = ShState(table)
+        tail = Fraction(0)
+        for n in range(1, 3001):
+            s = Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
+            if st.insert(s).type_index == table.k + 1:
+                tail += s
+            if n in (1, 40, 999, 3000):
+                assert st.small_mass == tail, n
+        assert tail > 0
+
     def test_out_of_range(self, table):
         st = ShState(table)
         with pytest.raises(ValueError):
