@@ -21,23 +21,35 @@ The package bundles:
     instance generation and the command-line harness.
 
 All arithmetic on sizes, weights, and bounds is exact (``fractions``).
+
+The names below are imported from their module on first access, so
+importing one submodule (``harmonicpack.params``, say) loads no other.
 """
 
-from .harmonic import HarmonicPacker, harmonic_type, w_h
-from .params import ParamTable, builtin_shplus, validate
-from .superharmonic import ShState
-from .weighting import WeightFunctionSet, bound_check
-from .pack2d import Item2D, TensorRun, tensor_cost, validate_geometry, w2d
-from .boundcert import (PatternModel, PiecewiseFn, brute_force_max,
-                        pattern_max, ratio_certificate, validate_cut)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HarmonicPacker", "harmonic_type", "w_h",
-    "ParamTable", "builtin_shplus", "validate",
-    "ShState", "WeightFunctionSet", "bound_check",
-    "Item2D", "TensorRun", "tensor_cost", "validate_geometry", "w2d",
-    "PatternModel", "PiecewiseFn", "brute_force_max", "pattern_max",
-    "ratio_certificate", "validate_cut",
-]
+# exported name -> the module that defines it
+_EXPORTS = {
+    "HarmonicPacker": "harmonic", "harmonic_type": "harmonic", "w_h": "harmonic",
+    "ParamTable": "params", "builtin_shplus": "params", "validate": "params",
+    "ShState": "superharmonic",
+    "WeightFunctionSet": "weighting", "bound_check": "weighting",
+    "Item2D": "generators", "TensorRun": "pack2d", "tensor_cost": "pack2d",
+    "validate_geometry": "pack2d", "w2d": "pack2d",
+    "PatternModel": "boundcert", "PiecewiseFn": "boundcert",
+    "brute_force_max": "boundcert", "pattern_max": "boundcert",
+    "ratio_certificate": "boundcert", "validate_cut": "boundcert",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -180,20 +180,13 @@ def cmd_pack2d(args) -> int:
     lb = inst.known_opt if inst.known_opt else max(
         1, -(-area.numerator // area.denominator)) if inst.items else 1
     failures = []
-    if args.orientation == "tensor-avg":
-        tc, hxb, bxh = tensor_cost(inst.items, table, delta,
-                                   keep_geometry=args.verify)
-        cost = tc.avg
-        runs = [hxb, bxh]
-    else:
-        items = inst.items if args.orientation == "hxb" else \
-            [it.transposed for it in inst.items]
-        run = TensorRun(table, args.orientation, delta,
-                        keep_geometry=args.verify).pack(items)
-        cost = run.cost
-        runs = [run]
     rows = []
-    for run in runs:
+    orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
+        else (args.orientation,)
+    for orientation in orientations:
+        items = inst.items if orientation == "hxb" else \
+            [it.transposed for it in inst.items]
+        run = TensorRun(table, orientation, delta).pack(items)
         rows.append({"orientation": run.orientation, "bins": run.cost,
                      "slices": len(run.slices),
                      "weight_bound": f"{float(run.max_weight_bound(wset)):.6f}"})
@@ -202,6 +195,7 @@ def cmd_pack2d(args) -> int:
     if args.format == "csv":
         _emit(rows, "csv")
     else:
+        cost = Fraction(sum(row["bins"] for row in rows), len(rows))
         extra = {"algorithm": args.orientation, "runs": rows}
         report = _report_common(args, inst, cost, lb, extra,
                                 time.perf_counter() - t0)
@@ -227,18 +221,26 @@ def cmd_weights(args) -> int:
 
 
 def _load_lambda(path, ncases: int) -> dict:
-    """The mixing weights of a JSON file; every case pair must be present."""
+    """The mixing weights of a JSON file, either a nested array (row i,
+    column j) or an object keyed "i,j"; every case pair must be present."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     table = {}
-    if isinstance(raw, list):  # 7x7 nested array
+    if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
         for i, row in enumerate(raw, start=1):
             for j, lam in enumerate(row, start=1):
                 table[(i, j)] = params.parse_rational(lam)
-    else:  # {"i,j": value}
+    elif isinstance(raw, dict):
         for key, lam in raw.items():
-            i, j = (int(x) for x in key.split(","))
+            try:
+                i, j = (int(x) for x in key.split(","))
+            except ValueError:
+                raise ValueError(f"lambda table {path}: key {key!r} is not "
+                                 f"'i,j'") from None
             table[(i, j)] = params.parse_rational(lam)
+    else:
+        raise ValueError(f"lambda table {path} is neither a list of lists "
+                         f"nor an object keyed 'i,j'")
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             if (i, j) not in table:
@@ -249,11 +251,13 @@ def _load_lambda(path, ncases: int) -> dict:
 def cmd_bound(args) -> int:
     table = params.builtin_shplus()
     wset = WeightFunctionSet(table)
+    delta = None if args.delta is None else params.parse_rational(args.delta)
+    if delta is not None and not 0 < delta < 1:
+        raise ValueError(f"--delta must lie in (0, 1), got {delta}")
     lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
     cert = boundcert.ratio_certificate(
         wset, lam_table=lam, mode=args.mode,
-        include_cuts=not args.no_cuts,
-        delta=args.delta)
+        include_cuts=not args.no_cuts, delta=delta)
     retained_pairs = {orient for orient, _ in cert.retained.values()}
     rows = []
     for (i, j), e in sorted(cert.entries.items()):
@@ -296,7 +300,7 @@ def cmd_verify(args) -> int:
     items = [generators.Item2D(Fraction(rng.randint(1, 10 ** 6), 10 ** 6),
                                Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
              for _ in range(500)]
-    _, hxb, bxh = tensor_cost(items, table, keep_geometry=True)
+    _, hxb, bxh = tensor_cost(items, table)
     failures += [f"2d: {v}" for v in validate_geometry(hxb)[:5]]
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
 

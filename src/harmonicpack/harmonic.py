@@ -50,7 +50,7 @@ class HarmonicPacker:
     """Online Harmonic(k) packing state.
 
     One packer per run; replaying the same item sequence reproduces the
-    same placements.  ``closed_bins[i]`` counts closed type-i bins;
+    same bins.  ``closed_bins[i]`` counts closed type-i bins;
     ``closed_tiny_sums`` records the content of every closed type-k bin
     (used by the census checks and by :attr:`total_weight`).
     """

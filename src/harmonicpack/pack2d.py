@@ -15,7 +15,10 @@ from the left edge (offsets 0, t[i], 2 t[i], ...), red slices fill the
 reserved space from the right edge leftwards, and Next-Fit bins pack tiny
 slices left to right.  Blue loads stop at beta*t <= 1 - Delta[phi] and red
 loads at gamma*t <= Delta[phi], so slices never overlap; items never
-overlap inside a slice because their heights are stacked.
+overlap inside a slice because their heights are stacked.  The slices are
+the only record of this geometry: a slice keeps its rectangles bottom to
+top, so a rectangle sits at the slice's x and at the sum of the heights
+below it.
 
 The geometric grid is materialized as an exact-rational ladder with one
 multiplication by (1-d) per step, truncated to 18 significant digits per
@@ -35,8 +38,9 @@ coordinate), which a run sums slice by slice; the test-suite pins C = 300.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .generators import Item2D
@@ -106,18 +110,11 @@ class Slice:
     width_type: int  # table type of the widths, k+1 for the tiny grid
     height_type: int  # Harmonic type of the heights stacked here
     y_fill: Fraction = Fraction(0)
-    count: int = 0
+    items: list = field(default_factory=list)  # Item2D, bottom to top
 
-
-@dataclass(frozen=True)
-class Placement2D:
-    item_index: int
-    bin_id: int
-    slice_id: int
-    x: Fraction
-    y: Fraction
-    w: Fraction
-    h: Fraction
+    @property
+    def count(self) -> int:
+        return len(self.items)
 
 
 class TensorRun:
@@ -126,12 +123,13 @@ class TensorRun:
     ``orientation`` is "hxb" (slices cut by width, heights stacked) or
     "bxh" (the transpose; callers feed transposed items and read the
     geometry transposed).  Heights are stacked with Harmonic index
-    1/eps (38 for the built-in table).  The weight totals are read from
-    the slices, each of which holds one width class and one height type.
+    1/eps (38 for the built-in table).  The weight totals and the
+    geometry are read from the slices, each of which holds one width class
+    and one height type.
     """
 
     def __init__(self, table: ParamTable, orientation: str = "hxb",
-                 delta: Fraction = Fraction(1, 10000), keep_geometry: bool = True):
+                 delta: Fraction = Fraction(1, 10000)):
         if orientation not in ("hxb", "bxh"):
             raise ValueError(f"unknown orientation {orientation!r}")
         hk = Fraction(1) / table.eps
@@ -143,10 +141,7 @@ class TensorRun:
         self.hk = int(hk)
         self.inner = ShState(table)
         self.grid = TinyGrid.shared(table.eps, self.delta)
-        self.keep_geometry = keep_geometry
         self.slices: list = []
-        self.placements: list = []
-        self.items_packed = 0
         self._open: dict = {}  # (class key, height type) -> Slice
 
     @property
@@ -169,7 +164,8 @@ class TensorRun:
             return 1 - b.red_sum
         return b.blue_sum - width  # tiny: Next Fit, left to right
 
-    def insert(self, item: Item2D) -> Placement2D:
+    def insert(self, item: Item2D) -> Slice:
+        """Stack ``item`` on its slice and return that slice."""
         key, width = self.width_class(item.w)
         ht = harmonic_type(item.h, self.hk)
         slot = (key, ht)
@@ -182,15 +178,9 @@ class TensorRun:
                        height_type=ht)
             self.slices.append(sl)
             self._open[slot] = sl
-        p = Placement2D(item_index=self.items_packed, bin_id=sl.bin_id,
-                        slice_id=sl.sid, x=sl.x, y=sl.y_fill,
-                        w=item.w, h=item.h)
+        sl.items.append(item)
         sl.y_fill += item.h
-        sl.count += 1
-        self.items_packed += 1
-        if self.keep_geometry:
-            self.placements.append(p)
-        return p
+        return sl
 
     def pack(self, items) -> "TensorRun":
         for it in items:
@@ -228,11 +218,10 @@ class TensorCost:
     avg: Fraction
 
 
-def tensor_cost(items, table: ParamTable, delta: Fraction = Fraction(1, 10000),
-                keep_geometry: bool = False):
+def tensor_cost(items, table: ParamTable, delta: Fraction = Fraction(1, 10000)):
     """Run both orientations and average them (the fair-coin expectation)."""
-    hxb = TensorRun(table, "hxb", delta, keep_geometry=keep_geometry)
-    bxh = TensorRun(table, "bxh", delta, keep_geometry=keep_geometry)
+    hxb = TensorRun(table, "hxb", delta)
+    bxh = TensorRun(table, "bxh", delta)
     for it in items:
         hxb.insert(it)
         bxh.insert(it.transposed)
@@ -243,53 +232,51 @@ def tensor_cost(items, table: ParamTable, delta: Fraction = Fraction(1, 10000),
 def validate_geometry(run: TensorRun) -> list:
     """Exact geometric audit of a finished run.
 
-    Checks every rectangle against the unit bin, against its slice span,
-    and pairwise (per bin) for positive-area overlap via a sweep over x
-    with the active set kept sorted by the y interval.  Returns violation
-    strings; empty means the packing is geometrically consistent.
+    Each rectangle sits at its slice's x and at the sum of the heights
+    below it in the slice.  Checks every rectangle against the unit bin,
+    against its slice span, and pairwise (per bin) for positive-area
+    overlap via a sweep over x with the active set kept sorted by the y
+    interval.  Returns violation strings naming a rectangle by slice id
+    and position; empty means the packing is geometrically consistent.
     """
     bad = []
-    if not run.keep_geometry:
-        raise ValueError("run was packed with keep_geometry=False")
     per_bin: dict = {}
-    for p in run.placements:
-        sl = run.slices[p.slice_id]
-        if not (0 <= p.x and p.x + p.w <= 1 and 0 <= p.y and p.y + p.h <= 1):
-            bad.append(f"item {p.item_index}: outside the unit bin")
-        if p.x < sl.x or p.x + p.w > sl.x + sl.width:
-            bad.append(f"item {p.item_index}: exceeds slice {sl.sid} span")
-        if p.bin_id != sl.bin_id:
-            bad.append(f"item {p.item_index}: bin does not match its slice")
-        per_bin.setdefault(p.bin_id, []).append(p)
+    for sl in run.slices:
+        y = Fraction(0)
+        for pos, it in enumerate(sl.items):
+            if not (0 <= sl.x and sl.x + it.w <= 1 and y + it.h <= 1):
+                bad.append(f"slice {sl.sid} item {pos}: outside the unit bin")
+            if it.w > sl.width:
+                bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
+            per_bin.setdefault(sl.bin_id, []).append((sl.x, y, it.w, it.h, sl.sid, pos))
+            y += it.h
     for bin_id, rects in per_bin.items():
         bad.extend(_overlaps_in_bin(bin_id, rects))
     return bad
 
 
 def _overlaps_in_bin(bin_id: int, rects) -> list:
-    # sweep over x; closes processed before opens so touching edges pass
+    # rects are (x, y, w, h, slice id, position); sweep over x, closes
+    # processed before opens so touching edges pass
     events = []
-    for p in rects:
-        events.append((p.x, 1, p))
-        events.append((p.x + p.w, 0, p))
+    for r in rects:
+        events.append((r[0], 1, r))
+        events.append((r[0] + r[2], 0, r))
     events.sort(key=lambda e: (e[0], e[1]))
     bad = []
-    active: list = []  # sorted by y of the open rectangles
-
-    import bisect
-
-    for _, kind, p in events:
-        key = (p.y, p.y + p.h, p.item_index)
+    active: list = []  # (y0, y1, slice id, position) of the open rectangles
+    for _, kind, (_, y, _, h, sid, pos) in events:
+        key = (y, y + h, sid, pos)
+        i = bisect.bisect_left(active, key)
         if kind == 0:
-            pos = bisect.bisect_left(active, key)
-            if pos < len(active) and active[pos] == key:
-                active.pop(pos)
+            if i < len(active) and active[i] == key:
+                active.pop(i)
             continue
-        pos = bisect.bisect_left(active, key)
-        for nb in (pos - 1, pos):
+        for nb in (i - 1, i):
             if 0 <= nb < len(active):
-                oy0, oy1, oidx = active[nb]
-                if oy0 < p.y + p.h and p.y < oy1:
-                    bad.append(f"bin {bin_id}: items {oidx} and {p.item_index} overlap")
-        active.insert(pos, key)
+                oy0, oy1, osid, opos = active[nb]
+                if oy0 < y + h and y < oy1:
+                    bad.append(f"bin {bin_id}: slice {osid} item {opos} and "
+                               f"slice {sid} item {pos} overlap")
+        active.insert(i, key)
     return bad

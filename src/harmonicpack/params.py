@@ -45,7 +45,10 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
         # Floats are not exact; go through their shortest repr so that a
         # literal like 0.294 means the decimal 294/1000, not its binary image.
         return Fraction(repr(text))
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:  # "1/0" is malformed input, not an arithmetic fault
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class ShState:
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
         self.cost = 0
-        self.items_packed = 0
+        self.n_items = 0  # items inserted so far
         self.small_count = 0
         self._nf_bin: Optional[Bin] = None
         self.nf_bins = 0
@@ -172,8 +172,8 @@ class ShState:
 
     def insert(self, size: Fraction) -> PlacementTrace:
         table = self.table
-        idx = self.items_packed
-        self.items_packed += 1
+        idx = self.n_items
+        self.n_items += 1
         cost = self.cost
         i = table.classify(size)
         if i == table.k + 1:

@@ -276,7 +276,7 @@ def test_criterion_7_2d_geometry_and_average_bound(table, wset):
         items = [Item2D(Fraction(lr.randint(1, 10 ** 6), 10 ** 6),
                         Fraction(lr.randint(1, 10 ** 6), 10 ** 6))
                  for _ in range(n)]
-        tc, hxb, bxh = tensor_cost(items, table, delta, keep_geometry=True)
+        tc, hxb, bxh = tensor_cost(items, table, delta)
         for run in (hxb, bxh):
             v = validate_geometry(run)
             if v:

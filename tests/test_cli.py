@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
@@ -48,14 +53,29 @@ class TestInputErrors:
         ("bound --lambda-file {dir}/lacks_pair.json", "lacks the pair 3,4"),
         ("pack1d --n -3", "--n: must be at least 0"),
         ("gen --kind tiled-known-opt --bins 0", "--bins: must be at least 1"),
+        ("bound --delta 1", "--delta must lie in (0, 1)"),
+        ("bound --delta 2", "--delta must lie in (0, 1)"),
+        ("bound --delta=-1", "--delta must lie in (0, 1)"),
+        ("bound --lambda-file {dir}/flat_list.json", "neither a list of lists"),
+        ("bound --lambda-file {dir}/number.json", "neither a list of lists"),
+        ("bound --lambda-file {dir}/string.json", "neither a list of lists"),
+        ("bound --lambda-file {dir}/bad_key.json", "key '1,2,3' is not 'i,j'"),
+        ("pack1d --input {dir}/zero_den.txt", "zero denominator"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
-            "lambda-lacks-pair", "negative-n", "bins-0"])
+            "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
+            "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
+            "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
+        (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
         (tmp_path / "not_json.json").write_text("{not json")
         (tmp_path / "lacks_pair.json").write_text(json.dumps(
             {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)
              if (i, j) != (3, 4)}))
+        (tmp_path / "flat_list.json").write_text("[1, 2, 3]")
+        (tmp_path / "number.json").write_text("5")
+        (tmp_path / "string.json").write_text('"abc"')
+        (tmp_path / "bad_key.json").write_text('{"1,2,3": "0.5"}')
         try:
             rc = main(argv.format(dir=tmp_path).split())
         except SystemExit as exc:  # argparse rejects bad flags this way
@@ -68,6 +88,63 @@ class TestInputErrors:
         # anything else on stderr is argparse's usage block
         assert all(line.startswith(("usage:", " ")) for line in err.splitlines()
                    if not line.startswith("error:")), err
+
+
+# instance lines built from tokens, some valid sizes and some not; the
+# smallest valid size is 1/1000, so no run reaches deep into the tiny grid
+_TOKENS = ["0", "1", "-1", "1/2", "3/2", "1/0", "0.5", "1e-3", "2e0", "1/3",
+           "abc", "nan", "inf", "#", "0x1", "1//2", "1/-2", "."]
+_INSTANCE_TEXT = st.lists(st.lists(st.sampled_from(_TOKENS), max_size=3)
+                          .map(" ".join), max_size=6).map("\n".join)
+# at most 10 leaves: a complete 7x7 lambda table, which would run a whole
+# certificate, cannot be generated
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9)
+    | st.sampled_from(["0.5", "1/0", "x", "1,2", "1,1"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["1,1", "7,7", "1,2,3", "a", "8,1", ""]),
+                      inner, max_size=4),
+    max_leaves=10)
+_LAMBDA_TEXT = _JSON.map(json.dumps) | st.sampled_from(["", "{", "[[0.5]", "nul"])
+
+
+def _run_main_on_file(argv, content) -> tuple:
+    """Exit code and stderr of ``main(argv + [path])``, ``path`` holding
+    ``content``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = main([*argv, str(path)])
+            except SystemExit as exc:
+                rc = exc.code
+    return rc, err.getvalue()
+
+
+class TestErrorBoundary:
+    # malformed files through main(): a documented exit code, no traceback
+    @given(st.sampled_from([["pack1d"], ["pack1d", "--algorithm", "harmonic"],
+                            ["pack2d"], ["pack2d", "--verify"]]),
+           _INSTANCE_TEXT | st.binary(max_size=12).map(lambda b: b"\xff" + b))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_malformed_instance_file(self, command, content):
+        rc, err = _run_main_on_file([*command, "--input"], content)
+        assert rc in (0, 1, 2) and "Traceback" not in err, (rc, err)
+
+    @given(_LAMBDA_TEXT)
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_malformed_lambda_file(self, content):
+        # no generated table is complete, so every run is an input error
+        rc, err = _run_main_on_file(["bound", "--lambda-file"], content)
+        assert rc == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
 class TestReports:

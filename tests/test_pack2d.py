@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicpack.harmonic import w_h
-from harmonicpack.pack2d import (Item2D, Placement2D, TensorRun, TinyGrid,
-                                 tensor_cost, validate_geometry, w2d)
+from harmonicpack.pack2d import (Item2D, TensorRun, TinyGrid, tensor_cost,
+                                 validate_geometry, w2d)
 
 from conftest import grid_sizes
 
@@ -68,18 +68,20 @@ class TestSlicePacking:
         # width class 0.706 is 1D type 2 (beta 1): each slice fills a bin;
         # heights 0.7 close a slice after one item
         run = TensorRun(table)
-        p1 = run.insert(Item2D(Fraction("0.7"), Fraction("0.7")))
-        p2 = run.insert(Item2D(Fraction("0.7"), Fraction("0.7")))
-        assert run.slices[p1.slice_id].width == Fraction("0.706")
-        assert p1.slice_id != p2.slice_id
-        assert run.cost == 2 and p1.y == 0
+        item = Item2D(Fraction("0.7"), Fraction("0.7"))
+        s1 = run.insert(item)
+        s2 = run.insert(item)
+        assert s1.width == Fraction("0.706") and run.slices == [s1, s2]
+        assert s1.sid != s2.sid
+        assert run.cost == 2 and s1.items == s2.items == [item]
 
     def test_flat_items_stack_in_one_slice(self, table):
         run = TensorRun(table)
-        ps = [run.insert(Item2D(Fraction("0.5"), Fraction(1, 100)))
-              for _ in range(101)]
-        assert len({p.slice_id for p in ps[:100]}) == 1
-        assert ps[100].slice_id != ps[0].slice_id
+        used = [run.insert(Item2D(Fraction("0.5"), Fraction(1, 100)))
+                for _ in range(101)]
+        assert len({sl.sid for sl in used[:100]}) == 1
+        assert used[0].count == 100 and used[0].y_fill == 1
+        assert used[100].sid != used[0].sid
         assert run.cost == 1  # two slices of width 0.5 share one bin
 
     def test_slice_accounting(self, table):
@@ -140,28 +142,25 @@ class TestGeometry:
 
     def test_hand_built_overlap_reported(self, table):
         run = TensorRun(table)
-        run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
-        run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
-        # second rectangle forced onto the first one's spot
-        p = run.placements[1]
-        run.placements[1] = Placement2D(p.item_index, p.bin_id, p.slice_id,
-                                        p.x, run.placements[0].y, p.w, p.h)
+        # heights 0.7 close a slice after one item: two slices, one bin
+        a = run.insert(Item2D(Fraction("0.3"), Fraction("0.7")))
+        b = run.insert(Item2D(Fraction("0.3"), Fraction("0.7")))
+        assert a is not b and a.bin_id == b.bin_id
+        assert validate_geometry(run) == []
+        b.x = a.x  # second slice forced onto the first one's spot
         assert any("overlap" in v for v in validate_geometry(run))
 
     def test_item_wider_than_slice_reported(self, table):
         run = TensorRun(table)
-        run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
-        p = run.placements[0]
-        run.placements[0] = Placement2D(p.item_index, p.bin_id, p.slice_id,
-                                        p.x, p.y, Fraction("0.9"), p.h)
-        assert any("slice" in v for v in validate_geometry(run))
+        sl = run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
+        sl.items[0] = Item2D(Fraction("0.9"), Fraction("0.4"))
+        assert any("slice span" in v for v in validate_geometry(run))
 
     def test_out_of_bin_reported(self, table):
         run = TensorRun(table)
-        run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
-        p = run.placements[0]
-        run.placements[0] = Placement2D(p.item_index, p.bin_id, p.slice_id,
-                                        p.x, Fraction("0.7"), p.w, p.h)
+        sl = run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
+        # stacked on top of the first item, this one reaches y = 1.1
+        sl.items.append(Item2D(Fraction("0.3"), Fraction("0.7")))
         assert any("unit bin" in v for v in validate_geometry(run))
 
 

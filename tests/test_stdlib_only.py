@@ -1,8 +1,14 @@
-"""The runtime depends on the standard library alone."""
+"""The runtime depends on the standard library alone, and importing one
+module loads only the package modules it imports."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 import harmonicpack
 
@@ -58,3 +64,22 @@ def test_generators_sit_below_the_packers():
     probe = ast.parse("from . import pack2d\nimport harmonicpack.cli\n"
                       "from harmonicpack.weighting import bound_check\n")
     assert _package_imports(probe) == {"pack2d", "cli", "weighting"}
+
+
+def test_submodule_import_loads_no_other_module():
+    # the package re-exports resolve on first access, not at import time
+    probe = ("import json, sys, harmonicpack.params\n"
+             "print(json.dumps(sorted(m for m in sys.modules"
+             " if m.startswith('harmonicpack'))))\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert json.loads(out.stdout) == ["harmonicpack", "harmonicpack.params"]
+
+
+def test_package_exports_resolve():
+    for name in harmonicpack.__all__:
+        value = getattr(harmonicpack, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        harmonicpack.no_such_name
