@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker
-from .pack2d import TensorRun, tensor_cost, validate_geometry
+from .pack2d import DEFAULT_DELTA, TensorRun, tensor_cost, validate_geometry
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet, bound_check
 
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("pack2d", help="run the 2D slice packer")
     p.add_argument("--orientation", default="tensor-avg",
                    choices=["hxb", "bxh", "tensor-avg"])
-    p.add_argument("--delta", default="1/10000")
+    p.add_argument("--delta", default=str(DEFAULT_DELTA))
     _add_instance_args(p)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--format", default="json", choices=["json", "csv"])

@@ -7,8 +7,8 @@ widths at or below eps round to a geometric grid eps*(1-d)^m for a small
 d > 0.  Items of one class are stacked on top of each other into slices
 (width = class value, height 1) by a per-class Harmonic packer over the
 height coordinate; whenever a class needs a fresh slice, the slice is
-allocated inside a real bin by a shared 1D Super-Harmonic run that treats
-the slice as an item of size equal to the class value.
+allocated inside a real bin by one 1D Super-Harmonic run, common to all
+classes, that treats the slice as an item of size equal to the class value.
 
 Geometry inside a bin: blue slices of the bin's 1D type i sit side by side
 from the left edge (offsets 0, t[i], 2 t[i], ...), red slices fill the
@@ -20,12 +20,12 @@ the only record of this geometry: a slice keeps its rectangles bottom to
 top, so a rectangle sits at the slice's x and at the sum of the heights
 below it.
 
-The geometric grid is materialized as an exact-rational ladder with one
-multiplication by (1-d) per step, truncated to 18 significant digits per
-step to keep denominators bounded (the ideal power's digits grow linearly
-with m, which is infeasible for m in the tens of thousands).  The relative
-drift after m steps is below m * 1e-17 and every membership test is exact
-against the materialized values, so slices always cover their items.
+The geometric grid is an exact integer ladder: value(m) is an 18-digit
+integer over a power of ten, one step per factor (1-d) truncated to 18
+significant digits (the exact power's digits grow linearly with m).  The
+drift after m steps is below m * 1e-17; classes are found by bisection on
+exact integer comparisons, so slices always cover their items.  The ladder
+stops at 10^6 steps, which reaches widths of about 1e-45 at the default d.
 
 The two-orientation average satisfies the slice analysis bound
 
@@ -39,7 +39,6 @@ coordinate), which a run sums slice by slice; the test-suite pins C = 300.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,56 +48,55 @@ from .params import ParamTable
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet
 
-# significant digits kept per step of the tiny-width ladder
-_SIG_DIGITS = 18
+_LOW = 10 ** 17  # ladder numerators have 18 digits: _LOW <= num < 10 * _LOW
+_MAX_DEPTH = 10 ** 6  # the deepest ladder step
+DEFAULT_DELTA = Fraction(1, 10000)
 
 
 class TinyGrid:
-    """The geometric width grid below eps: value(m) ~ eps * (1-d)^m.
-
-    Ladders are deep (m reaches tens of thousands for very thin items), so
-    instances are shared per (eps, d) via :meth:`shared`; the ladder is
-    append-only and deterministic.
-    """
-
-    _shared: dict = {}
+    """The geometric width grid below eps: value(m) ~ eps * (1-d)^m, with
+    value(0) = eps and value(m) = num[m] / 10**exp[m], grown on demand."""
 
     def __init__(self, eps: Fraction, delta: Fraction):
         if not 0 < delta < Fraction(1, 2):
             raise ValueError("grid parameter must lie in (0, 1/2)")
         self.eps = eps
-        self.delta = delta
-        self._vals = [eps]
-        self._log_ratio = math.log1p(-float(delta))
+        self._a, self._b = (1 - delta).as_integer_ratio()
+        p, r = (eps * (1 - delta)).as_integer_ratio()
+        e = 17 + len(str(r)) - len(str(p))  # p * 10**e / r lies in (10^16, 10^18)
+        e += p * 10 ** e // r < _LOW
+        self._num, self._exp = [None, p * 10 ** e // r], [None, e]  # index 0 is eps
 
-    @classmethod
-    def shared(cls, eps: Fraction, delta: Fraction) -> "TinyGrid":
-        key = (eps, delta)
-        if key not in cls._shared:
-            cls._shared[key] = cls(eps, delta)
-        return cls._shared[key]
+    def _grow(self, m: int) -> None:
+        """Extend the ladder to index m."""
+        num, exp, a, b = self._num, self._exp, self._a, self._b
+        n, e = num[-1], exp[-1]
+        for _ in range(len(num), m + 1):
+            q = n * a // b
+            if q < _LOW:  # one digit deeper
+                q, e = n * a * 10 // b, e + 1
+            n = q
+            num.append(n)
+            exp.append(e)
 
     def value(self, m: int) -> Fraction:
-        vals = self._vals
-        while len(vals) <= m:
-            nxt = vals[-1] * (1 - self.delta)
-            # round to bounded significant digits; the relative error per
-            # step is far below the grid ratio, so the ladder stays
-            # strictly decreasing and denominators stay small
-            q = 10 ** (_SIG_DIGITS - 1 - math.floor(math.log10(float(nxt))))
-            vals.append(Fraction(int(nxt * q), q))
-        return vals[m]
+        if m == 0:
+            return self.eps
+        self._grow(m)
+        return Fraction(self._num[m], 10 ** self._exp[m])
 
     def class_of(self, w: Fraction) -> int:
         """The unique m with value(m+1) < w <= value(m)."""
         if not 0 < w <= self.eps:
             raise ValueError(f"width {w} outside the tiny range (0, {self.eps}]")
-        m = max(0, int(math.log(float(w / self.eps)) / self._log_ratio) - 2)
-        while self.value(m + 1) >= w:
-            m += 1
-        while self.value(m) < w:  # guard against float underestimation
-            m -= 1
-        return m
+        num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
+        while num[-1] * wd >= wn * 10 ** exp[-1]:
+            if len(num) > _MAX_DEPTH:
+                raise ValueError(f"width {w} lies below the tiny grid's depth "
+                                 f"floor of {_MAX_DEPTH} classes")
+            self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
+        return bisect.bisect_left(range(len(num)), True, lo=1,
+                                  key=lambda m: num[m] * wd < wn * 10 ** exp[m]) - 1
 
 
 @dataclass
@@ -118,7 +116,7 @@ class Slice:
 
 
 class TensorRun:
-    """One orientation of the slice packer over a shared 1D run.
+    """One orientation of the slice packer over a common 1D run.
 
     ``orientation`` is "hxb" (slices cut by width, heights stacked) or
     "bxh" (the transpose; callers feed transposed items and read the
@@ -129,7 +127,7 @@ class TensorRun:
     """
 
     def __init__(self, table: ParamTable, orientation: str = "hxb",
-                 delta: Fraction = Fraction(1, 10000)):
+                 delta: Fraction = DEFAULT_DELTA):
         if orientation not in ("hxb", "bxh"):
             raise ValueError(f"unknown orientation {orientation!r}")
         hk = Fraction(1) / table.eps
@@ -140,7 +138,7 @@ class TensorRun:
         self.delta = Fraction(delta)
         self.hk = int(hk)
         self.inner = ShState(table)
-        self.grid = TinyGrid.shared(table.eps, self.delta)
+        self.grid = TinyGrid(table.eps, self.delta)
         self.slices: list = []
         self._open: dict = {}  # (class key, height type) -> Slice
 
@@ -218,7 +216,7 @@ class TensorCost:
     avg: Fraction
 
 
-def tensor_cost(items, table: ParamTable, delta: Fraction = Fraction(1, 10000)):
+def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
     """Run both orientations and average them (the fair-coin expectation)."""
     hxb = TensorRun(table, "hxb", delta)
     bxh = TensorRun(table, "bxh", delta)

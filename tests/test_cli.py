@@ -61,13 +61,17 @@ class TestInputErrors:
         ("bound --lambda-file {dir}/string.json", "neither a list of lists"),
         ("bound --lambda-file {dir}/bad_key.json", "key '1,2,3' is not 'i,j'"),
         ("pack1d --input {dir}/zero_den.txt", "zero denominator"),
+        ("pack2d --input {dir}/too_thin.txt",
+         f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
-            "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator"])
+            "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
+            "width-below-depth-floor"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
+        (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
         (tmp_path / "not_json.json").write_text("{not json")
         (tmp_path / "lacks_pair.json").write_text(json.dumps(
             {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)

@@ -30,6 +30,20 @@ def _shared_wset():
     return _WSET_CACHE[0]
 
 
+def _reference_ladder(eps, delta):
+    """The ladder's reference form: exact products cut to 18 significant
+    digits at the decade a float logarithm picks, down to 1e-300."""
+    v, ratio = eps, 1 - delta
+    while True:
+        yield v
+        nxt = v * ratio
+        f = float(nxt)
+        if f < 1e-300:
+            return
+        q = 10 ** (17 - math.floor(math.log10(f)))
+        v = Fraction(int(nxt * q), q)
+
+
 class TestWidthClasses:
     def test_large_width_rounds_to_breakpoint(self, table):
         run = TensorRun(table)
@@ -44,7 +58,7 @@ class TestWidthClasses:
     def test_tiny_class_defining_inequality(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
         for w in (Fraction("0.001"), Fraction("0.02"), Fraction(1, 10 ** 6),
-                  Fraction(1, 38), Fraction("0.0002")):
+                  Fraction(1, 38), Fraction("0.0002"), Fraction(1, 10 ** 8)):
             m = grid.class_of(w)
             assert grid.value(m + 1) < w <= grid.value(m)
 
@@ -55,6 +69,39 @@ class TestWidthClasses:
         w = Fraction("0.001")
         est = math.log(float(w / table.eps)) / math.log1p(-1e-4)
         assert abs(grid.class_of(w) - est) <= 2
+
+    def test_grid_matches_reference_ladder_at_full_depth(self, table):
+        # every step of the ladder a width of 1e-6 reaches at the default d
+        grid = TinyGrid(table.eps, Fraction(1, 10000))
+        for m, v in enumerate(_reference_ladder(table.eps, Fraction(1, 10000))):
+            if m > 101774:
+                break
+            assert grid.value(m) == v, m
+        assert grid.class_of(Fraction(1, 10 ** 6)) == 101774
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 1000),
+                                       Fraction(1, 3)])
+    def test_grid_matches_reference_ladder(self, table, delta):
+        grid = TinyGrid(table.eps, delta)
+        for m, v in enumerate(_reference_ladder(table.eps, delta)):
+            assert grid.value(m) == v, m
+        assert m > 1500  # the ladder reached 1e-300
+
+    def test_depth_floor_names_the_width(self, table):
+        grid = TinyGrid(table.eps, Fraction(1, 10000))
+        w = Fraction(1, 10 ** 400)  # class 9.2 million at this grid
+        with pytest.raises(ValueError, match=f"width {w} lies below"):
+            grid.class_of(w)
+        m = grid.class_of(grid.value(999_999))
+        assert m == 999_999 and grid.value(m + 1) < grid.value(m)
+
+    def test_thousand_digit_widths_classify(self, table):
+        # far below float range, on a coarse grid the ladder's powers of ten
+        # run to thousands of digits
+        grid = TinyGrid(table.eps, Fraction(49, 100))
+        for w in (Fraction(1, 10 ** 3000), Fraction(7, 3 * 10 ** 5000)):
+            m = grid.class_of(w)
+            assert grid.value(m + 1) < w <= grid.value(m)
 
     def test_grid_strictly_decreasing(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))

@@ -35,6 +35,27 @@ def test_modules_import_only_stdlib_or_the_package():
     assert bad == []
 
 
+def test_no_float_decides_a_placement():
+    # the packers, the weights and the instances are exact: no math import
+    # and no float(...) call (isinstance(x, float) is a check, not a call)
+    bad = []
+    for name in ("params", "harmonic", "superharmonic", "weighting", "pack2d",
+                 "generators"):
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                used = any(a.name.split(".")[0] == "math" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                used = node.level == 0 and node.module.split(".")[0] == "math"
+            else:
+                used = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "float")
+            if used:
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert bad == []
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()
