@@ -14,11 +14,10 @@ constraint alone cannot express.
 
 Two independent maximizers are provided:
 
-  * :func:`pattern_max` -- best-first depth-first branch and bound over the
-    exact rational model.  The upper bound at a node is the classic greedy
-    fractional relaxation (density order, individual caps only), which is a
-    valid relaxation of the full model.  All arithmetic is exact; sizes are
-    scaled to a common integer grid so the knapsack bookkeeping is integer.
+  * :func:`pattern_max` -- best-first depth-first branch and bound whose
+    node bound is the greedy fractional relaxation (density order, caps
+    only).  Sizes and gains are scaled to common integer grids, so the
+    search is exact and runs on integers alone.
   * :func:`brute_force_max` -- plain exhaustive enumeration, usable on
     truncated models (at most 15 types); kept free of the ordering and
     pruning machinery so it can serve as an independent oracle.
@@ -35,8 +34,9 @@ cases i, j of the 1D weighting set,
 
 so that W(x, y) <= f(y) g(x) pointwise and the single-bin weight of W is at
 most P(f) P(g).  Both f and g are piecewise constant on the type intervals
-with a linear tail; the supremum over y reduces to finitely many candidates
-(each interval plus the tail, where the linear slopes cancel).
+with a linear tail; the supremum over y is a maximum of dot products with 51
+points (each interval plus the tail, where the linear slopes cancel), taken
+over the vertices of their upper-right convex hull.
 
 The certificate runs in one of two modes:
 
@@ -59,6 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
 
@@ -114,6 +115,21 @@ def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
     return PiecewiseFn(values=tuple(vals), tail_slope=wset.tail_slope)
 
 
+def _upper_right_hull(points) -> list:
+    """Hull vertices that can maximise a direction (a > 0, b >= 0): a monotone
+    chain, right to left, over the points higher than all points to their
+    right; a vertex on or below its neighbours' chord is dropped."""
+    hull = []
+    for x, y in sorted(points, reverse=True):
+        if hull and y <= hull[-1][1]:
+            continue
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                  <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
 def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
             wset: WeightFunctionSet, tail_mode: str = "paper-compat") -> PiecewiseFn:
     """Supremum-ratio partner of ``f``: g(x) = sup_y W(x,y) / f(y).
@@ -121,10 +137,10 @@ def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
     ``f`` must be the mix built by :func:`build_f` for ``case_i`` and the
     same ``lam`` and must be strictly positive everywhere.
 
-    For x in interval m the supremum is a maximum over 51 candidates: each
-    y-interval n contributes (W_H(x) W^i_n + W^j(x) H_n) / (2 f_n), and a
-    tail y contributes (W_H(x) + W^j(x)) / 2 because the linear tail slopes
-    of the numerator and of f cancel.
+    For x in interval m the supremum is the largest dot product of
+    (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
+    y-interval n, and (1/2, 1/2) for a tail y, whose linear slopes cancel.
+    Only the vertices of the points' upper-right hull, built once, can win.
     """
     table = wset.table
     H = harmonic_values(table)
@@ -132,32 +148,19 @@ def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
     Bj = wset.values[case_j]
     if any(f.values[n] <= 0 for n in range(1, table.k + 1)) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
-    # per-y-interval numerators split into the two x-dependent parts:
-    #   ratio_n(x) = a * Bi[n]/(2 f_n)  +  b * H[n]/(2 f_n),  a=W_H(x), b=W^j(x)
-    coef_a = [None] + [Bi[n] / (2 * f.values[n]) for n in range(1, table.k + 1)]
-    coef_b = [None] + [H[n] / (2 * f.values[n]) for n in range(1, table.k + 1)]
-    vals = [None]
-    for m in range(1, table.k + 1):
-        a, b = H[m], Bj[m]
-        best = (a + b) / 2  # y in the tail
-        for n in range(1, table.k + 1):
-            r = a * coef_a[n] + b * coef_b[n]
-            if r > best:
-                best = r
-        vals.append(best)
+    hull = _upper_right_hull([(Fraction(1, 2), Fraction(1, 2))] + [
+        (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
+        for n in range(1, table.k + 1)])
+    vals = (None, *(max(H[m] * p + Bj[m] * q for p, q in hull)
+                    for m in range(1, table.k + 1)))
     if tail_mode == "paper-compat":
         slope = wset.tail_slope
     elif tail_mode == "exact":
-        # For tail x both W_H(x) and W^j(x) are x/(1-eps); per y-interval n the
-        # ratio grows like x/(1-eps) * (Bi[n] + H[n]) / (2 f_n); tail-tail gives
-        # exactly x/(1-eps).
-        factor = max(Fraction(1),
-                     max((Bi[n] + H[n]) / (2 * f.values[n])
-                         for n in range(1, table.k + 1)))
-        slope = wset.tail_slope * factor
+        # tail x: W_H(x) = W^j(x) = x/(1-eps), the direction (1, 1)
+        slope = wset.tail_slope * max(p + q for p, q in hull)
     else:
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
-    return PiecewiseFn(values=tuple(vals), tail_slope=slope)
+    return PiecewiseFn(values=vals, tail_slope=slope)
 
 
 # -- the integer pattern model ----------------------------------------------
@@ -278,10 +281,12 @@ def _scaled_sizes(model: PatternModel):
 def pattern_max(fn: PiecewiseFn, model: PatternModel):
     """Exact maximum of the single-bin weight program; returns (value, pattern).
 
-    Branch and bound on the scaled-integer knapsack with exact rational
-    objective bookkeeping.  The node bound is the greedy fractional
-    relaxation over the not-yet-branched variables at full caps, which is
-    valid because branching follows a fixed variable order.
+    Branch and bound on the scaled-integer knapsack with the gains scaled
+    to integers by their common denominator L.  The node bound is the greedy
+    fractional relaxation over the unbranched variables at full caps (valid
+    as branching follows a fixed order), multiplied through by the size of
+    its fractional variable.  Each comparison is the rational one times a
+    positive integer, so the argmax and its tie-breaking are unchanged.
     """
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
@@ -297,7 +302,8 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     ncand = len(cand)
     caps = [min(model.caps[m], CAP // S[m]) for m in cand]
     sizes = [S[m] for m in cand]
-    gain = [gains[m] for m in cand]
+    L = lcm(*(g.denominator for g in gains.values()))
+    gain = [gains[m].numerator * (L // gains[m].denominator) for m in cand]
 
     # scaled-integer constraints restricted to candidate variables
     cons_rhs = []
@@ -307,41 +313,35 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
         touched = [(pos_of[m], c) for m, c in cut.coeffs if m in pos_of]
         if not touched:
             continue
-        den = cut.rhs.denominator
-        for _, c in touched:
-            den = lcm(den, c.denominator)
+        den = lcm(cut.rhs.denominator, *(c.denominator for _, c in touched))
         ci = len(cons_rhs)
         cons_rhs.append(int(cut.rhs * den))
         for pos, c in touched:
             var_cons[pos].append((ci, int(c * den)))
 
     # prefix sums over candidate order for the greedy bound
-    PS = [0] * (ncand + 1)
-    PW = [Fraction(0)] * (ncand + 1)
-    for t in range(ncand):
-        PS[t + 1] = PS[t] + sizes[t] * caps[t]
-        PW[t + 1] = PW[t] + gain[t] * caps[t]
+    PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
+    PW = [0, *accumulate(w * c for w, c in zip(gain, caps))]
 
-    def suffix_bound(idx: int, rem: int) -> Fraction:
+    def pruned(idx: int, rem: int, obj: int) -> bool:
         budget = PS[idx] + rem
         p = bisect_right(PS, budget) - 1
         if p >= ncand:
-            return PW[ncand] - PW[idx]
-        return PW[p] - PW[idx] + (budget - PS[p]) * gain[p] / sizes[p]
+            return obj + PW[ncand] - PW[idx] <= best_val
+        return ((obj + PW[p] - PW[idx] - best_val) * sizes[p]
+                + (budget - PS[p]) * gain[p] <= 0)
 
-    best_val = Fraction(0)
+    best_val = 0
     best_pat: dict = {}
     x = [0] * ncand
     slack = cons_rhs[:]
 
-    def rec(idx: int, rem: int, obj: Fraction):
+    def rec(idx: int, rem: int, obj: int):
         nonlocal best_val, best_pat
         if obj > best_val:
             best_val = obj
             best_pat = {cand[t]: x[t] for t in range(idx) if x[t]}
-        if idx == ncand:
-            return
-        if obj + suffix_bound(idx, rem) <= best_val:
+        if idx == ncand or pruned(idx, rem, obj):
             return
         vmax = min(caps[idx], rem // sizes[idx])
         for ci, co in var_cons[idx]:
@@ -357,8 +357,8 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
                     slack[ci] += co * v
         x[idx] = 0
 
-    rec(0, CAP, Fraction(0))
-    return R + best_val, best_pat
+    rec(0, CAP, 0)
+    return R + Fraction(best_val, L), best_pat
 
 
 def brute_force_max(fn: PiecewiseFn, model: PatternModel,

@@ -53,6 +53,24 @@ _MAX_DEPTH = 10 ** 6  # the deepest ladder step
 DEFAULT_DELTA = Fraction(1, 10000)
 
 
+def _digits(n: int) -> int:
+    """Decimal digits of n >= 1, counted up from a lower bound read from its
+    bit length (0.30102999566 < log10(2))."""
+    d = (n.bit_length() - 1) * 30102999566 // 10 ** 11 + 1
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def _named(w: Fraction) -> str:
+    """``width w``; by digit counts where str() refuses so long an integer."""
+    try:
+        return f"width {w}"
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return (f"width with a {_digits(abs(w.numerator))}-digit numerator and a "
+                f"{_digits(w.denominator)}-digit denominator")
+
+
 class TinyGrid:
     """The geometric width grid below eps: value(m) ~ eps * (1-d)^m, with
     value(0) = eps and value(m) = num[m] / 10**exp[m], grown on demand."""
@@ -88,11 +106,11 @@ class TinyGrid:
     def class_of(self, w: Fraction) -> int:
         """The unique m with value(m+1) < w <= value(m)."""
         if not 0 < w <= self.eps:
-            raise ValueError(f"width {w} outside the tiny range (0, {self.eps}]")
+            raise ValueError(f"{_named(w)} outside the tiny range (0, {self.eps}]")
         num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
         while num[-1] * wd >= wn * 10 ** exp[-1]:
             if len(num) > _MAX_DEPTH:
-                raise ValueError(f"width {w} lies below the tiny grid's depth "
+                raise ValueError(f"{_named(w)} lies below the tiny grid's depth "
                                  f"floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
         return bisect.bisect_left(range(len(num)), True, lo=1,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -117,6 +118,33 @@ class TestBuildG:
         assert g_compat.tail_slope == Fraction(38, 37)
         assert g_exact.tail_slope > g_compat.tail_slope
         assert g_exact.values[1:] == g_compat.values[1:]
+
+    def test_g_is_attained(self, table, wset):
+        # each value of g is the largest of its 51 candidates (attained, and
+        # not exceeded), on the tuned table and two seeded ones whose entries
+        # move by multiples of 1/1000 in [-0.03, 0.03]
+        H = harmonic_values(table)
+        k, ts = table.k, wset.tail_slope
+        tables = [TUNED_LAMBDA]
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            tables.append({ij: lam + Fraction(rng.randint(-30, 30), 1000)
+                           for ij, lam in TUNED_LAMBDA.items()})
+        for lams in tables:
+            for (i, j), lam in lams.items():
+                Bi, Bj = wset.values[i], wset.values[j]
+                f = build_f(i, lam, wset)
+                points = [(Fraction(1, 2), Fraction(1, 2))] + [
+                    (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
+                    for n in range(1, k + 1)]
+                for mode in ("paper-compat", "exact"):
+                    g = build_g(i, j, lam, f, wset, tail_mode=mode)
+                    for m in range(1, k + 1):
+                        cands = [H[m] * p + Bj[m] * q for p, q in points]
+                        assert g.values[m] == max(cands), (lam, i, j, m)
+                    if mode == "exact":
+                        factors = [p + q for p, q in points]  # (1/2, 1/2) gives 1
+                        assert g.tail_slope / ts == max(factors), (lam, i, j)
 
     def test_requires_positive_f(self, wset):
         f = build_f(7, Fraction(0), wset)  # case-7 weights vanish on types 2..7
@@ -324,6 +352,19 @@ class TestCertificate:
         # that drive the bound
         flat_peak = max(v for _, v in cert.retained.values())
         assert flat_peak >= Fraction("2.5544")
+
+    def test_certificate_pinned_bit_for_bit(self, wset):
+        # the exact Fractions and the argmax tie-breaking of both modes with
+        # the tuned table, as the rational-arithmetic search first gave them
+        rows = []
+        for mode in ("paper-compat", "exact"):
+            for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
+                rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
+                             sorted(e.pf_pattern.items()),
+                             sorted(e.pg_pattern.items())))
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert digest == ("4c4a9b62dfd6d6243f3e5cca938a9e41"
+                          "0702197a4135f806e6d02c28bf7017e3")
 
     def test_sound_model_still_certifies_bound(self, wset, table):
         # remove the unsound published cut and use exact tails: the

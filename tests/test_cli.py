@@ -93,6 +93,20 @@ class TestInputErrors:
         assert all(line.startswith(("usage:", " ")) for line in err.splitlines()
                    if not line.startswith("error:")), err
 
+    def test_overlong_width_is_named_by_its_digits(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # str() refuses integers beyond 4,300 digits; a lowered depth floor
+        # is reached in milliseconds
+        monkeypatch.setattr("harmonicpack.pack2d._MAX_DEPTH", 2000)
+        (tmp_path / "thin.txt").write_text("1e-300000 1/2\n")
+        rc = main(["pack2d", "--delta", "49/100", "--orientation", "hxb",
+                   "--input", str(tmp_path / "thin.txt")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "Traceback" not in err
+        assert err == ("error: width with a 1-digit numerator and a 300001-digit "
+                       "denominator lies below the tiny grid's depth floor of "
+                       "2000 classes\n")
+
 
 # instance lines built from tokens, some valid sizes and some not; the
 # smallest valid size is 1/1000, so no run reaches deep into the tiny grid
