@@ -137,18 +137,14 @@ def cmd_pack1d(args) -> int:
     total = sum(inst.items, Fraction(0))
     lb = inst.known_opt if inst.known_opt else -(-total.numerator // total.denominator)
     if args.algorithm == "harmonic":
-        packer = HarmonicPacker(args.k)
-        for s in inst.items:
-            packer.insert(s)
+        packer = HarmonicPacker(args.k).pack(inst.items)
         cost = packer.cost
         slack = packer.weight_slack()
         extra = {"algorithm": f"harmonic({args.k})", "weight_slack": str(slack)}
         elapsed = time.perf_counter() - t0
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
-        st = ShState(table, keep_trace=bool(args.trace_out))
-        for s in inst.items:
-            st.insert(s)
+        st = ShState(table, keep_trace=bool(args.trace_out)).pack(inst.items)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
                  "weight_slack": str(rep.slack)}
@@ -292,9 +288,8 @@ def cmd_verify(args) -> int:
     wset = WeightFunctionSet(table)
 
     rng = random.Random(20240808)
-    st = ShState(table)
-    for _ in range(4000):
-        st.insert(Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
+    st = ShState(table).pack(Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+                             for _ in range(4000))
     failures += [f"sh: {b}" for b in _sh_audit(st, bound_check(st, wset))]
 
     items = [generators.Item2D(Fraction(rng.randint(1, 10 ** 6), 10 ** 6),

@@ -13,7 +13,6 @@ total charge plus k (one open bin per type).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -38,12 +37,6 @@ def harmonic_weight(i: int, count: int, size_sum: Fraction, k: int) -> Fraction:
 def w_h(size: Fraction, k: int) -> Fraction:
     """Weight of an item: 1/i on (1/(i+1), 1/i], linear k/(k-1) on the tail."""
     return harmonic_weight(harmonic_type(size, k), 1, size, k)
-
-
-@dataclass(frozen=True)
-class Placement:
-    bin_id: int
-    opened: bool
 
 
 class HarmonicPacker:
@@ -71,31 +64,33 @@ class HarmonicPacker:
         self.cost += 1
         return bid
 
-    def insert(self, size: Fraction) -> Placement:
+    def insert(self, size: Fraction) -> int:
+        """Place one item and return the id of the bin it went into."""
         i = harmonic_type(size, self.k)
         if i < self.k:
             slot = self._open.pop(i, None)
-            opened = slot is None
-            bid, count = (self._new_bin(), 1) if opened else (slot[0], slot[1] + 1)
+            bid, count = (self._new_bin(), 1) if slot is None else (slot[0], slot[1] + 1)
             if count == i:
                 self.closed_bins[i] += 1
             else:
                 self._open[i] = (bid, count)
-            return Placement(bin_id=bid, opened=opened)
+            return bid
         # Next Fit on the tiny type
         if self._open_tiny is not None:
             bid, filled = self._open_tiny
             if filled + size <= 1:
                 self._open_tiny = (bid, filled + size)
-                return Placement(bin_id=bid, opened=False)
+                return bid
             self.closed_bins[self.k] += 1
             self.closed_tiny_sums.append(filled)
         bid = self._new_bin()
         self._open_tiny = (bid, size)
-        return Placement(bin_id=bid, opened=True)
+        return bid
 
-    def pack(self, sizes) -> list:
-        return [self.insert(s) for s in sizes]
+    def pack(self, sizes) -> "HarmonicPacker":
+        for s in sizes:
+            self.insert(s)
+        return self
 
     @property
     def open_bin_count(self) -> int:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from .generators import Item2D
 from .harmonic import harmonic_type, harmonic_weight, w_h
 from .params import ParamTable
-from .superharmonic import ShState
+from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
 
 _LOW = 10 ** 17  # ladder numerators have 18 digits: _LOW <= num < 10 * _LOW
@@ -108,7 +108,11 @@ class TinyGrid:
         if not 0 < w <= self.eps:
             raise ValueError(f"{_named(w)} outside the tiny range (0, {self.eps}]")
         num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
-        while num[-1] * wd >= wn * 10 ** exp[-1]:
+        # 10**(15-top) < w < 10**(17-top) and 10**(17-e) <= value(m) < 10**(18-e)
+        # with e = exp[m]: only for top < e < top+3 does the exact product decide
+        top = 16 - _digits(wn) + _digits(wd)
+        while exp[-1] < top + 3 and (exp[-1] <= top
+                                     or num[-1] * wd >= wn * 10 ** exp[-1]):
             if len(num) > _MAX_DEPTH:
                 raise ValueError(f"{_named(w)} lies below the tiny grid's depth "
                                  f"floor of {_MAX_DEPTH} classes")
@@ -153,10 +157,9 @@ class TensorRun:
             raise ValueError("1/eps must be an integer for height stacking")
         self.table = table
         self.orientation = orientation
-        self.delta = Fraction(delta)
         self.hk = int(hk)
         self.inner = ShState(table)
-        self.grid = TinyGrid(table.eps, self.delta)
+        self.grid = TinyGrid(table.eps, Fraction(delta))
         self.slices: list = []
         self._open: dict = {}  # (class key, height type) -> Slice
 
@@ -172,13 +175,14 @@ class TensorRun:
         m = self.grid.class_of(w)
         return ("e", m), self.grid.value(m)
 
-    def _slice_x(self, trace, width: Fraction) -> Fraction:
-        b = self.inner.bins[trace.bin_id]
-        if trace.color == "blue":
+    def _slice_x(self, b: Bin, width_type: int, width: Fraction) -> Fraction:
+        # a slice of b's blue type is blue: in a valid table gamma_i*t_i >= t_i >
+        # delta_i >= Delta[phi(i)] keeps type-i reds out (check_feasibility audits it)
+        if width_type > self.table.k:
+            return b.blue_sum - width  # tiny: Next Fit, left to right
+        if b.blue_type == width_type:
             return (b.blue_count - 1) * width
-        if trace.color == "red":
-            return 1 - b.red_sum
-        return b.blue_sum - width  # tiny: Next Fit, left to right
+        return 1 - b.red_sum
 
     def insert(self, item: Item2D) -> Slice:
         """Stack ``item`` on its slice and return that slice."""
@@ -187,11 +191,11 @@ class TensorRun:
         slot = (key, ht)
         sl = self._open.get(slot)
         if sl is None or (sl.count >= ht if ht < self.hk else sl.y_fill + item.h > 1):
-            trace = self.inner.insert(width)
-            sl = Slice(sid=len(self.slices), width=width, bin_id=trace.bin_id,
-                       x=self._slice_x(trace, width),
-                       width_type=key[1] if key[0] == "t" else self.table.k + 1,
-                       height_type=ht)
+            b = self.inner.insert(width)
+            width_type = key[1] if key[0] == "t" else self.table.k + 1
+            sl = Slice(sid=len(self.slices), width=width, bin_id=b.bid,
+                       x=self._slice_x(b, width_type, width),
+                       width_type=width_type, height_type=ht)
             self.slices.append(sl)
             self._open[slot] = sl
         sl.items.append(item)
@@ -236,11 +240,8 @@ class TensorCost:
 
 def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
     """Run both orientations and average them (the fair-coin expectation)."""
-    hxb = TensorRun(table, "hxb", delta)
-    bxh = TensorRun(table, "bxh", delta)
-    for it in items:
-        hxb.insert(it)
-        bxh.insert(it.transposed)
+    hxb = TensorRun(table, "hxb", delta).pack(items)
+    bxh = TensorRun(table, "bxh", delta).pack([it.transposed for it in items])
     return TensorCost(cost_hxb=hxb.cost, cost_bxh=bxh.cost,
                       avg=Fraction(hxb.cost + bxh.cost, 2)), hxb, bxh
 

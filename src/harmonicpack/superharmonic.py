@@ -27,6 +27,9 @@ The per-type "open" bin pointers are exact: a new bin is opened or
 converted only when no existing bin has room for that colour and type, and
 bins are filled oldest-first, so at most one bin per (type, colour) is ever
 partially filled.
+
+``ShState.insert`` returns the bin the item went into; a ``PlacementTrace``
+row and its group names are built only under ``keep_trace=True``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .params import ParamTable
+
+
+def _group_name(table: ParamTable, blue: Optional[int], red: Optional[int]) -> str:
+    """Name of the group of a bin holding blue type ``blue`` and red type ``red``."""
+    if blue is not None and red is not None:
+        return f"({blue},{red})"
+    if blue is not None:
+        return f"({blue})" if table.phi[blue] == 0 else f"({blue},?)"
+    if red is not None:
+        return f"(?,{red})"
+    return "nf"  # Next-Fit bins hold tail items only
 
 
 class Bin:
@@ -56,15 +70,7 @@ class Bin:
         self.red_min: Optional[Fraction] = None
 
     def group(self, table: ParamTable) -> str:
-        if self.blue_type is not None and self.red_type is not None:
-            return f"({self.blue_type},{self.red_type})"
-        if self.blue_type is not None:
-            if table.phi[self.blue_type] == 0:
-                return f"({self.blue_type})"
-            return f"({self.blue_type},?)"
-        if self.red_type is not None:
-            return f"(?,{self.red_type})"
-        return "nf"  # Next-Fit bins hold tail items only
+        return _group_name(table, self.blue_type, self.red_type)
 
     @property
     def content_sum(self) -> Fraction:
@@ -96,7 +102,6 @@ class GroupCensus:
     blue_indet: dict  # i -> count of (i,?) bins
     red_indet: dict  # j -> count of (?,j) bins
     pairs: dict  # (i, j) -> count of (i,j) bins
-    items: list  # 1-based per-type item counts, index k+1 = tail count
     nf_bins: int
     cost: int
 
@@ -109,7 +114,6 @@ class FinalCase:
     r: Optional[int]  # type of the smallest red item in them
     j: Optional[int]  # index of the smallest space that red item fits
     case_id: int  # 1 if E == 0, else K+2-j (j >= 2) or K+1 (j == 1)
-    smallest: Optional[Fraction]
 
 
 class ShState:
@@ -122,7 +126,6 @@ class ShState:
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
         self.cost = 0
-        self.n_items = 0  # items inserted so far
         self.small_count = 0
         self._nf_bin: Optional[Bin] = None
         self.nf_bins = 0
@@ -170,43 +173,46 @@ class ShState:
 
     # -- the cascade ---------------------------------------------------------
 
-    def insert(self, size: Fraction) -> PlacementTrace:
+    def insert(self, size: Fraction) -> Bin:
+        """Place one item and return the bin it went into."""
         table = self.table
-        idx = self.n_items
-        self.n_items += 1
-        cost = self.cost
         i = table.classify(size)
         if i == table.k + 1:
             color = "tiny"
-            b, before = self._insert_tiny(size)
+            b = self._insert_tiny(size)
         else:
             self.s[i] += 1
             if self.e[i] < int(table.alpha[i] * self.s[i]):
                 self.e[i] += 1
                 color = "red"
-                b, before = self._insert_red(i, size)
+                b = self._insert_red(i, size)
             else:
                 color = "blue"
-                b, before = self._insert_blue(i, size)
-        tr = PlacementTrace(idx, size, i, color, before, b.group(table), b.bid,
-                            self.cost != cost)
+                b = self._insert_blue(i, size)
         if self.keep_trace:
-            self.trace.append(tr)
-        return tr
+            self.trace.append(self._trace_row(size, i, color, b))
+        return b
 
-    # Each placement helper returns (bin, group before the item), with "-"
-    # when the item opened the bin (Next-Fit bins are always "nf").
+    def _trace_row(self, size: Fraction, i: int, color: str, b: Bin) -> PlacementTrace:
+        """Trace row of the item just put in ``b``; the group before it is ``b``'s
+        group without the item's colour when it is the first of that colour."""
+        blue = None if color == "blue" and b.blue_count == 1 else b.blue_type
+        red = None if color == "red" and b.red_count == 1 else b.red_type
+        opened = b.content_sum == size  # the item is all that b holds
+        before = "-" if opened and color != "tiny" else _group_name(self.table, blue, red)
+        return PlacementTrace(len(self.trace), size, i, color, before,
+                              b.group(self.table), b.bid, opened)
 
-    def _insert_tiny(self, size: Fraction):
+    def _insert_tiny(self, size: Fraction) -> Bin:
         self.small_count += 1
         b = self._nf_bin
         if b is None or b.blue_sum + size > 1:
             b = self._nf_bin = self._open_bin()
             self.nf_bins += 1
         b.blue_sum += size  # content only; NF bins never join groups
-        return b, "nf"
+        return b
 
-    def _insert_red(self, i: int, size: Fraction):
+    def _insert_red(self, i: int, size: Fraction) -> Bin:
         table = self.table
         b = self._red_open[i]
         if b is None:
@@ -217,16 +223,13 @@ class ShState:
                 if pool and table.Delta[table.phi[j]] >= need:
                     b = pool.popleft()
                     break
-        if b is not None:
-            before = b.group(table)
-            self._add_red(b, i, size)
-            return b, before
-        b = self._open_bin()
+        if b is None:
+            b = self._open_bin()
+            self._red_indet[i].append(b)
         self._add_red(b, i, size)
-        self._red_indet[i].append(b)
-        return b, "-"
+        return b
 
-    def _insert_blue(self, i: int, size: Fraction):
+    def _insert_blue(self, i: int, size: Fraction) -> Bin:
         table = self.table
         b = self._blue_open[i]
         if b is None and table.phi[i] > 0:
@@ -237,15 +240,12 @@ class ShState:
                 if pool and self._red_space[j] <= space:
                     b = pool.popleft()
                     break
-        if b is not None:
-            before = b.group(table)
-            self._add_blue(b, i, size)
-            return b, before
-        b = self._open_bin()
+        if b is None:
+            b = self._open_bin()
+            if table.phi[i] > 0:
+                self._blue_indet[i].append(b)
         self._add_blue(b, i, size)
-        if table.phi[i] > 0:
-            self._blue_indet[i].append(b)
-        return b, "-"
+        return b
 
     def pack(self, sizes) -> "ShState":
         for s in sizes:
@@ -266,7 +266,7 @@ class ShState:
         return counts
 
     def group_census(self) -> GroupCensus:
-        """Current group and item census, counted from the bins themselves."""
+        """Current group census, counted from the bins themselves."""
         blue_only: dict = {}
         blue_indet: dict = {}
         red_indet: dict = {}
@@ -287,8 +287,7 @@ class ShState:
         assert nf_seen == self.nf_bins
         return GroupCensus(blue_only=blue_only, blue_indet=blue_indet,
                            red_indet=red_indet, pairs=pairs,
-                           items=self.type_counts(), nf_bins=self.nf_bins,
-                           cost=self.cost)
+                           nf_bins=self.nf_bins, cost=self.cost)
 
     def final_case(self) -> FinalCase:
         """Classify the finished packing by its red-indeterminate leftovers."""
@@ -303,10 +302,10 @@ class ShState:
                     smallest = b.red_min
                     r = b.red_type
         if E == 0:
-            return FinalCase(E=0, r=None, j=None, case_id=1, smallest=None)
+            return FinalCase(E=0, r=None, j=None, case_id=1)
         j = table.varphi[r]
         case_id = table.K + 1 if j == 1 else table.K + 2 - j
-        return FinalCase(E=E, r=r, j=j, case_id=case_id, smallest=smallest)
+        return FinalCase(E=E, r=r, j=j, case_id=case_id)
 
     def open_bin_like_count(self) -> int:
         """Bins that are neither blue-full nor red-full (plus the NF bin)."""

@@ -98,8 +98,8 @@ def one_d_suite(table, wset):
         st = ShState(table)
         law_ok = True
         for s in sizes:
-            tr = st.insert(s)
-            i = tr.type_index
+            st.insert(s)
+            i = table.classify(s)
             # the inserted type is the only counter that may move, so
             # checking it each step verifies the law after every insertion
             if i <= table.k and st.e[i] != int(table.alpha[i] * st.s[i]):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -185,6 +186,18 @@ class TestReports:
         a = run_cli("pack1d", "--n", "200", "--seed", "5")
         b = run_cli("pack1d", "--n", "200", "--seed", "5")
         assert a.stdout == b.stdout
+
+    def test_pack1d_pinned_bit_for_bit(self, tmp_path, capsys):
+        # the SH+ trace CSV and both pack1d JSON reports of a seeded run, as
+        # the packers first wrote them
+        trace = tmp_path / "trace.csv"
+        args = ["pack1d", "--n", "3000", "--seed", "5"]
+        assert main(args + ["--verify", "--trace-out", str(trace)]) == 0
+        assert main(args + ["--algorithm", "harmonic", "--k", "38"]) == 0
+        blob = trace.read_bytes() + capsys.readouterr().out.encode()
+        assert len(trace.read_text().splitlines()) == 3001
+        assert hashlib.sha256(blob).hexdigest() == (
+            "7af1a713ba22f06bd465810c136da8c1c5a3dec73bd64b40bb752f5c0a95c2f3")
 
     def test_gen_deterministic_and_loadable(self, tmp_path):
         out = tmp_path / "inst.txt"

@@ -103,6 +103,28 @@ class TestWidthClasses:
             m = grid.class_of(w)
             assert grid.value(m + 1) < w <= grid.value(m)
 
+    def test_class_exact_at_decade_edges(self, table):
+        # class_of compares decimal magnitudes first and the exact product
+        # only within one decade.  Widths on and just off ladder values, next
+        # to the ends of its 1024-step blocks, and at the digit edges of their
+        # numerator and denominator keep the defining inequality, each on a
+        # fresh grid that grows only to the first block end below the width
+        d = Fraction(49, 100)
+        ref = TinyGrid(table.eps, d)
+        nudge = Fraction(1, 10 ** 40)
+        widths = []
+        for m in [*range(1, 60), *range(1020, 1030), *range(2044, 2054)]:
+            v = ref.value(m)
+            widths += [v, v * (1 - nudge), v * (1 + nudge)]
+        for k in range(2, 40):
+            widths += [Fraction(10 ** k - 1, 10 ** (2 * k)), Fraction(1, 10 ** k - 1),
+                       Fraction(10 ** k + 1, 10 ** (2 * k))]
+        for w in widths:
+            grid = TinyGrid(table.eps, d)
+            m = grid.class_of(w)
+            assert len(grid._num) - 1 == 1 + 1024 * -(-m // 1024), w
+            assert grid.value(m + 1) < w <= grid.value(m), w
+
     def test_grid_strictly_decreasing(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
         vals = [grid.value(m) for m in range(0, 2000, 97)]

@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from harmonicpack import superharmonic
+from harmonicpack.generators import Item2D
+from harmonicpack.harmonic import HarmonicPacker
+from harmonicpack.pack2d import TensorRun, validate_geometry
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import bound_check, slack_allowance
 
@@ -21,39 +25,44 @@ def red_heavy_sizes(table, n, seed):
 
 class TestCascadeTraces:
     def test_first_type9_item_opens_blue_only_group(self, table):
-        st = ShState(table)
-        tr = st.insert(Fraction("0.41"))
+        st = ShState(table, keep_trace=True)
+        b = st.insert(Fraction("0.41"))
+        tr = st.trace[-1]
+        assert b is st.bins[0] and tr.bin_id == b.bid
         assert tr.type_index == 9 and tr.color == "blue"
         assert tr.group_after == "(9)" and tr.opened
         assert st.s[9] == 1 and st.e[9] == 0
 
     def test_seventh_type9_item_turns_red(self, table):
-        st = ShState(table)
-        traces = [st.insert(Fraction("0.41")) for _ in range(7)]
+        st = ShState(table, keep_trace=True).pack([Fraction("0.41")] * 7)
+        traces = st.trace
         # floor(0.162 * s) stays 0 until s = 7
         assert all(t.color == "blue" for t in traces[:6])
         assert traces[6].color == "red" and traces[6].group_after == "(?,9)"
         assert st.e[9] == 1
 
     def test_large_blue_cannot_convert_too_big_red(self, table):
-        st = ShState(table)
+        st = ShState(table, keep_trace=True)
         for _ in range(7):
             st.insert(Fraction("0.41"))
         # type 2 reserves Delta[1] = 0.294 < gamma_9 * t_9 = 0.42
-        tr = st.insert(Fraction("0.7"))
+        st.insert(Fraction("0.7"))
+        tr = st.trace[-1]
         assert tr.type_index == 2 and tr.color == "blue"
         assert tr.group_after == "(2,?)" and tr.opened
 
     def test_conversion_when_space_fits(self, table):
-        st = ShState(table)
+        st = ShState(table, keep_trace=True)
         # force a red type-16 item (alpha(16) = 0.186: the 6th is red)
         for _ in range(6):
             st.insert(Fraction("0.21"))
         census = st.group_census()
         assert census.red_indet == {16: 1}
         # a type-2 blue reserves Delta[1] = 0.294 >= gamma_16 * t_16 = 0.25
-        tr = st.insert(Fraction("0.7"))
+        b = st.insert(Fraction("0.7"))
+        tr = st.trace[-1]
         assert tr.color == "blue" and tr.group_after == "(2,16)" and not tr.opened
+        assert tr.group_before == "(?,16)" and b.bid == tr.bin_id == st.trace[5].bin_id
         assert st.group_census().pairs == {(2, 16): 1}
 
     def test_red_joins_open_pair_bin(self, table):
@@ -80,11 +89,12 @@ class TestCascadeTraces:
 
     def test_small_mass_is_summed_tail_size(self, table):
         rng = random.Random(12)
-        st = ShState(table)
+        st = ShState(table, keep_trace=True)
         tail = Fraction(0)
         for n in range(1, 3001):
             s = Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
-            if st.insert(s).type_index == table.k + 1:
+            st.insert(s)
+            if st.trace[-1].type_index == table.k + 1:
                 tail += s
             if n in (1, 40, 999, 3000):
                 assert st.small_mass == tail, n
@@ -99,10 +109,10 @@ class TestCascadeTraces:
 class TestStateInvariants:
     @pytest.mark.parametrize("seed,n", [(1, 3000), (2, 3000)])
     def test_red_count_law_every_step(self, table, seed, n):
-        st = ShState(table)
+        st = ShState(table, keep_trace=True)
         for s in grid_sizes(random.Random(seed), n):
-            tr = st.insert(s)
-            i = tr.type_index
+            st.insert(s)
+            i = st.trace[-1].type_index
             if i <= table.k:
                 # only the touched counter can change; checking it after
                 # every insertion verifies the law inductively
@@ -265,6 +275,46 @@ class TestTraceOutput:
         st = ShState(table)
         st.insert(Fraction("0.41"))
         assert st.trace == []
+
+    def test_group_before_is_the_bins_previous_group(self, table):
+        # each row's group_before is the group_after of the bin's previous
+        # row; a coloured bin's first row opened it ("-"), tiny rows say "nf"
+        sizes = grid_sizes(random.Random(9), 4000)
+        st = ShState(table, keep_trace=True).pack(sizes)
+        last = {}
+        converted = 0
+        for n, tr in enumerate(st.trace):
+            assert (tr.item_index, tr.size) == (n, sizes[n])
+            want = "nf" if tr.color == "tiny" else last.get(tr.bin_id, "-")
+            assert tr.group_before == want, n
+            assert tr.opened == (tr.bin_id not in last), n
+            converted += tr.group_before not in ("-", tr.group_after)
+            last[tr.bin_id] = tr.group_after
+        assert converted > 0
+
+    def test_nothing_traced_unless_asked(self, table, monkeypatch):
+        # untraced runs of the three packers build no trace row and name no
+        # group; the patch is live, as the traced insert shows
+        def refuse(*args, **kwargs):
+            raise RuntimeError("trace record built")
+
+        monkeypatch.setattr(superharmonic, "PlacementTrace", refuse)
+        monkeypatch.setattr(superharmonic.Bin, "group", refuse)
+        with pytest.raises(RuntimeError, match="trace record built"):
+            ShState(table, keep_trace=True).insert(Fraction("0.41"))
+        rng = random.Random(14)
+        sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
+                 for _ in range(2000)]
+        st = ShState(table).pack(sizes)
+        assert st.trace == [] and st.nf_bins > 0 and st.group_census().pairs
+        widths = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 10 ** 6)))
+                  for _ in range(500)]
+        rects = [Item2D(w, h) for w, h in zip(widths, sizes)]
+        run = TensorRun(table).pack(rects)
+        assert any(sl.width_type == table.k + 1 for sl in run.slices)
+        assert validate_geometry(run) == []
+        hp = HarmonicPacker(38)
+        assert hp.pack(sizes) is hp and hp.cost > 0
 
 
 class TestCostBound:
