@@ -205,17 +205,6 @@ class PatternModel:
     def ntypes(self) -> int:
         return len(self.sizes) - 1
 
-    def truncated(self, num_types: int) -> "PatternModel":
-        """Restriction to types 1..num_types (constraints lose absent vars)."""
-        cons = []
-        for cut in self.constraints:
-            kept = {m: c for m, c in cut.coeffs if m <= num_types}
-            if kept:
-                cons.append(LinearCut.make(cut.name, kept, cut.rhs))
-        return PatternModel(sizes=self.sizes[:num_types + 1],
-                            caps=self.caps[:num_types + 1],
-                            constraints=tuple(cons), capacity=self.capacity)
-
 
 # groups of the built-in 50-type model whose items share one cap; every cap,
 # of a group or of a single type, is derived by _genuine_cap()
@@ -247,15 +236,18 @@ def _group_caps(table: ParamTable) -> list:
 
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
                          num_types: Optional[int] = None) -> PatternModel:
-    """The pattern model of the built-in instance (sizes are t[m+1])."""
+    """The pattern model of the built-in instance (sizes are t[m+1]) over
+    types 1..num_types (all k by default); each constraint keeps the terms
+    of those types and is dropped when none is left."""
     n = table.k if num_types is None else num_types
-    sizes = (None, *(table.t[m + 1] for m in range(1, table.k + 1)))
     cons = _group_caps(table)
     if include_cuts:
         cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
-    caps = (None, *(_genuine_cap(table, (m,)) for m in range(1, table.k + 1)))
-    model = PatternModel(sizes=sizes, caps=caps, constraints=tuple(cons))
-    return model if n == table.k else model.truncated(n)
+    cons = [LinearCut(cut.name, tuple((m, c) for m, c in cut.coeffs if m <= n), cut.rhs)
+            for cut in cons]
+    return PatternModel(sizes=(None, *(table.t[m + 1] for m in range(1, n + 1))),
+                        caps=(None, *(_genuine_cap(table, (m,)) for m in range(1, n + 1))),
+                        constraints=tuple(cut for cut in cons if cut.coeffs))
 
 
 def builtin_model_constraints(table: ParamTable) -> list:
@@ -270,12 +262,10 @@ def builtin_model_constraints(table: ParamTable) -> list:
 
 # -- exact maximization ------------------------------------------------------
 
-def _scaled_sizes(model: PatternModel):
-    den = model.capacity.denominator
-    for m in range(1, model.ntypes + 1):
-        den = lcm(den, model.sizes[m].denominator)
-    S = [None] + [int(model.sizes[m] * den) for m in range(1, model.ntypes + 1)]
-    return S, int(model.capacity * den)
+def _scaled_sizes(sizes, capacity: Fraction):
+    """1-based ``sizes`` and ``capacity`` on their common integer grid."""
+    den = lcm(capacity.denominator, *(s.denominator for s in sizes[1:]))
+    return [None, *(int(s * den) for s in sizes[1:])], int(capacity * den)
 
 
 def pattern_max(fn: PiecewiseFn, model: PatternModel):
@@ -291,7 +281,7 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
     R = fn.tail_slope
-    S, CAP = _scaled_sizes(model)
+    S, CAP = _scaled_sizes(model.sizes, model.capacity)
     gains = {}
     for m in range(1, model.ntypes + 1):
         g = fn.values[m] - model.sizes[m] * R
@@ -371,7 +361,7 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel,
     n = model.ntypes
     if n > 15:
         raise ValueError("brute force restricted to at most 15 types")
-    S, CAP = _scaled_sizes(model)
+    S, CAP = _scaled_sizes(model.sizes, model.capacity)
     est = 1
     for m in range(1, n + 1):
         est *= min(model.caps[m], CAP // S[m]) + 1
@@ -416,8 +406,9 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
     tests (any rhs strictly below this maximum admits a counterexample).
     """
     n = max((m for m in cut.support if m <= model.ntypes), default=0)
-    S, CAP = _scaled_sizes(model.truncated(n))
-    strict = PatternModel(sizes=model.sizes[:n + 1], constraints=(),
+    sizes = model.sizes[:n + 1]
+    S, CAP = _scaled_sizes(sizes, model.capacity)
+    strict = PatternModel(sizes=sizes, constraints=(),
                           caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
                           capacity=model.capacity * Fraction(CAP - 1, CAP))
     coeff = dict(cut.coeffs)
@@ -426,23 +417,12 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
     return pattern_max(fn, strict)
 
 
-def validate_cut(cut: LinearCut, model: PatternModel, max_support: int = 8,
-                 node_limit: int = 10 ** 7) -> Optional[dict]:
+def validate_cut(cut: LinearCut, model: PatternModel) -> Optional[dict]:
     """Check that no genuine pattern violates ``cut``; None when valid.
 
     Otherwise returns the heaviest counterexample, the argmax pattern of
-    :func:`cut_max_lhs`.  Refuses cuts wider than ``max_support`` or with
-    more than ``node_limit`` assignments to their support.
+    :func:`cut_max_lhs`.
     """
-    support = [m for m in cut.support if m <= model.ntypes]
-    if len(support) > max_support:
-        raise ValueError(f"cut support {len(support)} exceeds {max_support}")
-    S, CAP = _scaled_sizes(model)
-    est = 1
-    for m in support:
-        est *= (CAP - 1) // S[m] + 1
-        if est > node_limit:
-            raise ValueError(f"enumeration space exceeds {node_limit} nodes")
     peak, pattern = cut_max_lhs(cut, model)
     return pattern if peak > cut.rhs else None
 

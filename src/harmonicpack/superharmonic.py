@@ -28,6 +28,14 @@ converted only when no existing bin has room for that colour and type, and
 bins are filled oldest-first, so at most one bin per (type, colour) is ever
 partially filled.
 
+The bins and the red-indeterminate pools are the only record of a run.
+The cost is the number of bins, the Next-Fit bins are those with neither a
+blue nor a red type, and the tail count is the summed ``blue_count`` of the
+Next-Fit bins.  The final case is read from the pools: type intervals shrink
+as the index grows, so the smallest leftover red item is in the pool of the
+largest type that still has a (?,j) bin, and with j = varphi of that type
+the case is K+2-j (case K+1 is j = 1).
+
 ``ShState.insert`` returns the bin the item went into; a ``PlacementTrace``
 row and its group names are built only under ``keep_trace=True``.
 """
@@ -57,7 +65,7 @@ class Bin:
     """One bin: blue items of one type and red items of another."""
 
     __slots__ = ("bid", "blue_type", "blue_count", "blue_sum",
-                 "red_type", "red_count", "red_sum", "red_min")
+                 "red_type", "red_count", "red_sum")
 
     def __init__(self, bid: int):
         self.bid = bid
@@ -67,10 +75,6 @@ class Bin:
         self.red_type: Optional[int] = None
         self.red_count = 0
         self.red_sum = Fraction(0)
-        self.red_min: Optional[Fraction] = None
-
-    def group(self, table: ParamTable) -> str:
-        return _group_name(table, self.blue_type, self.red_type)
 
     @property
     def content_sum(self) -> Fraction:
@@ -108,12 +112,13 @@ class GroupCensus:
 
 @dataclass
 class FinalCase:
-    """End-of-run classification by the leftover red-indeterminate bins."""
+    """End-of-run classification, read from the red-indeterminate pools."""
 
-    E: int  # number of (?,.) bins
-    r: Optional[int]  # type of the smallest red item in them
+    E: int  # number of (?,.) bins: the summed pool lengths
+    r: Optional[int]  # type of the smallest red item in them: the largest
+    #                   type whose pool is not empty
     j: Optional[int]  # index of the smallest space that red item fits
-    case_id: int  # 1 if E == 0, else K+2-j (j >= 2) or K+1 (j == 1)
+    case_id: int  # 1 if E == 0, else K+2-j (K+1 when j == 1)
 
 
 class ShState:
@@ -125,10 +130,7 @@ class ShState:
         self.s = [0] * (k + 1)  # items seen per type
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
-        self.cost = 0
-        self.small_count = 0
         self._nf_bin: Optional[Bin] = None
-        self.nf_bins = 0
         self.keep_trace = keep_trace
         self.trace: list = []
         # at most one bin has room for each (type, colour)
@@ -148,7 +150,6 @@ class ShState:
     def _open_bin(self) -> Bin:
         b = Bin(len(self.bins))
         self.bins.append(b)
-        self.cost += 1
         return b
 
     def _add_blue(self, b: Bin, i: int, size: Fraction):
@@ -164,8 +165,6 @@ class ShState:
         b.red_type = i
         b.red_count += 1
         b.red_sum += size
-        if b.red_min is None or size < b.red_min:
-            b.red_min = size
         if b.red_count < self.table.gamma[i]:
             self._red_open[i] = b
         elif self._red_open[i] is b:
@@ -200,16 +199,16 @@ class ShState:
         red = None if color == "red" and b.red_count == 1 else b.red_type
         opened = b.content_sum == size  # the item is all that b holds
         before = "-" if opened and color != "tiny" else _group_name(self.table, blue, red)
-        return PlacementTrace(len(self.trace), size, i, color, before,
-                              b.group(self.table), b.bid, opened)
+        after = _group_name(self.table, b.blue_type, b.red_type)
+        return PlacementTrace(len(self.trace), size, i, color, before, after,
+                              b.bid, opened)
 
     def _insert_tiny(self, size: Fraction) -> Bin:
-        self.small_count += 1
         b = self._nf_bin
         if b is None or b.blue_sum + size > 1:
             b = self._nf_bin = self._open_bin()
-            self.nf_bins += 1
-        b.blue_sum += size  # content only; NF bins never join groups
+        b.blue_count += 1  # content only; NF bins never join groups
+        b.blue_sum += size
         return b
 
     def _insert_red(self, i: int, size: Fraction) -> Bin:
@@ -252,18 +251,29 @@ class ShState:
             self.insert(s)
         return self
 
-    # -- inspection ----------------------------------------------------------
+    # -- inspection: read from the bins ---------------------------------------
+
+    @property
+    def cost(self) -> int:
+        return len(self.bins)
+
+    def _nf(self) -> list:
+        """The Next-Fit bins: neither a blue nor a red type."""
+        return [b for b in self.bins if b.blue_type is None and b.red_type is None]
+
+    @property
+    def nf_bins(self) -> int:
+        return len(self._nf())
+
+    @property
+    def small_count(self) -> int:
+        """Number of tail items: the items in the Next-Fit bins."""
+        return sum(b.blue_count for b in self._nf())
 
     @property
     def small_mass(self) -> Fraction:
         """Summed size of the tail items: the content of the Next-Fit bins."""
-        return sum((b.blue_sum for b in self.bins
-                    if b.blue_type is None and b.red_type is None), Fraction(0))
-
-    def type_counts(self) -> list:
-        counts = self.s[:]
-        counts.append(self.small_count)
-        return counts
+        return sum((b.blue_sum for b in self._nf()), Fraction(0))
 
     def group_census(self) -> GroupCensus:
         """Current group census, counted from the bins themselves."""
@@ -271,10 +281,10 @@ class ShState:
         blue_indet: dict = {}
         red_indet: dict = {}
         pairs: dict = {}
-        nf_seen = 0
+        nf_bins = 0
         for b in self.bins:
             if b.blue_type is None and b.red_type is None:
-                nf_seen += 1
+                nf_bins += 1
                 continue
             if b.blue_type is not None and b.red_type is not None:
                 key = (b.blue_type, b.red_type)
@@ -284,28 +294,19 @@ class ShState:
                 d[b.blue_type] = d.get(b.blue_type, 0) + 1
             else:
                 red_indet[b.red_type] = red_indet.get(b.red_type, 0) + 1
-        assert nf_seen == self.nf_bins
         return GroupCensus(blue_only=blue_only, blue_indet=blue_indet,
                            red_indet=red_indet, pairs=pairs,
-                           nf_bins=self.nf_bins, cost=self.cost)
+                           nf_bins=nf_bins, cost=self.cost)
 
     def final_case(self) -> FinalCase:
         """Classify the finished packing by its red-indeterminate leftovers."""
-        table = self.table
-        E = 0
-        smallest = None
-        r = None
-        for j in self._red_types:
-            for b in self._red_indet[j]:
-                E += 1
-                if b.red_min is not None and (smallest is None or b.red_min < smallest):
-                    smallest = b.red_min
-                    r = b.red_type
+        pools = self._red_indet
+        E = sum(len(pools[i]) for i in self._red_types)
         if E == 0:
             return FinalCase(E=0, r=None, j=None, case_id=1)
-        j = table.varphi[r]
-        case_id = table.K + 1 if j == 1 else table.K + 2 - j
-        return FinalCase(E=E, r=r, j=j, case_id=case_id)
+        r = max(i for i in self._red_types if pools[i])
+        j = self.table.varphi[r]
+        return FinalCase(E=E, r=r, j=j, case_id=self.table.K + 2 - j)
 
     def open_bin_like_count(self) -> int:
         """Bins that are neither blue-full nor red-full (plus the NF bin)."""

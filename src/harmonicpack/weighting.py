@@ -3,31 +3,19 @@
 A weighting function charges every item a rational weight such that the
 packer's bin count is bounded by the maximum total charge plus a constant.
 For a table with K reserved spaces there are K+1 weighting functions,
-indexed by the state the packing ends in:
+indexed by the state the packing ends in.  A type-i item has a blue share
+``(1-a)/b`` and a red share ``a/g`` (a, b, g = alpha_i, beta_i, gamma_i;
+the red share is zero when g = 0), and one rule gives its weight:
 
-  * case 1 -- no indeterminate red bin remains: every red item shares a bin
-    with blue items, so a type-i item is charged only its blue share
-    ``(1-alpha_i)/beta_i``.
-  * case K+2-j for ``2 <= j <= K`` -- some red-only bin remains and the
-    smallest red item in such bins fits space ``Delta[j]`` but no smaller
-    one.  Blue and red shares are then charged in full or halved depending
-    on how ``phi(i)`` and ``varphi(i)`` compare against the threshold j:
+  * case 1 -- no red-indeterminate bin remains: every red item shares a bin
+    with blue items, so the item is charged its blue share alone.
+  * case c >= 2 -- some red-only bin remains, and the smallest red item in
+    such bins fits space ``Delta[j]`` but no smaller one, j = K+2-c.  The
+    blue share counts in full when ``phi(i) < j`` and the red share when
+    ``varphi(i) >= j``.  A share that does not count in full is halved when
+    j >= 2 and dropped when j = 1 (case K+1).
 
-        phi < j,  varphi < j :  (1-a)/b + a/(2g)
-        phi < j,  varphi >= j:  (1-a)/b + a/g
-        phi >= j, varphi >= j:  (1-a)/(2b) + a/g
-        phi >= j, varphi < j :  (1-a)/(2b) + a/(2g)
-
-  * case K+1 -- the smallest such red item fits the smallest space
-    (threshold j = 1):
-
-        phi = 0, varphi = 0:  (1-a)/b
-        phi = 0, varphi > 0:  (1-a)/b + a/g
-        phi > 0, varphi = 0:  0
-        phi > 0, varphi > 0:  a/g
-
-Whenever ``gamma_i = 0`` the red share ``a/g`` is replaced by zero.  Items of
-the tail type k+1 are charged ``x / (1 - eps)`` under every case.
+Items of the tail type k+1 are charged ``x / (1 - eps)`` under every case.
 
 ``bound_check`` evaluates all case totals on a finished packing run and
 reports the slack of the cost bound; the additive constant asserted by the
@@ -71,30 +59,14 @@ class WeightFunctionSet:
     @staticmethod
     def _weight_for(table: ParamTable, case: int, i: int) -> Fraction:
         a, b, g = table.alpha[i], table.beta[i], table.gamma[i]
-        phi, varphi = table.phi[i], table.varphi[i]
         blue = (1 - a) / b
-        blue_half = (1 - a) / (2 * b)
         red = a / g if g > 0 else Fraction(0)
-        red_half = red / 2
-        K = table.K
         if case == 1:
             return blue
-        if case == K + 1:  # threshold j = 1
-            if phi == 0 and varphi == 0:
-                return blue
-            if phi == 0 and varphi > 0:
-                return blue + red
-            if phi > 0 and varphi == 0:
-                return Fraction(0)
-            return red
-        j = K + 2 - case  # 2 <= j <= K
-        if phi < j and varphi < j:
-            return blue + red_half
-        if phi < j and varphi >= j:
-            return blue + red
-        if phi >= j and varphi >= j:
-            return blue_half + red
-        return blue_half + red_half
+        j = table.K + 2 - case
+        part = Fraction(1, 2) if j >= 2 else Fraction(0)  # of a share not in full
+        return ((blue if table.phi[i] < j else blue * part)
+                + (red if table.varphi[i] >= j else red * part))
 
     def w(self, size: Fraction, case: int) -> Fraction:
         """Weight of an item of ``size`` under ``case`` (w_sh)."""
@@ -145,8 +117,7 @@ def bound_check(state, wset: WeightFunctionSet | None = None) -> BoundReport:
     """
     if wset is None:
         wset = WeightFunctionSet(state.table)
-    counts = state.type_counts()
-    totals = wset.case_totals(counts, state.small_mass)
+    totals = wset.case_totals(state.s, state.small_mass)
     max_total = max(totals[1:]) if len(totals) > 1 else Fraction(0)
     fc = state.final_case()
     final_total = totals[fc.case_id]

@@ -312,11 +312,6 @@ class TestValidateCut:
                              tail_slope=Fraction(0))
             assert cut_max_lhs(cut, model12)[0] == brute_force_max(fn, strict)[0]
 
-    def test_support_limit(self, model):
-        cut = LinearCut.make("wide", {m: 1 for m in range(20, 29)}, 100)
-        with pytest.raises(ValueError):
-            validate_cut(cut, model)
-
 
 @pytest.fixture(scope="module")
 def compat_cert(wset):

@@ -244,6 +244,13 @@ class TestReports:
         assert lines[0].split(",")[:2] == ["type", "t"]
         assert len(lines) == 51  # header + 50 types
 
+    def test_weights_pinned_bit_for_bit(self):
+        # the whole weight table of the built-in parameters, byte for byte
+        r = run_cli("weights")
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "3684231a7aee598e5dd9982d2f754f942fe9c85de962d695af57bc18b70398d7")
+
     def test_trace_output(self, tmp_path):
         trace = tmp_path / "trace.csv"
         run_cli("pack1d", "--n", "50", "--seed", "3", "--trace-out", str(trace))

@@ -248,6 +248,22 @@ class TestFinalCase:
         fc = st.final_case()
         assert fc.r == 16 and fc.case_id == 7
 
+    @pytest.mark.parametrize("seed", [31, 32, 33, 34])
+    @pytest.mark.parametrize("n", [150, 3000])  # cases 5 and 6; case 7
+    def test_final_case_matches_trace(self, table, n, seed):
+        # independent reference: the bins whose last traced group is (?,j)
+        # are the red-indeterminate leftovers; their smallest traced red item
+        # names the type that selects the case
+        st = ShState(table, keep_trace=True).pack(red_heavy_sizes(table, n, seed))
+        last = {tr.bin_id: tr.group_after for tr in st.trace}
+        leftover = {bid for bid, group in last.items() if group.startswith("(?,")}
+        reds = [tr.size for tr in st.trace
+                if tr.color == "red" and tr.bin_id in leftover]
+        fc = st.final_case()
+        assert leftover and fc.E == len(leftover)
+        assert fc.r == table.classify(min(reds))
+        assert fc.case_id == table.K + 2 - table.varphi[fc.r]
+
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_structural_zeroes(self, table, seed):
         st = ShState(table)
@@ -299,7 +315,7 @@ class TestTraceOutput:
             raise RuntimeError("trace record built")
 
         monkeypatch.setattr(superharmonic, "PlacementTrace", refuse)
-        monkeypatch.setattr(superharmonic.Bin, "group", refuse)
+        monkeypatch.setattr(superharmonic, "_group_name", refuse)
         with pytest.raises(RuntimeError, match="trace record built"):
             ShState(table, keep_trace=True).insert(Fraction("0.41"))
         rng = random.Random(14)
