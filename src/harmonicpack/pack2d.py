@@ -18,7 +18,11 @@ loads at gamma*t <= Delta[phi], so slices never overlap; items never
 overlap inside a slice because their heights are stacked.  The slices are
 the only record of this geometry: a slice keeps its rectangles bottom to
 top, so a rectangle sits at the slice's x and at the sum of the heights
-below it.
+below it.  The geometry audit therefore checks columns, not rectangle
+pairs: each slice is the column [x, x+width] x [0, 1] of its bin, so its
+rectangles are inside the unit bin and apart from all others if the column
+lies in [0, 1], no rectangle is wider than it, its stack sums to at most 1,
+and the bin's columns, sorted by x, do not overlap.
 
 The geometric grid is an exact integer ladder: value(m) is an 18-digit
 integer over a power of ten, one step per factor (1-d) truncated to 18
@@ -62,13 +66,14 @@ def _digits(n: int) -> int:
     return d
 
 
-def _named(w: Fraction) -> str:
-    """``width w``; by digit counts where str() refuses so long an integer."""
+def _named(w: Fraction, digits=None) -> str:
+    """``width w``; by digit counts where str() refuses so long an integer.
+    ``digits`` are the numerator's and denominator's counts when known."""
     try:
         return f"width {w}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        return (f"width with a {_digits(abs(w.numerator))}-digit numerator and a "
-                f"{_digits(w.denominator)}-digit denominator")
+        dn, dd = digits or (_digits(abs(w.numerator)), _digits(w.denominator))
+        return f"width with a {dn}-digit numerator and a {dd}-digit denominator"
 
 
 class TinyGrid:
@@ -110,12 +115,13 @@ class TinyGrid:
         num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
         # 10**(15-top) < w < 10**(17-top) and 10**(17-e) <= value(m) < 10**(18-e)
         # with e = exp[m]: only for top < e < top+3 does the exact product decide
-        top = 16 - _digits(wn) + _digits(wd)
+        dn, dd = _digits(wn), _digits(wd)
+        top = 16 - dn + dd
         while exp[-1] < top + 3 and (exp[-1] <= top
                                      or num[-1] * wd >= wn * 10 ** exp[-1]):
             if len(num) > _MAX_DEPTH:
-                raise ValueError(f"{_named(w)} lies below the tiny grid's depth "
-                                 f"floor of {_MAX_DEPTH} classes")
+                raise ValueError(f"{_named(w, (dn, dd))} lies below the tiny grid's "
+                                 f"depth floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
         return bisect.bisect_left(range(len(num)), True, lo=1,
                                   key=lambda m: num[m] * wd < wn * 10 ** exp[m]) - 1
@@ -247,53 +253,38 @@ def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
 
 
 def validate_geometry(run: TensorRun) -> list:
-    """Exact geometric audit of a finished run.
+    """Exact geometric audit of a finished run, read from its slices.
 
-    Each rectangle sits at its slice's x and at the sum of the heights
-    below it in the slice.  Checks every rectangle against the unit bin,
-    against its slice span, and pairwise (per bin) for positive-area
-    overlap via a sweep over x with the active set kept sorted by the y
-    interval.  Returns violation strings naming a rectangle by slice id
-    and position; empty means the packing is geometrically consistent.
+    A slice is the column [x, x+width] x [0, 1] of its bin and stacks its
+    rectangles from the bottom.  Its rectangles lie inside the unit bin and
+    apart from every other rectangle if four checks pass: the column lies in
+    [0, 1] across; no rectangle is wider than the column; the stack, summed
+    from the rectangles and not read from y_fill, ends at height 1 or below;
+    and within a bin, sorted by x, no column starts left of the previous
+    one's right edge (touching edges pass).  Two rectangles of different
+    slices that overlap lie in overlapping columns, so this audit is never
+    looser than a check on rectangle pairs; it also rejects overlapping
+    columns whose rectangles happen to miss, a layout the packer never
+    builds.  Returns violation strings naming slices (and a rectangle by
+    position); empty means the packing is geometrically consistent.
     """
     bad = []
     per_bin: dict = {}
     for sl in run.slices:
+        if not (0 <= sl.x and sl.x + sl.width <= 1):
+            bad.append(f"slice {sl.sid}: column outside the unit bin")
         y = Fraction(0)
         for pos, it in enumerate(sl.items):
-            if not (0 <= sl.x and sl.x + it.w <= 1 and y + it.h <= 1):
-                bad.append(f"slice {sl.sid} item {pos}: outside the unit bin")
             if it.w > sl.width:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-            per_bin.setdefault(sl.bin_id, []).append((sl.x, y, it.w, it.h, sl.sid, pos))
             y += it.h
-    for bin_id, rects in per_bin.items():
-        bad.extend(_overlaps_in_bin(bin_id, rects))
-    return bad
-
-
-def _overlaps_in_bin(bin_id: int, rects) -> list:
-    # rects are (x, y, w, h, slice id, position); sweep over x, closes
-    # processed before opens so touching edges pass
-    events = []
-    for r in rects:
-        events.append((r[0], 1, r))
-        events.append((r[0] + r[2], 0, r))
-    events.sort(key=lambda e: (e[0], e[1]))
-    bad = []
-    active: list = []  # (y0, y1, slice id, position) of the open rectangles
-    for _, kind, (_, y, _, h, sid, pos) in events:
-        key = (y, y + h, sid, pos)
-        i = bisect.bisect_left(active, key)
-        if kind == 0:
-            if i < len(active) and active[i] == key:
-                active.pop(i)
-            continue
-        for nb in (i - 1, i):
-            if 0 <= nb < len(active):
-                oy0, oy1, osid, opos = active[nb]
-                if oy0 < y + h and y < oy1:
-                    bad.append(f"bin {bin_id}: slice {osid} item {opos} and "
-                               f"slice {sid} item {pos} overlap")
-        active.insert(i, key)
+        if y > 1:
+            bad.append(f"slice {sl.sid}: stack outside the unit bin")
+        per_bin.setdefault(sl.bin_id, []).append(sl)
+    for bin_id, slices in per_bin.items():
+        slices.sort(key=lambda sl: sl.x)
+        for left, right in zip(slices, slices[1:]):
+            if right.x < left.x + left.width:
+                bad.append(f"bin {bin_id}: slice {left.sid} and "
+                           f"slice {right.sid} overlap")
     return bad

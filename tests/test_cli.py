@@ -97,8 +97,14 @@ class TestInputErrors:
     def test_overlong_width_is_named_by_its_digits(self, tmp_path, capsys,
                                                     monkeypatch):
         # str() refuses integers beyond 4,300 digits; a lowered depth floor
-        # is reached in milliseconds
-        monkeypatch.setattr("harmonicpack.pack2d._MAX_DEPTH", 2000)
+        # is reached in milliseconds.  The numerator's and denominator's digits
+        # are counted once each, for the magnitude test, and the message
+        # reuses those counts
+        import harmonicpack.pack2d as pack2d
+        monkeypatch.setattr(pack2d, "_MAX_DEPTH", 2000)
+        counted, digits = [], pack2d._digits
+        monkeypatch.setattr(pack2d, "_digits",
+                            lambda n: counted.append(n) or digits(n))
         (tmp_path / "thin.txt").write_text("1e-300000 1/2\n")
         rc = main(["pack2d", "--delta", "49/100", "--orientation", "hxb",
                    "--input", str(tmp_path / "thin.txt")])
@@ -107,6 +113,7 @@ class TestInputErrors:
         assert err == ("error: width with a 1-digit numerator and a 300001-digit "
                        "denominator lies below the tiny grid's depth floor of "
                        "2000 classes\n")
+        assert len(counted) == 2
 
 
 # instance lines built from tokens, some valid sizes and some not; the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicpack.harmonic import w_h
-from harmonicpack.pack2d import (Item2D, TensorRun, TinyGrid, tensor_cost,
+from harmonicpack.pack2d import (Item2D, Slice, TensorRun, TinyGrid, tensor_cost,
                                  validate_geometry, w2d)
 
 from conftest import grid_sizes
@@ -231,6 +231,84 @@ class TestGeometry:
         # stacked on top of the first item, this one reaches y = 1.1
         sl.items.append(Item2D(Fraction("0.3"), Fraction("0.7")))
         assert any("unit bin" in v for v in validate_geometry(run))
+
+    def test_column_outside_bin_reported(self, table):
+        # the rectangle stays inside the bin, but its column does not
+        run = TensorRun(table)
+        sl = run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
+        assert sl.width == Fraction(1, 3)
+        sl.x = Fraction(2, 3) + Fraction(1, 60)
+        assert sl.x + sl.items[0].w < 1 < sl.x + sl.width
+        assert any("unit bin" in v for v in validate_geometry(run))
+
+    def test_overlapping_columns_reported(self, table):
+        # spans [0, 3/10] and [1/5, 1/2] overlap; their rectangles [0, 1/10]
+        # and [1/5, 1/2] across miss each other
+        run = TensorRun(table)
+        for sid, x, w in ((0, Fraction(0), Fraction(1, 10)),
+                          (1, Fraction(1, 5), Fraction(3, 10))):
+            run.slices.append(Slice(sid=sid, width=Fraction(3, 10), bin_id=0, x=x,
+                                    width_type=1, height_type=1,
+                                    items=[Item2D(w, Fraction(1, 2))]))
+        assert any("overlap" in v for v in validate_geometry(run))
+
+
+def _pair_violations(run) -> list:
+    """Brute force over rectangle pairs: each rectangle at its slice's x and
+    the heights stacked below it, checked against the unit bin and against
+    every other rectangle of its bin for positive-area overlap."""
+    bad, per_bin = [], {}
+    for sl in run.slices:
+        y = Fraction(0)
+        for it in sl.items:
+            r = (sl.x, y, sl.x + it.w, y + it.h)
+            if not (0 <= r[0] and r[2] <= 1 and r[3] <= 1):
+                bad.append(("outside", r))
+            per_bin.setdefault(sl.bin_id, []).append(r)
+            y += it.h
+    for rects in per_bin.values():
+        for i, a in enumerate(rects):
+            for b in rects[:i]:
+                if a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]:
+                    bad.append(("overlap", a, b))
+    return bad
+
+
+class TestGeometryNeverLooser:
+    """validate_geometry checks slice columns; wherever a brute-force check
+    on rectangle pairs finds a violation, the column audit finds one too."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_audit_catches_every_pair_violation(self, table, seed):
+        rng = random.Random(seed)
+
+        def side():  # a fifth thin, down to 1e-6
+            if rng.random() < 0.2:
+                return Fraction(rng.randint(1, 1000), 10 ** rng.randint(4, 6))
+            return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+
+        run = TensorRun(table, "hxb", Fraction(1, 100))
+        run.pack([Item2D(side(), side()) for _ in range(300)])
+        assert validate_geometry(run) == [] and _pair_violations(run) == []
+        stacks = [sl for sl in run.slices if sl.count > 1]
+        caught = [0, 0, 0]
+        for _ in range(60):
+            kind, grow = rng.randrange(3), Fraction(rng.randint(1, 1000), 5000)
+            sl = rng.choice(stacks if kind == 2 else run.slices)
+            x, items = sl.x, list(sl.items)
+            if kind == 0:  # shift the slice by up to 1/5 either way
+                sl.x += grow if rng.random() < 0.5 else -grow
+            else:  # widen by up to 1/5, or heighten by up to 1, one rectangle
+                pos = rng.randrange(len(items))
+                w, h = items[pos].w, items[pos].h
+                w, h = (w + grow, h) if kind == 1 else (w, h + 5 * grow)
+                sl.items[pos] = Item2D(min(w, Fraction(1)), min(h, Fraction(1)))
+            if _pair_violations(run):
+                caught[kind] += 1
+                assert validate_geometry(run), (seed, sl.sid)
+            sl.x, sl.items = x, items
+        assert validate_geometry(run) == []
+        assert min(caught) >= 2, caught  # every kind of mutation breaks some runs
 
 
 class TestCombinedWeight:
