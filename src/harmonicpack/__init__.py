@@ -20,7 +20,7 @@ The package bundles:
   * :mod:`harmonicpack.generators` / :mod:`harmonicpack.cli` -- seeded
     instance generation and the command-line harness.
 
-All arithmetic on sizes, weights, and bounds is exact (``fractions``).
+All arithmetic on sizes, weights, and bounds is exact (integers, ``fractions``).
 
 The names below are imported from their module on first access, so
 importing one submodule (``harmonicpack.params``, say) loads no other.

@@ -99,6 +99,14 @@ def _sh_audit(st: ShState, rep) -> list:
     return bad
 
 
+def _ceil_sum(pairs) -> int:
+    """Ceiling of the sum of (numerator, denominator) pairs, summed per denominator."""
+    per_den: dict = {}
+    for p, q in pairs:
+        per_den[q] = per_den.get(q, 0) + p
+    return -(-sum(Fraction(p, q) for q, p in per_den.items()) // 1)
+
+
 def _report_common(args, inst, cost, lower_bound, extra: dict,
                    elapsed: float) -> dict:
     report = {
@@ -134,8 +142,7 @@ def cmd_pack1d(args) -> int:
     inst = _instance_from_args(args, dims=1)
     t0 = time.perf_counter()
     table = params.builtin_shplus()
-    total = sum(inst.items, Fraction(0))
-    lb = inst.known_opt if inst.known_opt else -(-total.numerator // total.denominator)
+    lb = inst.known_opt or _ceil_sum((s.numerator, s.denominator) for s in inst.items)
     if args.algorithm == "harmonic":
         packer = HarmonicPacker(args.k).pack(inst.items)
         cost = packer.cost
@@ -172,9 +179,9 @@ def cmd_pack2d(args) -> int:
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
     t0 = time.perf_counter()
-    area = sum((it.w * it.h for it in inst.items), Fraction(0))
-    lb = inst.known_opt if inst.known_opt else max(
-        1, -(-area.numerator // area.denominator)) if inst.items else 1
+    lb = inst.known_opt or max(1, _ceil_sum(
+        (it.w.numerator * it.h.numerator, it.w.denominator * it.h.denominator)
+        for it in inst.items))
     failures = []
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
@@ -280,11 +287,13 @@ def cmd_verify(args) -> int:
     """Compact self-check battery; nonzero exit on any failure."""
     import random
 
-    failures = []
     table = params.builtin_shplus()
-    bad = params.validate(table)
-    if bad:
-        failures += [f"params: {b}" for b in bad]
+    failures = [f"params: {b}" for b in params.validate(table)]
+    # classify against Fraction comparisons at and near every breakpoint
+    breaks = table.t[1:table.k + 2]
+    near = (t + Fraction(s, 10 ** e) for t in breaks for e in (12, 40) for s in (-1, 0, 1))
+    failures += [f"classify: type of {x} differs from its Fraction breakpoints" for x in near
+                 if x <= 1 and table.classify(x) != table.k + 1 - sum(t < x for t in breaks)]
     wset = WeightFunctionSet(table)
 
     rng = random.Random(20240808)

@@ -40,7 +40,8 @@ class Item2D:
     h: Fraction
 
     def __post_init__(self):
-        if not (0 < self.w <= 1 and 0 < self.h <= 1):
+        if not (0 < self.w.numerator <= self.w.denominator
+                and 0 < self.h.numerator <= self.h.denominator):
             raise ValueError(f"rectangle {self.w} x {self.h} outside (0,1]^2")
 
     @property

@@ -15,15 +15,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .params import exact_add
+
 
 def harmonic_type(size: Fraction, k: int) -> int:
     """Type index in 1..k of an item of ``size`` (1/(i+1) < size <= 1/i)."""
-    if not (0 < size <= 1):
+    p, q = size.numerator, size.denominator
+    if not 0 < p <= q:
         raise ValueError(f"item size {size} outside (0, 1]")
-    if size * k <= 1:
-        return k
-    # floor(1/size); exact for Fraction input
-    return size.denominator // size.numerator
+    return k if p * k <= q else q // p  # floor(1/size)
 
 
 def harmonic_weight(i: int, count: int, size_sum: Fraction, k: int) -> Fraction:
@@ -53,7 +53,7 @@ class HarmonicPacker:
             raise ValueError("k must be at least 2")
         self.k = k
         self.cost = 0
-        # per type i < k: (bin_id, item count); type k: (bin_id, content sum)
+        # per type i < k: (bin_id, item count); type k: (bin_id, fill num, den)
         self._open: dict = {}
         self._open_tiny = None
         self.closed_bins = [0] * (k + 1)
@@ -77,14 +77,15 @@ class HarmonicPacker:
             return bid
         # Next Fit on the tiny type
         if self._open_tiny is not None:
-            bid, filled = self._open_tiny
-            if filled + size <= 1:
-                self._open_tiny = (bid, filled + size)
+            bid, num, den = self._open_tiny
+            filled = exact_add(num, den, size)
+            if filled[0] <= filled[1]:
+                self._open_tiny = (bid, *filled)
                 return bid
             self.closed_bins[self.k] += 1
-            self.closed_tiny_sums.append(filled)
+            self.closed_tiny_sums.append(Fraction(num, den))
         bid = self._new_bin()
-        self._open_tiny = (bid, size)
+        self._open_tiny = (bid, size.numerator, size.denominator)
         return bid
 
     def pack(self, sizes) -> "HarmonicPacker":
@@ -104,7 +105,8 @@ class HarmonicPacker:
         counts = [n * i for i, n in enumerate(self.closed_bins)]
         for i, (_, n) in self._open.items():
             counts[i] += n
-        tail = sum(self.closed_tiny_sums, self._open_tiny[1] if self._open_tiny else 0)
+        tail = sum(self.closed_tiny_sums,
+                   Fraction(*self._open_tiny[1:]) if self._open_tiny else 0)
         return sum((harmonic_weight(i, counts[i], 0, k) for i in range(1, k)),
                    harmonic_weight(k, 0, tail, k))
 

@@ -18,11 +18,9 @@ loads at gamma*t <= Delta[phi], so slices never overlap; items never
 overlap inside a slice because their heights are stacked.  The slices are
 the only record of this geometry: a slice keeps its rectangles bottom to
 top, so a rectangle sits at the slice's x and at the sum of the heights
-below it.  The geometry audit therefore checks columns, not rectangle
-pairs: each slice is the column [x, x+width] x [0, 1] of its bin, so its
-rectangles are inside the unit bin and apart from all others if the column
-lies in [0, 1], no rectangle is wider than it, its stack sums to at most 1,
-and the bin's columns, sorted by x, do not overlap.
+below it, and the geometry audit checks these columns, not rectangle
+pairs.  A slice's stacked height, like the audit's own sum, is an integer
+numerator over a denominator that grows only to the lcm of the heights'.
 
 The geometric grid is an exact integer ladder: value(m) is an 18-digit
 integer over a power of ten, one step per factor (1-d) truncated to 18
@@ -48,7 +46,7 @@ from fractions import Fraction
 
 from .generators import Item2D
 from .harmonic import harmonic_type, harmonic_weight, w_h
-from .params import ParamTable
+from .params import ParamTable, exact_add
 from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
 
@@ -135,12 +133,15 @@ class Slice:
     x: Fraction
     width_type: int  # table type of the widths, k+1 for the tiny grid
     height_type: int  # Harmonic type of the heights stacked here
-    y_fill: Fraction = Fraction(0)
+    fill_num: int = 0  # the stacked height y_fill is fill_num / fill_den
+    fill_den: int = 1
     items: list = field(default_factory=list)  # Item2D, bottom to top
 
     @property
     def count(self) -> int:
         return len(self.items)
+
+    y_fill = property(lambda self: Fraction(self.fill_num, self.fill_den))
 
 
 class TensorRun:
@@ -196,7 +197,9 @@ class TensorRun:
         ht = harmonic_type(item.h, self.hk)
         slot = (key, ht)
         sl = self._open.get(slot)
-        if sl is None or (sl.count >= ht if ht < self.hk else sl.y_fill + item.h > 1):
+        hn, hd = item.h.numerator, item.h.denominator
+        if sl is None or (sl.count >= ht if ht < self.hk
+                          else sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd):
             b = self.inner.insert(width)
             width_type = key[1] if key[0] == "t" else self.table.k + 1
             sl = Slice(sid=len(self.slices), width=width, bin_id=b.bid,
@@ -205,7 +208,7 @@ class TensorRun:
             self.slices.append(sl)
             self._open[slot] = sl
         sl.items.append(item)
-        sl.y_fill += item.h
+        sl.fill_num, sl.fill_den = exact_add(sl.fill_num, sl.fill_den, item.h)
         return sl
 
     def pack(self, items) -> "TensorRun":
@@ -273,12 +276,13 @@ def validate_geometry(run: TensorRun) -> list:
     for sl in run.slices:
         if not (0 <= sl.x and sl.x + sl.width <= 1):
             bad.append(f"slice {sl.sid}: column outside the unit bin")
-        y = Fraction(0)
+        wn, wd = sl.width.numerator, sl.width.denominator
+        num, den = 0, 1  # the stack's height is num/den
         for pos, it in enumerate(sl.items):
-            if it.w > sl.width:
+            if it.w.numerator * wd > wn * it.w.denominator:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-            y += it.h
-        if y > 1:
+            num, den = exact_add(num, den, it.h)
+        if num > den:
             bad.append(f"slice {sl.sid}: stack outside the unit bin")
         per_bin.setdefault(sl.bin_id, []).append(sl)
     for bin_id, slices in per_bin.items():

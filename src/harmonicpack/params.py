@@ -18,9 +18,9 @@ per-type packing parameters:
   * ``gamma[i]`` -- red items of type i per reserved space.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
-parsed as exact base-10 fractions.  The built-in instance ("SH+", 50 large
-types, 6 reserved spaces, eps = 1/38) is the one used by the 2D slice
-packer and the ratio certifier in this package.
+parsed as exact base-10 fractions; ``classify`` bisects the breakpoints as
+integers over their common denominator.  The built-in instance ("SH+") is
+the one used by the 2D slice packer and the ratio certifier.
 
 Types with ``alpha[i] = 0`` never produce red items, so their red-side
 attributes are vacuous.  The built-in table records 0 for ``varphi``/``gamma``
@@ -51,6 +51,15 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def exact_add(num: int, den: int, size: Fraction) -> tuple:
+    """``num/den + size`` as an integer pair over lcm(den, size.denominator)."""
+    p, q = size.numerator, size.denominator
+    if den % q:
+        f = q if den == 1 else Fraction(q, den).numerator  # q // gcd(q, den)
+        num, den = num * f, den * f
+    return num + p * (den // q), den
+
+
 @dataclass(frozen=True)
 class ParamTable:
     """A Super-Harmonic parameter instance.
@@ -75,10 +84,15 @@ class ParamTable:
     def __post_init__(self):
         object.__setattr__(self, "delta", (None, *(
             1 - self.t[i] * self.beta[i] for i in range(1, self.k + 1))))
-        # ascending breakpoint list used by classify():
-        #   [t[k+1], t[k], ..., t[2]]
+        # classify() bisects [t[k+1], t[k], ..., t[2]] scaled to integers over
+        # their common denominator D: t < p/q exactly when t*D < ceil(p*D/q)
         asc = [self.t[i] for i in range(self.k + 1, 1, -1)]
-        object.__setattr__(self, "_asc_breaks", asc)
+        den = 1
+        for t in asc:
+            den = exact_add(0, den, t)[1]
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_asc_breaks",
+                           [t.numerator * (den // t.denominator) for t in asc])
 
     @property
     def eps(self) -> Fraction:
@@ -89,11 +103,11 @@ class ParamTable:
 
         Raises ValueError outside (0, 1].
         """
-        if not (0 < size <= 1):
+        p, q = size.numerator, size.denominator
+        if not 0 < p <= q:
             raise ValueError(f"item size {size} outside (0, 1]")
         # number of breakpoints strictly below `size` among t[k+1]..t[2]
-        cnt = bisect_left(self._asc_breaks, size)
-        return self.k + 1 - cnt
+        return self.k + 1 - bisect_left(self._asc_breaks, -(-p * self._den // q))
 
     # -- serialization ----------------------------------------------------
 

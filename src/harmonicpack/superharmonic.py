@@ -36,6 +36,8 @@ as the index grows, so the smallest leftover red item is in the pool of the
 largest type that still has a (?,j) bin, and with j = varphi of that type
 the case is K+2-j (case K+1 is j = 1).
 
+Per item, the red-count law is a_num*s // a_den (alpha = a_num/a_den) and
+a bin's sums are integer numerators over the lcm of their items' denominators.
 ``ShState.insert`` returns the bin the item went into; a ``PlacementTrace``
 row and its group names are built only under ``keep_trace=True``.
 """
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .params import ParamTable
+from .params import ParamTable, exact_add
 
 
 def _group_name(table: ParamTable, blue: Optional[int], red: Optional[int]) -> str:
@@ -64,21 +66,21 @@ def _group_name(table: ParamTable, blue: Optional[int], red: Optional[int]) -> s
 class Bin:
     """One bin: blue items of one type and red items of another."""
 
-    __slots__ = ("bid", "blue_type", "blue_count", "blue_sum",
-                 "red_type", "red_count", "red_sum")
+    __slots__ = ("bid", "blue_type", "blue_count", "blue_num", "blue_den",
+                 "red_type", "red_count", "red_num", "red_den")
 
     def __init__(self, bid: int):
         self.bid = bid
         self.blue_type: Optional[int] = None
         self.blue_count = 0
-        self.blue_sum = Fraction(0)
         self.red_type: Optional[int] = None
         self.red_count = 0
-        self.red_sum = Fraction(0)
+        self.blue_num = self.red_num = 0  # blue_sum is blue_num / blue_den
+        self.blue_den = self.red_den = 1
 
-    @property
-    def content_sum(self) -> Fraction:
-        return self.blue_sum + self.red_sum
+    blue_sum = property(lambda self: Fraction(self.blue_num, self.blue_den))
+    red_sum = property(lambda self: Fraction(self.red_num, self.red_den))
+    content_sum = property(lambda self: self.blue_sum + self.red_sum)
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,8 @@ class ShState:
         # indeterminate pools, FIFO per type
         self._blue_indet: list = [None] + [deque() for _ in range(k)]  # (i,?) bins
         self._red_indet: list = [None] + [deque() for _ in range(k)]  # (?,j) bins
-        # space needed for a full red load, per type
+        # alpha per type as an integer pair, and the space a full red load needs
+        self._alpha = [None] + [table.alpha[i].as_integer_ratio() for i in range(1, k + 1)]
         self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
         # red-convertible blue types (phi > 0) and red types (alpha > 0), ascending
         self._convertible_blue = [i for i in range(1, k + 1) if table.phi[i] > 0]
@@ -155,7 +158,7 @@ class ShState:
     def _add_blue(self, b: Bin, i: int, size: Fraction):
         b.blue_type = i
         b.blue_count += 1
-        b.blue_sum += size
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, size)
         if b.blue_count < self.table.beta[i]:
             self._blue_open[i] = b
         elif self._blue_open[i] is b:
@@ -164,7 +167,7 @@ class ShState:
     def _add_red(self, b: Bin, i: int, size: Fraction):
         b.red_type = i
         b.red_count += 1
-        b.red_sum += size
+        b.red_num, b.red_den = exact_add(b.red_num, b.red_den, size)
         if b.red_count < self.table.gamma[i]:
             self._red_open[i] = b
         elif self._red_open[i] is b:
@@ -181,7 +184,8 @@ class ShState:
             b = self._insert_tiny(size)
         else:
             self.s[i] += 1
-            if self.e[i] < int(table.alpha[i] * self.s[i]):
+            a_num, a_den = self._alpha[i]
+            if self.e[i] < a_num * self.s[i] // a_den:
                 self.e[i] += 1
                 color = "red"
                 b = self._insert_red(i, size)
@@ -205,10 +209,11 @@ class ShState:
 
     def _insert_tiny(self, size: Fraction) -> Bin:
         b = self._nf_bin
-        if b is None or b.blue_sum + size > 1:
+        q = size.denominator
+        if b is None or b.blue_num * q + size.numerator * b.blue_den > b.blue_den * q:
             b = self._nf_bin = self._open_bin()
         b.blue_count += 1  # content only; NF bins never join groups
-        b.blue_sum += size
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, size)
         return b
 
     def _insert_red(self, i: int, size: Fraction) -> Bin:
@@ -318,21 +323,24 @@ class ShState:
         """Red-count, capacity and reserved-space violations of the run."""
         table = self.table
         bad = [f"type {i}: red-count law broken" for i in range(1, table.k + 1)
-               if self.e[i] != int(table.alpha[i] * self.s[i])]
+               if self.e[i] != self._alpha[i][0] * self.s[i] // self._alpha[i][1]]
+        blue_space = [None] + [table.beta[i] * table.t[i] for i in range(1, table.k + 1)]
         for b in self.bins:
-            if b.content_sum > 1:
+            if b.blue_num * b.red_den + b.red_num * b.blue_den > b.blue_den * b.red_den:
                 bad.append(f"bin {b.bid}: content {b.content_sum} > 1")
             if b.blue_type is not None:
                 i = b.blue_type
                 if b.blue_count > table.beta[i]:
                     bad.append(f"bin {b.bid}: {b.blue_count} blues > beta[{i}]")
-                if b.blue_sum > table.beta[i] * table.t[i]:
+                cap = blue_space[i]
+                if b.blue_num * cap.denominator > cap.numerator * b.blue_den:
                     bad.append(f"bin {b.bid}: blue mass over beta*t for type {i}")
             if b.red_type is not None:
                 jj = b.red_type
                 if b.red_count > table.gamma[jj]:
                     bad.append(f"bin {b.bid}: {b.red_count} reds > gamma[{jj}]")
-                if b.red_sum > self._red_space[jj]:
+                cap = self._red_space[jj]
+                if b.red_num * cap.denominator > cap.numerator * b.red_den:
                     bad.append(f"bin {b.bid}: red mass over gamma*t for type {jj}")
             if b.blue_type is not None and b.red_type is not None:
                 need = self._red_space[b.red_type]

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -15,9 +16,16 @@ from harmonicpack.generators import InstanceSpec, generate
 from harmonicpack.params import ParamTable, validate
 
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    # the child does not get pytest's pythonpath setting: put the checkout's
+    # src first, so an uninstalled checkout runs its own package
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "harmonicpack.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestExitCodes:

@@ -1,0 +1,207 @@
+"""The packers' integer kernel against Fraction arithmetic.
+
+``classify`` and ``harmonic_type`` are checked against oracles that compare
+Fractions, the way both were computed before they moved to integers; the
+packers' integer sums are checked against Fraction sums of the items they
+hold; and ``check_feasibility`` is fed one broken bin per violation kind.
+"""
+
+import bisect
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from harmonicpack.generators import Item2D
+from harmonicpack.harmonic import HarmonicPacker, harmonic_type
+from harmonicpack.pack2d import TensorRun
+from harmonicpack.params import ParamTable, builtin_shplus, validate
+from harmonicpack.superharmonic import ShState
+
+
+def fraction_type(table, size):
+    """The type of ``size`` by bisecting the Fraction breakpoints t[k+1..2]."""
+    asc = [table.t[i] for i in range(table.k + 1, 1, -1)]
+    return table.k + 1 - bisect.bisect_left(asc, size)
+
+
+def fraction_harmonic_type(size, k):
+    return k if size * k <= 1 else int(1 / size)
+
+
+def harmonic_table(m):
+    """K = 0, no reds, t_i = 1/i below m and eps = 1/m: Harmonic(m) as a table."""
+    k = m - 1
+    return ParamTable(
+        k=k, K=0, t=(None, *(Fraction(1, i) for i in range(1, m + 1)), Fraction(0)),
+        alpha=(None, *[Fraction(0)] * k), beta=(None, *range(1, m)),
+        Delta=(Fraction(0),), phi=(None, *[0] * k), varphi=(None, *[0] * k),
+        gamma=(None, *[0] * k))
+
+
+def near_breakpoints(table):
+    """Every breakpoint t[1..k+1], and 1e-12 and 1e-6 either side, in (0, 1]."""
+    steps = (0, Fraction(1, 10 ** 12), Fraction(1, 10 ** 6))
+    sizes = {t + sign * d for t in table.t[1:table.k + 2] for d in steps
+             for sign in (1, -1)}
+    return sorted(x for x in sizes if 0 < x <= 1)
+
+
+def long_sizes(seed, n=300, digits=1000):
+    """Sizes with 1,000-digit denominators, some in the tail, some just off a
+    breakpoint of the built-in table."""
+    rng = random.Random(seed)
+    tiny = Fraction(1, 10 ** digits + 7)
+    breaks = builtin_shplus().t[2:52]
+    out = []
+    for _ in range(n):
+        q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        out.append(Fraction(rng.randrange(1, q + 1), q))
+        out.append(Fraction(rng.randrange(1, q // 40), q))
+        out.append(rng.choice(breaks) + rng.choice((tiny, -tiny)))
+    return out
+
+
+class TestClassifyDifferential:
+    @pytest.mark.parametrize("table", [builtin_shplus(), harmonic_table(7),
+                                       harmonic_table(38)], ids=["shplus", "h7", "h38"])
+    def test_near_every_breakpoint(self, table):
+        assert validate(table) == []
+        for x in near_breakpoints(table):
+            assert table.classify(x) == fraction_type(table, x), x
+
+    def test_thousand_digit_denominators(self, table):
+        for x in long_sizes(seed=3):
+            assert table.classify(x) == fraction_type(table, x)
+
+    def test_tables_scale_by_their_own_denominator(self, table):
+        # each table bisects its own integers: the Harmonic table's types are
+        # Harmonic(m)'s, including at and beside the shared breakpoint 1/7
+        h7 = harmonic_table(7)
+        for x in near_breakpoints(h7) + near_breakpoints(table):
+            assert h7.classify(x) == harmonic_type(x, 7), x
+        assert table.classify(Fraction(1, 7)) == 20 and h7.classify(Fraction(1, 7)) == 7
+
+    @pytest.mark.parametrize("size", [Fraction(0), Fraction(11, 10), Fraction(-1, 2)])
+    def test_out_of_range_messages(self, table, size):
+        with pytest.raises(ValueError, match=rf"^item size {size} outside \(0, 1\]$"):
+            table.classify(size)
+        with pytest.raises(ValueError, match=rf"^item size {size} outside \(0, 1\]$"):
+            harmonic_type(size, 38)
+        with pytest.raises(ValueError, match=r"outside \(0,1\]\^2$"):
+            Item2D(size, Fraction(1, 2))
+
+
+class TestHarmonicTypeDifferential:
+    @pytest.mark.parametrize("k", [2, 7, 38, 101])
+    def test_near_every_breakpoint(self, k):
+        for x in near_breakpoints(harmonic_table(k)):
+            assert harmonic_type(x, k) == fraction_harmonic_type(x, k), x
+
+    def test_thousand_digit_denominators(self):
+        for x in long_sizes(seed=4):
+            assert harmonic_type(x, 38) == fraction_harmonic_type(x, 38)
+
+
+# denominators that share no factor, so the running denominators keep
+# growing to the lcm instead of settling on one of them
+COPRIME = (3, 7, 10 ** 6, 2 ** 61 - 1)
+
+
+@st.composite
+def mixed_size(draw):
+    q = draw(st.sampled_from(COPRIME))
+    if draw(st.booleans()):  # a tail item, at most 1/40
+        q *= 40
+        return Fraction(draw(st.integers(1, q // 40)), q)
+    return Fraction(draw(st.integers(1, q)), q)
+
+
+class TestIntegerSums:
+    @given(st.lists(mixed_size(), min_size=1, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_bin_sums_equal_fraction_sums(self, sizes):
+        table = builtin_shplus()
+        st_ = ShState(table, keep_trace=True).pack(sizes)
+        blue = [Fraction(0)] * st_.cost
+        red = [Fraction(0)] * st_.cost
+        for tr in st_.trace:
+            (red if tr.color == "red" else blue)[tr.bin_id] += tr.size
+        for b in st_.bins:
+            assert (b.blue_sum, b.red_sum) == (blue[b.bid], red[b.bid]), b.bid
+            assert b.content_sum == blue[b.bid] + red[b.bid] <= 1
+        assert st_.small_mass == sum(tr.size for tr in st_.trace if tr.color == "tiny")
+        assert st_.check_feasibility() == []
+
+    @given(st.lists(st.tuples(mixed_size(), mixed_size()), min_size=1, max_size=200))
+    @settings(max_examples=40, deadline=None)
+    def test_slice_fills_equal_fraction_sums(self, sides):
+        rects = [Item2D(w, h) for w, h in sides]
+        run = TensorRun(builtin_shplus()).pack(rects)
+        assert Counter(it for sl in run.slices for it in sl.items) == Counter(rects)
+        for sl in run.slices:
+            assert sl.y_fill == sum(it.h for it in sl.items) <= 1, sl.sid
+
+    @given(st.lists(mixed_size(), min_size=1, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_harmonic_tail_fill(self, sizes):
+        hp = HarmonicPacker(38).pack(sizes)
+        tail = [s for s in sizes if harmonic_type(s, 38) == 38]
+        open_fill = Fraction(*hp._open_tiny[1:]) if hp._open_tiny else 0
+        assert sum(hp.closed_tiny_sums) + open_fill == sum(tail)
+        assert all(1 - Fraction(1, 38) < c <= 1 for c in hp.closed_tiny_sums)
+
+
+class TestAuditCatchesEachViolation:
+    """One bin edited per violation kind; the audit names it by its message."""
+
+    @pytest.fixture
+    def state(self, table):
+        # bins 0-2: two blue type-9 items each; bin 3: the red (?,9) item;
+        # bin 4: a Next-Fit bin
+        st_ = ShState(table).pack([Fraction("0.41")] * 7 + [Fraction(1, 100)])
+        assert st_.check_feasibility() == []
+        assert [(b.blue_type, b.red_type) for b in st_.bins] == [
+            (9, None), (9, None), (9, None), (None, 9), (None, None)]
+        return st_
+
+    def test_content_over_one(self, state):
+        nf = state.bins[4]
+        nf.blue_num, nf.blue_den = 7, 7  # a full bin passes
+        assert state.check_feasibility() == []
+        nf.blue_num, nf.blue_den = 101, 100
+        assert state.check_feasibility() == ["bin 4: content 101/100 > 1"]
+
+    def test_blue_mass_over_beta_t(self, state):
+        b = state.bins[1]  # beta*t = 2 * 0.42
+        b.blue_num, b.blue_den = 84 * 3, 100 * 3  # at the cap passes
+        assert state.check_feasibility() == []
+        b.blue_num, b.blue_den = 841, 1000
+        assert state.check_feasibility() == ["bin 1: blue mass over beta*t for type 9"]
+
+    def test_red_mass_over_gamma_t(self, state):
+        b = state.bins[3]  # gamma*t = 1 * 0.42
+        b.red_num, b.red_den = 21, 50  # at the cap passes
+        assert state.check_feasibility() == []
+        b.red_num, b.red_den = 421, 1000
+        assert state.check_feasibility() == ["bin 3: red mass over gamma*t for type 9"]
+
+    def test_counts_over_beta_and_gamma(self, state):
+        state.bins[0].blue_count = 3
+        state.bins[3].red_count = 2
+        assert state.check_feasibility() == ["bin 0: 3 blues > beta[9]",
+                                             "bin 3: 2 reds > gamma[9]"]
+
+    def test_red_count_law(self, state):
+        state.e[9] += 1
+        assert state.check_feasibility() == ["type 9: red-count law broken"]
+
+    def test_red_load_beyond_reserved_space(self, state, table):
+        b = state.bins[3]  # a type-2 blue keeps Delta[1] = 0.294 for reds
+        b.blue_type, b.blue_count = 2, 1
+        b.blue_num, b.blue_den = 1, 2
+        assert table.phi[2] == 1
+        assert state.check_feasibility() == [
+            "bin 3: red load does not fit reserved space"]
