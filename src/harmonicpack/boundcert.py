@@ -351,12 +351,14 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     return R + Fraction(best_val, L), best_pat
 
 
-def brute_force_max(fn: PiecewiseFn, model: PatternModel,
-                    node_limit: int = 10 ** 8):
+_BRUTE_FORCE_NODES = 10 ** 8  # the largest enumeration space brute_force_max takes
+
+
+def brute_force_max(fn: PiecewiseFn, model: PatternModel):
     """Independent oracle: exhaustive enumeration of all feasible patterns.
 
     Restricted to small models (at most 15 types); refuses when the raw
-    enumeration space exceeds ``node_limit``.
+    enumeration space exceeds ``_BRUTE_FORCE_NODES``.
     """
     n = model.ntypes
     if n > 15:
@@ -365,8 +367,8 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel,
     est = 1
     for m in range(1, n + 1):
         est *= min(model.caps[m], CAP // S[m]) + 1
-        if est > node_limit:
-            raise ValueError(f"enumeration space exceeds {node_limit} nodes")
+        if est > _BRUTE_FORCE_NODES:
+            raise ValueError(f"enumeration space exceeds {_BRUTE_FORCE_NODES} nodes")
     R = fn.tail_slope
     best_val = R  # empty pattern
     best_pat: dict = {}
@@ -498,14 +500,13 @@ def quantized_model(model: PatternModel) -> PatternModel:
 
 
 def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
-                      mode: str = "paper-compat", include_cuts: bool = True,
-                      delta=None) -> RatioCertificate:
+                      mode: str = "paper-compat", delta=None) -> RatioCertificate:
     """Compute P(f) * P(g) for every case pair and the retained overall bound."""
     if mode not in ("paper-compat", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     compat = mode == "paper-compat"
     lam_table = TUNED_LAMBDA if lam_table is None else lam_table
-    model = shplus_pattern_model(wset.table, include_cuts=include_cuts)
+    model = shplus_pattern_model(wset.table)
     if compat:
         model = quantized_model(model)
     ncases = wset.num_cases

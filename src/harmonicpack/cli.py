@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _emit(data, fmt: str, stream=None):
-    stream = stream or sys.stdout
+def _emit(data, fmt: str):
+    stream = sys.stdout
     if fmt == "json":
         json.dump(data, stream, indent=2, sort_keys=True, default=str)
         stream.write("\n")
@@ -59,12 +59,10 @@ def _emit(data, fmt: str, stream=None):
 def _instance_from_args(args, dims: int) -> generators.Instance:
     """The instance named by --input, or else by --kind/--n/--seed/--bins."""
     if args.input:
-        spec = generators.InstanceSpec(kind="file", dims=dims,
-                                       params={"path": args.input})
+        spec = generators.InstanceSpec(kind="file", dims=dims, path=args.input)
     else:
-        spec = generators.InstanceSpec(
-            kind=args.kind, n=args.n, seed=args.seed, dims=dims,
-            params={"bins": args.bins} if args.kind == "tiled-known-opt" else {})
+        spec = generators.InstanceSpec(kind=args.kind, n=args.n, seed=args.seed,
+                                       dims=dims, bins=args.bins)
     return generators.generate(spec)
 
 
@@ -258,9 +256,8 @@ def cmd_bound(args) -> int:
     if delta is not None and not 0 < delta < 1:
         raise ValueError(f"--delta must lie in (0, 1), got {delta}")
     lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
-    cert = boundcert.ratio_certificate(
-        wset, lam_table=lam, mode=args.mode,
-        include_cuts=not args.no_cuts, delta=delta)
+    cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode,
+                                       delta=delta)
     retained_pairs = {orient for orient, _ in cert.retained.values()}
     rows = []
     for (i, j), e in sorted(cert.entries.items()):
@@ -273,8 +270,7 @@ def cmd_bound(args) -> int:
         })
     _emit(rows, "csv")
     bound = cert.bound_with_delta
-    print(f"# mode={cert.mode} cuts={'off' if args.no_cuts else 'on'} "
-          f"overall_bound={float(bound):.6f}")
+    print(f"# mode={cert.mode} cuts=on overall_bound={float(bound):.6f}")
     if args.witness:
         wit = {f"{i},{j}": {"Pf_pattern": e.pf_pattern, "Pg_pattern": e.pg_pattern}
                for (i, j), e in sorted(cert.entries.items())}
@@ -367,7 +363,6 @@ def main(argv=None) -> int:
     p.add_argument("--mode", default="paper-compat",
                    choices=["paper-compat", "exact"])
     p.add_argument("--lambda-file", help="JSON table of mixing weights")
-    p.add_argument("--no-cuts", action="store_true")
     p.add_argument("--delta", default=None,
                    help="divide the bound by (1 - delta)")
     p.add_argument("--witness", help="write argmax patterns here (JSON)")

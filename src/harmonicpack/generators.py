@@ -2,27 +2,28 @@
 
 Every generator is driven by a named seed through Python's Mersenne
 Twister (``random.Random``), whose sequence is stable across platforms and
-versions, so a spec (kind, n, seed, params) always produces the same list.
-Sizes are exact rationals on a 10^-6 grid.
+versions, so a spec (kind, n, seed, dims, bins) always produces the same
+list. Sizes are exact rationals on a 10^-6 grid.
 
 Kinds:
 
   * ``uniform`` -- sizes (or both rectangle sides) uniform on the grid of
     (0, 1].
-  * ``harmonic-adversarial`` -- sizes just above a list of breakpoints
-    (default: the greedy sequence 1/2, 1/3, 1/7, 1/43), the classic
-    waste-maximizing stream for interval-classifying packers; items are
-    emitted round-robin so every prefix is balanced.
+  * ``harmonic-adversarial`` -- sizes 10^-6 above the greedy sequence 1/2,
+    1/3, 1/7, 1/43, the classic waste-maximizing stream for
+    interval-classifying packers; items are emitted round-robin so every
+    prefix is balanced (in 2D the heights are uniform).
   * ``tiled-known-opt`` -- ``bins`` copies of a pattern that tiles a bin
-    exactly, shuffled; the optimal cost equals ``bins`` and is recorded.
-  * ``file`` -- read from disk (one size, or "w h", per line; ``#``
+    exactly, shuffled: the sizes 0.51 and 0.49 in 1D, four 1/2 x 1/2
+    squares in 2D. The optimal cost equals ``bins`` and is recorded.
+  * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
     comments).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,8 +31,10 @@ from .params import parse_rational
 
 GRID = 10 ** 6
 
-_DEFAULT_LEVELS = ("1/2", "1/3", "1/7", "1/43")
-_DEFAULT_PATTERN_1D = ("0.51", "0.49")
+_LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
+_JITTER = Fraction(1, GRID)
+_PATTERN_1D = (Fraction(51, 100), Fraction(49, 100))
+_TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,8 @@ class InstanceSpec:
     n: int = 0
     seed: int = 0
     dims: int = 1
-    params: dict = field(default_factory=dict)
+    bins: Optional[int] = None  # tiled-known-opt; None means max(1, n)
+    path: Optional[str] = None  # file
 
 
 @dataclass
@@ -80,10 +84,7 @@ def generate(spec: InstanceSpec) -> Instance:
         return Instance(spec=spec, items=items)
 
     if spec.kind == "harmonic-adversarial":
-        levels = [parse_rational(x) for x in
-                  spec.params.get("levels", _DEFAULT_LEVELS)]
-        jitter = parse_rational(spec.params.get("jitter", Fraction(1, GRID)))
-        sizes = [min(lv + jitter, Fraction(1)) for lv in levels]
+        sizes = [lv + _JITTER for lv in _LEVELS]
         rng = random.Random(spec.seed)
         if spec.dims == 1:
             items = [sizes[i % len(sizes)] for i in range(spec.n)]
@@ -93,27 +94,20 @@ def generate(spec: InstanceSpec) -> Instance:
         return Instance(spec=spec, items=items)
 
     if spec.kind == "tiled-known-opt":
-        bins = int(spec.params.get("bins", max(1, spec.n)))
+        bins = max(1, spec.n) if spec.bins is None else spec.bins
         rng = random.Random(spec.seed)
         if spec.dims == 1:
-            pattern = [parse_rational(x) for x in
-                       spec.params.get("pattern", _DEFAULT_PATTERN_1D)]
-            if sum(pattern) != 1:
-                raise ValueError("tiling pattern must sum to exactly 1")
-            items = [s for _ in range(bins) for s in pattern]
+            items = [s for _ in range(bins) for s in _PATTERN_1D]
         else:
-            rows = int(spec.params.get("rows", 2))
-            cols = int(spec.params.get("cols", 2))
-            tile = Item2D(Fraction(1, cols), Fraction(1, rows))
-            items = [tile for _ in range(bins * rows * cols)]
+            tile = Item2D(Fraction(1, _TILES_2D), Fraction(1, _TILES_2D))
+            items = [tile for _ in range(bins * _TILES_2D ** 2)]
         rng.shuffle(items)
         return Instance(spec=spec, items=items, known_opt=bins)
 
     if spec.kind == "file":
-        path = spec.params["path"]
         dims = spec.dims
         items = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(spec.path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -87,6 +87,13 @@ class TinyGrid:
         e = 17 + len(str(r)) - len(str(p))  # p * 10**e / r lies in (10^16, 10^18)
         e += p * 10 ** e // r < _LOW
         self._num, self._exp = [None, p * 10 ** e // r], [None, e]  # index 0 is eps
+        # 10**-floor <= value(_MAX_DEPTH): each step keeps more than a factor
+        # (1-d)(1-10^-17), ln(1-x) >= -x/(1-x), 1/ln 10 < 0.4343, and
+        # eps = en/ed > 10**(len(en)-1-len(ed))
+        x = Fraction(self._b - self._a, self._a) + Fraction(1, 10 ** 17 - 1)
+        en, ed = eps.as_integer_ratio()
+        self._floor = (-(-_MAX_DEPTH * x * Fraction(4343, 10000) // 1)
+                       + len(str(ed)) + 1 - len(str(en)))
 
     def _grow(self, m: int) -> None:
         """Extend the ladder to index m."""
@@ -117,7 +124,8 @@ class TinyGrid:
         top = 16 - dn + dd
         while exp[-1] < top + 3 and (exp[-1] <= top
                                      or num[-1] * wd >= wn * 10 ** exp[-1]):
-            if len(num) > _MAX_DEPTH:
+            # past the floor, w < 10**(dn-dd+1) <= 10**-floor <= value(_MAX_DEPTH)
+            if len(num) > _MAX_DEPTH or dd - dn > self._floor:
                 raise ValueError(f"{_named(w, (dn, dd))} lies below the tiny grid's "
                                  f"depth floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps

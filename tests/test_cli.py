@@ -72,11 +72,12 @@ class TestInputErrors:
         ("pack1d --input {dir}/zero_den.txt", "zero denominator"),
         ("pack2d --input {dir}/too_thin.txt",
          f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
+        ("bound --no-cuts", "unrecognized arguments: --no-cuts"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
-            "width-below-depth-floor"])
+            "width-below-depth-floor", "bound-no-cuts"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -230,11 +231,30 @@ class TestReports:
         out = tmp_path / "inst.txt"
         args = ["--kind", kind, "--n", "60", "--seed", "3", "--bins", "4"]
         assert main(["gen", *args, "--dims", str(dims), "--out", str(out)]) == 0
-        spec = InstanceSpec(kind=kind, n=60, seed=3, dims=dims,
-                            params={"bins": 4} if kind == "tiled-known-opt" else {})
-        loaded = generate(InstanceSpec(kind="file", dims=dims,
-                                       params={"path": str(out)}))
+        spec = InstanceSpec(kind=kind, n=60, seed=3, dims=dims, bins=4)
+        loaded = generate(InstanceSpec(kind="file", dims=dims, path=str(out)))
         assert loaded.items == generate(spec).items
+
+    @pytest.mark.parametrize("kind,dims,digest", [
+        ("uniform", 1,
+         "24818917b3bff6fb3b56a95acfc600155d8a2eef72e1a11f09fd39b0f17c4312"),
+        ("uniform", 2,
+         "b8abe92025d4408d0190fb4c7a7239dc8410c246363edb8ce9741e9243cf2215"),
+        ("harmonic-adversarial", 1,
+         "a90cf42820cf4b73894184e09afa78e5c7abce670cd736ced8b9d676d88ecf98"),
+        ("harmonic-adversarial", 2,
+         "ee0b1c603a360d4f5ba4010316b737ae8a360e069530b0013c6b81a9263118d2"),
+        ("tiled-known-opt", 1,
+         "44f4bb8ff3a01f0419e2d755a6dfcb820a72d592e5bf2c3ede2e80d557e2e773"),
+        ("tiled-known-opt", 2,
+         "0c04d1a9740cba7d87265fafc25ad411e8bb6bd5b61b63bbefe0a125354c2cc4"),
+    ])
+    def test_gen_pinned_bit_for_bit(self, capsys, kind, dims, digest):
+        # each kind's instance as the generators first wrote it
+        assert main(["gen", "--kind", kind, "--n", "40", "--seed", "3",
+                     "--bins", "3", "--dims", str(dims)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_pack1d_from_gen_file_matches_generated_run(self, tmp_path):
         out = tmp_path / "inst.txt"
@@ -303,6 +323,23 @@ class TestBoundCommand:
                                    for i in range(1, 8) for j in range(1, 8)}))
         r = run_cli("bound", "--lambda-file", str(lam))
         assert r.returncode == 0
+
+    @pytest.mark.parametrize("mode,digest", [
+        ("paper-compat",
+         "78f59d3df19516a71c653e5713bc81a5dd0e82b744627b33099b847695df6d0f"),
+        ("exact",
+         "a4195d7116ed745a50ff8c88bf4c56321a826c42a85e395b45fe7b89607f5bf5"),
+    ])
+    def test_bound_pinned_bit_for_bit(self, tmp_path, capsys, mode, digest):
+        # the per-pair table, the "# mode=... cuts=on overall_bound=..." line
+        # and the witness patterns of the tuned lambda table
+        wit = tmp_path / "wit.json"
+        assert main(["bound", "--mode", mode, "--witness", str(wit)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith(f"# mode={mode} cuts=on ")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(wit.read_bytes()).hexdigest() == (
+            "0ac7a5ecc985306760ebf1d98dc7af7470bd3236b2710cc6910690eed805f2fa")
 
     def test_witness_file(self, tmp_path):
         wit = tmp_path / "wit.json"

@@ -29,26 +29,13 @@ class TestKinds:
         assert inst.items[1] == Fraction(1, 3) + eta
         assert inst.items[4] == inst.items[0]  # round-robin
 
-    def test_adversarial_custom_levels(self, table):
-        levels = [str(table.t[10]), str(table.t[11])]
-        inst = generate(InstanceSpec(kind="harmonic-adversarial", n=4, seed=0,
-                                     params={"levels": levels, "jitter": "0"}))
-        assert inst.items[0] == table.t[10]
-
     def test_tiled_1d(self):
-        inst = generate(InstanceSpec(kind="tiled-known-opt", n=0, seed=3,
-                                     params={"bins": 10}))
+        inst = generate(InstanceSpec(kind="tiled-known-opt", n=0, seed=3, bins=10))
         assert len(inst.items) == 20 and inst.known_opt == 10
         assert sorted(inst.items)[0] == Fraction("0.49")
 
-    def test_tiled_pattern_must_tile(self):
-        with pytest.raises(ValueError):
-            generate(InstanceSpec(kind="tiled-known-opt", seed=0,
-                                  params={"bins": 2, "pattern": ["0.5", "0.4"]}))
-
     def test_tiled_2d_quadrants(self):
-        inst = generate(InstanceSpec(kind="tiled-known-opt", seed=0, dims=2,
-                                     params={"bins": 5, "rows": 2, "cols": 2}))
+        inst = generate(InstanceSpec(kind="tiled-known-opt", seed=0, dims=2, bins=5))
         assert len(inst.items) == 20 and inst.known_opt == 5
         assert inst.items[0] == Item2D(Fraction(1, 2), Fraction(1, 2))
 
@@ -65,18 +52,17 @@ class TestFileKind:
     def test_reads_sizes_with_comments(self, tmp_path):
         p = tmp_path / "inst.txt"
         p.write_text("# header\n0.5\n353/500  # exact rational\n\n0.25\n")
-        inst = generate(InstanceSpec(kind="file", params={"path": str(p)}))
+        inst = generate(InstanceSpec(kind="file", path=str(p)))
         assert inst.items == [Fraction(1, 2), Fraction(353, 500), Fraction(1, 4)]
 
     def test_reads_rectangles(self, tmp_path):
         p = tmp_path / "inst2d.txt"
         p.write_text("0.5 0.25\n1/3 0.75\n")
-        inst = generate(InstanceSpec(kind="file", dims=2,
-                                     params={"path": str(p)}))
+        inst = generate(InstanceSpec(kind="file", dims=2, path=str(p)))
         assert inst.items[1] == Item2D(Fraction(1, 3), Fraction(3, 4))
 
     def test_rejects_malformed_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0.5 0.25 0.1\n")
         with pytest.raises(ValueError):
-            generate(InstanceSpec(kind="file", dims=2, params={"path": str(p)}))
+            generate(InstanceSpec(kind="file", dims=2, path=str(p)))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicpack.harmonic import w_h
-from harmonicpack.pack2d import (Item2D, Slice, TensorRun, TinyGrid, tensor_cost,
-                                 validate_geometry, w2d)
+from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
+                                 tensor_cost, validate_geometry, w2d)
 
 from conftest import grid_sizes
 
@@ -90,10 +90,25 @@ class TestWidthClasses:
     def test_depth_floor_names_the_width(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
         w = Fraction(1, 10 ** 400)  # class 9.2 million at this grid
-        with pytest.raises(ValueError, match=f"width {w} lies below"):
+        with pytest.raises(ValueError, match=f"width {w} lies below the tiny "
+                                             f"grid's depth floor of 1000000 classes"):
             grid.class_of(w)
+        assert len(grid._num) == 2  # rejected from its digits: no ladder grown
         m = grid.class_of(grid.value(999_999))
         assert m == 999_999 and grid.value(m + 1) < grid.value(m)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10 ** 6), Fraction(1, 10000),
+                                       Fraction(1, 3), Fraction(49, 100)])
+    def test_digit_floor_lies_below_the_deepest_step(self, table, delta):
+        # a width is rejected from its digit counts only where the full
+        # ladder would reject it too: 10**-floor <= value(_MAX_DEPTH)
+        grid = TinyGrid(table.eps, delta)
+        grid._grow(_MAX_DEPTH)
+        assert grid._num[-1] * 10 ** grid._floor >= 10 ** grid._exp[-1]
+        fresh = TinyGrid(table.eps, delta)
+        with pytest.raises(ValueError, match="depth floor"):
+            fresh.class_of(Fraction(1, 10 ** (grid._floor + 1)))  # dd - dn = floor + 1
+        assert len(fresh._num) == 2
 
     def test_thousand_digit_widths_classify(self, table):
         # far below float range, on a coarse grid the ladder's powers of ten

@@ -1,5 +1,6 @@
-"""The runtime depends on the standard library alone, and importing one
-module loads only the package modules it imports."""
+"""The runtime depends on the standard library alone, importing one module
+loads only the package modules it imports, and no parameter default is kept
+for callers that do not exist."""
 
 import ast
 import json
@@ -13,6 +14,7 @@ import pytest
 import harmonicpack
 
 PACKAGE = pathlib.Path(harmonicpack.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_modules_import_only_stdlib_or_the_package():
@@ -120,3 +122,56 @@ def test_package_exports_resolve():
         assert getattr(sys.modules[value.__module__], name) is value, name
     with pytest.raises(AttributeError):
         harmonicpack.no_such_name
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position) of every parameter with a default.
+    A method's position skips self, ``__init__`` is called by its class name,
+    and a keyword-only parameter has no position."""
+    found = []
+
+    def visit(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, cls=child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                name = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend((name, positional[k].arg, k - skip)
+                             for k in range(first, len(positional)))
+                found.extend((name, arg.arg, None) for arg, default
+                             in zip(args.kwonlyargs, args.kw_defaults) if default)
+                visit(child)
+            else:
+                visit(child, cls)
+
+    visit(tree)
+    return found
+
+
+def test_every_default_is_passed_by_some_caller():
+    # a default that no call in the package or the benchmark overrides is
+    # an option only tests can set: a module constant says the same
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in [*paths, *sorted((ROOT / "bench").glob("*.py"))]}
+    passed = {}  # callee name -> [(positional count, keyword names)]
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name,
+                                                                     ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                npos = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                        else len(node.args))
+                kws = {kw.arg for kw in node.keywords}
+                passed.setdefault(name, []).append((npos, kws))
+    unused = [f"{path.name}: {name}({param}=)"
+              for path in paths for name, param, pos in _defaulted_parameters(trees[path])
+              if not any(param in kws or None in kws or (pos is not None and npos > pos)
+                         for npos, kws in passed.get(name, []))]
+    assert unused == []
