@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker
-from .pack2d import DEFAULT_DELTA, TensorRun, tensor_cost, validate_geometry
+from .pack2d import DEFAULT_DELTA, pack_orientations, tensor_cost, validate_geometry
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet, bound_check
 
@@ -106,7 +106,7 @@ def _ceil_sum(pairs) -> int:
 
 
 def _report_common(args, inst, cost, lower_bound, extra: dict,
-                   elapsed: float) -> dict:
+                   elapsed: float, read_s: float) -> dict:
     report = {
         "instance": f"{inst.spec.kind}/n={len(inst.items)}/seed={inst.spec.seed}",
         "cost": str(cost),
@@ -114,6 +114,8 @@ def _report_common(args, inst, cost, lower_bound, extra: dict,
         "ratio": str(Fraction(cost) / lower_bound) if lower_bound else "",
         "wall_time_s": round(elapsed, 3) if args.timing else None,
     }
+    if args.timing:
+        report["read_time_s"] = round(read_s, 3)
     report.update(extra)
     return report
 
@@ -137,8 +139,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pack1d(args) -> int:
-    inst = _instance_from_args(args, dims=1)
     t0 = time.perf_counter()
+    inst = _instance_from_args(args, dims=1)
+    read_s, t0 = time.perf_counter() - t0, time.perf_counter()
     table = params.builtin_shplus()
     lb = inst.known_opt or _ceil_sum((s.numerator, s.denominator) for s in inst.items)
     if args.algorithm == "harmonic":
@@ -162,7 +165,7 @@ def cmd_pack1d(args) -> int:
                 for tr in st.trace:
                     fh.write(tr.csv_row() + "\n")
         cost = st.cost
-    report = _report_common(args, inst, cost, lb, extra, elapsed)
+    report = _report_common(args, inst, cost, lb, extra, elapsed, read_s)
     _emit(report, args.format)
     if failures:
         for f in failures:
@@ -172,7 +175,9 @@ def cmd_pack1d(args) -> int:
 
 
 def cmd_pack2d(args) -> int:
+    t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=2)
+    read_s = time.perf_counter() - t0
     table = params.builtin_shplus()
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
@@ -184,10 +189,7 @@ def cmd_pack2d(args) -> int:
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
         else (args.orientation,)
-    for orientation in orientations:
-        items = inst.items if orientation == "hxb" else \
-            [it.transposed for it in inst.items]
-        run = TensorRun(table, orientation, delta).pack(items)
+    for run in pack_orientations(inst.items, table, orientations, delta):
         rows.append({"orientation": run.orientation, "bins": run.cost,
                      "slices": len(run.slices),
                      "weight_bound": f"{float(run.max_weight_bound(wset)):.6f}"})
@@ -199,7 +201,7 @@ def cmd_pack2d(args) -> int:
         cost = Fraction(sum(row["bins"] for row in rows), len(rows))
         extra = {"algorithm": args.orientation, "runs": rows}
         report = _report_common(args, inst, cost, lb, extra,
-                                time.perf_counter() - t0)
+                                time.perf_counter() - t0, read_s)
         _emit(report, "json")
     if failures:
         for f in failures[:20]:

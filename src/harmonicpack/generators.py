@@ -105,23 +105,19 @@ def generate(spec: InstanceSpec) -> Instance:
         return Instance(spec=spec, items=items, known_opt=bins)
 
     if spec.kind == "file":
-        dims = spec.dims
+        dims = 1 if spec.dims == 1 else 2  # tokens per line; any other dims is 2D
         items = []
         with open(spec.path, "r", encoding="utf-8") as fh:
             for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if dims == 1:
-                    if len(parts) != 1:
-                        raise ValueError(f"expected one size per line, got {line!r}")
-                    items.append(parse_rational(parts[0]))
-                else:
-                    if len(parts) != 2:
-                        raise ValueError(f"expected 'w h' per line, got {line!r}")
-                    items.append(Item2D(parse_rational(parts[0]),
+                parts = line.partition("#")[0].split()
+                if len(parts) == dims:
+                    items.append(parse_rational(parts[0]) if dims == 1 else
+                                 Item2D(parse_rational(parts[0]),
                                         parse_rational(parts[1])))
+                elif parts:
+                    what = "one size" if dims == 1 else "'w h'"
+                    raise ValueError(f"expected {what} per line, got "
+                                     f"{line.partition('#')[0].strip()!r}")
         return Instance(spec=spec, items=items)
 
     raise ValueError(f"unknown instance kind {spec.kind!r}")

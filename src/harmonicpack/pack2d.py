@@ -88,9 +88,12 @@ class TinyGrid:
         e += p * 10 ** e // r < _LOW
         self._num, self._exp = [None, p * 10 ** e // r], [None, e]  # index 0 is eps
         # 10**-floor <= value(_MAX_DEPTH): each step keeps more than a factor
-        # (1-d)(1-10^-17), ln(1-x) >= -x/(1-x), 1/ln 10 < 0.4343, and
-        # eps = en/ed > 10**(len(en)-1-len(ed))
-        x = Fraction(self._b - self._a, self._a) + Fraction(1, 10 ** 17 - 1)
+        # (1-d)(1-10^-17); with u = d/(2-d), -ln(1-d) = 2 sum u^k/k over odd k is
+        # at most five terms plus the geometric tail 2u^11/(11(1-u^2)); -ln(1-10^-17)
+        # <= 1/(10^17-1); 1/ln 10 < 0.4343; eps = en/ed > 10**(len(en)-1-len(ed))
+        u = Fraction(self._b - self._a, self._b + self._a)
+        x = (2 * sum(u ** k / k for k in range(1, 11, 2))
+             + 2 * u ** 11 / (11 * (1 - u * u)) + Fraction(1, 10 ** 17 - 1))
         en, ed = eps.as_integer_ratio()
         self._floor = (-(-_MAX_DEPTH * x * Fraction(4343, 10000) // 1)
                        + len(str(ed)) + 1 - len(str(en)))
@@ -255,10 +258,19 @@ class TensorCost:
     avg: Fraction
 
 
+def pack_orientations(items, table: ParamTable, orientations, delta: Fraction) -> list:
+    """Finished TensorRuns ("bxh" packs the transposed items), one per
+    orientation, sharing one TinyGrid so that its ladder is grown once."""
+    runs = [TensorRun(table, orientation, delta) for orientation in orientations]
+    for run in runs:
+        run.grid = runs[0].grid
+        run.pack(items if run.orientation == "hxb" else [it.transposed for it in items])
+    return runs
+
+
 def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
     """Run both orientations and average them (the fair-coin expectation)."""
-    hxb = TensorRun(table, "hxb", delta).pack(items)
-    bxh = TensorRun(table, "bxh", delta).pack([it.transposed for it in items])
+    hxb, bxh = pack_orientations(items, table, ("hxb", "bxh"), delta)
     return TensorCost(cost_hxb=hxb.cost, cost_bxh=bxh.cost,
                       avg=Fraction(hxb.cost + bxh.cost, 2)), hxb, bxh
 

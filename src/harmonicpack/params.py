@@ -37,15 +37,19 @@ from fractions import Fraction
 
 def parse_rational(text: str | int | float | Fraction) -> Fraction:
     """Parse "353/500", "0.294", or a number into an exact Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        # Floats are not exact; go through their shortest repr so that a
-        # literal like 0.294 means the decimal 294/1000, not its binary image.
-        return Fraction(repr(text))
-    try:
+    if not isinstance(text, str):  # strings skip the slower ABC checks
+        if isinstance(text, Fraction):
+            return text
+        if isinstance(text, int):
+            return Fraction(text)
+        if isinstance(text, float):
+            # Floats are not exact; go through their shortest repr so that a
+            # literal like 0.294 means the decimal 294/1000, not its binary image.
+            return Fraction(repr(text))
+    p, slash, q = str(text).partition("/")
+    try:  # digits[/digits] skip Fraction's regex, whose \d is str.isdecimal
+        if p.isdecimal() and (q.isdecimal() or not slash):
+            return Fraction(int(p), int(q) if slash else 1)
         return Fraction(str(text))
     except ZeroDivisionError:  # "1/0" is malformed input, not an arithmetic fault
         raise ValueError(f"zero denominator in {text!r}") from None

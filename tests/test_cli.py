@@ -198,6 +198,19 @@ class TestReports:
         assert data["ratio"] == "3/2"
         assert data["wall_time_s"] is None  # byte-stable by default
 
+    @pytest.mark.parametrize("command", ["pack1d", "pack2d"])
+    def test_read_time_only_with_timing(self, tmp_path, capsys, command):
+        out = tmp_path / "inst.txt"
+        dims = "1" if command == "pack1d" else "2"
+        assert main(["gen", "--n", "50", "--dims", dims, "--out", str(out)]) == 0
+        assert main([command, "--input", str(out)]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main([command, "--input", str(out), "--timing"]) == 0
+        timed = json.loads(capsys.readouterr().out)
+        assert "read_time_s" not in plain and plain["wall_time_s"] is None
+        assert timed["read_time_s"] >= 0 and timed["wall_time_s"] >= 0
+        assert set(timed) - set(plain) == {"read_time_s"}
+
     def test_reports_are_byte_stable(self):
         a = run_cli("pack1d", "--n", "200", "--seed", "5")
         b = run_cli("pack1d", "--n", "200", "--seed", "5")

@@ -66,3 +66,32 @@ class TestFileKind:
         p.write_text("0.5 0.25 0.1\n")
         with pytest.raises(ValueError):
             generate(InstanceSpec(kind="file", dims=2, path=str(p)))
+
+    @pytest.mark.parametrize("dims,text,message", [
+        (1, "1/2\n\t0.5 0.25\t# two sizes\n",
+         "expected one size per line, got '0.5 0.25'"),
+        (2, "1/2 1/3\n  1/2  # one side\n", "expected 'w h' per line, got '1/2'"),
+    ])
+    def test_malformed_line_is_named(self, tmp_path, dims, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(InstanceSpec(kind="file", dims=dims, path=str(p)))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_layout_reads_as_fraction_lines(self, tmp_path, dims):
+        # comments, blank lines, tabs, padding and every token form read to
+        # what Fraction makes of each line's tokens
+        tokens = ["1/2", "353/500", "1", "0.294", "1e-3", "7/14", "\u0663/\uff17",
+                  "0001/0002", "1_0/3_0", "+1/3", "2E-1", ".5"]
+        lines = ["# header", "", "\t", "   # indented comment"]
+        for i, tok in enumerate(tokens):
+            other = tokens[-1 - i]
+            body = tok if dims == 1 else f"{tok}\t{other}"
+            lines += [f"  {body}\t# note {i}" if i % 3 == 0 else body,
+                      "" if i % 2 else "\t  \t"]
+        p = tmp_path / "layout.txt"
+        p.write_text("\r\n".join(lines) + "\n", encoding="utf-8")
+        want = [Fraction(t) if dims == 1 else Item2D(Fraction(t), Fraction(o))
+                for t, o in zip(tokens, reversed(tokens))]
+        assert generate(InstanceSpec(kind="file", dims=dims, path=str(p))).items == want

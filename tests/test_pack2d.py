@@ -110,6 +110,17 @@ class TestWidthClasses:
             fresh.class_of(Fraction(1, 10 ** (grid._floor + 1)))  # dd - dn = floor + 1
         assert len(fresh._num) == 2
 
+    def test_coarse_grid_floor_rejects_before_walking(self, table):
+        # at d = 49/100 the deepest step is near 10**-292431; the width
+        # 1e-300000 lies below it and is rejected from its digits, while the
+        # ladder still reaches its last class
+        grid = TinyGrid(table.eps, Fraction(49, 100))
+        with pytest.raises(ValueError, match="depth floor"):
+            grid.class_of(Fraction(1, 10 ** 300000))
+        assert len(grid._num) == 2
+        m = grid.class_of(grid.value(999_999))
+        assert m == 999_999 and grid.value(m + 1) < grid.value(m)
+
     def test_thousand_digit_widths_classify(self, table):
         # far below float range, on a coarse grid the ladder's powers of ten
         # run to thousands of digits
@@ -345,6 +356,15 @@ class TestCombinedWeight:
 
 
 class TestTensorCost:
+    def test_orientations_share_one_grid(self, table):
+        # the ladder is grown once per instance, as deep as either side needs
+        items = [Item2D(Fraction(1, 10 ** 5), Fraction(1, 2)),
+                 Item2D(Fraction(1, 2), Fraction(1, 10 ** 6))]
+        _, hxb, bxh = tensor_cost(items, table)
+        assert hxb.grid is bxh.grid
+        m = hxb.grid.class_of(Fraction(1, 10 ** 6))  # the deeper side, in bxh
+        assert len(hxb.grid._num) - 1 == 1 + 1024 * -(-m // 1024)
+
     def test_empty(self, table):
         tc, _, _ = tensor_cost([], table)
         assert (tc.cost_hxb, tc.cost_bxh, tc.avg) == (0, 0, 0)

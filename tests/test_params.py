@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonicpack.params import ParamTable, builtin_shplus, middle_red_fraction, validate
+from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
+                                 parse_rational, validate)
 
 
 class TestBuiltinTable:
@@ -133,3 +135,59 @@ class TestSerialization:
         p = tmp_path / "params.json"
         p.write_text(table.dumps(), encoding="utf-8")
         assert ParamTable.load(p) == table
+
+
+def _fraction_reader(x):
+    """The reference reader: a number as itself, everything else through
+    Fraction's own string parser."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
+def _outcome(reader, x):
+    try:
+        return reader(x)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_DIGITS = list("0123456789") + ["\u0663", "\uff11", "\uff12"]  # ٣ １ ２
+# "²" (superscript two) passes str.isdigit but is no decimal digit.  Exponents
+# stay below four digits: Fraction("1e99999999") builds a 10^8-digit integer
+_LONG_EXPONENT = re.compile(r"e[+-]?[\d_]{4}", re.IGNORECASE)
+_TOKEN = (st.text(st.sampled_from(_DIGITS + list("/.eE+-_ \t²")), max_size=10)
+          .filter(lambda t: not _LONG_EXPONENT.search(t))
+          | st.lists(st.sampled_from(_DIGITS), min_size=1, max_size=8).map("".join)
+          .flatmap(lambda p: st.lists(st.sampled_from(_DIGITS), min_size=1,
+                                      max_size=8).map(lambda q: f"{p}/{q}"))
+          | st.sampled_from([None, [1, 2], True]))
+
+
+class TestParseRational:
+    @given(_TOKEN)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_fraction_reader(self, x):
+        got, want = _outcome(parse_rational, x), _outcome(_fraction_reader, x)
+        assert got == want and type(got) is type(want), (x, got, want)
+
+    @pytest.mark.parametrize("x", [
+        "1/0", "0/0", "7", "0", "12/18", "\u0663/\uff11\uff12", "0.294", "1e-400",
+        "-1/2", "+3", "1_000/3", " 1/2 ", "1 /2", "1/2/3", "/2", "2/", "", "²",
+        "1/²", None])
+    def test_edge_tokens_match_fraction_reader(self, x):
+        assert _outcome(parse_rational, x) == _outcome(_fraction_reader, x)
+
+    def test_digit_limit_message(self):
+        # past Python's 4,300-digit limit int() refuses the numerator first
+        for x in ("7" * 4301, "1/" + "7" * 4301, "7" * 4301 + "/" + "3" * 4400):
+            got = _outcome(parse_rational, x)
+            assert got == _outcome(_fraction_reader, x), x[:10]
+            assert got[0] == "ValueError" and "4300 digits" in got[1]
+
+    def test_zero_denominator_message(self):
+        with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+            parse_rational("1/0")
