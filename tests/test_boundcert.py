@@ -361,6 +361,24 @@ class TestCertificate:
         assert digest == ("4c4a9b62dfd6d6243f3e5cca938a9e41"
                           "0702197a4135f806e6d02c28bf7017e3")
 
+    def test_certificate_pinned_bit_for_bit_seeded_lambda(self, wset):
+        # as above on a λ table where almost every pair has its own f: each
+        # tuned entry moved by a seeded multiple of 1/1000 in [-0.03, 0.03],
+        # as the rational-arithmetic search first gave them
+        rng = random.Random(1)
+        lams = {ij: lam + Fraction(rng.randint(-30, 30), 1000)
+                for ij, lam in TUNED_LAMBDA.items()}
+        rows = []
+        for mode in ("paper-compat", "exact"):
+            cert = ratio_certificate(wset, lam_table=lams, mode=mode)
+            for (i, j), e in cert.entries.items():
+                rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
+                             sorted(e.pf_pattern.items()),
+                             sorted(e.pg_pattern.items())))
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert digest == ("7a2d2a19cb94e04bb996fa5b9526e45a"
+                          "c9f9f9ed1609c5b8d90ae3aa1dfb4da1")
+
     def test_sound_model_still_certifies_bound(self, wset, table):
         # remove the unsound published cut and use exact tails: the
         # overall retained bound survives unchanged at the same pair
