@@ -59,6 +59,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
@@ -100,6 +101,22 @@ def harmonic_values(table: ParamTable) -> tuple:
     return (None, *(Fraction(1, table.beta[m]) for m in range(1, table.k + 1)))
 
 
+def _on_one_denominator(xs) -> tuple:
+    """(den, nums): the rationals ``xs`` as integers over their lcm denominator."""
+    den = lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
+@lru_cache(maxsize=1)
+def _weight_grid(wset: WeightFunctionSet) -> tuple:
+    """(D, w): the height weight and each case weight of ``wset`` as integers
+    over one denominator D, H[m] = w[0][m]/D and wset.values[c][m] = w[c][m]/D."""
+    rows = (harmonic_values(wset.table), *wset.values[1:])
+    D, nums = _on_one_denominator([v for row in rows for v in row[1:]])
+    k = wset.table.k
+    return D, [(None, *nums[at:at + k]) for at in range(0, len(nums), k)]
+
+
 def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
     """Mix of the height weight and the 1D case weight: lam*W_H + (1-lam)*W^case.
 
@@ -107,12 +124,11 @@ def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
     """
     if not 0 <= lam <= 1:
         raise ValueError("lam must lie in [0, 1]")
-    table = wset.table
-    H = harmonic_values(table)
-    vals = [None]
-    for m in range(1, table.k + 1):
-        vals.append(lam * H[m] + (1 - lam) * wset.values[case][m])
-    return PiecewiseFn(values=tuple(vals), tail_slope=wset.tail_slope)
+    D, w = _weight_grid(wset)
+    p, q = lam.numerator, lam.denominator
+    return PiecewiseFn(values=(None, *(Fraction(p * h + (q - p) * b, q * D)
+                                       for h, b in zip(w[0][1:], w[case][1:]))),
+                       tail_slope=wset.tail_slope)
 
 
 def _upper_right_hull(points) -> list:
@@ -141,23 +157,24 @@ def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
     (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
     y-interval n, and (1/2, 1/2) for a tail y, whose linear slopes cancel.
     Only the vertices of the points' upper-right hull, built once, can win.
+    Points and dot products are integers; each g value becomes a Fraction last.
     """
-    table = wset.table
-    H = harmonic_values(table)
-    Bi = wset.values[case_i]
-    Bj = wset.values[case_j]
-    if any(f.values[n] <= 0 for n in range(1, table.k + 1)) or f.tail_slope <= 0:
+    D, w = _weight_grid(wset)
+    h, fv = w[0], f.values[1:len(w[0])]
+    if any(v.numerator <= 0 for v in fv) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
-    hull = _upper_right_hull([(Fraction(1, 2), Fraction(1, 2))] + [
-        (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
-        for n in range(1, table.k + 1)])
-    vals = (None, *(max(H[m] * p + Bj[m] * q for p, q in hull)
-                    for m in range(1, table.k + 1)))
+    # f_n = u/v and M = lcm(u): (B^i_n, H_n)/(2 f_n) = (w[i][n], h[n]) * v*(M/u) / (2DM)
+    M = lcm(*(v.numerator for v in fv))
+    scale = [v.denominator * (M // v.numerator) for v in fv]
+    hull = _upper_right_hull([(D * M, D * M)] + [
+        (b * s, hn * s) for b, hn, s in zip(w[case_i][1:], h[1:], scale)])
+    vals = (None, *(Fraction(max(hm * x + b * y for x, y in hull), 2 * D * D * M)
+                    for hm, b in zip(h[1:], w[case_j][1:])))
     if tail_mode == "paper-compat":
         slope = wset.tail_slope
     elif tail_mode == "exact":
         # tail x: W_H(x) = W^j(x) = x/(1-eps), the direction (1, 1)
-        slope = wset.tail_slope * max(p + q for p, q in hull)
+        slope = wset.tail_slope * Fraction(max(x + y for x, y in hull), 2 * D * M)
     else:
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
     return PiecewiseFn(values=vals, tail_slope=slope)
@@ -204,6 +221,17 @@ class PatternModel:
     @property
     def ntypes(self) -> int:
         return len(self.sizes) - 1
+
+    @cached_property
+    def grid(self) -> tuple:
+        """(S, CAP, G, rows): sizes[m] = S[m]/G, capacity = CAP/G, and each
+        constraint as integers (rhs, ((type, coeff), ...)) over its own denominator."""
+        G, (CAP, *S) = _on_one_denominator((self.capacity, *self.sizes[1:]))
+        rows = []
+        for cut in self.constraints:
+            _, (rhs, *coeffs) = _on_one_denominator((cut.rhs, *(c for _, c in cut.coeffs)))
+            rows.append((rhs, tuple(zip(cut.support, coeffs))))
+        return (None, *S), CAP, G, rows
 
 
 # groups of the built-in 50-type model whose items share one cap; every cap,
@@ -262,52 +290,38 @@ def builtin_model_constraints(table: ParamTable) -> list:
 
 # -- exact maximization ------------------------------------------------------
 
-def _scaled_sizes(sizes, capacity: Fraction):
-    """1-based ``sizes`` and ``capacity`` on their common integer grid."""
-    den = lcm(capacity.denominator, *(s.denominator for s in sizes[1:]))
-    return [None, *(int(s * den) for s in sizes[1:])], int(capacity * den)
-
-
 def pattern_max(fn: PiecewiseFn, model: PatternModel):
     """Exact maximum of the single-bin weight program; returns (value, pattern).
 
-    Branch and bound on the scaled-integer knapsack with the gains scaled
-    to integers by their common denominator L.  The node bound is the greedy
+    Branch and bound on the model's integer grid with the gains scaled to
+    integers over one common denominator L.  The node bound is the greedy
     fractional relaxation over the unbranched variables at full caps (valid
     as branching follows a fixed order), multiplied through by the size of
-    its fractional variable.  Each comparison is the rational one times a
-    positive integer, so the argmax and its tie-breaking are unchanged.
+    its fractional variable.  Every comparison, the density sort's too, is the
+    rational one times a positive integer: the argmax and its ties are unchanged.
     """
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
     R = fn.tail_slope
-    S, CAP = _scaled_sizes(model.sizes, model.capacity)
-    gains = {}
-    for m in range(1, model.ntypes + 1):
-        g = fn.values[m] - model.sizes[m] * R
-        if g > 0 and S[m] <= CAP:
-            gains[m] = g
-    # density order; ties broken by type index for determinism
-    cand = sorted(gains, key=lambda m: (-(gains[m] / model.sizes[m]), m))
+    S, CAP, G, rows = model.grid
+    # gain of type m: values[m] - sizes[m]*R = (v[m-1] - S[m]*r) / L
+    L, (r, *v) = _on_one_denominator((Fraction(R, G), *fn.values[1:model.ntypes + 1]))
+    gains = {m: v[m - 1] - S[m] * r for m in range(1, model.ntypes + 1)}
+    # density order of the types worth packing; ties broken by type index
+    cand = sorted((m for m in gains if gains[m] > 0 and S[m] <= CAP), key=cmp_to_key(
+        lambda a, b: gains[b] * S[a] - gains[a] * S[b] or a - b))
     ncand = len(cand)
     caps = [min(model.caps[m], CAP // S[m]) for m in cand]
     sizes = [S[m] for m in cand]
-    L = lcm(*(g.denominator for g in gains.values()))
-    gain = [gains[m].numerator * (L // gains[m].denominator) for m in cand]
+    gain = [gains[m] for m in cand]
 
-    # scaled-integer constraints restricted to candidate variables
-    cons_rhs = []
+    # the constraint rows each candidate variable appears in
     var_cons = [[] for _ in range(ncand)]
     pos_of = {m: t for t, m in enumerate(cand)}
-    for cut in model.constraints:
-        touched = [(pos_of[m], c) for m, c in cut.coeffs if m in pos_of]
-        if not touched:
-            continue
-        den = lcm(cut.rhs.denominator, *(c.denominator for _, c in touched))
-        ci = len(cons_rhs)
-        cons_rhs.append(int(cut.rhs * den))
-        for pos, c in touched:
-            var_cons[pos].append((ci, int(c * den)))
+    for ci, (_, coeffs) in enumerate(rows):
+        for m, c in coeffs:
+            if m in pos_of:
+                var_cons[pos_of[m]].append((ci, c))
 
     # prefix sums over candidate order for the greedy bound
     PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
@@ -324,7 +338,7 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     best_val = 0
     best_pat: dict = {}
     x = [0] * ncand
-    slack = cons_rhs[:]
+    slack = [rhs for rhs, _ in rows]
 
     def rec(idx: int, rem: int, obj: int):
         nonlocal best_val, best_pat
@@ -363,7 +377,7 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel):
     n = model.ntypes
     if n > 15:
         raise ValueError("brute force restricted to at most 15 types")
-    S, CAP = _scaled_sizes(model.sizes, model.capacity)
+    S, CAP, _, _ = model.grid
     est = 1
     for m in range(1, n + 1):
         est *= min(model.caps[m], CAP // S[m]) + 1
@@ -408,11 +422,10 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
     tests (any rhs strictly below this maximum admits a counterexample).
     """
     n = max((m for m in cut.support if m <= model.ntypes), default=0)
-    sizes = model.sizes[:n + 1]
-    S, CAP = _scaled_sizes(sizes, model.capacity)
-    strict = PatternModel(sizes=sizes, constraints=(),
+    S, CAP, G, _ = model.grid
+    strict = PatternModel(sizes=model.sizes[:n + 1], constraints=(),
                           caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
-                          capacity=model.capacity * Fraction(CAP - 1, CAP))
+                          capacity=Fraction(CAP - 1, G))
     coeff = dict(cut.coeffs)
     fn = PiecewiseFn(values=(None, *(coeff.get(m, 0) for m in range(1, n + 1))),
                      tail_slope=Fraction(0))
@@ -483,7 +496,9 @@ class RatioCertificate:
 
 def round6(x: Fraction) -> Fraction:
     """Round to six decimals, ties to even (for table comparison)."""
-    return Fraction(round(x * 10 ** 6), 10 ** 6)
+    q, r = divmod(x.numerator * 10 ** 6, x.denominator)
+    return Fraction(q + (2 * r > x.denominator or 2 * r == x.denominator and q % 2),
+                    10 ** 6)
 
 
 def quantized_fn(fn: PiecewiseFn) -> PiecewiseFn:
@@ -513,10 +528,13 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
     entries = {}
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
-            lam = parse_rational(lam_table[(i, j)])
-            f = build_f(i, lam, wset)
-            g = build_g(i, j, lam, f, wset,
-                        tail_mode="paper-compat" if compat else "exact")
+            try:
+                lam = parse_rational(lam_table[(i, j)])
+                f = build_f(i, lam, wset)
+                g = build_g(i, j, lam, f, wset,
+                            tail_mode="paper-compat" if compat else "exact")
+            except ValueError as exc:  # a malformed lam, or one making f vanish
+                raise ValueError(f"pair {i},{j}: {exc}") from None
             if compat:
                 f, g = quantized_fn(f), quantized_fn(g)
             pf, pf_pat = pattern_max(f, model)

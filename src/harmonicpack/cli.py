@@ -224,7 +224,7 @@ def cmd_weights(args) -> int:
 
 
 def _load_lambda(path, ncases: int) -> dict:
-    """The mixing weights of a JSON file, either a nested array (row i,
+    """The raw mixing weights of a JSON file, either a nested array (row i,
     column j) or an object keyed "i,j"; every case pair must be present."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -232,7 +232,7 @@ def _load_lambda(path, ncases: int) -> dict:
     if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
         for i, row in enumerate(raw, start=1):
             for j, lam in enumerate(row, start=1):
-                table[(i, j)] = params.parse_rational(lam)
+                table[(i, j)] = lam
     elif isinstance(raw, dict):
         for key, lam in raw.items():
             try:
@@ -240,7 +240,7 @@ def _load_lambda(path, ncases: int) -> dict:
             except ValueError:
                 raise ValueError(f"lambda table {path}: key {key!r} is not "
                                  f"'i,j'") from None
-            table[(i, j)] = params.parse_rational(lam)
+            table[(i, j)] = lam
     else:
         raise ValueError(f"lambda table {path} is neither a list of lists "
                          f"nor an object keyed 'i,j'")
@@ -248,6 +248,9 @@ def _load_lambda(path, ncases: int) -> dict:
         for j in range(1, ncases + 1):
             if (i, j) not in table:
                 raise ValueError(f"lambda table {path} lacks the pair {i},{j}")
+            if isinstance(table[(i, j)], bool):  # JSON true/false, an int to Python
+                raise ValueError(f"lambda table {path}: pair {i},{j}: "
+                                 f"{table[(i, j)]!r} is not a number")
     return table
 
 
@@ -258,8 +261,11 @@ def cmd_bound(args) -> int:
     if delta is not None and not 0 < delta < 1:
         raise ValueError(f"--delta must lie in (0, 1), got {delta}")
     lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
-    cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode,
-                                       delta=delta)
+    try:
+        cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode,
+                                           delta=delta)
+    except ValueError as exc:  # only a lambda file can hold a pair that fails
+        raise ValueError(f"lambda table {args.lambda_file}: {exc}") from None
     retained_pairs = {orient for orient, _ in cert.retained.values()}
     rows = []
     for (i, j), e in sorted(cert.entries.items()):
@@ -307,11 +313,12 @@ def cmd_verify(args) -> int:
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
 
     model12 = boundcert.shplus_pattern_model(table, include_cuts=False, num_types=12)
-    for trial in range(5):
-        rnd = random.Random(trial)
-        fn = boundcert.PiecewiseFn(
-            values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(12))),
-            tail_slope=Fraction(38, 37))
+    lam = boundcert.TUNED_LAMBDA[(6, 1)]  # trial 5: an exact-mode g of the certificate
+    fns = [boundcert.PiecewiseFn(
+        values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(12))),
+        tail_slope=Fraction(38, 37)) for rnd in map(random.Random, range(5))]
+    fns.append(boundcert.build_g(6, 1, lam, boundcert.build_f(6, lam, wset), wset, "exact"))
+    for trial, fn in enumerate(fns):
         v1, _ = boundcert.pattern_max(fn, model12)
         v2, _ = boundcert.brute_force_max(fn, model12)
         if v1 != v2:

@@ -26,6 +26,24 @@ def random_fn(rnd, ntypes, tail=Fraction(38, 37)):
         tail_slope=tail)
 
 
+def seeded_lambda(seed):
+    """The tuned table with each entry moved by a seeded multiple of 1/1000
+    in [-0.03, 0.03]."""
+    rng = random.Random(seed)
+    return {ij: lam + Fraction(rng.randint(-30, 30), 1000)
+            for ij, lam in TUNED_LAMBDA.items()}
+
+
+class TestRound6:
+    def test_matches_fraction_rounding_ties_to_even(self):
+        rnd = random.Random(6)
+        xs = [Fraction(k, 2 * 10 ** 6) for k in range(-41, 42)]  # ties
+        xs += [Fraction(rnd.randint(-10 ** 12, 10 ** 12), rnd.randint(1, 10 ** 9))
+               for _ in range(2000)]
+        for x in xs:
+            assert round6(x) == Fraction(round(x * 10 ** 6), 10 ** 6), x
+
+
 class TestHeightValues:
     def test_height_weight_constant_per_interval(self, table):
         H = harmonic_values(table)
@@ -179,6 +197,27 @@ class TestPatternMax:
         for _ in range(20):
             fn = random_fn(rnd, 12)
             assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
+
+    def test_certificate_fns_match_brute_force_on_truncation(self, table, wset):
+        # the exact-mode f and g of real pairs: on these types their values
+        # share a denominator of 6 to 11 digits, against 1000 for random_fn
+        model12 = shplus_pattern_model(table, include_cuts=False, num_types=12)
+        lams = seeded_lambda(1)
+        for i, j in ((1, 6), (6, 1), (7, 7)):
+            f = build_f(i, lams[(i, j)], wset)
+            g = build_g(i, j, lams[(i, j)], f, wset, tail_mode="exact")
+            for fn in (f, g):
+                assert lcm(*(v.denominator for v in fn.values[1:13])) > 10 ** 5
+                assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
+
+    def test_density_ties_go_to_the_smaller_type(self):
+        # types 1 and 2 have one gain per unit size; {1: 2}, {2: 4} and
+        # {1: 1, 2: 2} all weigh 2, and the search meets type 1 first
+        model = PatternModel(sizes=(None, Fraction(1, 2), Fraction(1, 4)),
+                             caps=(None, 2, 4), constraints=())
+        fn = PiecewiseFn(values=(None, Fraction(1), Fraction(1, 2)),
+                         tail_slope=Fraction(0))
+        assert pattern_max(fn, model) == (2, {1: 2})
 
     def test_witness_attains_value(self, wset, model):
         f = build_f(3, TUNED_LAMBDA[(3, 4)], wset)
@@ -365,12 +404,9 @@ class TestCertificate:
         # as above on a λ table where almost every pair has its own f: each
         # tuned entry moved by a seeded multiple of 1/1000 in [-0.03, 0.03],
         # as the rational-arithmetic search first gave them
-        rng = random.Random(1)
-        lams = {ij: lam + Fraction(rng.randint(-30, 30), 1000)
-                for ij, lam in TUNED_LAMBDA.items()}
         rows = []
         for mode in ("paper-compat", "exact"):
-            cert = ratio_certificate(wset, lam_table=lams, mode=mode)
+            cert = ratio_certificate(wset, lam_table=seeded_lambda(1), mode=mode)
             for (i, j), e in cert.entries.items():
                 rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
                              sorted(e.pf_pattern.items()),
@@ -378,6 +414,27 @@ class TestCertificate:
         digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
         assert digest == ("7a2d2a19cb94e04bb996fa5b9526e45a"
                           "c9f9f9ed1609c5b8d90ae3aa1dfb4da1")
+
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_every_witness_is_feasible_and_attains_its_value(self, wset, table, mode):
+        # all 98 solves of a mode: the argmax pattern keeps the caps, every
+        # model constraint and the capacity, and its weight, evaluated again
+        # in plain Fractions, is the reported value
+        compat = mode == "paper-compat"
+        model = shplus_pattern_model(table)
+        model = quantized_model(model) if compat else model
+        for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
+            f = build_f(i, e.lam, wset)
+            g = build_g(i, j, e.lam, f, wset, tail_mode=mode)
+            if compat:
+                f, g = quantized_fn(f), quantized_fn(g)
+            for fn, value, pat in ((f, e.pf, e.pf_pattern), (g, e.pg, e.pg_pattern)):
+                assert all(0 < x <= model.caps[m] for m, x in pat.items()), (i, j)
+                assert all(cut.lhs(pat) <= cut.rhs for cut in model.constraints), (i, j)
+                used = sum((model.sizes[m] * x for m, x in pat.items()), Fraction(0))
+                assert used <= model.capacity, (i, j)
+                direct = sum((fn.values[m] * x for m, x in pat.items()), Fraction(0))
+                assert direct + (1 - used) * fn.tail_slope == value, (i, j)
 
     def test_sound_model_still_certifies_bound(self, wset, table):
         # remove the unsound published cut and use exact tails: the

@@ -73,11 +73,18 @@ class TestInputErrors:
         ("pack2d --input {dir}/too_thin.txt",
          f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
         ("bound --no-cuts", "unrecognized arguments: --no-cuts"),
+        ("bound --lambda-file {dir}/lambda_true.json",
+         "lambda_true.json: pair 3,4: True is not a number"),
+        ("bound --lambda-file {dir}/lambda_above_one.json",
+         "lambda_above_one.json: pair 2,5: lam must lie in [0, 1]"),
+        ("bound --lambda-file {dir}/lambda_zero.json",
+         "lambda_zero.json: pair 7,7: f must be strictly positive"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
-            "width-below-depth-floor", "bound-no-cuts"])
+            "width-below-depth-floor", "bound-no-cuts", "lambda-true",
+            "lambda-above-one", "lambda-zero-f"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -90,6 +97,11 @@ class TestInputErrors:
         (tmp_path / "number.json").write_text("5")
         (tmp_path / "string.json").write_text('"abc"')
         (tmp_path / "bad_key.json").write_text('{"1,2,3": "0.5"}')
+        for name, ij, lam in (("lambda_true", "3,4", True),
+                              ("lambda_above_one", "2,5", "1.5"),
+                              ("lambda_zero", "7,7", 0)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)} | {ij: lam}))
         try:
             rc = main(argv.format(dir=tmp_path).split())
         except SystemExit as exc:  # argparse rejects bad flags this way
@@ -368,3 +380,20 @@ class TestVerify:
         r = run_cli("verify")
         assert r.returncode == 0
         assert "self-check: OK" in r.stdout
+
+    def test_solver_check_covers_a_certificate_g(self, monkeypatch, capsys):
+        # trial 5 of the solver check is the exact-mode g of pair (6, 1); a
+        # maximizer that is off only on its large denominators fails there
+        from harmonicpack import boundcert
+        exact = boundcert.pattern_max
+
+        def off_on_large_denominators(fn, model):
+            value, pattern = exact(fn, model)
+            large = max(v.denominator for v in fn.values[1:]) > 10 ** 3
+            return value + large, pattern
+
+        monkeypatch.setattr(boundcert, "pattern_max", off_on_large_denominators)
+        assert main(["verify"]) == 2
+        out, err = capsys.readouterr()
+        assert "FAIL solver: mismatch vs enumeration on trial 5" in err
+        assert "self-check: FAIL (1 failure(s))" in out
