@@ -64,7 +64,7 @@ from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
 
-from .params import ParamTable, parse_rational
+from .params import ParamTable, on_one_denominator, parse_rational
 from .weighting import WeightFunctionSet
 
 
@@ -101,18 +101,12 @@ def harmonic_values(table: ParamTable) -> tuple:
     return (None, *(Fraction(1, table.beta[m]) for m in range(1, table.k + 1)))
 
 
-def _on_one_denominator(xs) -> tuple:
-    """(den, nums): the rationals ``xs`` as integers over their lcm denominator."""
-    den = lcm(*(x.denominator for x in xs))
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
 @lru_cache(maxsize=1)
 def _weight_grid(wset: WeightFunctionSet) -> tuple:
     """(D, w): the height weight and each case weight of ``wset`` as integers
     over one denominator D, H[m] = w[0][m]/D and wset.values[c][m] = w[c][m]/D."""
     rows = (harmonic_values(wset.table), *wset.values[1:])
-    D, nums = _on_one_denominator([v for row in rows for v in row[1:]])
+    D, nums = on_one_denominator([v for row in rows for v in row[1:]])
     k = wset.table.k
     return D, [(None, *nums[at:at + k]) for at in range(0, len(nums), k)]
 
@@ -226,10 +220,10 @@ class PatternModel:
     def grid(self) -> tuple:
         """(S, CAP, G, rows): sizes[m] = S[m]/G, capacity = CAP/G, and each
         constraint as integers (rhs, ((type, coeff), ...)) over its own denominator."""
-        G, (CAP, *S) = _on_one_denominator((self.capacity, *self.sizes[1:]))
+        G, (CAP, *S) = on_one_denominator((self.capacity, *self.sizes[1:]))
         rows = []
         for cut in self.constraints:
-            _, (rhs, *coeffs) = _on_one_denominator((cut.rhs, *(c for _, c in cut.coeffs)))
+            _, (rhs, *coeffs) = on_one_denominator((cut.rhs, *(c for _, c in cut.coeffs)))
             rows.append((rhs, tuple(zip(cut.support, coeffs))))
         return (None, *S), CAP, G, rows
 
@@ -305,7 +299,7 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     R = fn.tail_slope
     S, CAP, G, rows = model.grid
     # gain of type m: values[m] - sizes[m]*R = (v[m-1] - S[m]*r) / L
-    L, (r, *v) = _on_one_denominator((Fraction(R, G), *fn.values[1:model.ntypes + 1]))
+    L, (r, *v) = on_one_denominator((Fraction(R, G), *fn.values[1:model.ntypes + 1]))
     gains = {m: v[m - 1] - S[m] * r for m in range(1, model.ntypes + 1)}
     # density order of the types worth packing; ties broken by type index
     cand = sorted((m for m in gains if gains[m] > 0 and S[m] <= CAP), key=cmp_to_key(

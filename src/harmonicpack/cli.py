@@ -225,7 +225,7 @@ def cmd_weights(args) -> int:
 
 def _load_lambda(path, ncases: int) -> dict:
     """The raw mixing weights of a JSON file, either a nested array (row i,
-    column j) or an object keyed "i,j"; every case pair must be present."""
+    column j) or an object keyed "i,j"; it holds exactly the case pairs."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     table = {}
@@ -244,6 +244,10 @@ def _load_lambda(path, ncases: int) -> dict:
     else:
         raise ValueError(f"lambda table {path} is neither a list of lists "
                          f"nor an object keyed 'i,j'")
+    for i, j in table:
+        if not (0 < i <= ncases and 0 < j <= ncases):
+            raise ValueError(f"lambda table {path}: pair {i},{j} lies outside the "
+                             f"{ncases} x {ncases} case pairs")
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             if (i, j) not in table:
@@ -293,6 +297,8 @@ def cmd_verify(args) -> int:
 
     table = params.builtin_shplus()
     failures = [f"params: {b}" for b in params.validate(table)]
+    if params.ParamTable.from_json_dict(json.loads(table.dumps())) != table:
+        failures.append("params: the dump-params JSON reads back to another table")
     # classify against Fraction comparisons at and near every breakpoint
     breaks = table.t[1:table.k + 2]
     near = (t + Fraction(s, 10 ** e) for t in breaks for e in (12, 40) for s in (-1, 0, 1))

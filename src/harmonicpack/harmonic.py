@@ -94,10 +94,6 @@ class HarmonicPacker:
         return self
 
     @property
-    def open_bin_count(self) -> int:
-        return len(self._open) + (self._open_tiny is not None)
-
-    @property
     def total_weight(self) -> Fraction:
         """Summed W_H of the packed items, read from the bins: a closed
         type-i bin (i < k) holds i items, the type-k bins hold the tail."""

@@ -64,6 +64,15 @@ def exact_add(num: int, den: int, size: Fraction) -> tuple:
     return num + p * (den // q), den
 
 
+def on_one_denominator(xs) -> tuple:
+    """(den, nums): the rationals ``xs`` as integers over their lcm denominator."""
+    den = 1
+    for x in xs:
+        if den % x.denominator:
+            den *= Fraction(x.denominator, den).numerator  # q // gcd(q, den)
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 @dataclass(frozen=True)
 class ParamTable:
     """A Super-Harmonic parameter instance.
@@ -90,13 +99,9 @@ class ParamTable:
             1 - self.t[i] * self.beta[i] for i in range(1, self.k + 1))))
         # classify() bisects [t[k+1], t[k], ..., t[2]] scaled to integers over
         # their common denominator D: t < p/q exactly when t*D < ceil(p*D/q)
-        asc = [self.t[i] for i in range(self.k + 1, 1, -1)]
-        den = 1
-        for t in asc:
-            den = exact_add(0, den, t)[1]
+        den, breaks = on_one_denominator([self.t[i] for i in range(self.k + 1, 1, -1)])
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_asc_breaks",
-                           [t.numerator * (den // t.denominator) for t in asc])
+        object.__setattr__(self, "_asc_breaks", breaks)
 
     @property
     def eps(self) -> Fraction:
@@ -152,15 +157,6 @@ class ParamTable:
         Delta = tuple(parse_rational(x) for x in data["Delta"])
         return cls(k=k, K=bigk, t=t, alpha=alpha, beta=beta, Delta=Delta,
                    phi=phi, varphi=varphi, gamma=gamma)
-
-    @classmethod
-    def loads(cls, text: str) -> "ParamTable":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path) -> "ParamTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # -- the built-in SH+ instance (k = 50, K = 6, eps = 1/38) -----------------

@@ -262,23 +262,12 @@ class ShState:
     def cost(self) -> int:
         return len(self.bins)
 
-    def _nf(self) -> list:
-        """The Next-Fit bins: neither a blue nor a red type."""
-        return [b for b in self.bins if b.blue_type is None and b.red_type is None]
-
-    @property
-    def nf_bins(self) -> int:
-        return len(self._nf())
-
-    @property
-    def small_count(self) -> int:
-        """Number of tail items: the items in the Next-Fit bins."""
-        return sum(b.blue_count for b in self._nf())
-
     @property
     def small_mass(self) -> Fraction:
-        """Summed size of the tail items: the content of the Next-Fit bins."""
-        return sum((b.blue_sum for b in self._nf()), Fraction(0))
+        """Summed size of the tail items: the content of the Next-Fit bins,
+        which have neither a blue nor a red type."""
+        return sum((b.blue_sum for b in self.bins
+                    if b.blue_type is None and b.red_type is None), Fraction(0))
 
     def group_census(self) -> GroupCensus:
         """Current group census, counted from the bins themselves."""
@@ -312,12 +301,6 @@ class ShState:
         r = max(i for i in self._red_types if pools[i])
         j = self.table.varphi[r]
         return FinalCase(E=E, r=r, j=j, case_id=self.table.K + 2 - j)
-
-    def open_bin_like_count(self) -> int:
-        """Bins that are neither blue-full nor red-full (plus the NF bin)."""
-        n = sum(1 for b in self._blue_open if b is not None)
-        n += sum(1 for b in self._red_open if b is not None)
-        return n + (self._nf_bin is not None)
 
     def check_feasibility(self) -> list:
         """Red-count, capacity and reserved-space violations of the run."""

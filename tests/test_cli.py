@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
@@ -79,12 +79,17 @@ class TestInputErrors:
          "lambda_above_one.json: pair 2,5: lam must lie in [0, 1]"),
         ("bound --lambda-file {dir}/lambda_zero.json",
          "lambda_zero.json: pair 7,7: f must be strictly positive"),
+        ("bound --lambda-file {dir}/lambda_8x8.json",
+         "lambda_8x8.json: pair 1,8 lies outside the 7 x 7 case pairs"),
+        ("bound --lambda-file {dir}/lambda_key_8_8.json",
+         "lambda_key_8_8.json: pair 8,8 lies outside the 7 x 7 case pairs"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
             "width-below-depth-floor", "bound-no-cuts", "lambda-true",
-            "lambda-above-one", "lambda-zero-f"])
+            "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
+            "lambda-key-8-8"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -102,6 +107,8 @@ class TestInputErrors:
                               ("lambda_zero", "7,7", 0)):
             (tmp_path / f"{name}.json").write_text(json.dumps(
                 {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)} | {ij: lam}))
+        (tmp_path / "lambda_8x8.json").write_text(_LAMBDA_8X8)
+        (tmp_path / "lambda_key_8_8.json").write_text(_LAMBDA_KEY_8_8)
         try:
             rc = main(argv.format(dir=tmp_path).split())
         except SystemExit as exc:  # argparse rejects bad flags this way
@@ -153,6 +160,10 @@ _JSON = st.recursive(
                       inner, max_size=4),
     max_leaves=10)
 _LAMBDA_TEXT = _JSON.map(json.dumps) | st.sampled_from(["", "{", "[[0.5]", "nul"])
+# complete tables with one pair beyond the 7 x 7 case pairs
+_LAMBDA_8X8 = json.dumps([["0.5"] * 8] * 8)
+_LAMBDA_KEY_8_8 = json.dumps({f"{i},{j}": "0.5" for i in range(1, 8)
+                              for j in range(1, 8)} | {"8,8": "abc"})
 
 
 def _run_main_on_file(argv, content) -> tuple:
@@ -186,10 +197,13 @@ class TestErrorBoundary:
         assert rc in (0, 1, 2) and "Traceback" not in err, (rc, err)
 
     @given(_LAMBDA_TEXT)
+    @example(_LAMBDA_8X8)
+    @example(_LAMBDA_KEY_8_8)
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_malformed_lambda_file(self, content):
-        # no generated table is complete, so every run is an input error
+        # no generated table is complete, and neither example is a 7 x 7 table,
+        # so every run is an input error
         rc, err = _run_main_on_file(["bound", "--lambda-file"], content)
         assert rc == 1 and err.startswith("error: ") and "Traceback" not in err, err
 

@@ -189,7 +189,9 @@ class TestSlicePacking:
             per_type[table.classify(sl.width)] += 1
         for i in range(1, table.k + 1):
             assert per_type[i] == run.inner.s[i]
-        assert per_type[table.k + 1] == run.inner.small_count
+        assert per_type[table.k + 1] == sum(
+            b.blue_count for b in run.inner.bins
+            if b.blue_type is None and b.red_type is None)  # the Next-Fit bins
 
     @pytest.mark.parametrize("orientation", ["hxb", "bxh"])
     def test_weight_bounds_sum_item_weights(self, table, wset, orientation):

@@ -154,24 +154,80 @@ def _defaulted_parameters(tree):
     return found
 
 
+def _references() -> tuple:
+    """(trees, refs) of the package and the benchmark: ``trees`` maps each
+    module's path to its syntax tree, and ``refs`` maps a name to one
+    (path, node, call) per variable ``name`` or attribute ``x.name`` read
+    there, ``call`` being the call it is the callee of, or None."""
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    refs = {}
+    for path, tree in trees.items():
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((path, node, calls.get(id(node))))
+    return trees, refs
+
+
+def _sets(call, param, pos) -> bool:
+    """Whether ``call`` passes ``param``, by keyword or at position ``pos``
+    (None for a keyword-only parameter)."""
+    npos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
+            else len(call.args))
+    kws = {kw.arg for kw in call.keywords}
+    return param in kws or None in kws or (pos is not None and npos > pos)
+
+
 def test_every_default_is_passed_by_some_caller():
     # a default that no call in the package or the benchmark overrides is
     # an option only tests can set: a module constant says the same
-    paths = sorted(PACKAGE.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-             for path in [*paths, *sorted((ROOT / "bench").glob("*.py"))]}
-    passed = {}  # callee name -> [(positional count, keyword names)]
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name,
-                                                                     ast.Attribute)):
-                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                npos = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
-                        else len(node.args))
-                kws = {kw.arg for kw in node.keywords}
-                passed.setdefault(name, []).append((npos, kws))
+    trees, refs = _references()
     unused = [f"{path.name}: {name}({param}=)"
-              for path in paths for name, param, pos in _defaulted_parameters(trees[path])
-              if not any(param in kws or None in kws or (pos is not None and npos > pos)
-                         for npos, kws in passed.get(name, []))]
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, param, pos in _defaulted_parameters(trees[path])
+              if not any(call and _sets(call, param, pos)
+                         for _, _, call in refs.get(name, []))]
     assert unused == []
+
+
+def _public_defs(tree, package_classes):
+    """(qualified name, node) of each public class and function of a module,
+    and of each public method and property of its classes.  A class with a
+    base outside the package adds none: its methods override that base's."""
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef) and all(
+                isinstance(b, ast.Name) and b.id in package_classes for b in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+                elif (isinstance(item, ast.Assign) and isinstance(item.value, ast.Call)
+                      and getattr(item.value.func, "id", None) == "property"):
+                    yield from ((f"{node.name}.{t.id}", item) for t in item.targets)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that nothing in the package or the benchmark reads,
+    # outside its own def, is surface kept for tests alone.  A name in
+    # harmonicpack._EXPORTS is declared API, and an attribute of a stdlib
+    # module (json.load, say) reads no package name
+    trees, refs = _references()
+    paths = sorted(PACKAGE.glob("*.py"))
+    package_classes = {node.name for path in paths for node in ast.walk(trees[path])
+                       if isinstance(node, ast.ClassDef)}
+
+    def read_outside(path, node, name) -> bool:
+        return any(not (at == path and node.lineno <= ref.lineno <= node.end_lineno)
+                   and not (isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name)
+                            and ref.value.id in sys.stdlib_module_names)
+                   for at, ref, _ in refs.get(name, []))
+
+    unread = [f"{path.name}: {qualname}" for path in paths
+              for qualname, node in _public_defs(trees[path], package_classes)
+              if harmonicpack._EXPORTS.get(qualname) != path.stem
+              and not read_outside(path, node, qualname.rpartition(".")[2])]
+    assert unread == []

@@ -23,6 +23,18 @@ def red_heavy_sizes(table, n, seed):
     return [levels[rng.randrange(len(levels))] for _ in range(n)]
 
 
+def partly_filled(st) -> Counter:
+    """(type, colour) -> bins holding some, but not a full load, of that colour;
+    the cascade keeps each count at most 1."""
+    part = Counter()
+    for b in st.bins:
+        if b.blue_type is not None and b.blue_count < st.table.beta[b.blue_type]:
+            part[b.blue_type, "blue"] += 1
+        if b.red_type is not None and b.red_count < st.table.gamma[b.red_type]:
+            part[b.red_type, "red"] += 1
+    return part
+
+
 class TestCascadeTraces:
     def test_first_type9_item_opens_blue_only_group(self, table):
         st = ShState(table, keep_trace=True)
@@ -82,10 +94,11 @@ class TestCascadeTraces:
         st = ShState(table)
         for _ in range(100):
             st.insert(Fraction(1, 100))
-        assert st.nf_bins == 1 and st.small_mass == 1
+        assert st.group_census().nf_bins == 1 and st.small_mass == 1
         st.insert(Fraction(1, 100))
-        assert st.nf_bins == 2
-        assert st.small_count == 101
+        assert st.group_census().nf_bins == 2
+        assert sum(b.blue_count for b in st.bins
+                   if b.blue_type is None and b.red_type is None) == 101
 
     def test_small_mass_is_summed_tail_size(self, table):
         rng = random.Random(12)
@@ -181,9 +194,11 @@ class TestStateInvariants:
         for step, s in enumerate(grid_sizes(random.Random(10), 4000)):
             st.insert(s)
             if step % 200 == 0:
-                assert st.open_bin_like_count() <= allowance
+                part = partly_filled(st)
+                assert max(part.values(), default=0) <= 1
+                assert sum(part.values()) + 1 <= allowance  # and the Next-Fit bin
         assert st.check_feasibility() == []
-        assert st.open_bin_like_count() <= allowance
+        assert max(partly_filled(st).values(), default=0) <= 1
 
     def test_determinism(self, table):
         sizes = grid_sizes(random.Random(12), 2500)
@@ -322,7 +337,8 @@ class TestTraceOutput:
         sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
                  for _ in range(2000)]
         st = ShState(table).pack(sizes)
-        assert st.trace == [] and st.nf_bins > 0 and st.group_census().pairs
+        census = st.group_census()
+        assert st.trace == [] and census.nf_bins > 0 and census.pairs
         widths = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 10 ** 6)))
                   for _ in range(500)]
         rects = [Item2D(w, h) for w, h in zip(widths, sizes)]
