@@ -9,8 +9,8 @@ The package bundles:
     its weighting function;
   * :mod:`harmonicpack.superharmonic` -- the Super-Harmonic 1D packer with
     red/blue colouring, group bookkeeping, and end-state classification;
-  * :mod:`harmonicpack.weighting` -- the case-indexed weighting functions
-    and the cost-bound checker;
+  * :mod:`harmonicpack.weighting` -- the case weights and the height weight
+    on one integer denominator, and the cost-bound checker;
   * :mod:`harmonicpack.pack2d` -- the 2D slice packers (width classes,
     per-class height stacking, shared 1D run) with exact geometric
     validation and the combined per-rectangle weight;

@@ -36,7 +36,9 @@ so that W(x, y) <= f(y) g(x) pointwise and the single-bin weight of W is at
 most P(f) P(g).  Both f and g are piecewise constant on the type intervals
 with a linear tail; the supremum over y is a maximum of dot products with 51
 points (each interval plus the tail, where the linear slopes cancel), taken
-over the vertices of their upper-right convex hull.
+over the vertices of their upper-right convex hull.  W_H and the case weights
+W^c are read from :class:`~harmonicpack.weighting.WeightFunctionSet` as
+integers over its one denominator; this module derives no weight itself.
 
 The certificate runs in one of two modes:
 
@@ -59,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key
 from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
@@ -82,46 +84,17 @@ class PiecewiseFn:
         return len(self.values) - 1
 
 
-def harmonic_values(table: ParamTable) -> tuple:
-    """Height-weight values per width interval: 1/beta[m] on interval m.
-
-    The height weighting uses harmonic index 1/eps; it is constant on every
-    type interval only if no harmonic breakpoint 1/r falls strictly inside
-    an interval.  That property is required by the whole bounding framework,
-    so it is checked here.
-    """
-    hk = Fraction(1) / table.eps
-    if hk.denominator != 1:
-        raise ValueError("1/eps must be an integer for the height weighting")
-    for m in range(1, table.k + 1):
-        if table.t[m + 1] < Fraction(1, table.beta[m] + 1):
-            raise ValueError(
-                f"height weight not constant on interval {m}: "
-                f"breakpoint 1/{table.beta[m] + 1} falls inside")
-    return (None, *(Fraction(1, table.beta[m]) for m in range(1, table.k + 1)))
-
-
-@lru_cache(maxsize=1)
-def _weight_grid(wset: WeightFunctionSet) -> tuple:
-    """(D, w): the height weight and each case weight of ``wset`` as integers
-    over one denominator D, H[m] = w[0][m]/D and wset.values[c][m] = w[c][m]/D."""
-    rows = (harmonic_values(wset.table), *wset.values[1:])
-    D, nums = on_one_denominator([v for row in rows for v in row[1:]])
-    k = wset.table.k
-    return D, [(None, *nums[at:at + k]) for at in range(0, len(nums), k)]
-
-
 def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
     """Mix of the height weight and the 1D case weight: lam*W_H + (1-lam)*W^case.
 
-    Both components have tail slope 1/(1-eps), so the mix does too.
+    Both components have tail slope 1/(1-eps), so the mix does too, and both
+    are integers over the weight set's one denominator.
     """
     if not 0 <= lam <= 1:
         raise ValueError("lam must lie in [0, 1]")
-    D, w = _weight_grid(wset)
-    p, q = lam.numerator, lam.denominator
-    return PiecewiseFn(values=(None, *(Fraction(p * h + (q - p) * b, q * D)
-                                       for h, b in zip(w[0][1:], w[case][1:]))),
+    D, p, q = wset.den, lam.numerator, lam.denominator
+    return PiecewiseFn(values=(None, *(Fraction(p * h + (q - p) * b, q * D) for h, b
+                                       in zip(wset.height[1:], wset.rows[case][1:]))),
                        tail_slope=wset.tail_slope)
 
 
@@ -153,8 +126,8 @@ def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
     Only the vertices of the points' upper-right hull, built once, can win.
     Points and dot products are integers; each g value becomes a Fraction last.
     """
-    D, w = _weight_grid(wset)
-    h, fv = w[0], f.values[1:len(w[0])]
+    D, h, w = wset.den, wset.height, wset.rows
+    fv = f.values[1:len(h)]
     if any(v.numerator <= 0 for v in fv) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
     # f_n = u/v and M = lcm(u): (B^i_n, H_n)/(2 f_n) = (w[i][n], h[n]) * v*(M/u) / (2DM)
@@ -479,13 +452,6 @@ class RatioCertificate:
     entries: dict  # (i, j) -> PairEntry
     retained: dict  # frozenset({i, j}) -> (orientation (i, j), value)
     bound: Fraction
-    delta: Optional[Fraction] = None
-
-    @property
-    def bound_with_delta(self) -> Fraction:
-        if self.delta is None:
-            return self.bound
-        return self.bound / (1 - self.delta)
 
 
 def round6(x: Fraction) -> Fraction:
@@ -509,7 +475,7 @@ def quantized_model(model: PatternModel) -> PatternModel:
 
 
 def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
-                      mode: str = "paper-compat", delta=None) -> RatioCertificate:
+                      mode: str = "paper-compat") -> RatioCertificate:
     """Compute P(f) * P(g) for every case pair and the retained overall bound."""
     if mode not in ("paper-compat", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -545,5 +511,4 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
             retained[frozenset((i, j))] = ((pick.i, pick.j), pick.product)
     bound = max(v for _, v in retained.values())
     return RatioCertificate(mode=mode, entries=entries, retained=retained,
-                            bound=bound,
-                            delta=None if delta is None else parse_rational(delta))
+                            bound=bound)

@@ -139,6 +139,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_pack1d(args) -> int:
+    if args.trace_out and args.algorithm == "harmonic":
+        raise ValueError("--trace-out traces the sh+ algorithm only")
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=1)
     read_s, t0 = time.perf_counter() - t0, time.perf_counter()
@@ -266,8 +268,7 @@ def cmd_bound(args) -> int:
         raise ValueError(f"--delta must lie in (0, 1), got {delta}")
     lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
     try:
-        cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode,
-                                           delta=delta)
+        cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode)
     except ValueError as exc:  # only a lambda file can hold a pair that fails
         raise ValueError(f"lambda table {args.lambda_file}: {exc}") from None
     retained_pairs = {orient for orient, _ in cert.retained.values()}
@@ -281,7 +282,7 @@ def cmd_bound(args) -> int:
             "retained": int((i, j) in retained_pairs),
         })
     _emit(rows, "csv")
-    bound = cert.bound_with_delta
+    bound = cert.bound if delta is None else cert.bound / (1 - delta)
     print(f"# mode={cert.mode} cuts=on overall_bound={float(bound):.6f}")
     if args.witness:
         wit = {f"{i},{j}": {"Pf_pattern": e.pf_pattern, "Pg_pattern": e.pg_pattern}

@@ -39,6 +39,14 @@ def w_h(size: Fraction, k: int) -> Fraction:
     return harmonic_weight(harmonic_type(size, k), 1, size, k)
 
 
+def height_index(eps: Fraction) -> int:
+    """The Harmonic index 1/eps at which a table's heights are stacked and
+    weighted; it must be an integer."""
+    if eps.numerator != 1:
+        raise ValueError("1/eps must be an integer for the height weighting")
+    return eps.denominator
+
+
 class HarmonicPacker:
     """Online Harmonic(k) packing state.
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .generators import Item2D
-from .harmonic import harmonic_type, harmonic_weight, w_h
+from .harmonic import harmonic_type, harmonic_weight, height_index, w_h
 from .params import ParamTable, exact_add
 from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
@@ -170,12 +170,9 @@ class TensorRun:
                  delta: Fraction = DEFAULT_DELTA):
         if orientation not in ("hxb", "bxh"):
             raise ValueError(f"unknown orientation {orientation!r}")
-        hk = Fraction(1) / table.eps
-        if hk.denominator != 1:
-            raise ValueError("1/eps must be an integer for height stacking")
+        self.hk = height_index(table.eps)
         self.table = table
         self.orientation = orientation
-        self.hk = int(hk)
         self.inner = ShState(table)
         self.grid = TinyGrid(table.eps, Fraction(delta))
         self.slices: list = []
@@ -247,7 +244,7 @@ def w2d(case_i: int, case_j: int, x: Fraction, y: Fraction,
     (W_H(x) * W^i(y) + W^j(x) * W_H(y)) / 2, with the height weighting at
     harmonic index 1/eps.  Symmetric under (i, j, x, y) -> (j, i, y, x).
     """
-    hk = int(Fraction(1) / wset.table.eps)
+    hk = height_index(wset.table.eps)
     return (w_h(x, hk) * wset.w(y, case_i) + wset.w(x, case_j) * w_h(y, hk)) / 2
 
 

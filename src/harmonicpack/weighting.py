@@ -15,7 +15,12 @@ the red share is zero when g = 0), and one rule gives its weight:
     ``varphi(i) >= j``.  A share that does not count in full is halved when
     j >= 2 and dropped when j = 1 (case K+1).
 
+Case 1 is the same rule at j = K+1 with every share not in full dropped.
 Items of the tail type k+1 are charged ``x / (1 - eps)`` under every case.
+
+No other module turns table parameters into weights.  The shares and the
+2D analysis's height weight W_H sit on one integer denominator; case totals
+and the ratio certificate work on those integers.
 
 ``bound_check`` evaluates all case totals on a finished packing run and
 reports the slack of the cost bound; the additive constant asserted by the
@@ -27,8 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from .params import ParamTable
+from .harmonic import height_index
+from .params import ParamTable, on_one_denominator
 
 #: explicit additive constant standing in for "O(1)" in the cost bound,
 #: for the built-in table: 2*50 + 6 + 2.
@@ -37,36 +45,58 @@ def slack_allowance(table: ParamTable) -> int:
 
 
 class WeightFunctionSet:
-    """The K+1 weighting functions of a table, evaluated per type interval.
+    """The K+1 weighting functions of a table and its height weight W_H, per
+    type interval, as integers over one denominator ``den``.
 
-    ``values[c][i]`` is the weight a type-i item receives under case c
-    (both indices 1-based; index 0 is padding).  Immutable once built.
+    ``rows[c][i] / den`` is the weight a type-i item receives under case c
+    (both indices 1-based; index 0 is padding), and ``values[c][i]`` is that
+    weight as a Fraction.  ``height[i] / den`` is W_H on interval i.
+    Immutable once built.
     """
 
     def __init__(self, table: ParamTable):
         self.table = table
         k, K = table.k, table.K
-        values = [None] * (K + 2)
+        types = range(1, k + 1)
+        # 1/beta and the blue and red shares on one denominator D; den = 2D
+        # counts a share in halves: in full (2), halved (1) or not at all (0)
+        D, nums = on_one_denominator([
+            *(Fraction(1, table.beta[i]) for i in types),
+            *((1 - table.alpha[i]) / table.beta[i] for i in types),
+            *(table.alpha[i] / table.gamma[i] if table.gamma[i] else Fraction(0)
+              for i in types)])
+        blue, red = nums[k:2 * k], nums[2 * k:]
+        rows = [None]
         for case in range(1, K + 2):
-            row = [None] * (k + 1)
-            for i in range(1, k + 1):
-                row[i] = self._weight_for(table, case, i)
-            values[case] = tuple(row)
-        self.values = tuple(values)
+            j = K + 2 - case  # case 1 has j = K+1: blue in full, no red
+            part = 1 if 1 < j <= K else 0  # of a share not in full
+            rows.append((None, *((2 if table.phi[i] < j else part) * blue[i - 1]
+                                 + (2 if table.varphi[i] >= j else part) * red[i - 1]
+                                 for i in types)))
+        self.den = 2 * D
+        self.rows = tuple(rows)
         self.num_cases = K + 1
         self.tail_slope = Fraction(1) / (1 - table.eps)
 
-    @staticmethod
-    def _weight_for(table: ParamTable, case: int, i: int) -> Fraction:
-        a, b, g = table.alpha[i], table.beta[i], table.gamma[i]
-        blue = (1 - a) / b
-        red = a / g if g > 0 else Fraction(0)
-        if case == 1:
-            return blue
-        j = table.K + 2 - case
-        part = Fraction(1, 2) if j >= 2 else Fraction(0)  # of a share not in full
-        return ((blue if table.phi[i] < j else blue * part)
-                + (red if table.varphi[i] >= j else red * part))
+    @cached_property
+    def values(self) -> tuple:
+        """The case weights as Fractions: values[c][i] = rows[c][i] / den."""
+        return (None, *((None, *(Fraction(w, self.den) for w in row[1:]))
+                        for row in self.rows[1:]))
+
+    @cached_property
+    def height(self) -> tuple:
+        """W_H per type interval, height[m] / den = 1/beta[m].  The 2D bounds
+        need an integer Harmonic index 1/eps and no breakpoint 1/r strictly
+        inside a type interval, so that W_H is constant on each: checked here."""
+        height_index(self.table.eps)
+        t, beta = self.table.t, self.table.beta
+        for m in range(1, self.table.k + 1):
+            if t[m + 1] < Fraction(1, beta[m] + 1):
+                raise ValueError(
+                    f"height weight not constant on interval {m}: "
+                    f"breakpoint 1/{beta[m] + 1} falls inside")
+        return (None, *(self.den // beta[m] for m in range(1, self.table.k + 1)))
 
     def w(self, size: Fraction, case: int) -> Fraction:
         """Weight of an item of ``size`` under ``case`` (w_sh)."""
@@ -83,17 +113,13 @@ class WeightFunctionSet:
         ``type_counts[i]`` is the number of type-i items, or any other
         per-type multiplier such as a summed height weight (1-based, length
         k+1 used); ``tail_mass`` is the summed size of tail-type items.
-        Returns a 1-based list of K+1 Fractions.
+        Returns a 1-based list of K+1 Fractions, each summed on integers.
         """
-        k = self.table.k
+        den, counts = on_one_denominator(type_counts[1:self.table.k + 1])
+        den *= self.den
         tail = tail_mass * self.tail_slope
-        totals = [None]
-        for case in range(1, self.num_cases + 1):
-            row = self.values[case]
-            s = sum((type_counts[i] * row[i] for i in range(1, k + 1) if type_counts[i]),
-                    Fraction(0))
-            totals.append(s + tail)
-        return totals
+        return [None, *(Fraction(sum(map(mul, counts, row[1:])), den) + tail
+                        for row in self.rows[1:])]
 
 
 @dataclass
@@ -118,7 +144,7 @@ def bound_check(state, wset: WeightFunctionSet | None = None) -> BoundReport:
     if wset is None:
         wset = WeightFunctionSet(state.table)
     totals = wset.case_totals(state.s, state.small_mass)
-    max_total = max(totals[1:]) if len(totals) > 1 else Fraction(0)
+    max_total = max(totals[1:])
     fc = state.final_case()
     final_total = totals[fc.case_id]
     return BoundReport(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmonicpack.params import builtin_shplus
+from harmonicpack.params import ParamTable, builtin_shplus
 from harmonicpack.weighting import WeightFunctionSet
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -46,3 +46,13 @@ def reference_table():
 
 def grid_sizes(rng: random.Random, n: int, den: int = 10 ** 6):
     return [Fraction(rng.randint(1, den), den) for _ in range(n)]
+
+
+def harmonic_table(m):
+    """K = 0, no reds, t_i = 1/i below m and eps = 1/m: Harmonic(m) as a table."""
+    k = m - 1
+    return ParamTable(
+        k=k, K=0, t=(None, *(Fraction(1, i) for i in range(1, m + 1)), Fraction(0)),
+        alpha=(None, *[Fraction(0)] * k), beta=(None, *range(1, m)),
+        Delta=(Fraction(0),), phi=(None, *[0] * k), varphi=(None, *[0] * k),
+        gamma=(None, *[0] * k))

@@ -8,7 +8,7 @@ import pytest
 from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
                                     TUNED_LAMBDA, build_f, build_g,
                                     brute_force_max, builtin_model_constraints,
-                                    cut_max_lhs, harmonic_values, pattern_max,
+                                    cut_max_lhs, pattern_max,
                                     quantized_fn, quantized_model,
                                     ratio_certificate, round6,
                                     shplus_pattern_model, validate_cut)
@@ -44,9 +44,14 @@ class TestRound6:
             assert round6(x) == Fraction(round(x * 10 ** 6), 10 ** 6), x
 
 
+def height_values(wset):
+    """W_H per type interval as Fractions, read from the weight set."""
+    return (None, *(Fraction(h, wset.den) for h in wset.height[1:]))
+
+
 class TestHeightValues:
-    def test_height_weight_constant_per_interval(self, table):
-        H = harmonic_values(table)
+    def test_height_weight_constant_per_interval(self, table, wset):
+        H = height_values(wset)
         for m in range(1, 51):
             # both interval endpoints carry the same height weight
             assert w_h(table.t[m], 38) == H[m]
@@ -60,9 +65,9 @@ class TestBuildF:
         assert f.values[2] == 1  # both components are 1 on interval 2
         assert f.tail_slope == Fraction(38, 37)
 
-    def test_lambda_one_is_height_weight(self, table, wset):
+    def test_lambda_one_is_height_weight(self, wset):
         f = build_f(3, Fraction(1), wset)
-        assert f.values[1:] == harmonic_values(table)[1:]
+        assert f.values[1:] == height_values(wset)[1:]
 
     def test_lambda_range_checked(self, wset):
         with pytest.raises(ValueError):
@@ -104,8 +109,7 @@ class TestBuildG:
         (x-interval, y-interval) cell plus the three tail combinations
         covers the entire unit square exactly (strictly stronger than any
         amount of random sampling)."""
-        from harmonicpack.boundcert import harmonic_values
-        H = harmonic_values(table)
+        H = height_values(wset)
         ts = wset.tail_slope
         k = table.k
         for (i, j), lam in TUNED_LAMBDA.items():
@@ -141,7 +145,7 @@ class TestBuildG:
         # each value of g is the largest of its 51 candidates (attained, and
         # not exceeded), on the tuned table and two seeded ones whose entries
         # move by multiples of 1/1000 in [-0.03, 0.03]
-        H = harmonic_values(table)
+        H = height_values(wset)
         k, ts = table.k, wset.tail_slope
         tables = [TUNED_LAMBDA]
         for seed in (1, 2):
@@ -373,11 +377,6 @@ class TestCertificate:
             i, j = tuple(key) if len(key) == 2 else (next(iter(key)),) * 2
             assert val <= compat_cert.entries[(i, j)].product
             assert val <= compat_cert.entries[(j, i)].product
-
-    def test_delta_scales_bound(self, wset, compat_cert):
-        with_delta = ratio_certificate(wset, mode="paper-compat",
-                                       delta=Fraction(1, 10000))
-        assert with_delta.bound_with_delta == compat_cert.bound / (1 - Fraction(1, 10000))
 
     def test_lambda_override(self, wset):
         lam = {(i, j): Fraction(1, 2) for i in range(1, 8) for j in range(1, 8)}

@@ -7,10 +7,12 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from harmonicpack.boundcert import ratio_certificate
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
 from harmonicpack.params import ParamTable, validate
@@ -83,13 +85,15 @@ class TestInputErrors:
          "lambda_8x8.json: pair 1,8 lies outside the 7 x 7 case pairs"),
         ("bound --lambda-file {dir}/lambda_key_8_8.json",
          "lambda_key_8_8.json: pair 8,8 lies outside the 7 x 7 case pairs"),
+        ("pack1d --algorithm harmonic --n 10 --trace-out {dir}/trace.csv",
+         "--trace-out traces the sh+ algorithm only"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
             "width-below-depth-floor", "bound-no-cuts", "lambda-true",
             "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
-            "lambda-key-8-8"])
+            "lambda-key-8-8", "harmonic-trace-out"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -379,6 +383,16 @@ class TestBoundCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert hashlib.sha256(wit.read_bytes()).hexdigest() == (
             "0ac7a5ecc985306760ebf1d98dc7af7470bd3236b2710cc6910690eed805f2fa")
+
+    def test_delta_scales_bound(self, capsys, wset):
+        # --delta divides the overall bound by (1 - delta); the table stays
+        assert main(["bound"]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["bound", "--delta", "1/10000"]) == 0
+        scaled = capsys.readouterr().out.splitlines()
+        assert scaled[:-1] == plain[:-1]
+        bound = ratio_certificate(wset).bound / (1 - Fraction(1, 10000))
+        assert scaled[-1] == f"# mode=paper-compat cuts=on overall_bound={float(bound):.6f}"
 
     def test_witness_file(self, tmp_path):
         wit = tmp_path / "wit.json"

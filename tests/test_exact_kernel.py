@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 from harmonicpack.generators import Item2D
 from harmonicpack.harmonic import HarmonicPacker, harmonic_type
 from harmonicpack.pack2d import TensorRun
-from harmonicpack.params import ParamTable, builtin_shplus, validate
+from harmonicpack.params import builtin_shplus, validate
 from harmonicpack.superharmonic import ShState
+
+from conftest import harmonic_table
 
 
 def fraction_type(table, size):
@@ -29,16 +31,6 @@ def fraction_type(table, size):
 
 def fraction_harmonic_type(size, k):
     return k if size * k <= 1 else int(1 / size)
-
-
-def harmonic_table(m):
-    """K = 0, no reds, t_i = 1/i below m and eps = 1/m: Harmonic(m) as a table."""
-    k = m - 1
-    return ParamTable(
-        k=k, K=0, t=(None, *(Fraction(1, i) for i in range(1, m + 1)), Fraction(0)),
-        alpha=(None, *[Fraction(0)] * k), beta=(None, *range(1, m)),
-        Delta=(Fraction(0),), phi=(None, *[0] * k), varphi=(None, *[0] * k),
-        gamma=(None, *[0] * k))
 
 
 def near_breakpoints(table):

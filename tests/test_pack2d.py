@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonicpack.boundcert import build_f
 from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
+from harmonicpack.weighting import WeightFunctionSet
 
 from conftest import grid_sizes
 
@@ -347,6 +350,18 @@ class TestCombinedWeight:
         want = Fraction(38, 37) ** 2 * Fraction(1, 10 ** 4)
         for i, j in ((1, 1), (3, 5), (7, 7)):
             assert w2d(i, j, Fraction(1, 100), Fraction(1, 100), wset) == want
+
+    def test_eps_without_integer_inverse_is_refused(self, table):
+        # 1/eps = 75/2 has no Harmonic index: the 1D case totals still hold,
+        # and everything that weighs or stacks heights refuses the table
+        odd = dataclasses.replace(table, t=(*table.t[:51], Fraction(2, 75), Fraction(0)))
+        wset = WeightFunctionSet(odd)
+        assert wset.case_totals([0] * 51, Fraction(2, 75))[1:] == [Fraction(2, 73)] * 7
+        x = Fraction(1, 100)
+        for refused in (lambda: w2d(1, 1, x, x, wset), lambda: TensorRun(odd),
+                        lambda: build_f(1, Fraction(1, 2), wset)):
+            with pytest.raises(ValueError, match="1/eps must be an integer"):
+                refused()
 
     @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6),
            st.integers(1, 7), st.integers(1, 7))

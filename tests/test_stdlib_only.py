@@ -74,6 +74,26 @@ def test_pattern_max_search_is_integer():
     assert bad == []
 
 
+def test_weights_have_one_home():
+    # weighting alone turns a table's red and blue parameters into weights:
+    # boundcert and pack2d read none of them.  No module memoises process-wide
+    # with functools' caches, which would keep every argument they saw alive
+    params = {"alpha", "beta", "gamma", "phi", "varphi", "Delta"}
+    memo = {"lru_cache", "cache"}
+    bad = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                bad += [f"{path.name}:{node.lineno}: {a.name}" for a in node.names
+                        if a.name in memo]
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr in memo and getattr(node.value, "id", None) == "functools"
+                    or node.attr in params and path.stem in ("boundcert", "pack2d")):
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert bad == []
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()

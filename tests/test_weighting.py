@@ -3,10 +3,68 @@ from fractions import Fraction
 
 import pytest
 
+from harmonicpack.harmonic import height_index, w_h
+from harmonicpack.params import builtin_shplus
 from harmonicpack.superharmonic import ShState
-from harmonicpack.weighting import bound_check, slack_allowance
+from harmonicpack.weighting import WeightFunctionSet, bound_check, slack_allowance
 
-from conftest import grid_sizes
+from conftest import grid_sizes, harmonic_table
+
+
+def fraction_weight(table, case, i):
+    """A type-i item's weight under ``case`` by the rule in Fractions, as the
+    weight set computed it before its weights moved onto one denominator."""
+    a, b, g = table.alpha[i], table.beta[i], table.gamma[i]
+    blue = (1 - a) / b
+    red = a / g if g > 0 else Fraction(0)
+    if case == 1:
+        return blue
+    j = table.K + 2 - case
+    part = Fraction(1, 2) if j >= 2 else Fraction(0)  # of a share not in full
+    return ((blue if table.phi[i] < j else blue * part)
+            + (red if table.varphi[i] >= j else red * part))
+
+
+TABLES = pytest.mark.parametrize(
+    "tbl", [builtin_shplus(), harmonic_table(7), harmonic_table(38)],
+    ids=["shplus", "h7", "h38"])
+
+
+class TestIntegerRuleAgainstFractions:
+    @TABLES
+    def test_values(self, tbl):
+        wset = WeightFunctionSet(tbl)
+        assert wset.num_cases == tbl.K + 1
+        for case in range(1, tbl.K + 2):
+            assert wset.values[case][1:] == tuple(
+                fraction_weight(tbl, case, i) for i in range(1, tbl.k + 1))
+
+    @TABLES
+    def test_case_totals(self, tbl):
+        # seeded integer counts (as bound_check passes, length k+1) and
+        # Fraction multipliers (as weight_bounds passes, length k+2)
+        wset, k = WeightFunctionSet(tbl), tbl.k
+        rng = random.Random(k)
+        for trial in range(40):
+            if trial % 2:
+                counts = [0, *(rng.choice((0, rng.randint(1, 10 ** 4))) for _ in range(k))]
+            else:
+                counts = [0, *(Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 9))
+                               for _ in range(k + 1))]
+            tail = Fraction(rng.randint(0, 10 ** 6), rng.randint(1, 10 ** 6))
+            want = [None, *(sum((counts[i] * fraction_weight(tbl, case, i)
+                                 for i in range(1, k + 1)), Fraction(0))
+                            + tail / (1 - tbl.eps) for case in range(1, tbl.K + 2))]
+            assert wset.case_totals(counts, tail) == want
+
+    @TABLES
+    def test_height_row(self, tbl):
+        # W_H at both ends of every interval (t[m+1], t[m]]
+        wset, hk = WeightFunctionSet(tbl), height_index(tbl.eps)
+        for m in range(1, tbl.k + 1):
+            h = Fraction(wset.height[m], wset.den)
+            assert w_h(tbl.t[m], hk) == h
+            assert w_h(tbl.t[m + 1] + Fraction(1, 10 ** 12), hk) == h
 
 
 class TestCaseWeights:
