@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 
 from . import boundcert, generators, params, weighting
-from .harmonic import HarmonicPacker
+from .harmonic import HarmonicPacker, w_h
 from .pack2d import DEFAULT_DELTA, pack_orientations, tensor_cost, validate_geometry
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet, bound_check
@@ -318,6 +318,12 @@ def cmd_verify(args) -> int:
     _, hxb, bxh = tensor_cost(items, table)
     failures += [f"2d: {v}" for v in validate_geometry(hxb)[:5]]
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
+    # the integer weight totals against a Fraction sum, rectangle by rectangle
+    charges = [(w_h(it.h, hxb.hk), hxb.width_class(it.w)[1]) for it in items]
+    want = [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
+            for c in range(1, wset.num_cases + 1)]
+    if hxb.weight_bounds(wset)[1:] != want:
+        failures.append("2d: weight totals differ from the per-rectangle sum")
 
     model12 = boundcert.shplus_pattern_model(table, include_cuts=False, num_types=12)
     lam = boundcert.TUNED_LAMBDA[(6, 1)]  # trial 5: an exact-mode g of the certificate

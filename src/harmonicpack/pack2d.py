@@ -16,11 +16,11 @@ reserved space from the right edge leftwards, and Next-Fit bins pack tiny
 slices left to right.  Blue loads stop at beta*t <= 1 - Delta[phi] and red
 loads at gamma*t <= Delta[phi], so slices never overlap; items never
 overlap inside a slice because their heights are stacked.  The slices are
-the only record of this geometry: a slice keeps its rectangles bottom to
-top, so a rectangle sits at the slice's x and at the sum of the heights
-below it, and the geometry audit checks these columns, not rectangle
-pairs.  A slice's stacked height, like the audit's own sum, is an integer
-numerator over a denominator that grows only to the lcm of the heights'.
+the only record of this geometry: a rectangle sits at its slice's x and on
+the heights below it, and the audit checks these columns, not rectangle
+pairs.  It is all integers: a slice's x and width share a denominator, its
+stacked height (like the audit's sum) has the lcm of the heights', the audit
+cross-multiplies, and the weight totals build one Fraction per width type.
 
 The geometric grid is an exact integer ladder: value(m) is an 18-digit
 integer over a power of ten, one step per factor (1-d) truncated to 18
@@ -43,10 +43,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .generators import Item2D
-from .harmonic import harmonic_type, harmonic_weight, height_index, w_h
-from .params import ParamTable, exact_add
+from .harmonic import harmonic_type, height_index, w_h
+from .params import ParamTable, exact_add, lcm
 from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
 
@@ -64,14 +65,14 @@ def _digits(n: int) -> int:
     return d
 
 
-def _named(w: Fraction, digits=None) -> str:
-    """``width w``; by digit counts where str() refuses so long an integer.
-    ``digits`` are the numerator's and denominator's counts when known."""
+def _named(w: Fraction, side: str, digits=None) -> str:
+    """``side w``, as in ``width 1/3``; by digit counts where str() refuses so
+    long an integer.  ``digits`` are the numerator's and denominator's if known."""
     try:
-        return f"width {w}"
+        return f"{side} {w}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
         dn, dd = digits or (_digits(abs(w.numerator)), _digits(w.denominator))
-        return f"width with a {dn}-digit numerator and a {dd}-digit denominator"
+        return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"
 
 
 class TinyGrid:
@@ -116,10 +117,10 @@ class TinyGrid:
         self._grow(m)
         return Fraction(self._num[m], 10 ** self._exp[m])
 
-    def class_of(self, w: Fraction) -> int:
-        """The unique m with value(m+1) < w <= value(m)."""
+    def class_of(self, w: Fraction, side: str = "width") -> int:
+        """The unique m with value(m+1) < w <= value(m); errors call w ``side``."""
         if not 0 < w <= self.eps:
-            raise ValueError(f"{_named(w)} outside the tiny range (0, {self.eps}]")
+            raise ValueError(f"{_named(w, side)} outside the tiny range (0, {self.eps}]")
         num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
         # 10**(15-top) < w < 10**(17-top) and 10**(17-e) <= value(m) < 10**(18-e)
         # with e = exp[m]: only for top < e < top+3 does the exact product decide
@@ -129,8 +130,8 @@ class TinyGrid:
                                      or num[-1] * wd >= wn * 10 ** exp[-1]):
             # past the floor, w < 10**(dn-dd+1) <= 10**-floor <= value(_MAX_DEPTH)
             if len(num) > _MAX_DEPTH or dd - dn > self._floor:
-                raise ValueError(f"{_named(w, (dn, dd))} lies below the tiny grid's "
-                                 f"depth floor of {_MAX_DEPTH} classes")
+                raise ValueError(f"{_named(w, side, (dn, dd))} lies below the tiny "
+                                 f"grid's depth floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
         return bisect.bisect_left(range(len(num)), True, lo=1,
                                   key=lambda m: num[m] * wd < wn * 10 ** exp[m]) - 1
@@ -139,32 +140,22 @@ class TinyGrid:
 @dataclass
 class Slice:
     sid: int
-    width: Fraction  # class value
     bin_id: int
-    x: Fraction
+    x_num: int  # the column [x, x + width] x [0, 1]: x = x_num / den and the
+    w_num: int  # width, the class value, w_num / den
+    den: int
     width_type: int  # table type of the widths, k+1 for the tiny grid
     height_type: int  # Harmonic type of the heights stacked here
-    fill_num: int = 0  # the stacked height y_fill is fill_num / fill_den
+    fill_num: int = 0  # the stacked height is fill_num / fill_den
     fill_den: int = 1
     items: list = field(default_factory=list)  # Item2D, bottom to top
 
-    @property
-    def count(self) -> int:
-        return len(self.items)
-
-    y_fill = property(lambda self: Fraction(self.fill_num, self.fill_den))
-
 
 class TensorRun:
-    """One orientation of the slice packer over a common 1D run.
-
-    ``orientation`` is "hxb" (slices cut by width, heights stacked) or
-    "bxh" (the transpose; callers feed transposed items and read the
-    geometry transposed).  Heights are stacked with Harmonic index
-    1/eps (38 for the built-in table).  The weight totals and the
-    geometry are read from the slices, each of which holds one width class
-    and one height type.
-    """
+    """One orientation of the slice packer over a common 1D run: "hxb" cuts
+    slices by width and stacks heights with Harmonic index 1/eps; "bxh" is the
+    transpose, fed and read transposed.  The weight totals and the geometry are
+    read from the slices, each holding one width class and one height type."""
 
     def __init__(self, table: ParamTable, orientation: str = "hxb",
                  delta: Fraction = DEFAULT_DELTA):
@@ -187,17 +178,21 @@ class TensorRun:
         i = self.table.classify(w)
         if i <= self.table.k:
             return ("t", i), self.table.t[i]
-        m = self.grid.class_of(w)
+        m = self.grid.class_of(w, "height" if self.orientation == "bxh" else "width")
         return ("e", m), self.grid.value(m)
 
-    def _slice_x(self, b: Bin, width_type: int, width: Fraction) -> Fraction:
+    def _slice_x(self, b: Bin, width_type: int, width: Fraction) -> tuple:
+        """(x_num, w_num, den) of a new slice of ``width`` in ``b`` from b's sums,
+        which hold it (so den is a multiple of width's): blue and tiny slices run
+        left to right, x = blue sum - width; reds run leftwards, x = 1 - red sum."""
+        wn, wd = width.numerator, width.denominator
         # a slice of b's blue type is blue: in a valid table gamma_i*t_i >= t_i >
         # delta_i >= Delta[phi(i)] keeps type-i reds out (check_feasibility audits it)
-        if width_type > self.table.k:
-            return b.blue_sum - width  # tiny: Next Fit, left to right
-        if b.blue_type == width_type:
-            return (b.blue_count - 1) * width
-        return 1 - b.red_sum
+        if width_type > self.table.k or b.blue_type == width_type:
+            f = b.blue_den // wd
+            return b.blue_num - wn * f, wn * f, b.blue_den
+        f = b.red_den // wd
+        return b.red_den - b.red_num, wn * f, b.red_den
 
     def insert(self, item: Item2D) -> Slice:
         """Stack ``item`` on its slice and return that slice."""
@@ -206,12 +201,11 @@ class TensorRun:
         slot = (key, ht)
         sl = self._open.get(slot)
         hn, hd = item.h.numerator, item.h.denominator
-        if sl is None or (sl.count >= ht if ht < self.hk
+        if sl is None or (len(sl.items) >= ht if ht < self.hk
                           else sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd):
             b = self.inner.insert(width)
             width_type = key[1] if key[0] == "t" else self.table.k + 1
-            sl = Slice(sid=len(self.slices), width=width, bin_id=b.bid,
-                       x=self._slice_x(b, width_type, width),
+            sl = Slice(len(self.slices), b.bid, *self._slice_x(b, width_type, width),
                        width_type=width_type, height_type=ht)
             self.slices.append(sl)
             self._open[slot] = sl
@@ -225,12 +219,21 @@ class TensorRun:
         return self
 
     def weight_bounds(self, wset: WeightFunctionSet) -> list:
-        """Per-case totals of W_H(height) * W_case(width class); 1-based."""
-        k = self.table.k
-        per_type = [Fraction(0)] * (k + 2)  # k+1: tiny, weighted by class value
+        """Per-case totals of W_H(height) * W_case(width class); 1-based.  A slice
+        weighs count/i for height type i < hk, else hk/(hk-1) * fill, times its
+        class value if tiny, summed on integers per width type and denominator."""
+        k, hk = self.table.k, self.hk
+        sums = [{} for _ in range(k + 2)]  # width type -> {denominator: numerator}
         for sl in self.slices:
-            hw = harmonic_weight(sl.height_type, sl.count, sl.y_fill, self.hk)
-            per_type[sl.width_type] += hw if sl.width_type <= k else sl.width * hw
+            n, d = (sl.w_num, sl.den) if sl.width_type > k else (1, 1)
+            if sl.height_type < hk:
+                n, d = n * len(sl.items), d * sl.height_type
+            else:
+                n, d = n * hk * sl.fill_num, d * (hk - 1) * sl.fill_den
+            acc = sums[sl.width_type]
+            acc[d] = acc.get(d, 0) + n
+        per_type = [Fraction(sum(n * (den // d) for d, n in acc.items()), den)
+                    for acc in sums for den in (lcm(1, *acc),)]
         return wset.case_totals(per_type, per_type[k + 1])
 
     def max_weight_bound(self, wset: WeightFunctionSet) -> Fraction:
@@ -239,11 +242,9 @@ class TensorRun:
 
 def w2d(case_i: int, case_j: int, x: Fraction, y: Fraction,
         wset: WeightFunctionSet) -> Fraction:
-    """Combined per-rectangle weight of the two orientations.
-
-    (W_H(x) * W^i(y) + W^j(x) * W_H(y)) / 2, with the height weighting at
-    harmonic index 1/eps.  Symmetric under (i, j, x, y) -> (j, i, y, x).
-    """
+    """Combined per-rectangle weight of the two orientations, (W_H(x) W^i(y) +
+    W^j(x) W_H(y)) / 2 with W_H at Harmonic index 1/eps.  Symmetric under
+    (i, j, x, y) -> (j, i, y, x)."""
     hk = height_index(wset.table.eps)
     return (w_h(x, hk) * wset.w(y, case_i) + wset.w(x, case_j) * w_h(y, hk)) / 2
 
@@ -268,44 +269,43 @@ def pack_orientations(items, table: ParamTable, orientations, delta: Fraction) -
 def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
     """Run both orientations and average them (the fair-coin expectation)."""
     hxb, bxh = pack_orientations(items, table, ("hxb", "bxh"), delta)
-    return TensorCost(cost_hxb=hxb.cost, cost_bxh=bxh.cost,
-                      avg=Fraction(hxb.cost + bxh.cost, 2)), hxb, bxh
+    return TensorCost(hxb.cost, bxh.cost, Fraction(hxb.cost + bxh.cost, 2)), hxb, bxh
 
 
 def validate_geometry(run: TensorRun) -> list:
-    """Exact geometric audit of a finished run, read from its slices.
+    """Exact geometric audit of a finished run, read from its slices, in integers.
 
     A slice is the column [x, x+width] x [0, 1] of its bin and stacks its
-    rectangles from the bottom.  Its rectangles lie inside the unit bin and
-    apart from every other rectangle if four checks pass: the column lies in
-    [0, 1] across; no rectangle is wider than the column; the stack, summed
-    from the rectangles and not read from y_fill, ends at height 1 or below;
-    and within a bin, sorted by x, no column starts left of the previous
-    one's right edge (touching edges pass).  Two rectangles of different
-    slices that overlap lie in overlapping columns, so this audit is never
-    looser than a check on rectangle pairs; it also rejects overlapping
-    columns whose rectangles happen to miss, a layout the packer never
-    builds.  Returns violation strings naming slices (and a rectangle by
-    position); empty means the packing is geometrically consistent.
+    rectangles from the bottom.  They lie inside the unit bin and apart from
+    every other rectangle if four checks pass: the column lies in [0, 1]
+    across; no rectangle is wider than the column; the stack, re-summed from
+    the rectangles, ends at height 1 or below; and in a bin, sorted by x over
+    the lcm of its denominators, no column starts left of the previous one's
+    right edge (touching edges pass).  Overlapping rectangles of two slices
+    lie in overlapping columns, so this is never looser than a check on
+    rectangle pairs, and stricter where columns overlap but their rectangles
+    miss.  Returns violation strings naming slices and rectangles.
     """
-    bad = []
-    per_bin: dict = {}
+    bad, per_bin = [], {}
     for sl in run.slices:
-        if not (0 <= sl.x and sl.x + sl.width <= 1):
+        x, w, den = sl.x_num, sl.w_num, sl.den
+        if not (0 <= x and x + w <= den):
             bad.append(f"slice {sl.sid}: column outside the unit bin")
-        wn, wd = sl.width.numerator, sl.width.denominator
-        num, den = 0, 1  # the stack's height is num/den
+        num, fden = 0, 1  # the stack's height is num/fden
         for pos, it in enumerate(sl.items):
-            if it.w.numerator * wd > wn * it.w.denominator:
+            if it.w.numerator * den > w * it.w.denominator:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-            num, den = exact_add(num, den, it.h)
-        if num > den:
+            num, fden = exact_add(num, fden, it.h)
+        if num > fden:
             bad.append(f"slice {sl.sid}: stack outside the unit bin")
         per_bin.setdefault(sl.bin_id, []).append(sl)
     for bin_id, slices in per_bin.items():
-        slices.sort(key=lambda sl: sl.x)
-        for left, right in zip(slices, slices[1:]):
-            if right.x < left.x + left.width:
-                bad.append(f"bin {bin_id}: slice {left.sid} and "
-                           f"slice {right.sid} overlap")
+        if len(slices) == 1:
+            continue
+        common = lcm(*(sl.den for sl in slices))
+        cols = sorted(((sl.x_num * (common // sl.den), sl.w_num * (common // sl.den),
+                        sl.sid) for sl in slices), key=itemgetter(0))
+        for (left_x, left_w, left), (right_x, _, right) in zip(cols, cols[1:]):
+            if right_x < left_x + left_w:
+                bad.append(f"bin {bin_id}: slice {left} and slice {right} overlap")
     return bad

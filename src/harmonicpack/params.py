@@ -55,21 +55,30 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def lcm(first: int, *rest: int) -> int:
+    """Least common multiple of positive integers, by Euclid's algorithm on
+    the integers themselves, so that no Fraction is built."""
+    for n in rest:
+        if first % n:
+            x, y = first, n
+            while y:
+                x, y = y, x % y
+            first = first // x * n
+    return first
+
+
 def exact_add(num: int, den: int, size: Fraction) -> tuple:
     """``num/den + size`` as an integer pair over lcm(den, size.denominator)."""
     p, q = size.numerator, size.denominator
     if den % q:
-        f = q if den == 1 else Fraction(q, den).numerator  # q // gcd(q, den)
+        f = q if den == 1 else lcm(den, q) // den
         num, den = num * f, den * f
     return num + p * (den // q), den
 
 
 def on_one_denominator(xs) -> tuple:
     """(den, nums): the rationals ``xs`` as integers over their lcm denominator."""
-    den = 1
-    for x in xs:
-        if den % x.denominator:
-            den *= Fraction(x.denominator, den).numerator  # q // gcd(q, den)
+    den = lcm(1, *(x.denominator for x in xs))
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 

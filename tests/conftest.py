@@ -56,3 +56,10 @@ def harmonic_table(m):
         alpha=(None, *[Fraction(0)] * k), beta=(None, *range(1, m)),
         Delta=(Fraction(0),), phi=(None, *[0] * k), varphi=(None, *[0] * k),
         gamma=(None, *[0] * k))
+
+
+def move_column(sl, x: Fraction):
+    """Put a slice's column at ``x``, keeping its width: the integer fields
+    x_num and w_num over one denominator den."""
+    wn, wd = sl.w_num, sl.den
+    sl.x_num, sl.w_num, sl.den = x.numerator * wd, wn * x.denominator, x.denominator * wd

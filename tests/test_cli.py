@@ -74,6 +74,8 @@ class TestInputErrors:
         ("pack1d --input {dir}/zero_den.txt", "zero denominator"),
         ("pack2d --input {dir}/too_thin.txt",
          f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
+        ("pack2d --input {dir}/too_flat.txt",
+         f"height 1/1{'0' * 400} lies below the tiny grid's depth floor"),
         ("bound --no-cuts", "unrecognized arguments: --no-cuts"),
         ("bound --lambda-file {dir}/lambda_true.json",
          "lambda_true.json: pair 3,4: True is not a number"),
@@ -91,13 +93,14 @@ class TestInputErrors:
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
-            "width-below-depth-floor", "bound-no-cuts", "lambda-true",
-            "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
+            "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
+            "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
             "lambda-key-8-8", "harmonic-trace-out"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
         (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
+        (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
         (tmp_path / "not_json.json").write_text("{not json")
         (tmp_path / "lacks_pair.json").write_text(json.dumps(
             {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)
@@ -408,6 +411,22 @@ class TestVerify:
         r = run_cli("verify")
         assert r.returncode == 0
         assert "self-check: OK" in r.stdout
+
+    def test_weight_totals_checked_against_rectangle_sum(self, monkeypatch, capsys):
+        # a weight_bounds that is off on one case fails the 2D trial, once
+        from harmonicpack.pack2d import TensorRun
+        exact = TensorRun.weight_bounds
+
+        def off_on_case_3(run, wset):
+            totals = exact(run, wset)
+            totals[3] += Fraction(1, 10 ** 9)
+            return totals
+
+        monkeypatch.setattr(TensorRun, "weight_bounds", off_on_case_3)
+        assert main(["verify"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "FAIL 2d: weight totals differ from the per-rectangle sum\n"
+        assert out == "self-check: FAIL (1 failure(s))\n"
 
     def test_solver_check_covers_a_certificate_g(self, monkeypatch, capsys):
         # trial 5 of the solver check is the exact-mode g of pair (6, 1); a

@@ -3,10 +3,14 @@
 ``classify`` and ``harmonic_type`` are checked against oracles that compare
 Fractions, the way both were computed before they moved to integers; the
 packers' integer sums are checked against Fraction sums of the items they
-hold; and ``check_feasibility`` is fed one broken bin per violation kind.
+hold; the 2D geometry audit and weight totals are checked against their
+Fraction forms, and a profile holds them to building no Fraction per slice;
+and ``check_feasibility`` is fed one broken bin per violation kind.
 """
 
 import bisect
+import cProfile
+import fractions
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,12 +19,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicpack.generators import Item2D
-from harmonicpack.harmonic import HarmonicPacker, harmonic_type
-from harmonicpack.pack2d import TensorRun
+from harmonicpack.harmonic import HarmonicPacker, harmonic_type, w_h
+from harmonicpack.pack2d import TensorRun, tensor_cost, validate_geometry
 from harmonicpack.params import builtin_shplus, validate
 from harmonicpack.superharmonic import ShState
+from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import harmonic_table
+from conftest import harmonic_table, move_column
 
 
 def fraction_type(table, size):
@@ -134,7 +139,8 @@ class TestIntegerSums:
         run = TensorRun(builtin_shplus()).pack(rects)
         assert Counter(it for sl in run.slices for it in sl.items) == Counter(rects)
         for sl in run.slices:
-            assert sl.y_fill == sum(it.h for it in sl.items) <= 1, sl.sid
+            fill = Fraction(sl.fill_num, sl.fill_den)
+            assert fill == sum(it.h for it in sl.items) <= 1, sl.sid
 
     @given(st.lists(mixed_size(), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
@@ -144,6 +150,100 @@ class TestIntegerSums:
         open_fill = Fraction(*hp._open_tiny[1:]) if hp._open_tiny else 0
         assert sum(hp.closed_tiny_sums) + open_fill == sum(tail)
         assert all(1 - Fraction(1, 38) < c <= 1 for c in hp.closed_tiny_sums)
+
+
+def fraction_validate_geometry(run) -> list:
+    """The 2D geometry audit as it was computed in Fractions, kept as the
+    oracle of the integer audit: the same checks, strings and order."""
+    bad = []
+    per_bin: dict = {}
+    for sl in run.slices:
+        x, width = Fraction(sl.x_num, sl.den), Fraction(sl.w_num, sl.den)
+        if not (0 <= x and x + width <= 1):
+            bad.append(f"slice {sl.sid}: column outside the unit bin")
+        for pos, it in enumerate(sl.items):
+            if it.w > width:
+                bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
+        if sum((it.h for it in sl.items), Fraction(0)) > 1:
+            bad.append(f"slice {sl.sid}: stack outside the unit bin")
+        per_bin.setdefault(sl.bin_id, []).append((x, width, sl.sid))
+    for bin_id, cols in per_bin.items():
+        cols.sort(key=lambda col: col[0])
+        for (x, width, left), (right_x, _, right) in zip(cols, cols[1:]):
+            if right_x < x + width:
+                bad.append(f"bin {bin_id}: slice {left} and slice {right} overlap")
+    return bad
+
+
+def fraction_weight_totals(run, wset, rects) -> list:
+    """Per-case 2D weight totals summed rectangle by rectangle in Fractions:
+    W_H(height) * W_case(class value of the width)."""
+    charges = [(w_h(it.h, run.hk), run.width_class(it.w)[1]) for it in rects]
+    return [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
+            for c in range(1, wset.num_cases + 1)]
+
+
+def fraction_builds(fn, *args) -> int:
+    """Fractions constructed while ``fn(*args)`` runs, counted by cProfile."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args)
+    prof.create_stats()
+    return sum(stat[1] for (path, _, name), stat in prof.stats.items()
+               if path == fractions.__file__
+               and name in ("__new__", "_from_coprime_ints"))
+
+
+RECTS = st.lists(st.tuples(mixed_size(), mixed_size()), min_size=1, max_size=150)
+
+
+class Test2DDifferential:
+    @given(RECTS, st.sampled_from(["hxb", "bxh"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_audit_equals_fraction_oracle_under_mutations(self, sides, orientation, data):
+        # the three mutations of the pair-check test, applied one after another:
+        # shift a column, widen a rectangle, heighten a rectangle
+        run = TensorRun(builtin_shplus(), orientation, Fraction(1, 100))
+        run.pack([Item2D(w, h) for w, h in sides])
+        assert validate_geometry(run) == fraction_validate_geometry(run) == []
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.integers(0, 2))
+            sl = data.draw(st.sampled_from(run.slices))
+            grow = Fraction(data.draw(st.integers(1, 1000)), 5000)
+            if kind == 0:
+                x = Fraction(sl.x_num, sl.den)
+                move_column(sl, x + grow if data.draw(st.booleans()) else x - grow)
+            else:
+                pos = data.draw(st.integers(0, len(sl.items) - 1))
+                w, h = sl.items[pos].w, sl.items[pos].h
+                w, h = (w + grow, h) if kind == 1 else (w, h + 5 * grow)
+                sl.items[pos] = Item2D(min(w, Fraction(1)), min(h, Fraction(1)))
+            assert validate_geometry(run) == fraction_validate_geometry(run)
+
+    @given(RECTS, st.sampled_from(["hxb", "bxh"]))
+    @settings(max_examples=40, deadline=None)
+    def test_weight_totals_equal_per_rectangle_sum(self, sides, orientation):
+        # tail items are tiny widths and tail heights alike
+        table = builtin_shplus()
+        wset = WeightFunctionSet(table)
+        rects = [Item2D(w, h) for w, h in sides]
+        run = TensorRun(table, orientation, Fraction(1, 100)).pack(rects)
+        assert run.weight_bounds(wset)[1:] == fraction_weight_totals(run, wset, rects)
+
+    def test_audit_and_weight_totals_build_no_fraction_per_slice(self, table, wset):
+        # a tenth of the sides thin, down to 1e-6, on varying denominators
+        rng = random.Random(5)
+
+        def side():
+            if rng.random() < 0.1:
+                return Fraction(rng.randint(1, 1000), 10 ** rng.randint(4, 6))
+            return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+
+        _, hxb, bxh = tensor_cost([Item2D(side(), side()) for _ in range(2000)], table)
+        for run in (hxb, bxh):
+            assert len(run.slices) > 1000
+            assert fraction_builds(validate_geometry, run) == 0
+            # one Fraction per width type here, and case_totals' own
+            assert fraction_builds(run.weight_bounds, wset) <= 3 * (table.k + 2)
 
 
 class TestAuditCatchesEachViolation:

@@ -12,7 +12,7 @@ from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import grid_sizes
+from conftest import grid_sizes, move_column
 
 
 def grid_items(rng, n):
@@ -169,7 +169,7 @@ class TestSlicePacking:
         item = Item2D(Fraction("0.7"), Fraction("0.7"))
         s1 = run.insert(item)
         s2 = run.insert(item)
-        assert s1.width == Fraction("0.706") and run.slices == [s1, s2]
+        assert Fraction(s1.w_num, s1.den) == Fraction("0.706") and run.slices == [s1, s2]
         assert s1.sid != s2.sid
         assert run.cost == 2 and s1.items == s2.items == [item]
 
@@ -178,7 +178,7 @@ class TestSlicePacking:
         used = [run.insert(Item2D(Fraction("0.5"), Fraction(1, 100)))
                 for _ in range(101)]
         assert len({sl.sid for sl in used[:100]}) == 1
-        assert used[0].count == 100 and used[0].y_fill == 1
+        assert len(used[0].items) == 100 and used[0].fill_num == used[0].fill_den
         assert used[100].sid != used[0].sid
         assert run.cost == 1  # two slices of width 0.5 share one bin
 
@@ -189,7 +189,7 @@ class TestSlicePacking:
             run.insert(it)
         per_type = [0] * (table.k + 2)
         for sl in run.slices:
-            per_type[table.classify(sl.width)] += 1
+            per_type[table.classify(Fraction(sl.w_num, sl.den))] += 1
         for i in range(1, table.k + 1):
             assert per_type[i] == run.inner.s[i]
         assert per_type[table.k + 1] == sum(
@@ -247,7 +247,7 @@ class TestGeometry:
         b = run.insert(Item2D(Fraction("0.3"), Fraction("0.7")))
         assert a is not b and a.bin_id == b.bin_id
         assert validate_geometry(run) == []
-        b.x = a.x  # second slice forced onto the first one's spot
+        move_column(b, Fraction(a.x_num, a.den))  # forced onto the first one's spot
         assert any("overlap" in v for v in validate_geometry(run))
 
     def test_item_wider_than_slice_reported(self, table):
@@ -267,18 +267,18 @@ class TestGeometry:
         # the rectangle stays inside the bin, but its column does not
         run = TensorRun(table)
         sl = run.insert(Item2D(Fraction("0.3"), Fraction("0.4")))
-        assert sl.width == Fraction(1, 3)
-        sl.x = Fraction(2, 3) + Fraction(1, 60)
-        assert sl.x + sl.items[0].w < 1 < sl.x + sl.width
+        assert Fraction(sl.w_num, sl.den) == Fraction(1, 3)
+        x = Fraction(2, 3) + Fraction(1, 60)
+        move_column(sl, x)
+        assert x + sl.items[0].w < 1 < x + Fraction(sl.w_num, sl.den)
         assert any("unit bin" in v for v in validate_geometry(run))
 
     def test_overlapping_columns_reported(self, table):
         # spans [0, 3/10] and [1/5, 1/2] overlap; their rectangles [0, 1/10]
         # and [1/5, 1/2] across miss each other
         run = TensorRun(table)
-        for sid, x, w in ((0, Fraction(0), Fraction(1, 10)),
-                          (1, Fraction(1, 5), Fraction(3, 10))):
-            run.slices.append(Slice(sid=sid, width=Fraction(3, 10), bin_id=0, x=x,
+        for sid, x_num, w in ((0, 0, Fraction(1, 10)), (1, 2, Fraction(3, 10))):
+            run.slices.append(Slice(sid=sid, bin_id=0, x_num=x_num, w_num=3, den=10,
                                     width_type=1, height_type=1,
                                     items=[Item2D(w, Fraction(1, 2))]))
         assert any("overlap" in v for v in validate_geometry(run))
@@ -290,9 +290,9 @@ def _pair_violations(run) -> list:
     every other rectangle of its bin for positive-area overlap."""
     bad, per_bin = [], {}
     for sl in run.slices:
-        y = Fraction(0)
+        x, y = Fraction(sl.x_num, sl.den), Fraction(0)
         for it in sl.items:
-            r = (sl.x, y, sl.x + it.w, y + it.h)
+            r = (x, y, x + it.w, y + it.h)
             if not (0 <= r[0] and r[2] <= 1 and r[3] <= 1):
                 bad.append(("outside", r))
             per_bin.setdefault(sl.bin_id, []).append(r)
@@ -321,14 +321,15 @@ class TestGeometryNeverLooser:
         run = TensorRun(table, "hxb", Fraction(1, 100))
         run.pack([Item2D(side(), side()) for _ in range(300)])
         assert validate_geometry(run) == [] and _pair_violations(run) == []
-        stacks = [sl for sl in run.slices if sl.count > 1]
+        stacks = [sl for sl in run.slices if len(sl.items) > 1]
         caught = [0, 0, 0]
         for _ in range(60):
             kind, grow = rng.randrange(3), Fraction(rng.randint(1, 1000), 5000)
             sl = rng.choice(stacks if kind == 2 else run.slices)
-            x, items = sl.x, list(sl.items)
+            column, items = (sl.x_num, sl.w_num, sl.den), list(sl.items)
             if kind == 0:  # shift the slice by up to 1/5 either way
-                sl.x += grow if rng.random() < 0.5 else -grow
+                x = Fraction(sl.x_num, sl.den)
+                move_column(sl, x + grow if rng.random() < 0.5 else x - grow)
             else:  # widen by up to 1/5, or heighten by up to 1, one rectangle
                 pos = rng.randrange(len(items))
                 w, h = items[pos].w, items[pos].h
@@ -337,7 +338,7 @@ class TestGeometryNeverLooser:
             if _pair_violations(run):
                 caught[kind] += 1
                 assert validate_geometry(run), (seed, sl.sid)
-            sl.x, sl.items = x, items
+            (sl.x_num, sl.w_num, sl.den), sl.items = column, items
         assert validate_geometry(run) == []
         assert min(caught) >= 2, caught  # every kind of mutation breaks some runs
 
