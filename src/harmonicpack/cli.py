@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker, w_h
@@ -98,11 +99,13 @@ def _sh_audit(st: ShState, rep) -> list:
 
 
 def _ceil_sum(pairs) -> int:
-    """Ceiling of the sum of (numerator, denominator) pairs, summed per denominator."""
+    """Ceiling of the sum of (numerator, denominator) pairs, summed per
+    denominator and then over the lcm of the denominators, in integers."""
     per_den: dict = {}
     for p, q in pairs:
         per_den[q] = per_den.get(q, 0) + p
-    return -(-sum(Fraction(p, q) for q, p in per_den.items()) // 1)
+    den = lcm(*per_den)
+    return -(-sum(p * (den // q) for q, p in per_den.items()) // den)
 
 
 def _report_common(args, inst, cost, lower_bound, extra: dict,
@@ -130,8 +133,12 @@ def cmd_gen(args) -> int:
     inst = _instance_from_args(args, args.dims)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for it in inst.items:  # exact: "p/q" or an integer
-            out.write(f"{it}\n" if args.dims == 1 else f"{it.w} {it.h}\n")
+        for it in inst.items:  # exact: "p/q", or p when q is 1, as str(Fraction)
+            if args.dims == 1:
+                p, q = it
+                out.write(f"{p}/{q}\n" if q != 1 else f"{p}\n")
+            else:
+                out.write(f"{it.w} {it.h}\n")
     finally:
         if args.out:
             out.close()
@@ -145,16 +152,20 @@ def cmd_pack1d(args) -> int:
     inst = _instance_from_args(args, dims=1)
     read_s, t0 = time.perf_counter() - t0, time.perf_counter()
     table = params.builtin_shplus()
-    lb = inst.known_opt or _ceil_sum((s.numerator, s.denominator) for s in inst.items)
+    lb = inst.known_opt or _ceil_sum(inst.items)
     if args.algorithm == "harmonic":
-        packer = HarmonicPacker(args.k).pack(inst.items)
+        packer = HarmonicPacker(args.k)
+        for p, q in inst.items:
+            packer.insert(p, q)
         cost = packer.cost
         slack = packer.weight_slack()
         extra = {"algorithm": f"harmonic({args.k})", "weight_slack": str(slack)}
         elapsed = time.perf_counter() - t0
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
-        st = ShState(table, keep_trace=bool(args.trace_out)).pack(inst.items)
+        st = ShState(table, keep_trace=bool(args.trace_out))
+        for p, q in inst.items:
+            st.insert(p, q)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
                  "weight_slack": str(rep.slack)}
@@ -304,7 +315,8 @@ def cmd_verify(args) -> int:
     breaks = table.t[1:table.k + 2]
     near = (t + Fraction(s, 10 ** e) for t in breaks for e in (12, 40) for s in (-1, 0, 1))
     failures += [f"classify: type of {x} differs from its Fraction breakpoints" for x in near
-                 if x <= 1 and table.classify(x) != table.k + 1 - sum(t < x for t in breaks)]
+                 if x <= 1 and table.classify(x.numerator, x.denominator)
+                 != table.k + 1 - sum(t < x for t in breaks)]
     wset = WeightFunctionSet(table)
 
     rng = random.Random(20240808)
@@ -319,7 +331,9 @@ def cmd_verify(args) -> int:
     failures += [f"2d: {v}" for v in validate_geometry(hxb)[:5]]
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
     # the integer weight totals against a Fraction sum, rectangle by rectangle
-    charges = [(w_h(it.h, hxb.hk), hxb.width_class(it.w)[1]) for it in items]
+    charges = [(w_h(it.h, hxb.hk),
+                Fraction(*hxb.width_class(it.w.numerator, it.w.denominator)[1]))
+               for it in items]
     want = [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
             for c in range(1, wset.num_cases + 1)]
     if hxb.weight_bounds(wset)[1:] != want:

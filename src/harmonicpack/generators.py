@@ -3,7 +3,9 @@
 Every generator is driven by a named seed through Python's Mersenne
 Twister (``random.Random``), whose sequence is stable across platforms and
 versions, so a spec (kind, n, seed, dims, bins) always produces the same
-list. Sizes are exact rationals on a 10^-6 grid.
+list. Sizes are exact rationals on a 10^-6 grid: a 1D size is an integer
+pair (p, q) of value p/q, in lowest terms when generated, and a rectangle
+is an ``Item2D`` of two Fractions.
 
 Kinds:
 
@@ -17,7 +19,8 @@ Kinds:
     exactly, shuffled: the sizes 0.51 and 0.49 in 1D, four 1/2 x 1/2
     squares in 2D. The optimal cost equals ``bins`` and is recorded.
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
-    comments).
+    comments).  A 1D token of the form digits[/digits] becomes its pair of
+    integers as written, so "2/4" reads as (2, 4).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .params import parse_rational
@@ -33,7 +37,7 @@ GRID = 10 ** 6
 
 _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
-_PATTERN_1D = (Fraction(51, 100), Fraction(49, 100))
+_PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
 
 
@@ -65,19 +69,40 @@ class InstanceSpec:
 @dataclass
 class Instance:
     spec: InstanceSpec
-    items: list  # Fractions (1D) or Item2D (2D)
+    items: list  # (p, q) integer pairs (1D) or Item2D (2D)
     known_opt: Optional[int] = None
+
+
+def _uniform_pair(rng: random.Random) -> tuple:
+    """A uniform size on the grid, as a pair in lowest terms."""
+    p = rng.randint(1, GRID)
+    g = gcd(p, GRID)
+    return p // g, GRID // g
 
 
 def _uniform_size(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, GRID), GRID)
 
 
+def read_size(token: str) -> tuple:
+    """A 1D size token as an integer pair (p, q), q > 0, of the value
+    parse_rational gives it: digits[/digits] straight to ints as written, by
+    parse_rational's own digit rule inlined for speed; any other form
+    through parse_rational, with its error messages."""
+    p, slash, q = token.partition("/")
+    if p.isdecimal() and (q.isdecimal() or not slash):
+        p, q = int(p), int(q) if slash else 1
+        if not q:
+            raise ValueError(f"zero denominator in {token!r}")
+        return p, q
+    return parse_rational(token).as_integer_ratio()
+
+
 def generate(spec: InstanceSpec) -> Instance:
     if spec.kind == "uniform":
         rng = random.Random(spec.seed)
         if spec.dims == 1:
-            items = [_uniform_size(rng) for _ in range(spec.n)]
+            items = [_uniform_pair(rng) for _ in range(spec.n)]
         else:
             items = [Item2D(_uniform_size(rng), _uniform_size(rng))
                      for _ in range(spec.n)]
@@ -87,7 +112,8 @@ def generate(spec: InstanceSpec) -> Instance:
         sizes = [lv + _JITTER for lv in _LEVELS]
         rng = random.Random(spec.seed)
         if spec.dims == 1:
-            items = [sizes[i % len(sizes)] for i in range(spec.n)]
+            pairs = [s.as_integer_ratio() for s in sizes]
+            items = [pairs[i % len(pairs)] for i in range(spec.n)]
         else:
             items = [Item2D(sizes[i % len(sizes)], _uniform_size(rng))
                      for i in range(spec.n)]
@@ -111,7 +137,7 @@ def generate(spec: InstanceSpec) -> Instance:
             for line in fh:
                 parts = line.partition("#")[0].split()
                 if len(parts) == dims:
-                    items.append(parse_rational(parts[0]) if dims == 1 else
+                    items.append(read_size(parts[0]) if dims == 1 else
                                  Item2D(parse_rational(parts[0]),
                                         parse_rational(parts[1])))
                 elif parts:

@@ -18,11 +18,11 @@ from fractions import Fraction
 from .params import exact_add
 
 
-def harmonic_type(size: Fraction, k: int) -> int:
-    """Type index in 1..k of an item of ``size`` (1/(i+1) < size <= 1/i)."""
-    p, q = size.numerator, size.denominator
+def harmonic_type(p: int, q: int, k: int) -> int:
+    """Type index in 1..k of an item of size x = p/q (q > 0, not necessarily
+    in lowest terms): the i with 1/(i+1) < x <= 1/i, or k for x <= 1/k."""
     if not 0 < p <= q:
-        raise ValueError(f"item size {size} outside (0, 1]")
+        raise ValueError(f"item size {Fraction(p, q)} outside (0, 1]")
     return k if p * k <= q else q // p  # floor(1/size)
 
 
@@ -36,7 +36,8 @@ def harmonic_weight(i: int, count: int, size_sum: Fraction, k: int) -> Fraction:
 
 def w_h(size: Fraction, k: int) -> Fraction:
     """Weight of an item: 1/i on (1/(i+1), 1/i], linear k/(k-1) on the tail."""
-    return harmonic_weight(harmonic_type(size, k), 1, size, k)
+    return harmonic_weight(harmonic_type(size.numerator, size.denominator, k),
+                           1, size, k)
 
 
 def height_index(eps: Fraction) -> int:
@@ -72,9 +73,9 @@ class HarmonicPacker:
         self.cost += 1
         return bid
 
-    def insert(self, size: Fraction) -> int:
-        """Place one item and return the id of the bin it went into."""
-        i = harmonic_type(size, self.k)
+    def insert(self, p: int, q: int) -> int:
+        """Place one item of size p/q and return the id of the bin it went into."""
+        i = harmonic_type(p, q, self.k)
         if i < self.k:
             slot = self._open.pop(i, None)
             bid, count = (self._new_bin(), 1) if slot is None else (slot[0], slot[1] + 1)
@@ -86,19 +87,20 @@ class HarmonicPacker:
         # Next Fit on the tiny type
         if self._open_tiny is not None:
             bid, num, den = self._open_tiny
-            filled = exact_add(num, den, size)
+            filled = exact_add(num, den, p, q)
             if filled[0] <= filled[1]:
                 self._open_tiny = (bid, *filled)
                 return bid
             self.closed_bins[self.k] += 1
             self.closed_tiny_sums.append(Fraction(num, den))
         bid = self._new_bin()
-        self._open_tiny = (bid, size.numerator, size.denominator)
+        self._open_tiny = (bid, p, q)
         return bid
 
     def pack(self, sizes) -> "HarmonicPacker":
+        """Insert the Fractions ``sizes`` in order."""
         for s in sizes:
-            self.insert(s)
+            self.insert(s.numerator, s.denominator)
         return self
 
     @property

@@ -43,11 +43,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from math import lcm
+from operator import itemgetter, neg
 
 from .generators import Item2D
 from .harmonic import harmonic_type, height_index, w_h
-from .params import ParamTable, exact_add, lcm
+from .params import ParamTable, exact_add
 from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
 
@@ -65,13 +66,13 @@ def _digits(n: int) -> int:
     return d
 
 
-def _named(w: Fraction, side: str, digits=None) -> str:
-    """``side w``, as in ``width 1/3``; by digit counts where str() refuses so
-    long an integer.  ``digits`` are the numerator's and denominator's if known."""
+def _named(p: int, q: int, side: str, digits=None) -> str:
+    """``side p/q``, as in ``width 1/3``; by digit counts where str() refuses so
+    long an integer.  ``digits`` are p's and q's if known."""
     try:
-        return f"{side} {w}"
+        return f"{side} {Fraction(p, q)}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
-        dn, dd = digits or (_digits(abs(w.numerator)), _digits(w.denominator))
+        dn, dd = digits or (_digits(abs(p)), _digits(q))
         return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"
 
 
@@ -111,30 +112,44 @@ class TinyGrid:
             num.append(n)
             exp.append(e)
 
-    def value(self, m: int) -> Fraction:
+    def value(self, m: int) -> tuple:
+        """value(m) as an integer pair, (num[m], 10**exp[m]) below eps."""
         if m == 0:
-            return self.eps
+            return self.eps.as_integer_ratio()
         self._grow(m)
-        return Fraction(self._num[m], 10 ** self._exp[m])
+        return self._num[m], 10 ** self._exp[m]
 
-    def class_of(self, w: Fraction, side: str = "width") -> int:
-        """The unique m with value(m+1) < w <= value(m); errors call w ``side``."""
-        if not 0 < w <= self.eps:
-            raise ValueError(f"{_named(w, side)} outside the tiny range (0, {self.eps}]")
-        num, exp, wn, wd = self._num, self._exp, w.numerator, w.denominator
+    def class_of(self, p: int, q: int, side: str = "width") -> int:
+        """The unique m with value(m+1) < w <= value(m) for w = p/q (q > 0, not
+        necessarily in lowest terms); errors call w ``side``."""
+        en, ed = self.eps.as_integer_ratio()
+        if not (0 < p and p * ed <= en * q):
+            raise ValueError(f"{_named(p, q, side)} outside the tiny range (0, {self.eps}]")
+        num, exp = self._num, self._exp
         # 10**(15-top) < w < 10**(17-top) and 10**(17-e) <= value(m) < 10**(18-e)
-        # with e = exp[m]: only for top < e < top+3 does the exact product decide
-        dn, dd = _digits(wn), _digits(wd)
+        # with e = exp[m]: value(m) > w for e <= top and value(m) < w for
+        # e >= top+3, so only at the exponents top+1 and top+2 does the exact
+        # product decide
+        dn, dd = _digits(p), _digits(q)
         top = 16 - dn + dd
         while exp[-1] < top + 3 and (exp[-1] <= top
-                                     or num[-1] * wd >= wn * 10 ** exp[-1]):
+                                     or num[-1] * q >= p * 10 ** exp[-1]):
             # past the floor, w < 10**(dn-dd+1) <= 10**-floor <= value(_MAX_DEPTH)
             if len(num) > _MAX_DEPTH or dd - dn > self._floor:
-                raise ValueError(f"{_named(w, side, (dn, dd))} lies below the tiny "
+                raise ValueError(f"{_named(p, q, side, (dn, dd))} lies below the tiny "
                                  f"grid's depth floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
-        return bisect.bisect_left(range(len(num)), True, lo=1,
-                                  key=lambda m: num[m] * wd < wn * 10 ** exp[m]) - 1
+        # num falls along the steps at one exponent e, and value(m) < w there
+        # exactly when -num[m] > floor(-p * 10**e / q): bisect each run in C.
+        # Past both runs lies a step at exp >= top+3, below w
+        lo = bisect.bisect_right(exp, top, 1)
+        for e in (top + 1, top + 2):
+            hi = bisect.bisect_right(exp, e, lo)
+            m = bisect.bisect_right(num, p * 10 ** e // -q, lo, hi, key=neg)
+            if m < hi:
+                return m - 1
+            lo = hi
+        return lo - 1
 
 
 @dataclass
@@ -166,6 +181,7 @@ class TensorRun:
         self.orientation = orientation
         self.inner = ShState(table)
         self.grid = TinyGrid(table.eps, Fraction(delta))
+        self._t = [None, *(t.as_integer_ratio() for t in table.t[1:table.k + 1])]
         self.slices: list = []
         self._open: dict = {}  # (class key, height type) -> Slice
 
@@ -173,19 +189,18 @@ class TensorRun:
     def cost(self) -> int:
         return self.inner.cost
 
-    # width -> (class key, class value)
-    def width_class(self, w: Fraction):
-        i = self.table.classify(w)
+    def width_class(self, p: int, q: int):
+        """(class key, class value as an integer pair) of the width p/q."""
+        i = self.table.classify(p, q)
         if i <= self.table.k:
-            return ("t", i), self.table.t[i]
-        m = self.grid.class_of(w, "height" if self.orientation == "bxh" else "width")
+            return ("t", i), self._t[i]
+        m = self.grid.class_of(p, q, "height" if self.orientation == "bxh" else "width")
         return ("e", m), self.grid.value(m)
 
-    def _slice_x(self, b: Bin, width_type: int, width: Fraction) -> tuple:
-        """(x_num, w_num, den) of a new slice of ``width`` in ``b`` from b's sums,
-        which hold it (so den is a multiple of width's): blue and tiny slices run
+    def _slice_x(self, b: Bin, width_type: int, wn: int, wd: int) -> tuple:
+        """(x_num, w_num, den) of a new slice of width wn/wd in ``b`` from b's
+        sums, which hold it (so den is a multiple of wd): blue and tiny slices run
         left to right, x = blue sum - width; reds run leftwards, x = 1 - red sum."""
-        wn, wd = width.numerator, width.denominator
         # a slice of b's blue type is blue: in a valid table gamma_i*t_i >= t_i >
         # delta_i >= Delta[phi(i)] keeps type-i reds out (check_feasibility audits it)
         if width_type > self.table.k or b.blue_type == width_type:
@@ -196,21 +211,21 @@ class TensorRun:
 
     def insert(self, item: Item2D) -> Slice:
         """Stack ``item`` on its slice and return that slice."""
-        key, width = self.width_class(item.w)
-        ht = harmonic_type(item.h, self.hk)
+        hn, hd = item.h.numerator, item.h.denominator
+        key, (vn, vd) = self.width_class(item.w.numerator, item.w.denominator)
+        ht = harmonic_type(hn, hd, self.hk)
         slot = (key, ht)
         sl = self._open.get(slot)
-        hn, hd = item.h.numerator, item.h.denominator
         if sl is None or (len(sl.items) >= ht if ht < self.hk
                           else sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd):
-            b = self.inner.insert(width)
+            b = self.inner.insert(vn, vd)
             width_type = key[1] if key[0] == "t" else self.table.k + 1
-            sl = Slice(len(self.slices), b.bid, *self._slice_x(b, width_type, width),
+            sl = Slice(len(self.slices), b.bid, *self._slice_x(b, width_type, vn, vd),
                        width_type=width_type, height_type=ht)
             self.slices.append(sl)
             self._open[slot] = sl
         sl.items.append(item)
-        sl.fill_num, sl.fill_den = exact_add(sl.fill_num, sl.fill_den, item.h)
+        sl.fill_num, sl.fill_den = exact_add(sl.fill_num, sl.fill_den, hn, hd)
         return sl
 
     def pack(self, items) -> "TensorRun":
@@ -233,7 +248,7 @@ class TensorRun:
             acc = sums[sl.width_type]
             acc[d] = acc.get(d, 0) + n
         per_type = [Fraction(sum(n * (den // d) for d, n in acc.items()), den)
-                    for acc in sums for den in (lcm(1, *acc),)]
+                    for acc in sums for den in (lcm(*acc),)]
         return wset.case_totals(per_type, per_type[k + 1])
 
     def max_weight_bound(self, wset: WeightFunctionSet) -> Fraction:
@@ -295,7 +310,7 @@ def validate_geometry(run: TensorRun) -> list:
         for pos, it in enumerate(sl.items):
             if it.w.numerator * den > w * it.w.denominator:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-            num, fden = exact_add(num, fden, it.h)
+            num, fden = exact_add(num, fden, it.h.numerator, it.h.denominator)
         if num > fden:
             bad.append(f"slice {sl.sid}: stack outside the unit bin")
         per_bin.setdefault(sl.bin_id, []).append(sl)

@@ -18,8 +18,9 @@ per-type packing parameters:
   * ``gamma[i]`` -- red items of type i per reserved space.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
-parsed as exact base-10 fractions; ``classify`` bisects the breakpoints as
-integers over their common denominator.  The built-in instance ("SH+") is
+parsed as exact base-10 fractions.  A size reaches ``classify`` as an integer
+pair (p, q), which bisects the breakpoints as integers over their common
+denominator.  The built-in instance ("SH+") is
 the one used by the 2D slice packer and the ratio certifier.
 
 Types with ``alpha[i] = 0`` never produce red items, so their red-side
@@ -34,6 +35,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+
 
 def parse_rational(text: str | int | float | Fraction) -> Fraction:
     """Parse "353/500", "0.294", or a number into an exact Fraction."""
@@ -55,30 +58,18 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def lcm(first: int, *rest: int) -> int:
-    """Least common multiple of positive integers, by Euclid's algorithm on
-    the integers themselves, so that no Fraction is built."""
-    for n in rest:
-        if first % n:
-            x, y = first, n
-            while y:
-                x, y = y, x % y
-            first = first // x * n
-    return first
-
-
-def exact_add(num: int, den: int, size: Fraction) -> tuple:
-    """``num/den + size`` as an integer pair over lcm(den, size.denominator)."""
-    p, q = size.numerator, size.denominator
+def exact_add(num: int, den: int, p: int, q: int) -> tuple:
+    """``num/den + p/q`` as an integer pair over lcm(den, q); ``p/q`` need
+    not be in lowest terms."""
     if den % q:
-        f = q if den == 1 else lcm(den, q) // den
-        num, den = num * f, den * f
+        m = lcm(den, q)
+        num, den = num * (m // den), m
     return num + p * (den // q), den
 
 
 def on_one_denominator(xs) -> tuple:
     """(den, nums): the rationals ``xs`` as integers over their lcm denominator."""
-    den = lcm(1, *(x.denominator for x in xs))
+    den = lcm(*(x.denominator for x in xs))
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
@@ -116,14 +107,14 @@ class ParamTable:
     def eps(self) -> Fraction:
         return self.t[self.k + 1]
 
-    def classify(self, size: Fraction) -> int:
-        """Type of an item of ``size``: the unique i with t[i+1] < size <= t[i].
+    def classify(self, p: int, q: int) -> int:
+        """Type of an item of size p/q (q > 0, not necessarily in lowest
+        terms): the unique i with t[i+1] < p/q <= t[i].
 
         Raises ValueError outside (0, 1].
         """
-        p, q = size.numerator, size.denominator
         if not 0 < p <= q:
-            raise ValueError(f"item size {size} outside (0, 1]")
+            raise ValueError(f"item size {Fraction(p, q)} outside (0, 1]")
         # number of breakpoints strictly below `size` among t[k+1]..t[2]
         return self.k + 1 - bisect_left(self._asc_breaks, -(-p * self._den // q))
 
@@ -251,6 +242,9 @@ def validate(table: ParamTable) -> list:
             v.append(f"t not strictly decreasing at row {i}")
     if not (0 < table.eps):
         v.append("eps must be positive")
+    elif table.eps.numerator != 1:
+        v.append(f"1/eps = {1 / table.eps} is not an integer: the 2D height "
+                 f"weighting stacks at Harmonic index 1/eps")
 
     if table.Delta[0] != 0:
         v.append("Delta[0] != 0")

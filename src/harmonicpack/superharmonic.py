@@ -36,10 +36,12 @@ as the index grows, so the smallest leftover red item is in the pool of the
 largest type that still has a (?,j) bin, and with j = varphi of that type
 the case is K+2-j (case K+1 is j = 1).
 
-Per item, the red-count law is a_num*s // a_den (alpha = a_num/a_den) and
-a bin's sums are integer numerators over the lcm of their items' denominators.
-``ShState.insert`` returns the bin the item went into; a ``PlacementTrace``
-row and its group names are built only under ``keep_trace=True``.
+An item arrives as an integer pair (p, q) of size p/q.  Per item, the
+red-count law is a_num*s // a_den (alpha = a_num/a_den) and a bin's sums are
+integer numerators over the lcm of their items' denominators.
+``ShState.insert`` returns the bin the item went into; the item's Fraction,
+a ``PlacementTrace`` row and its group names are built only under
+``keep_trace=True``.
 """
 
 from __future__ import annotations
@@ -155,19 +157,19 @@ class ShState:
         self.bins.append(b)
         return b
 
-    def _add_blue(self, b: Bin, i: int, size: Fraction):
+    def _add_blue(self, b: Bin, i: int, p: int, q: int):
         b.blue_type = i
         b.blue_count += 1
-        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, size)
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
         if b.blue_count < self.table.beta[i]:
             self._blue_open[i] = b
         elif self._blue_open[i] is b:
             self._blue_open[i] = None
 
-    def _add_red(self, b: Bin, i: int, size: Fraction):
+    def _add_red(self, b: Bin, i: int, p: int, q: int):
         b.red_type = i
         b.red_count += 1
-        b.red_num, b.red_den = exact_add(b.red_num, b.red_den, size)
+        b.red_num, b.red_den = exact_add(b.red_num, b.red_den, p, q)
         if b.red_count < self.table.gamma[i]:
             self._red_open[i] = b
         elif self._red_open[i] is b:
@@ -175,25 +177,26 @@ class ShState:
 
     # -- the cascade ---------------------------------------------------------
 
-    def insert(self, size: Fraction) -> Bin:
-        """Place one item and return the bin it went into."""
+    def insert(self, p: int, q: int) -> Bin:
+        """Place one item of size p/q (q > 0, not necessarily in lowest terms)
+        and return the bin it went into."""
         table = self.table
-        i = table.classify(size)
+        i = table.classify(p, q)
         if i == table.k + 1:
             color = "tiny"
-            b = self._insert_tiny(size)
+            b = self._insert_tiny(p, q)
         else:
             self.s[i] += 1
             a_num, a_den = self._alpha[i]
             if self.e[i] < a_num * self.s[i] // a_den:
                 self.e[i] += 1
                 color = "red"
-                b = self._insert_red(i, size)
+                b = self._insert_red(i, p, q)
             else:
                 color = "blue"
-                b = self._insert_blue(i, size)
+                b = self._insert_blue(i, p, q)
         if self.keep_trace:
-            self.trace.append(self._trace_row(size, i, color, b))
+            self.trace.append(self._trace_row(Fraction(p, q), i, color, b))
         return b
 
     def _trace_row(self, size: Fraction, i: int, color: str, b: Bin) -> PlacementTrace:
@@ -207,16 +210,15 @@ class ShState:
         return PlacementTrace(len(self.trace), size, i, color, before, after,
                               b.bid, opened)
 
-    def _insert_tiny(self, size: Fraction) -> Bin:
+    def _insert_tiny(self, p: int, q: int) -> Bin:
         b = self._nf_bin
-        q = size.denominator
-        if b is None or b.blue_num * q + size.numerator * b.blue_den > b.blue_den * q:
+        if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
             b = self._nf_bin = self._open_bin()
         b.blue_count += 1  # content only; NF bins never join groups
-        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, size)
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
         return b
 
-    def _insert_red(self, i: int, size: Fraction) -> Bin:
+    def _insert_red(self, i: int, p: int, q: int) -> Bin:
         table = self.table
         b = self._red_open[i]
         if b is None:
@@ -230,10 +232,10 @@ class ShState:
         if b is None:
             b = self._open_bin()
             self._red_indet[i].append(b)
-        self._add_red(b, i, size)
+        self._add_red(b, i, p, q)
         return b
 
-    def _insert_blue(self, i: int, size: Fraction) -> Bin:
+    def _insert_blue(self, i: int, p: int, q: int) -> Bin:
         table = self.table
         b = self._blue_open[i]
         if b is None and table.phi[i] > 0:
@@ -248,12 +250,13 @@ class ShState:
             b = self._open_bin()
             if table.phi[i] > 0:
                 self._blue_indet[i].append(b)
-        self._add_blue(b, i, size)
+        self._add_blue(b, i, p, q)
         return b
 
     def pack(self, sizes) -> "ShState":
+        """Insert the Fractions ``sizes`` in order."""
         for s in sizes:
-            self.insert(s)
+            self.insert(s.numerator, s.denominator)
         return self
 
     # -- inspection: read from the bins ---------------------------------------

@@ -102,7 +102,7 @@ class WeightFunctionSet:
         """Weight of an item of ``size`` under ``case`` (w_sh)."""
         if not 1 <= case <= self.num_cases:
             raise ValueError(f"case {case} outside 1..{self.num_cases}")
-        i = self.table.classify(size)
+        i = self.table.classify(size.numerator, size.denominator)
         if i == self.table.k + 1:
             return size * self.tail_slope
         return self.values[case][i]

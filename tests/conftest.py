@@ -63,3 +63,8 @@ def move_column(sl, x: Fraction):
     x_num and w_num over one denominator den."""
     wn, wd = sl.w_num, sl.den
     sl.x_num, sl.w_num, sl.den = x.numerator * wd, wn * x.denominator, x.denominator * wd
+
+
+def class_value(run, w: Fraction) -> Fraction:
+    """The slice class value of the width ``w`` in a TensorRun, as a Fraction."""
+    return Fraction(*run.width_class(w.numerator, w.denominator)[1])

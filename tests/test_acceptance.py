@@ -98,8 +98,8 @@ def one_d_suite(table, wset):
         st = ShState(table)
         law_ok = True
         for s in sizes:
-            st.insert(s)
-            i = table.classify(s)
+            st.insert(s.numerator, s.denominator)
+            i = table.classify(s.numerator, s.denominator)
             # the inserted type is the only counter that may move, so
             # checking it each step verifies the law after every insertion
             if i <= table.k and st.e[i] != int(table.alpha[i] * st.s[i]):
@@ -119,7 +119,7 @@ def one_d_suite(table, wset):
                         if table.phi[i] >= fc.j) == 0)
         hp = HarmonicPacker(38)
         for s in sizes:
-            hp.insert(s)
+            hp.insert(s.numerator, s.denominator)
         records.append(RunRecord(
             n=n, kind=kind, slack=rep.slack, final_slack=rep.final_case_slack,
             case_id=rep.case_id, counter_law_ok=law_ok,

@@ -2,12 +2,20 @@
 
 The benchmark under ``bench/`` wraps functions by their dotted names and
 imports others directly; a renamed or deleted function would only show when
-the benchmark runs.  These tests read ``bench/`` and change nothing there.
+the benchmark runs.  The check pass of each packing workload is run here as
+the benchmark runs it, traced.  These tests read ``bench/`` and change
+nothing there.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -58,3 +66,59 @@ def test_bench_package_imports_resolve():
                     missing.append(f"{path.name}:{node.lineno}: "
                                    f"from {node.module} import {alias.name}")
     assert found and missing == []
+
+
+def _bench_run():
+    """bench/run.py as a module, imported without writing bytecode under
+    bench/ and with sys.path restored afterwards."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+    return module
+
+
+def _traced_cli(cmd) -> dict:
+    """One check command of a workload plan, run as the benchmark runs it: a
+    fresh isolated interpreter in bench/child.py, with the span recorders on."""
+    argv = [sys.executable, "-B", "-I", str(BENCH / "child.py"), cmd.args[0],
+            "--trace", *cmd.args[1:]]
+    proc = subprocess.run(argv, cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["rc"] == 0 and "validation:" not in res["stderr"], res["stderr"]
+    return res
+
+
+@pytest.mark.parametrize("workload", ["pack1d-mixed", "slice2d-thin"])
+def test_traced_commands_keep_the_benchmark_contract(tmp_path, workload):
+    # the seed-7 check pass of a workload with --trace: the outputs hash to
+    # the stored references, the spans of SPAN_EXPECT fire or stay silent as
+    # its self-test demands, and the public-API re-check holds
+    bench = _bench_run()
+    seed = 7
+    plan = bench.WORKLOADS[workload](tmp_path, seed)
+    results = {cmd.label: _traced_cli(cmd) for cmd in plan.check}
+    refs = bench.load_references()["seeded"][workload][str(seed)]
+    assert refs["input"] == bench.input_hash(plan)
+    for cmd in plan.check:
+        got = {"stdout": bench._sha(results[cmd.label]["stdout"].encode())}
+        got.update((kind, bench._sha(pathlib.Path(path).read_bytes()))
+                   for kind, path in cmd.files.items())
+        assert got == refs[cmd.label], cmd.label
+    calls = {}
+    for res in results.values():
+        for name, (n, _, _) in res["spans"].items():
+            calls[name] = calls.get(name, 0) + n
+    fire, silent = bench.SPAN_EXPECT[workload]
+    assert "params.parse_rational" in fire
+    assert sorted(s for s in fire if not calls.get(s)) == []
+    assert sorted(s for s in silent if calls.get(s)) == []
+    checks = plan.recheck(results)
+    assert checks and all(ok for ok, _ in checks), checks

@@ -175,7 +175,7 @@ class TestBuildG:
 
 
 def _eval(fn, x, table):
-    i = table.classify(x)
+    i = table.classify(x.numerator, x.denominator)
     if i == table.k + 1:
         return x * fn.tail_slope
     return fn.values[i]

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -260,6 +262,27 @@ class TestReports:
         assert len(trace.read_text().splitlines()) == 3001
         assert hashlib.sha256(blob).hexdigest() == (
             "7af1a713ba22f06bd465810c136da8c1c5a3dec73bd64b40bb752f5c0a95c2f3")
+
+    def test_unreduced_tokens_report_as_reduced(self, tmp_path, capsys):
+        # each size written over a multiple of its denominator, as 2/4 for
+        # 1/2, gives the same reports and SH+ trace, byte for byte, as the
+        # file in lowest terms
+        rng = random.Random(11)
+        sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6) for _ in range(1500)]
+        scales = itertools.cycle((2, 7, 10 ** 6, 1))
+        (tmp_path / "low.txt").write_text(
+            "1/2\n1/2\n" + "".join(f"{s}\n" for s in sizes))
+        (tmp_path / "high.txt").write_text("2/4\n500000/1000000\n" + "".join(
+            f"{s.numerator * k}/{s.denominator * k}\n" for s, k in zip(sizes, scales)))
+        outputs = []
+        for name in ("low", "high"):
+            path, trace = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            assert main(["pack1d", "--verify", "--input", str(path),
+                         "--trace-out", str(trace)]) == 0
+            assert main(["pack1d", "--algorithm", "harmonic", "--input", str(path)]) == 0
+            outputs.append((capsys.readouterr().out, trace.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b",tiny," in outputs[0][1]  # tail items are among them
 
     def test_gen_deterministic_and_loadable(self, tmp_path):
         out = tmp_path / "inst.txt"

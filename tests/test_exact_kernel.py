@@ -9,8 +9,10 @@ and ``check_feasibility`` is fed one broken bin per violation kind.
 """
 
 import bisect
+import contextlib
 import cProfile
 import fractions
+import io
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicpack.generators import Item2D
+from harmonicpack.cli import main
 from harmonicpack.harmonic import HarmonicPacker, harmonic_type, w_h
 from harmonicpack.pack2d import TensorRun, tensor_cost, validate_geometry
-from harmonicpack.params import builtin_shplus, validate
+from harmonicpack.params import builtin_shplus, exact_add, validate
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import harmonic_table, move_column
+from conftest import class_value, harmonic_table, move_column
 
 
 def fraction_type(table, size):
@@ -67,26 +70,27 @@ class TestClassifyDifferential:
     def test_near_every_breakpoint(self, table):
         assert validate(table) == []
         for x in near_breakpoints(table):
-            assert table.classify(x) == fraction_type(table, x), x
+            assert table.classify(x.numerator, x.denominator) == fraction_type(table, x), x
 
     def test_thousand_digit_denominators(self, table):
         for x in long_sizes(seed=3):
-            assert table.classify(x) == fraction_type(table, x)
+            assert table.classify(x.numerator, x.denominator) == fraction_type(table, x)
 
     def test_tables_scale_by_their_own_denominator(self, table):
         # each table bisects its own integers: the Harmonic table's types are
         # Harmonic(m)'s, including at and beside the shared breakpoint 1/7
         h7 = harmonic_table(7)
         for x in near_breakpoints(h7) + near_breakpoints(table):
-            assert h7.classify(x) == harmonic_type(x, 7), x
-        assert table.classify(Fraction(1, 7)) == 20 and h7.classify(Fraction(1, 7)) == 7
+            p, q = x.as_integer_ratio()
+            assert h7.classify(p, q) == harmonic_type(p, q, 7), x
+        assert table.classify(1, 7) == 20 and h7.classify(1, 7) == 7
 
     @pytest.mark.parametrize("size", [Fraction(0), Fraction(11, 10), Fraction(-1, 2)])
     def test_out_of_range_messages(self, table, size):
         with pytest.raises(ValueError, match=rf"^item size {size} outside \(0, 1\]$"):
-            table.classify(size)
+            table.classify(size.numerator, size.denominator)
         with pytest.raises(ValueError, match=rf"^item size {size} outside \(0, 1\]$"):
-            harmonic_type(size, 38)
+            harmonic_type(size.numerator, size.denominator, 38)
         with pytest.raises(ValueError, match=r"outside \(0,1\]\^2$"):
             Item2D(size, Fraction(1, 2))
 
@@ -95,11 +99,11 @@ class TestHarmonicTypeDifferential:
     @pytest.mark.parametrize("k", [2, 7, 38, 101])
     def test_near_every_breakpoint(self, k):
         for x in near_breakpoints(harmonic_table(k)):
-            assert harmonic_type(x, k) == fraction_harmonic_type(x, k), x
+            assert harmonic_type(x.numerator, x.denominator, k) == fraction_harmonic_type(x, k), x
 
     def test_thousand_digit_denominators(self):
         for x in long_sizes(seed=4):
-            assert harmonic_type(x, 38) == fraction_harmonic_type(x, 38)
+            assert harmonic_type(x.numerator, x.denominator, 38) == fraction_harmonic_type(x, 38)
 
 
 # denominators that share no factor, so the running denominators keep
@@ -146,7 +150,7 @@ class TestIntegerSums:
     @settings(max_examples=40, deadline=None)
     def test_harmonic_tail_fill(self, sizes):
         hp = HarmonicPacker(38).pack(sizes)
-        tail = [s for s in sizes if harmonic_type(s, 38) == 38]
+        tail = [s for s in sizes if harmonic_type(s.numerator, s.denominator, 38) == 38]
         open_fill = Fraction(*hp._open_tiny[1:]) if hp._open_tiny else 0
         assert sum(hp.closed_tiny_sums) + open_fill == sum(tail)
         assert all(1 - Fraction(1, 38) < c <= 1 for c in hp.closed_tiny_sums)
@@ -178,7 +182,7 @@ def fraction_validate_geometry(run) -> list:
 def fraction_weight_totals(run, wset, rects) -> list:
     """Per-case 2D weight totals summed rectangle by rectangle in Fractions:
     W_H(height) * W_case(class value of the width)."""
-    charges = [(w_h(it.h, run.hk), run.width_class(it.w)[1]) for it in rects]
+    charges = [(w_h(it.h, run.hk), class_value(run, it.w)) for it in rects]
     return [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
             for c in range(1, wset.num_cases + 1)]
 
@@ -297,3 +301,36 @@ class TestAuditCatchesEachViolation:
         assert table.phi[2] == 1
         assert state.check_feasibility() == [
             "bin 3: red load does not fit reserved space"]
+
+
+class TestPairPath:
+    @pytest.mark.parametrize("digits", [100, 1000])
+    def test_exact_add_equals_fraction_sum(self, digits):
+        # long denominators, and pairs not in lowest terms
+        rng = random.Random(digits)
+        num, den, total = 0, 1, Fraction(0)
+        for step in range(60):
+            q = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            p, scale = rng.randrange(1, q), (1, 6, 10 ** 6)[step % 3]
+            num, den = exact_add(num, den, p * scale, q * scale)
+            total += Fraction(p, q)
+            assert Fraction(num, den) == total, step
+
+    def test_pack1d_builds_no_fraction_per_item(self, tmp_path):
+        # building the table and the weights takes a fixed few hundred
+        # Fractions; the 2,000 sizes of a file add fewer than one per 10 items
+        rng = random.Random(6)
+        full, empty = tmp_path / "full.txt", tmp_path / "empty.txt"
+        full.write_text("".join(f"{Fraction(rng.randint(1, 10 ** 6), 10 ** 6)}\n"
+                                for _ in range(2000)))
+        empty.write_text("")
+
+        def quiet_pack1d(algorithm, path):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["pack1d", "--algorithm", algorithm, "--verify",
+                             "--input", str(path)]) == 0
+
+        for algorithm in ("sh+", "harmonic"):
+            fixed, total = (fraction_builds(quiet_pack1d, algorithm, path)
+                            for path in (empty, full))
+            assert total - fixed < 2000 // 10, (algorithm, fixed, total)

@@ -12,7 +12,7 @@ from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import grid_sizes, move_column
+from conftest import class_value, grid_sizes, move_column
 
 
 def grid_items(rng, n):
@@ -33,6 +33,15 @@ def _shared_wset():
     return _WSET_CACHE[0]
 
 
+def value(grid, m):
+    """The grid's class value m as a Fraction."""
+    return Fraction(*grid.value(m))
+
+
+def class_of(grid, w):
+    return grid.class_of(w.numerator, w.denominator)
+
+
 def _reference_ladder(eps, delta):
     """The ladder's reference form: exact products cut to 18 significant
     digits at the decade a float logarithm picks, down to 1e-300."""
@@ -50,20 +59,21 @@ def _reference_ladder(eps, delta):
 class TestWidthClasses:
     def test_large_width_rounds_to_breakpoint(self, table):
         run = TensorRun(table)
-        key, val = run.width_class(Fraction("0.7"))
-        assert key == ("t", 2) and val == Fraction("0.706")
+        key, val = run.width_class(7, 10)
+        assert key == ("t", 2) and val == (353, 500)
 
     def test_breakpoint_width_is_its_own_class(self, table):
         run = TensorRun(table)
-        key, val = run.width_class(Fraction("0.5"))
-        assert key == ("t", 8) and val == Fraction("0.5")
+        key, val = run.width_class(5, 10)
+        assert key == ("t", 8) and val == (1, 2)
 
     def test_tiny_class_defining_inequality(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
         for w in (Fraction("0.001"), Fraction("0.02"), Fraction(1, 10 ** 6),
                   Fraction(1, 38), Fraction("0.0002"), Fraction(1, 10 ** 8)):
-            m = grid.class_of(w)
-            assert grid.value(m + 1) < w <= grid.value(m)
+            m = class_of(grid, w)
+            assert value(grid, m + 1) < w <= value(grid, m)
+            assert grid.class_of(3 * w.numerator, 3 * w.denominator) == m
 
     def test_tiny_class_matches_log_estimate(self, table):
         # the class index sits in the integer neighbourhood of
@@ -71,7 +81,7 @@ class TestWidthClasses:
         grid = TinyGrid(table.eps, Fraction(1, 10000))
         w = Fraction("0.001")
         est = math.log(float(w / table.eps)) / math.log1p(-1e-4)
-        assert abs(grid.class_of(w) - est) <= 2
+        assert abs(class_of(grid, w) - est) <= 2
 
     def test_grid_matches_reference_ladder_at_full_depth(self, table):
         # every step of the ladder a width of 1e-6 reaches at the default d
@@ -79,15 +89,15 @@ class TestWidthClasses:
         for m, v in enumerate(_reference_ladder(table.eps, Fraction(1, 10000))):
             if m > 101774:
                 break
-            assert grid.value(m) == v, m
-        assert grid.class_of(Fraction(1, 10 ** 6)) == 101774
+            assert value(grid, m) == v, m
+        assert class_of(grid, Fraction(1, 10 ** 6)) == 101774
 
     @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 1000),
                                        Fraction(1, 3)])
     def test_grid_matches_reference_ladder(self, table, delta):
         grid = TinyGrid(table.eps, delta)
         for m, v in enumerate(_reference_ladder(table.eps, delta)):
-            assert grid.value(m) == v, m
+            assert value(grid, m) == v, m
         assert m > 1500  # the ladder reached 1e-300
 
     def test_depth_floor_names_the_width(self, table):
@@ -95,10 +105,10 @@ class TestWidthClasses:
         w = Fraction(1, 10 ** 400)  # class 9.2 million at this grid
         with pytest.raises(ValueError, match=f"width {w} lies below the tiny "
                                              f"grid's depth floor of 1000000 classes"):
-            grid.class_of(w)
+            class_of(grid, w)
         assert len(grid._num) == 2  # rejected from its digits: no ladder grown
-        m = grid.class_of(grid.value(999_999))
-        assert m == 999_999 and grid.value(m + 1) < grid.value(m)
+        m = grid.class_of(*grid.value(999_999))  # an unreduced pair
+        assert m == 999_999 and value(grid, m + 1) < value(grid, m)
 
     @pytest.mark.parametrize("delta", [Fraction(1, 10 ** 6), Fraction(1, 10000),
                                        Fraction(1, 3), Fraction(49, 100)])
@@ -110,7 +120,7 @@ class TestWidthClasses:
         assert grid._num[-1] * 10 ** grid._floor >= 10 ** grid._exp[-1]
         fresh = TinyGrid(table.eps, delta)
         with pytest.raises(ValueError, match="depth floor"):
-            fresh.class_of(Fraction(1, 10 ** (grid._floor + 1)))  # dd - dn = floor + 1
+            class_of(fresh, Fraction(1, 10 ** (grid._floor + 1)))  # dd - dn = floor + 1
         assert len(fresh._num) == 2
 
     def test_coarse_grid_floor_rejects_before_walking(self, table):
@@ -119,18 +129,18 @@ class TestWidthClasses:
         # ladder still reaches its last class
         grid = TinyGrid(table.eps, Fraction(49, 100))
         with pytest.raises(ValueError, match="depth floor"):
-            grid.class_of(Fraction(1, 10 ** 300000))
+            class_of(grid, Fraction(1, 10 ** 300000))
         assert len(grid._num) == 2
-        m = grid.class_of(grid.value(999_999))
-        assert m == 999_999 and grid.value(m + 1) < grid.value(m)
+        m = grid.class_of(*grid.value(999_999))  # an unreduced pair
+        assert m == 999_999 and value(grid, m + 1) < value(grid, m)
 
     def test_thousand_digit_widths_classify(self, table):
         # far below float range, on a coarse grid the ladder's powers of ten
         # run to thousands of digits
         grid = TinyGrid(table.eps, Fraction(49, 100))
         for w in (Fraction(1, 10 ** 3000), Fraction(7, 3 * 10 ** 5000)):
-            m = grid.class_of(w)
-            assert grid.value(m + 1) < w <= grid.value(m)
+            m = class_of(grid, w)
+            assert value(grid, m + 1) < w <= value(grid, m)
 
     def test_class_exact_at_decade_edges(self, table):
         # class_of compares decimal magnitudes first and the exact product
@@ -143,22 +153,22 @@ class TestWidthClasses:
         nudge = Fraction(1, 10 ** 40)
         widths = []
         for m in [*range(1, 60), *range(1020, 1030), *range(2044, 2054)]:
-            v = ref.value(m)
+            v = value(ref, m)
             widths += [v, v * (1 - nudge), v * (1 + nudge)]
         for k in range(2, 40):
             widths += [Fraction(10 ** k - 1, 10 ** (2 * k)), Fraction(1, 10 ** k - 1),
                        Fraction(10 ** k + 1, 10 ** (2 * k))]
         for w in widths:
             grid = TinyGrid(table.eps, d)
-            m = grid.class_of(w)
+            m = class_of(grid, w)
             assert len(grid._num) - 1 == 1 + 1024 * -(-m // 1024), w
-            assert grid.value(m + 1) < w <= grid.value(m), w
+            assert value(grid, m + 1) < w <= value(grid, m), w
 
     def test_grid_strictly_decreasing(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
-        vals = [grid.value(m) for m in range(0, 2000, 97)]
+        vals = [value(grid, m) for m in range(0, 2000, 97)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert grid.value(0) == table.eps
+        assert value(grid, 0) == table.eps
 
 
 class TestSlicePacking:
@@ -189,7 +199,7 @@ class TestSlicePacking:
             run.insert(it)
         per_type = [0] * (table.k + 2)
         for sl in run.slices:
-            per_type[table.classify(Fraction(sl.w_num, sl.den))] += 1
+            per_type[table.classify(sl.w_num, sl.den)] += 1
         for i in range(1, table.k + 1):
             assert per_type[i] == run.inner.s[i]
         assert per_type[table.k + 1] == sum(
@@ -214,7 +224,7 @@ class TestSlicePacking:
         charges = []  # (W_H(h), class value of w) per rectangle
         for n, it in enumerate(items, start=1):
             run.insert(it)
-            charges.append((w_h(it.h, run.hk), run.width_class(it.w)[1]))
+            charges.append((w_h(it.h, run.hk), class_value(run, it.w)))
             if n in (1, 33, 300, 600):
                 totals = run.weight_bounds(wset)
                 for c in range(1, wset.num_cases + 1):
@@ -380,7 +390,7 @@ class TestTensorCost:
                  Item2D(Fraction(1, 2), Fraction(1, 10 ** 6))]
         _, hxb, bxh = tensor_cost(items, table)
         assert hxb.grid is bxh.grid
-        m = hxb.grid.class_of(Fraction(1, 10 ** 6))  # the deeper side, in bxh
+        m = class_of(hxb.grid, Fraction(1, 10 ** 6))  # the deeper side, in bxh
         assert len(hxb.grid._num) - 1 == 1 + 1024 * -(-m // 1024)
 
     def test_empty(self, table):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -5,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonicpack.generators import read_size
+from harmonicpack.pack2d import TensorRun
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
                                  parse_rational, validate)
 
@@ -89,6 +92,16 @@ class TestValidateViolations:
         assert table.alpha[50] == 0 and table.gamma[50] == 0
         assert validate(table) == []
 
+    def test_non_integer_inverse_eps_flagged(self, table):
+        # eps = 2/75 lies between t[50] = 1/37 and 1/38, so the 1D rules
+        # hold, but the 2D packer's height weighting needs an integer 1/eps
+        t = (*table.t[:table.k + 1], Fraction(2, 75), Fraction(0))
+        odd = dataclasses.replace(table, t=t)
+        assert validate(odd) == ["1/eps = 75/2 is not an integer: the 2D height "
+                                 "weighting stacks at Harmonic index 1/eps"]
+        with pytest.raises(ValueError, match="1/eps must be an integer"):
+            TensorRun(odd)
+
     def test_phi_space_must_fit_leftover(self, table):
         data = table.to_json_dict()
         data["phi"][8] = 6  # row 9 leftover is 0.16 < Delta[6] = 0.42
@@ -102,24 +115,25 @@ class TestClassify:
         ("0.706", 2), ("0.707", 1), ("1/38", 51), ("0.027", 50), ("1/3", 14),
     ])
     def test_examples(self, table, size, want):
-        assert table.classify(Fraction(size)) == want
+        p, q = Fraction(size).as_integer_ratio()
+        assert table.classify(p, q) == table.classify(3 * p, 3 * q) == want
 
     def test_out_of_range(self, table):
         with pytest.raises(ValueError):
-            table.classify(Fraction(0))
+            table.classify(0, 1)
         with pytest.raises(ValueError):
-            table.classify(Fraction(11, 10))
+            table.classify(11, 10)
 
     def test_breakpoints_are_right_closed(self, table):
         for i in range(1, 52):
-            assert table.classify(table.t[i]) == i
+            assert table.classify(*table.t[i].as_integer_ratio()) == i
 
     @given(st.integers(min_value=1, max_value=10 ** 9))
     @settings(max_examples=300, deadline=None)
     def test_interval_membership_inverse(self, num):
         table = builtin_shplus()
         q = Fraction(num, 10 ** 9)
-        i = table.classify(q)
+        i = table.classify(q.numerator, q.denominator)
         assert table.t[i + 1] < q <= table.t[i]
 
 
@@ -160,12 +174,12 @@ _DIGITS = list("0123456789") + ["\u0663", "\uff11", "\uff12"]  # ٣ １ ２
 # "²" (superscript two) passes str.isdigit but is no decimal digit.  Exponents
 # stay below four digits: Fraction("1e99999999") builds a 10^8-digit integer
 _LONG_EXPONENT = re.compile(r"e[+-]?[\d_]{4}", re.IGNORECASE)
-_TOKEN = (st.text(st.sampled_from(_DIGITS + list("/.eE+-_ \t²")), max_size=10)
-          .filter(lambda t: not _LONG_EXPONENT.search(t))
-          | st.lists(st.sampled_from(_DIGITS), min_size=1, max_size=8).map("".join)
-          .flatmap(lambda p: st.lists(st.sampled_from(_DIGITS), min_size=1,
-                                      max_size=8).map(lambda q: f"{p}/{q}"))
-          | st.sampled_from([None, [1, 2], True]))
+_TEXT = (st.text(st.sampled_from(_DIGITS + list("/.eE+-_ \t²")), max_size=10)
+         .filter(lambda t: not _LONG_EXPONENT.search(t))
+         | st.lists(st.sampled_from(_DIGITS), min_size=1, max_size=8).map("".join)
+         .flatmap(lambda p: st.lists(st.sampled_from(_DIGITS), min_size=1,
+                                     max_size=8).map(lambda q: f"{p}/{q}")))
+_TOKEN = _TEXT | st.sampled_from([None, [1, 2], True])
 
 
 class TestParseRational:
@@ -192,3 +206,34 @@ class TestParseRational:
     def test_zero_denominator_message(self):
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
             parse_rational("1/0")
+
+
+def _check_pair(x):
+    """read_size(x) is a pair p/q, q > 0, of parse_rational(x)'s value, or
+    raises its error message."""
+    want = _outcome(parse_rational, x)
+    try:
+        p, q = read_size(x)
+    except ValueError as exc:
+        assert ("ValueError", str(exc)) == want, x
+    else:
+        assert q > 0 and Fraction(p, q) == want, (x, p, q, want)
+
+
+class TestReadSize:
+    @given(_TEXT)
+    @settings(max_examples=500, deadline=None)
+    def test_pair_matches_parse_rational(self, x):
+        _check_pair(x)
+
+    @pytest.mark.parametrize("x", [
+        "1/0", "0/0", "7/0", "-1/2", "+3", "1_000/3", "1/-2", "0", "2/4",
+        "500000/1000000", "0.294", "\u0663/\uff11\uff12", "7" * 4301,
+        "1/" + "7" * 4301, "7" * 4301 + "/0", "7" * 4301 + "/" + "3" * 4400])
+    def test_edge_tokens_match_parse_rational(self, x):
+        _check_pair(x)
+
+    def test_digit_tokens_read_as_written(self):
+        assert read_size("2/4") == (2, 4)
+        assert read_size("500000/1000000") == (500000, 1000000)
+        assert read_size("7") == (7, 1)

@@ -37,9 +37,14 @@ def test_modules_import_only_stdlib_or_the_package():
     assert bad == []
 
 
+# math functions that take and return integers only
+INTEGER_MATH = {"gcd", "lcm"}
+
+
 def test_no_float_decides_a_placement():
     # the packers, the weights and the instances are exact: no math import
-    # and no float(...) call (isinstance(x, float) is a check, not a call)
+    # beyond INTEGER_MATH and no float(...) call (isinstance(x, float) is a
+    # check, not a call)
     bad = []
     for name in ("params", "harmonic", "superharmonic", "weighting", "pack2d",
                  "generators"):
@@ -49,7 +54,8 @@ def test_no_float_decides_a_placement():
             if isinstance(node, ast.Import):
                 used = any(a.name.split(".")[0] == "math" for a in node.names)
             elif isinstance(node, ast.ImportFrom):
-                used = node.level == 0 and node.module.split(".")[0] == "math"
+                used = (node.level == 0 and node.module.split(".")[0] == "math"
+                        and not {a.name for a in node.names} <= INTEGER_MATH)
             else:
                 used = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "float")

@@ -38,7 +38,7 @@ def partly_filled(st) -> Counter:
 class TestCascadeTraces:
     def test_first_type9_item_opens_blue_only_group(self, table):
         st = ShState(table, keep_trace=True)
-        b = st.insert(Fraction("0.41"))
+        b = st.insert(41, 100)
         tr = st.trace[-1]
         assert b is st.bins[0] and tr.bin_id == b.bid
         assert tr.type_index == 9 and tr.color == "blue"
@@ -56,9 +56,9 @@ class TestCascadeTraces:
     def test_large_blue_cannot_convert_too_big_red(self, table):
         st = ShState(table, keep_trace=True)
         for _ in range(7):
-            st.insert(Fraction("0.41"))
+            st.insert(41, 100)
         # type 2 reserves Delta[1] = 0.294 < gamma_9 * t_9 = 0.42
-        st.insert(Fraction("0.7"))
+        st.insert(7, 10)
         tr = st.trace[-1]
         assert tr.type_index == 2 and tr.color == "blue"
         assert tr.group_after == "(2,?)" and tr.opened
@@ -67,11 +67,11 @@ class TestCascadeTraces:
         st = ShState(table, keep_trace=True)
         # force a red type-16 item (alpha(16) = 0.186: the 6th is red)
         for _ in range(6):
-            st.insert(Fraction("0.21"))
+            st.insert(21, 100)
         census = st.group_census()
         assert census.red_indet == {16: 1}
         # a type-2 blue reserves Delta[1] = 0.294 >= gamma_16 * t_16 = 0.25
-        b = st.insert(Fraction("0.7"))
+        b = st.insert(7, 10)
         tr = st.trace[-1]
         assert tr.color == "blue" and tr.group_after == "(2,16)" and not tr.opened
         assert tr.group_before == "(?,16)" and b.bid == tr.bin_id == st.trace[5].bin_id
@@ -80,12 +80,12 @@ class TestCascadeTraces:
     def test_red_joins_open_pair_bin(self, table):
         st = ShState(table)
         for _ in range(6):
-            st.insert(Fraction("0.21"))
-        st.insert(Fraction("0.7"))  # converts to (2,16)
+            st.insert(21, 100)
+        st.insert(7, 10)  # converts to (2,16)
         # next red type-16 fits the same bin until gamma = 1 is reached;
         # gamma_16 = 1 so the pair bin is red-full; a new red opens (?,16)
         for _ in range(5):
-            st.insert(Fraction("0.21"))
+            st.insert(21, 100)
         c = st.group_census()
         assert c.pairs == {(2, 16): 1}
         assert c.red_indet.get(16, 0) == 1
@@ -93,9 +93,9 @@ class TestCascadeTraces:
     def test_tiny_items_next_fit(self, table):
         st = ShState(table)
         for _ in range(100):
-            st.insert(Fraction(1, 100))
+            st.insert(1, 100)
         assert st.group_census().nf_bins == 1 and st.small_mass == 1
-        st.insert(Fraction(1, 100))
+        st.insert(1, 100)
         assert st.group_census().nf_bins == 2
         assert sum(b.blue_count for b in st.bins
                    if b.blue_type is None and b.red_type is None) == 101
@@ -106,7 +106,7 @@ class TestCascadeTraces:
         tail = Fraction(0)
         for n in range(1, 3001):
             s = Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
             if st.trace[-1].type_index == table.k + 1:
                 tail += s
             if n in (1, 40, 999, 3000):
@@ -116,7 +116,7 @@ class TestCascadeTraces:
     def test_out_of_range(self, table):
         st = ShState(table)
         with pytest.raises(ValueError):
-            st.insert(Fraction(0))
+            st.insert(0, 1)
 
 
 class TestStateInvariants:
@@ -124,7 +124,7 @@ class TestStateInvariants:
     def test_red_count_law_every_step(self, table, seed, n):
         st = ShState(table, keep_trace=True)
         for s in grid_sizes(random.Random(seed), n):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
             i = st.trace[-1].type_index
             if i <= table.k:
                 # only the touched counter can change; checking it after
@@ -139,7 +139,7 @@ class TestStateInvariants:
         for seed in (3, 4):
             st = ShState(table)
             for s in grid_sizes(random.Random(seed), 5000):
-                st.insert(s)
+                st.insert(s.numerator, s.denominator)
             c = st.group_census()
             blue_lhs = (sum(c.blue_only.values()) + sum(c.blue_indet.values())
                         + sum(c.pairs.values()))
@@ -157,7 +157,7 @@ class TestStateInvariants:
         # each red opens its own (?,9) bin (gamma 1, no partners)
         st = ShState(table)
         for _ in range(100):
-            st.insert(Fraction("0.41"))
+            st.insert(41, 100)
         assert (st.s[9], st.e[9]) == (100, 16)
         c = st.group_census()
         assert c.blue_only == {9: 42}  # ceil(84 / 2)
@@ -170,7 +170,7 @@ class TestStateInvariants:
         # group_after per bin is the group the census must count it in
         st = ShState(table, keep_trace=True)
         for s in grid_sizes(random.Random(9), 4000):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
         last = {tr.bin_id: tr.group_after for tr in st.trace}
         tally = Counter(last.values())
         c = st.group_census()
@@ -192,7 +192,7 @@ class TestStateInvariants:
         st = ShState(table)
         allowance = slack_allowance(table)
         for step, s in enumerate(grid_sizes(random.Random(10), 4000)):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
             if step % 200 == 0:
                 part = partly_filled(st)
                 assert max(part.values(), default=0) <= 1
@@ -214,7 +214,7 @@ class TestFinalCase:
     def test_no_reds_is_case_one(self, table):
         st = ShState(table)
         for _ in range(10):
-            st.insert(Fraction("0.45"))  # type 8, alpha 0
+            st.insert(9, 20)  # type 8, alpha 0
         fc = st.final_case()
         assert fc.case_id == 1 and fc.E == 0 and fc.r is None
 
@@ -222,7 +222,7 @@ class TestFinalCase:
         # (?,16) bins left open: varphi(16) = 1 -> case K+1 = 7
         st = ShState(table)
         for _ in range(40):
-            st.insert(Fraction("0.21"))
+            st.insert(21, 100)
         fc = st.final_case()
         assert fc.E > 0 and fc.r == 16 and fc.j == 1 and fc.case_id == 7
 
@@ -230,7 +230,7 @@ class TestFinalCase:
         # (?,9) bins: varphi(9) = 6 -> case K+2-6 = 2
         st = ShState(table)
         for _ in range(40):
-            st.insert(Fraction("0.41"))
+            st.insert(41, 100)
         fc = st.final_case()
         assert fc.E > 0 and fc.r == 9 and fc.j == 6 and fc.case_id == 2
 
@@ -247,7 +247,7 @@ class TestFinalCase:
         # indeterminate, so the case index tracks varphi of that type
         st = ShState(table)
         for _ in range(60):
-            st.insert(Fraction(size))
+            st.insert(*Fraction(size).as_integer_ratio())
         fc = st.final_case()
         assert fc.E > 0 and fc.r == rtype
         assert fc.case_id == case_id
@@ -257,9 +257,9 @@ class TestFinalCase:
         # drives the case
         st = ShState(table)
         for _ in range(40):
-            st.insert(Fraction("0.41"))
+            st.insert(41, 100)
         for _ in range(40):
-            st.insert(Fraction("0.21"))
+            st.insert(21, 100)
         fc = st.final_case()
         assert fc.r == 16 and fc.case_id == 7
 
@@ -276,14 +276,14 @@ class TestFinalCase:
                 if tr.color == "red" and tr.bin_id in leftover]
         fc = st.final_case()
         assert leftover and fc.E == len(leftover)
-        assert fc.r == table.classify(min(reds))
+        assert fc.r == table.classify(*min(reds).as_integer_ratio())
         assert fc.case_id == table.K + 2 - table.varphi[fc.r]
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_structural_zeroes(self, table, seed):
         st = ShState(table)
         for s in red_heavy_sizes(table, 4000, seed):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
         fc = st.final_case()
         if fc.j is not None and fc.j >= 2:
             c = st.group_census()
@@ -296,15 +296,15 @@ class TestFinalCase:
 class TestTraceOutput:
     def test_trace_csv_shape(self, table):
         st = ShState(table, keep_trace=True)
-        st.insert(Fraction("0.41"))
-        st.insert(Fraction(1, 100))
+        st.insert(41, 100)
+        st.insert(1, 100)
         rows = [t.csv_row() for t in st.trace]
         assert rows[0].split(",") == ["0", "41/100", "9", "blue", "-", "(9)", "0", "1"]
         assert rows[1].split(",")[3] == "tiny"
 
     def test_trace_off_by_default(self, table):
         st = ShState(table)
-        st.insert(Fraction("0.41"))
+        st.insert(41, 100)
         assert st.trace == []
 
     def test_group_before_is_the_bins_previous_group(self, table):
@@ -332,7 +332,7 @@ class TestTraceOutput:
         monkeypatch.setattr(superharmonic, "PlacementTrace", refuse)
         monkeypatch.setattr(superharmonic, "_group_name", refuse)
         with pytest.raises(RuntimeError, match="trace record built"):
-            ShState(table, keep_trace=True).insert(Fraction("0.41"))
+            ShState(table, keep_trace=True).insert(41, 100)
         rng = random.Random(14)
         sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
                  for _ in range(2000)]
@@ -353,7 +353,7 @@ class TestCostBound:
     def test_pure_type8_run_has_zero_slack(self, table):
         st = ShState(table)
         for _ in range(1000):
-            st.insert(Fraction("0.45"))
+            st.insert(9, 20)
         rep = bound_check(st)
         assert rep.cost == 500 and rep.slack == 0
 
@@ -365,7 +365,7 @@ class TestCostBound:
     def test_cost_bound_random(self, table, seed, n):
         st = ShState(table)
         for s in grid_sizes(random.Random(seed), n):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
         rep = bound_check(st)
         assert rep.slack <= slack_allowance(table)
         assert rep.final_case_slack <= slack_allowance(table)

@@ -130,7 +130,7 @@ class TestBoundCheck:
     def test_bound_holds_and_is_case_consistent(self, table, wset):
         st = ShState(table)
         for s in grid_sizes(random.Random(77), 8000):
-            st.insert(s)
+            st.insert(s.numerator, s.denominator)
         rep = bound_check(st, wset)
         assert rep.cost <= rep.max_total + slack_allowance(table)
         assert rep.max_total >= rep.case_totals[rep.case_id]
@@ -141,6 +141,6 @@ class TestBoundCheck:
         for n in (1000, 10000):
             st = ShState(table)
             for s in grid_sizes(random.Random(5), n):
-                st.insert(s)
+                st.insert(s.numerator, s.denominator)
             slacks[n] = bound_check(st, wset).slack
         assert slacks[10000] <= slacks[1000] + 10
