@@ -151,7 +151,6 @@ def cmd_pack1d(args) -> int:
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=1)
     read_s, t0 = time.perf_counter() - t0, time.perf_counter()
-    table = params.builtin_shplus()
     lb = inst.known_opt or _ceil_sum(inst.items)
     if args.algorithm == "harmonic":
         packer = HarmonicPacker(args.k)
@@ -163,7 +162,7 @@ def cmd_pack1d(args) -> int:
         elapsed = time.perf_counter() - t0
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
-        st = ShState(table, keep_trace=bool(args.trace_out))
+        st = ShState(params.builtin_shplus(), keep_trace=bool(args.trace_out))
         for p, q in inst.items:
             st.insert(p, q)
         rep = bound_check(st)
@@ -195,9 +194,9 @@ def cmd_pack2d(args) -> int:
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
     t0 = time.perf_counter()
-    lb = inst.known_opt or max(1, _ceil_sum(
+    lb = inst.known_opt or _ceil_sum(
         (it.w.numerator * it.h.numerator, it.w.denominator * it.h.denominator)
-        for it in inst.items))
+        for it in inst.items)
     failures = []
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \

@@ -26,18 +26,11 @@ def harmonic_type(p: int, q: int, k: int) -> int:
     return k if p * k <= q else q // p  # floor(1/size)
 
 
-def harmonic_weight(i: int, count: int, size_sum: Fraction, k: int) -> Fraction:
-    """W_H of ``count`` type-i items of total size ``size_sum``: 1/i per
-    item for i < k, k/(k-1) * ``size_sum`` for the tail type i = k."""
-    if i < k:
-        return Fraction(count, i)
-    return Fraction(k, k - 1) * size_sum
-
-
 def w_h(size: Fraction, k: int) -> Fraction:
     """Weight of an item: 1/i on (1/(i+1), 1/i], linear k/(k-1) on the tail."""
-    return harmonic_weight(harmonic_type(size.numerator, size.denominator, k),
-                           1, size, k)
+    p, q = size.numerator, size.denominator
+    i = harmonic_type(p, q, k)
+    return Fraction(1, i) if i < k else Fraction(k * p, (k - 1) * q)
 
 
 def height_index(eps: Fraction) -> int:
@@ -49,12 +42,14 @@ def height_index(eps: Fraction) -> int:
 
 
 class HarmonicPacker:
-    """Online Harmonic(k) packing state.
+    """Online Harmonic(k) packing state, O(k) in size.
 
     One packer per run; replaying the same item sequence reproduces the
-    same bins.  ``closed_bins[i]`` counts closed type-i bins;
-    ``closed_tiny_sums`` records the content of every closed type-k bin
-    (used by the census checks and by :attr:`total_weight`).
+    same bins.  ``count[i]`` is the number of type-i items (i < k) so far: a
+    type-i bin opens at every i-th of them, whose id ``_bin[i]`` the next
+    i - 1 share.  The tail type packs by Next Fit on integers: its open bin
+    is (bin id, fill num, den), and the content of its closed bins is one
+    integer pair.
     """
 
     def __init__(self, k: int):
@@ -62,27 +57,21 @@ class HarmonicPacker:
             raise ValueError("k must be at least 2")
         self.k = k
         self.cost = 0
-        # per type i < k: (bin_id, item count); type k: (bin_id, fill num, den)
-        self._open: dict = {}
+        self.count = [0] * k
+        self._bin = [0] * k
         self._open_tiny = None
-        self.closed_bins = [0] * (k + 1)
-        self.closed_tiny_sums: list = []
-
-    def _new_bin(self) -> int:
-        bid = self.cost
-        self.cost += 1
-        return bid
+        self._closed_tail = (0, 1)
 
     def insert(self, p: int, q: int) -> int:
         """Place one item of size p/q and return the id of the bin it went into."""
         i = harmonic_type(p, q, self.k)
         if i < self.k:
-            slot = self._open.pop(i, None)
-            bid, count = (self._new_bin(), 1) if slot is None else (slot[0], slot[1] + 1)
-            if count == i:
-                self.closed_bins[i] += 1
-            else:
-                self._open[i] = (bid, count)
+            n = self.count[i]
+            self.count[i] = n + 1
+            if n % i:
+                return self._bin[i]
+            bid = self._bin[i] = self.cost
+            self.cost += 1
             return bid
         # Next Fit on the tiny type
         if self._open_tiny is not None:
@@ -91,30 +80,22 @@ class HarmonicPacker:
             if filled[0] <= filled[1]:
                 self._open_tiny = (bid, *filled)
                 return bid
-            self.closed_bins[self.k] += 1
-            self.closed_tiny_sums.append(Fraction(num, den))
-        bid = self._new_bin()
+            self._closed_tail = exact_add(*self._closed_tail, num, den)
+        bid = self.cost
+        self.cost += 1
         self._open_tiny = (bid, p, q)
         return bid
 
-    def pack(self, sizes) -> "HarmonicPacker":
-        """Insert the Fractions ``sizes`` in order."""
-        for s in sizes:
-            self.insert(s.numerator, s.denominator)
-        return self
-
     @property
     def total_weight(self) -> Fraction:
-        """Summed W_H of the packed items, read from the bins: a closed
-        type-i bin (i < k) holds i items, the type-k bins hold the tail."""
+        """Summed W_H of the packed items: 1/i per type-i item (i < k) and
+        k/(k-1) times the tail's content, closed bins and open one."""
         k = self.k
-        counts = [n * i for i, n in enumerate(self.closed_bins)]
-        for i, (_, n) in self._open.items():
-            counts[i] += n
-        tail = sum(self.closed_tiny_sums,
-                   Fraction(*self._open_tiny[1:]) if self._open_tiny else 0)
-        return sum((harmonic_weight(i, counts[i], 0, k) for i in range(1, k)),
-                   harmonic_weight(k, 0, tail, k))
+        num, den = self._closed_tail
+        if self._open_tiny is not None:
+            num, den = exact_add(num, den, *self._open_tiny[1:])
+        return sum((Fraction(self.count[i], i) for i in range(1, k)),
+                   Fraction(k * num, (k - 1) * den))
 
     def weight_slack(self) -> Fraction:
         """cost - total weight; at most k by the open-bin argument."""

@@ -228,11 +228,6 @@ class TensorRun:
         sl.fill_num, sl.fill_den = exact_add(sl.fill_num, sl.fill_den, hn, hd)
         return sl
 
-    def pack(self, items) -> "TensorRun":
-        for it in items:
-            self.insert(it)
-        return self
-
     def weight_bounds(self, wset: WeightFunctionSet) -> list:
         """Per-case totals of W_H(height) * W_case(width class); 1-based.  A slice
         weighs count/i for height type i < hk, else hk/(hk-1) * fill, times its
@@ -273,11 +268,14 @@ class TensorCost:
 
 def pack_orientations(items, table: ParamTable, orientations, delta: Fraction) -> list:
     """Finished TensorRuns ("bxh" packs the transposed items), one per
-    orientation, sharing one TinyGrid so that its ladder is grown once."""
+    orientation, sharing one TinyGrid so that its ladder is grown once.
+    ``items`` is read once, so it may be an iterator."""
+    items = list(items)
     runs = [TensorRun(table, orientation, delta) for orientation in orientations]
     for run in runs:
         run.grid = runs[0].grid
-        run.pack(items if run.orientation == "hxb" else [it.transposed for it in items])
+        for it in (items if run.orientation == "hxb" else [it.transposed for it in items]):
+            run.insert(it)
     return runs
 
 

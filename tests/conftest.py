@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.params import ParamTable, builtin_shplus
 from harmonicpack.weighting import WeightFunctionSet
 
@@ -68,3 +69,20 @@ def move_column(sl, x: Fraction):
 def class_value(run, w: Fraction) -> Fraction:
     """The slice class value of the width ``w`` in a TensorRun, as a Fraction."""
     return Fraction(*run.width_class(w.numerator, w.denominator)[1])
+
+
+def packed(run, rects):
+    """The TensorRun ``run`` after inserting the rectangles ``rects`` in order."""
+    for it in rects:
+        run.insert(it)
+    return run
+
+
+def harmonic_bins(k: int, sizes):
+    """(packer, bins) after packing the Fraction ``sizes`` in order into a new
+    HarmonicPacker(k): ``bins`` maps each bin id that ``insert`` returned to
+    the sizes it went with, in order."""
+    packer, bins = HarmonicPacker(k), {}
+    for s in sizes:
+        bins.setdefault(packer.insert(s.numerator, s.denominator), []).append(s)
+    return packer, bins

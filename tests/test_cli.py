@@ -234,6 +234,15 @@ class TestReports:
         assert data["wall_time_s"] is None  # byte-stable by default
 
     @pytest.mark.parametrize("command", ["pack1d", "pack2d"])
+    def test_empty_instance_has_no_lower_bound(self, tmp_path, capsys, command):
+        # nothing to pack: cost 0 against a lower bound of 0, and no ratio
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main([command, "--input", str(empty)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["cost"], data["lower_bound"], data["ratio"]) == ("0", "0", "")
+
+    @pytest.mark.parametrize("command", ["pack1d", "pack2d"])
     def test_read_time_only_with_timing(self, tmp_path, capsys, command):
         out = tmp_path / "inst.txt"
         dims = "1" if command == "pack1d" else "2"

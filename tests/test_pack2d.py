@@ -12,7 +12,7 @@ from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import class_value, grid_sizes, move_column
+from conftest import class_value, grid_sizes, move_column, packed
 
 
 def grid_items(rng, n):
@@ -233,8 +233,8 @@ class TestSlicePacking:
 
     def test_transpose_run_equals_swapped_items(self, table):
         items = grid_items(random.Random(8), 1500)
-        a = TensorRun(table, "hxb").pack([it.transposed for it in items])
-        b = TensorRun(table, "bxh").pack([it.transposed for it in items])
+        a = packed(TensorRun(table, "hxb"), [it.transposed for it in items])
+        b = packed(TensorRun(table, "bxh"), [it.transposed for it in items])
         assert a.cost == b.cost  # orientation tag does not change packing
 
     def test_rejects_bad_rectangle(self):
@@ -328,8 +328,8 @@ class TestGeometryNeverLooser:
                 return Fraction(rng.randint(1, 1000), 10 ** rng.randint(4, 6))
             return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
 
-        run = TensorRun(table, "hxb", Fraction(1, 100))
-        run.pack([Item2D(side(), side()) for _ in range(300)])
+        run = packed(TensorRun(table, "hxb", Fraction(1, 100)),
+                     [Item2D(side(), side()) for _ in range(300)])
         assert validate_geometry(run) == [] and _pair_violations(run) == []
         stacks = [sl for sl in run.slices if len(sl.items) > 1]
         caught = [0, 0, 0]
@@ -396,6 +396,14 @@ class TestTensorCost:
     def test_empty(self, table):
         tc, _, _ = tensor_cost([], table)
         assert (tc.cost_hxb, tc.cost_bxh, tc.avg) == (0, 0, 0)
+
+    def test_iterator_packs_both_orientations(self, table):
+        # the items are read once: a generator feeds bxh as well as hxb
+        items = [Item2D(Fraction(3, 4), Fraction(1, 3))] * 4
+        tc, hxb, bxh = tensor_cost(iter(items), table)
+        assert (tc.cost_hxb, tc.cost_bxh, tc.avg) == (2, 2, 2)
+        assert [len(sl.items) for sl in bxh.slices] == [1, 1, 1, 1]
+        assert tc == tensor_cost(items, table)[0]
 
     def test_unit_squares(self, table):
         items = [Item2D(Fraction(1), Fraction(1))] * 100

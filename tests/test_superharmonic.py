@@ -6,12 +6,11 @@ import pytest
 
 from harmonicpack import superharmonic
 from harmonicpack.generators import Item2D
-from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.pack2d import TensorRun, validate_geometry
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import bound_check, slack_allowance
 
-from conftest import grid_sizes
+from conftest import grid_sizes, harmonic_bins, packed
 
 
 def red_heavy_sizes(table, n, seed):
@@ -342,11 +341,11 @@ class TestTraceOutput:
         widths = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 10 ** 6)))
                   for _ in range(500)]
         rects = [Item2D(w, h) for w, h in zip(widths, sizes)]
-        run = TensorRun(table).pack(rects)
+        run = packed(TensorRun(table), rects)
         assert any(sl.width_type == table.k + 1 for sl in run.slices)
         assert validate_geometry(run) == []
-        hp = HarmonicPacker(38)
-        assert hp.pack(sizes) is hp and hp.cost > 0
+        hp, bins = harmonic_bins(38, sizes)
+        assert hp.cost == len(bins) > 0
 
 
 class TestCostBound:
