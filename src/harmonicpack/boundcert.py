@@ -66,7 +66,7 @@ from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
 
-from .params import ParamTable, on_one_denominator, parse_rational
+from .params import ParamTable, builtin_shplus, on_one_denominator, parse_rational
 from .weighting import WeightFunctionSet
 
 
@@ -113,12 +113,12 @@ def _upper_right_hull(points) -> list:
     return hull
 
 
-def build_g(case_i: int, case_j: int, lam: Fraction, f: PiecewiseFn,
+def build_g(case_i: int, case_j: int, f: PiecewiseFn,
             wset: WeightFunctionSet, tail_mode: str = "paper-compat") -> PiecewiseFn:
     """Supremum-ratio partner of ``f``: g(x) = sup_y W(x,y) / f(y).
 
-    ``f`` must be the mix built by :func:`build_f` for ``case_i`` and the
-    same ``lam`` and must be strictly positive everywhere.
+    ``f`` must be the mix built by :func:`build_f` for ``case_i`` and must be
+    strictly positive everywhere.
 
     For x in interval m the supremum is the largest dot product of
     (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
@@ -177,7 +177,7 @@ class PatternModel:
     ``sizes[m]`` is the infimum size of a type-m item; the knapsack
     constraint is the closed form sum x_m sizes[m] <= capacity.  ``caps``
     are per-variable integer bounds; ``constraints`` the multi-variable
-    group caps and compound cuts.
+    rows, such as the compound cuts.
     """
 
     sizes: tuple  # 1-based, index 0 None
@@ -201,8 +201,8 @@ class PatternModel:
         return (None, *S), CAP, G, rows
 
 
-# groups of the built-in 50-type model whose items share one cap; every cap,
-# of a group or of a single type, is derived by _genuine_cap()
+# groups of the built-in 50-type model whose items share one published cap;
+# every cap, of a group or of a single type, is derived by _genuine_cap()
 _GROUPS = [
     ("group_1_7", range(1, 8)),
     ("group_8_13", range(8, 14)),
@@ -224,31 +224,33 @@ def _genuine_cap(table: ParamTable, types) -> int:
     return ceil(1 / table.t[max(types) + 1]) - 1
 
 
-def _group_caps(table: ParamTable) -> list:
-    return [LinearCut.make(name, {m: 1 for m in types}, _genuine_cap(table, types))
-            for name, types in _GROUPS]
-
-
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
                          num_types: Optional[int] = None) -> PatternModel:
-    """The pattern model of the built-in instance (sizes are t[m+1]) over
-    types 1..num_types (all k by default); each constraint keeps the terms
-    of those types and is dropped when none is left."""
+    """The pattern model of a table (sizes t[m+1], per-type caps) over types
+    1..num_types (all k by default).  The compound cuts, each keeping the terms
+    of those types and dropped when none is left, hold for the built-in table
+    alone: any other table with ``include_cuts`` raises ValueError."""
     n = table.k if num_types is None else num_types
-    cons = _group_caps(table)
+    cons = []
     if include_cuts:
-        cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
-    cons = [LinearCut(cut.name, tuple((m, c) for m, c in cut.coeffs if m <= n), cut.rhs)
-            for cut in cons]
+        if table != builtin_shplus():
+            raise ValueError("the compound cuts hold for the built-in table only; "
+                             "build this table's model without cuts")
+        cons = [LinearCut.make(name, {m: c for m, c in coeffs.items() if m <= n}, rhs)
+                for name, coeffs, rhs in _COMPOUND_CUTS if min(coeffs) <= n]
     return PatternModel(sizes=(None, *(table.t[m + 1] for m in range(1, n + 1))),
                         caps=(None, *(_genuine_cap(table, (m,)) for m in range(1, n + 1))),
-                        constraints=tuple(cut for cut in cons if cut.coeffs))
+                        constraints=tuple(cons))
 
 
 def builtin_model_constraints(table: ParamTable) -> list:
-    """The group caps, the caps of ungrouped types and the compound cuts."""
+    """The published constraints: the group caps, the caps of ungrouped types
+    and the compound cuts.  A group over its cap breaks its largest type's cap
+    or, by the infimum sizes, the knapsack row, so the solved model leaves the
+    group caps out."""
     grouped = {m for _, types in _GROUPS for m in types}
-    cons = _group_caps(table)
+    cons = [LinearCut.make(name, {m: 1 for m in types}, _genuine_cap(table, types))
+            for name, types in _GROUPS]
     cons += [LinearCut.make(f"cap_{m}", {m: 1}, _genuine_cap(table, (m,)))
              for m in range(1, table.k + 1) if m not in grouped]
     cons += [LinearCut.make(name, coeffs, rhs) for name, coeffs, rhs in _COMPOUND_CUTS]
@@ -491,7 +493,7 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
             try:
                 lam = parse_rational(lam_table[(i, j)])
                 f = build_f(i, lam, wset)
-                g = build_g(i, j, lam, f, wset,
+                g = build_g(i, j, f, wset,
                             tail_mode="paper-compat" if compat else "exact")
             except ValueError as exc:  # a malformed lam, or one making f vanish
                 raise ValueError(f"pair {i},{j}: {exc}") from None

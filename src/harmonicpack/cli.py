@@ -343,7 +343,7 @@ def cmd_verify(args) -> int:
     fns = [boundcert.PiecewiseFn(
         values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(12))),
         tail_slope=Fraction(38, 37)) for rnd in map(random.Random, range(5))]
-    fns.append(boundcert.build_g(6, 1, lam, boundcert.build_f(6, lam, wset), wset, "exact"))
+    fns.append(boundcert.build_g(6, 1, boundcert.build_f(6, lam, wset), wset, "exact"))
     for trial, fn in enumerate(fns):
         v1, _ = boundcert.pattern_max(fn, model12)
         v2, _ = boundcert.brute_force_max(fn, model12)

@@ -19,8 +19,8 @@ Kinds:
     exactly, shuffled: the sizes 0.51 and 0.49 in 1D, four 1/2 x 1/2
     squares in 2D. The optimal cost equals ``bins`` and is recorded.
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
-    comments).  A 1D token of the form digits[/digits] becomes its pair of
-    integers as written, so "2/4" reads as (2, 4).
+    comments).  A 1D token becomes an integer pair by ``params.parse_pair``,
+    so "2/4" reads as (2, 4); a 2D side becomes a Fraction of that pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .params import parse_rational
+from .params import parse_pair, parse_rational
 
 GRID = 10 ** 6
 
@@ -80,32 +80,14 @@ def _uniform_pair(rng: random.Random) -> tuple:
     return p // g, GRID // g
 
 
-def _uniform_size(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, GRID), GRID)
-
-
-def read_size(token: str) -> tuple:
-    """A 1D size token as an integer pair (p, q), q > 0, of the value
-    parse_rational gives it: digits[/digits] straight to ints as written, by
-    parse_rational's own digit rule inlined for speed; any other form
-    through parse_rational, with its error messages."""
-    p, slash, q = token.partition("/")
-    if p.isdecimal() and (q.isdecimal() or not slash):
-        p, q = int(p), int(q) if slash else 1
-        if not q:
-            raise ValueError(f"zero denominator in {token!r}")
-        return p, q
-    return parse_rational(token).as_integer_ratio()
-
-
 def generate(spec: InstanceSpec) -> Instance:
     if spec.kind == "uniform":
         rng = random.Random(spec.seed)
         if spec.dims == 1:
             items = [_uniform_pair(rng) for _ in range(spec.n)]
         else:
-            items = [Item2D(_uniform_size(rng), _uniform_size(rng))
-                     for _ in range(spec.n)]
+            items = [Item2D(Fraction(*_uniform_pair(rng)),
+                            Fraction(*_uniform_pair(rng))) for _ in range(spec.n)]
         return Instance(spec=spec, items=items)
 
     if spec.kind == "harmonic-adversarial":
@@ -115,7 +97,7 @@ def generate(spec: InstanceSpec) -> Instance:
             pairs = [s.as_integer_ratio() for s in sizes]
             items = [pairs[i % len(pairs)] for i in range(spec.n)]
         else:
-            items = [Item2D(sizes[i % len(sizes)], _uniform_size(rng))
+            items = [Item2D(sizes[i % len(sizes)], Fraction(*_uniform_pair(rng)))
                      for i in range(spec.n)]
         return Instance(spec=spec, items=items)
 
@@ -137,7 +119,7 @@ def generate(spec: InstanceSpec) -> Instance:
             for line in fh:
                 parts = line.partition("#")[0].split()
                 if len(parts) == dims:
-                    items.append(read_size(parts[0]) if dims == 1 else
+                    items.append(parse_pair(parts[0]) if dims == 1 else
                                  Item2D(parse_rational(parts[0]),
                                         parse_rational(parts[1])))
                 elif parts:

@@ -38,6 +38,22 @@ from fractions import Fraction
 from math import lcm
 
 
+def parse_pair(token: str) -> tuple:
+    """A rational token as an integer pair (p, q), q > 0: digits[/digits] as
+    written ("2/4" is (2, 4)), any other form through Fraction's parser."""
+    p, slash, q = token.partition("/")
+    try:  # digits skip Fraction's regex, whose \d is str.isdecimal
+        if p.isdecimal() and (q.isdecimal() or not slash):
+            p, q = int(p), int(q) if slash else 1
+        else:
+            p, q = Fraction(token).as_integer_ratio()
+    except ZeroDivisionError:
+        q = 0
+    if not q:  # "1/0" is malformed input, not an arithmetic fault
+        raise ValueError(f"zero denominator in {token!r}")
+    return p, q
+
+
 def parse_rational(text: str | int | float | Fraction) -> Fraction:
     """Parse "353/500", "0.294", or a number into an exact Fraction."""
     if not isinstance(text, str):  # strings skip the slower ABC checks
@@ -49,13 +65,7 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
             # Floats are not exact; go through their shortest repr so that a
             # literal like 0.294 means the decimal 294/1000, not its binary image.
             return Fraction(repr(text))
-    p, slash, q = str(text).partition("/")
-    try:  # digits[/digits] skip Fraction's regex, whose \d is str.isdecimal
-        if p.isdecimal() and (q.isdecimal() or not slash):
-            return Fraction(int(p), int(q) if slash else 1)
-        return Fraction(str(text))
-    except ZeroDivisionError:  # "1/0" is malformed input, not an arithmetic fault
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return Fraction(*parse_pair(str(text)))
 
 
 def exact_add(num: int, den: int, p: int, q: int) -> tuple:

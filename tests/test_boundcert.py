@@ -13,6 +13,9 @@ from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
                                     ratio_certificate, round6,
                                     shplus_pattern_model, validate_cut)
 from harmonicpack.harmonic import w_h
+from harmonicpack.weighting import WeightFunctionSet
+
+from conftest import harmonic_table
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +83,7 @@ class TestBuildG:
         from harmonicpack.pack2d import w2d
         lam = Fraction(1, 2)
         f = build_f(1, lam, wset)
-        g = build_g(1, 1, lam, f, wset, tail_mode="exact")
+        g = build_g(1, 1, f, wset, tail_mode="exact")
         rnd = random.Random(0)
         for _ in range(20000):
             x = Fraction(rnd.randint(1, 10 ** 6), 10 ** 6)
@@ -97,7 +100,7 @@ class TestBuildG:
         for (i, j) in ((1, 1), (2, 5), (7, 6), (6, 1)):
             lam = TUNED_LAMBDA[(i, j)]
             f = build_f(i, lam, wset)
-            g = build_g(i, j, lam, f, wset, tail_mode="exact")
+            g = build_g(i, j, f, wset, tail_mode="exact")
             for x in probes:
                 gx = _eval(g, x, table)
                 for y in probes:
@@ -115,7 +118,7 @@ class TestBuildG:
         for (i, j), lam in TUNED_LAMBDA.items():
             Bi, Bj = wset.values[i], wset.values[j]
             f = build_f(i, lam, wset)
-            g = build_g(i, j, lam, f, wset, tail_mode="exact")
+            g = build_g(i, j, f, wset, tail_mode="exact")
             for m in range(1, k + 1):
                 gm = g.values[m]
                 for n in range(1, k + 1):
@@ -129,14 +132,14 @@ class TestBuildG:
 
     def test_half_mix_tail_slope_is_common_value(self, wset):
         f = build_f(1, Fraction(1, 2), wset)
-        g = build_g(1, 1, Fraction(1, 2), f, wset, tail_mode="exact")
+        g = build_g(1, 1, f, wset, tail_mode="exact")
         assert g.tail_slope == Fraction(38, 37)
 
     def test_exact_tail_exceeds_pinned_for_skewed_mix(self, wset):
         lam = TUNED_LAMBDA[(2, 5)]  # 0.565
         f = build_f(2, lam, wset)
-        g_exact = build_g(2, 5, lam, f, wset, tail_mode="exact")
-        g_compat = build_g(2, 5, lam, f, wset, tail_mode="paper-compat")
+        g_exact = build_g(2, 5, f, wset, tail_mode="exact")
+        g_compat = build_g(2, 5, f, wset, tail_mode="paper-compat")
         assert g_compat.tail_slope == Fraction(38, 37)
         assert g_exact.tail_slope > g_compat.tail_slope
         assert g_exact.values[1:] == g_compat.values[1:]
@@ -160,7 +163,7 @@ class TestBuildG:
                     (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
                     for n in range(1, k + 1)]
                 for mode in ("paper-compat", "exact"):
-                    g = build_g(i, j, lam, f, wset, tail_mode=mode)
+                    g = build_g(i, j, f, wset, tail_mode=mode)
                     for m in range(1, k + 1):
                         cands = [H[m] * p + Bj[m] * q for p, q in points]
                         assert g.values[m] == max(cands), (lam, i, j, m)
@@ -171,7 +174,7 @@ class TestBuildG:
     def test_requires_positive_f(self, wset):
         f = build_f(7, Fraction(0), wset)  # case-7 weights vanish on types 2..7
         with pytest.raises(ValueError):
-            build_g(7, 1, Fraction(0), f, wset)
+            build_g(7, 1, f, wset)
 
 
 def _eval(fn, x, table):
@@ -195,21 +198,35 @@ class TestPatternMax:
         # the witness pattern is feasible and attains the value
         assert sum(model.sizes[m] * c for m, c in pat.items()) <= 1
 
-    def test_matches_brute_force_on_truncation(self, table):
-        model12 = shplus_pattern_model(table, include_cuts=False, num_types=12)
+    @pytest.mark.parametrize("include_cuts", [False, True])
+    def test_matches_brute_force_on_truncation(self, table, include_cuts):
+        # with cuts, the 12-type model keeps five truncated compound cuts as
+        # constraint rows, 5*x7 + 3.53*x11 <= 9 among them.  None binds there
+        # (type 7's cap is 1, and the knapsack row excludes {7: 1, 11: 2}), so
+        # a row that admits too much shows only on 15 types: cut_7_15 excludes
+        # {7: 1, 15: 2}, which fills the closed bin exactly
+        model12 = shplus_pattern_model(table, include_cuts=include_cuts, num_types=12)
+        assert len(model12.constraints) == (5 if include_cuts else 0)
         rnd = random.Random(123)
         for _ in range(20):
             fn = random_fn(rnd, 12)
             assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
+        model15 = shplus_pattern_model(table, include_cuts=include_cuts, num_types=15)
+        fn = PiecewiseFn(values=(None, *(Fraction({7: 2, 15: 1}.get(m, 0))
+                                         for m in range(1, 16))), tail_slope=Fraction(0))
+        want = 3 if include_cuts else 4
+        assert pattern_max(fn, model15)[0] == brute_force_max(fn, model15)[0] == want
 
-    def test_certificate_fns_match_brute_force_on_truncation(self, table, wset):
+    @pytest.mark.parametrize("include_cuts", [False, True])
+    def test_certificate_fns_match_brute_force_on_truncation(self, table, wset,
+                                                             include_cuts):
         # the exact-mode f and g of real pairs: on these types their values
         # share a denominator of 6 to 11 digits, against 1000 for random_fn
-        model12 = shplus_pattern_model(table, include_cuts=False, num_types=12)
+        model12 = shplus_pattern_model(table, include_cuts=include_cuts, num_types=12)
         lams = seeded_lambda(1)
         for i, j in ((1, 6), (6, 1), (7, 7)):
             f = build_f(i, lams[(i, j)], wset)
-            g = build_g(i, j, lams[(i, j)], f, wset, tail_mode="exact")
+            g = build_g(i, j, f, wset, tail_mode="exact")
             for fn in (f, g):
                 assert lcm(*(v.denominator for v in fn.values[1:13])) > 10 ** 5
                 assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
@@ -249,6 +266,22 @@ class TestPatternMax:
         assert pattern_max(f, tightened)[0] <= base
 
 
+    @pytest.mark.parametrize("m", [7, 38])
+    def test_cuts_refused_on_another_table(self, m):
+        # the compound cuts are the built-in table's: on Harmonic(38) the
+        # audit refutes every one of them, and on Harmonic(7) the group of
+        # types 1..7 would read t[8] = 0.  Without cuts any table builds
+        other = harmonic_table(m)
+        for build in (lambda: shplus_pattern_model(other),
+                      lambda: ratio_certificate(WeightFunctionSet(other), mode="exact")):
+            with pytest.raises(ValueError, match=r"^the compound cuts hold for the "
+                                                 r"built-in table only; [^\n]*$"):
+                build()
+        model = shplus_pattern_model(other, include_cuts=False)
+        assert model.constraints == () and model.ntypes == other.k
+        assert model.caps[1:] == tuple(range(1, m))  # type t: sizes in (1/(t+1), 1/t]
+
+
 class TestBruteForce:
     def test_zero_weights(self, table):
         m = shplus_pattern_model(table, include_cuts=False, num_types=7)
@@ -257,7 +290,7 @@ class TestBruteForce:
         assert brute_force_max(fn, m)[0] == Fraction(38, 37)
 
     def test_large_type_model_single_item_only(self, table):
-        # types 1..7 all exceed half a bin, and the group cap admits one;
+        # types 1..7 all exceed half a bin, and no two fit one bin;
         # the best pattern is the single best item (or nothing)
         m = shplus_pattern_model(table, include_cuts=False, num_types=7)
         rnd = random.Random(7)
@@ -325,8 +358,12 @@ class TestValidateCut:
         published = ([None] + [1] * 7 + [2] * 6 + [3, 3, 4, 5, 6, 6]
                      + [m - 13 for m in range(20, 51)])
         assert list(model.caps) == published
-        groups = {c.name: c.rhs for c in model.constraints
-                  if not c.name.startswith("cut_")}
+        # the solved model holds the compound cuts alone: the caps and the
+        # knapsack row imply the group caps, which stay as audit data
+        cuts = tuple(c for c in builtin_model_constraints(table) if c.name.startswith("cut_"))
+        assert len(cuts) == 6 and model.constraints == cuts
+        groups = {c.name: c.rhs for c in builtin_model_constraints(table)
+                  if c.name.startswith(("group_", "pair_"))}
         assert groups == {"group_1_7": 1, "group_8_13": 2, "pair_18_19": 6}
         cap_names = [c.name for c in builtin_model_constraints(table)
                      if c.name.startswith("cap_")]
@@ -417,19 +454,21 @@ class TestCertificate:
     @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
     def test_every_witness_is_feasible_and_attains_its_value(self, wset, table, mode):
         # all 98 solves of a mode: the argmax pattern keeps the caps, every
-        # model constraint and the capacity, and its weight, evaluated again
-        # in plain Fractions, is the reported value
+        # model constraint, every published constraint (the group caps too)
+        # and the capacity, and its weight, evaluated again in plain
+        # Fractions, is the reported value
         compat = mode == "paper-compat"
         model = shplus_pattern_model(table)
         model = quantized_model(model) if compat else model
+        constraints = (*model.constraints, *builtin_model_constraints(table))
         for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
             f = build_f(i, e.lam, wset)
-            g = build_g(i, j, e.lam, f, wset, tail_mode=mode)
+            g = build_g(i, j, f, wset, tail_mode=mode)
             if compat:
                 f, g = quantized_fn(f), quantized_fn(g)
             for fn, value, pat in ((f, e.pf, e.pf_pattern), (g, e.pg, e.pg_pattern)):
                 assert all(0 < x <= model.caps[m] for m, x in pat.items()), (i, j)
-                assert all(cut.lhs(pat) <= cut.rhs for cut in model.constraints), (i, j)
+                assert all(cut.lhs(pat) <= cut.rhs for cut in constraints), (i, j)
                 used = sum((model.sizes[m] * x for m, x in pat.items()), Fraction(0))
                 assert used <= model.capacity, (i, j)
                 direct = sum((fn.values[m] * x for m, x in pat.items()), Fraction(0))
@@ -447,7 +486,7 @@ class TestCertificate:
         prods = {}
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = build_g(i, j, lam, f, wset, tail_mode="exact")
+            g = build_g(i, j, f, wset, tail_mode="exact")
             prods[(i, j)] = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
         retained = {(i, j): min(prods[(i, j)], prods[(j, i)])
                     for i in range(1, 8) for j in range(i, 8)}

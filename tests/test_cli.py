@@ -275,20 +275,24 @@ class TestReports:
     def test_unreduced_tokens_report_as_reduced(self, tmp_path, capsys):
         # each size written over a multiple of its denominator, as 2/4 for
         # 1/2, gives the same reports and SH+ trace, byte for byte, as the
-        # file in lowest terms
+        # file in lowest terms; in 2D the sizes pair up as rectangles
         rng = random.Random(11)
         sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6) for _ in range(1500)]
         scales = itertools.cycle((2, 7, 10 ** 6, 1))
-        (tmp_path / "low.txt").write_text(
-            "1/2\n1/2\n" + "".join(f"{s}\n" for s in sizes))
-        (tmp_path / "high.txt").write_text("2/4\n500000/1000000\n" + "".join(
-            f"{s.numerator * k}/{s.denominator * k}\n" for s, k in zip(sizes, scales)))
+        tokens = {"low": ["1/2", "1/2", *map(str, sizes)],
+                  "high": ["2/4", "500000/1000000", *(
+                      f"{s.numerator * k}/{s.denominator * k}" for s, k in zip(sizes, scales))]}
+        for name, toks in tokens.items():
+            (tmp_path / f"{name}.txt").write_text("".join(f"{x}\n" for x in toks))
+            (tmp_path / f"{name}2.txt").write_text(
+                "".join(f"{w} {h}\n" for w, h in zip(toks[::2], toks[1::2])))
         outputs = []
         for name in ("low", "high"):
             path, trace = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
             assert main(["pack1d", "--verify", "--input", str(path),
                          "--trace-out", str(trace)]) == 0
             assert main(["pack1d", "--algorithm", "harmonic", "--input", str(path)]) == 0
+            assert main(["pack2d", "--verify", "--input", str(tmp_path / f"{name}2.txt")]) == 0
             outputs.append((capsys.readouterr().out, trace.read_bytes()))
         assert outputs[0] == outputs[1]
         assert b",tiny," in outputs[0][1]  # tail items are among them

@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonicpack.generators import read_size
 from harmonicpack.pack2d import TensorRun
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
-                                 parse_rational, validate)
+                                 parse_pair, parse_rational, validate)
 
 
 class TestBuiltinTable:
@@ -209,11 +208,12 @@ class TestParseRational:
 
 
 def _check_pair(x):
-    """read_size(x) is a pair p/q, q > 0, of parse_rational(x)'s value, or
-    raises its error message."""
-    want = _outcome(parse_rational, x)
+    """parse_pair(x) is a pair p/q, q > 0, of the value parse_rational must
+    give x (the reference reader's, as TestParseRational checks), or raises
+    its error message."""
+    want = _outcome(_fraction_reader, x)
     try:
-        p, q = read_size(x)
+        p, q = parse_pair(x)
     except ValueError as exc:
         assert ("ValueError", str(exc)) == want, x
     else:
@@ -221,6 +221,8 @@ def _check_pair(x):
 
 
 class TestReadSize:
+    """A size token read to an integer pair by params.parse_pair."""
+
     @given(_TEXT)
     @settings(max_examples=500, deadline=None)
     def test_pair_matches_parse_rational(self, x):
@@ -234,6 +236,6 @@ class TestReadSize:
         _check_pair(x)
 
     def test_digit_tokens_read_as_written(self):
-        assert read_size("2/4") == (2, 4)
-        assert read_size("500000/1000000") == (500000, 1000000)
-        assert read_size("7") == (7, 1)
+        assert parse_pair("2/4") == (2, 4)
+        assert parse_pair("500000/1000000") == (500000, 1000000)
+        assert parse_pair("7") == (7, 1)

@@ -100,6 +100,23 @@ def test_weights_have_one_home():
     assert bad == []
 
 
+def test_rational_tokens_have_one_reader():
+    # params.parse_pair alone holds the digits[/digits] rule that spares a
+    # token Fraction's regex: str.isdecimal is read in no other function, and
+    # outside every function in none (listed by its line)
+    where = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "isdecimal":
+                where.update([f"{path.stem}.{fn.name}" for fn in defs
+                              if fn.lineno <= node.lineno <= fn.end_lineno]
+                             or [f"{path.stem}:{node.lineno}"])
+    assert sorted(where) == ["params.parse_pair"]
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()
