@@ -224,6 +224,13 @@ def _genuine_cap(table: ParamTable, types) -> int:
     return ceil(1 / table.t[max(types) + 1]) - 1
 
 
+def _require_builtin(table: ParamTable) -> None:
+    """Refuse a table other than the built-in one, whose constraints these are."""
+    if table != builtin_shplus():
+        raise ValueError("the compound cuts hold for the built-in table only; "
+                         "build this table's model without cuts")
+
+
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
                          num_types: Optional[int] = None) -> PatternModel:
     """The pattern model of a table (sizes t[m+1], per-type caps) over types
@@ -233,9 +240,7 @@ def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
     n = table.k if num_types is None else num_types
     cons = []
     if include_cuts:
-        if table != builtin_shplus():
-            raise ValueError("the compound cuts hold for the built-in table only; "
-                             "build this table's model without cuts")
+        _require_builtin(table)
         cons = [LinearCut.make(name, {m: c for m, c in coeffs.items() if m <= n}, rhs)
                 for name, coeffs, rhs in _COMPOUND_CUTS if min(coeffs) <= n]
     return PatternModel(sizes=(None, *(table.t[m + 1] for m in range(1, n + 1))),
@@ -247,7 +252,8 @@ def builtin_model_constraints(table: ParamTable) -> list:
     """The published constraints: the group caps, the caps of ungrouped types
     and the compound cuts.  A group over its cap breaks its largest type's cap
     or, by the infimum sizes, the knapsack row, so the solved model leaves the
-    group caps out."""
+    group caps out.  Any other table raises ValueError."""
+    _require_builtin(table)
     grouped = {m for _, types in _GROUPS for m in types}
     cons = [LinearCut.make(name, {m: 1 for m in types}, _genuine_cap(table, types))
             for name, types in _GROUPS]

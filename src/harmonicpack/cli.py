@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -133,12 +134,11 @@ def cmd_gen(args) -> int:
     inst = _instance_from_args(args, args.dims)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for it in inst.items:  # exact: "p/q", or p when q is 1, as str(Fraction)
-            if args.dims == 1:
-                p, q = it
-                out.write(f"{p}/{q}\n" if q != 1 else f"{p}\n")
-            else:
-                out.write(f"{it.w} {it.h}\n")
+        # exact: "p/q", or p when q is 1, as str(Fraction) of the pairs, which
+        # the generators draw in lowest terms
+        for it in inst.items:
+            pairs = (it,) if args.dims == 1 else (it[:2], it[2:])
+            out.write(" ".join(f"{p}/{q}" if q != 1 else f"{p}" for p, q in pairs) + "\n")
     finally:
         if args.out:
             out.close()
@@ -194,9 +194,7 @@ def cmd_pack2d(args) -> int:
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
     t0 = time.perf_counter()
-    lb = inst.known_opt or _ceil_sum(
-        (it.w.numerator * it.h.numerator, it.w.denominator * it.h.denominator)
-        for it in inst.items)
+    lb = inst.known_opt or _ceil_sum((wp * hp, wq * hq) for wp, wq, hp, hq in inst.items)
     failures = []
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
@@ -302,10 +300,25 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def solver_trials(table, wset) -> tuple:
+    """(model, functions) of the solver trial: the 15-type truncation with
+    its cuts, on five random functions, an exact-mode g of the certificate and
+    one on which cut_7_15 binds, excluding {7: 1, 15: 2} (weight 4, capped to 3)."""
+    model = boundcert.shplus_pattern_model(table, num_types=15)
+    n = model.ntypes
+    fns = [boundcert.PiecewiseFn(
+        values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(n))),
+        tail_slope=Fraction(38, 37)) for rnd in map(random.Random, range(5))]
+    lam = boundcert.TUNED_LAMBDA[(6, 1)]
+    fns.append(boundcert.build_g(6, 1, boundcert.build_f(6, lam, wset), wset, "exact"))
+    fns.append(boundcert.PiecewiseFn(
+        values=(None, *(Fraction({7: 2, 15: 1}.get(m, 0)) for m in range(1, n + 1))),
+        tail_slope=Fraction(0)))
+    return model, fns
+
+
 def cmd_verify(args) -> int:
     """Compact self-check battery; nonzero exit on any failure."""
-    import random
-
     table = params.builtin_shplus()
     failures = [f"params: {b}" for b in params.validate(table)]
     if params.ParamTable.from_json_dict(json.loads(table.dumps())) != table:
@@ -338,17 +351,16 @@ def cmd_verify(args) -> int:
     if hxb.weight_bounds(wset)[1:] != want:
         failures.append("2d: weight totals differ from the per-rectangle sum")
 
-    model12 = boundcert.shplus_pattern_model(table, include_cuts=False, num_types=12)
-    lam = boundcert.TUNED_LAMBDA[(6, 1)]  # trial 5: an exact-mode g of the certificate
-    fns = [boundcert.PiecewiseFn(
-        values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(12))),
-        tail_slope=Fraction(38, 37)) for rnd in map(random.Random, range(5))]
-    fns.append(boundcert.build_g(6, 1, boundcert.build_f(6, lam, wset), wset, "exact"))
+    model, fns = solver_trials(table, wset)
     for trial, fn in enumerate(fns):
-        v1, _ = boundcert.pattern_max(fn, model12)
-        v2, _ = boundcert.brute_force_max(fn, model12)
+        v1, _ = boundcert.pattern_max(fn, model)
+        v2, _ = boundcert.brute_force_max(fn, model)
         if v1 != v2:
             failures.append(f"solver: mismatch vs enumeration on trial {trial}")
+    # the last trial is there to run a binding row: without cuts it weighs more
+    free = boundcert.shplus_pattern_model(table, include_cuts=False, num_types=model.ntypes)
+    if boundcert.pattern_max(fns[-1], free)[0] <= boundcert.pattern_max(fns[-1], model)[0]:
+        failures.append("solver: no constraint row binds on the last trial")
 
     for line in failures:
         print(f"FAIL {line}", file=sys.stderr)

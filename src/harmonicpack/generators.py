@@ -5,7 +5,7 @@ Twister (``random.Random``), whose sequence is stable across platforms and
 versions, so a spec (kind, n, seed, dims, bins) always produces the same
 list. Sizes are exact rationals on a 10^-6 grid: a 1D size is an integer
 pair (p, q) of value p/q, in lowest terms when generated, and a rectangle
-is an ``Item2D`` of two Fractions.
+is an ``Item2D``, the tuple (wp, wq, hp, hq) of its two sides' pairs.
 
 Kinds:
 
@@ -19,8 +19,9 @@ Kinds:
     exactly, shuffled: the sizes 0.51 and 0.49 in 1D, four 1/2 x 1/2
     squares in 2D. The optimal cost equals ``bins`` and is recorded.
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
-    comments).  A 1D token becomes an integer pair by ``params.parse_pair``,
-    so "2/4" reads as (2, 4); a 2D side becomes a Fraction of that pair.
+    comments).  Every token becomes an integer pair by ``params.parse_pair``,
+    so "2/4" reads as (2, 4), and a line "w h" becomes the ``Item2D`` of
+    its two pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .params import parse_pair, parse_rational
+from .params import named, parse_pair, parse_rational
 
 GRID = 10 ** 6
 
@@ -41,19 +42,43 @@ _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
 
 
-@dataclass(frozen=True)
-class Item2D:
-    w: Fraction
-    h: Fraction
+class Item2D(tuple):
+    """A rectangle as the integers (wp, wq, hp, hq) of its width wp/wq and
+    height hp/hq, q > 0, as written (not necessarily in lowest terms); equal
+    tuples are equal rectangles, but "1/2" and "2/4" sides give unequal ones.
+    ``Item2D(w, h)`` reads two rationals, ``from_pairs`` two integer pairs;
+    both refuse a side outside (0, 1]."""
 
-    def __post_init__(self):
-        if not (0 < self.w.numerator <= self.w.denominator
-                and 0 < self.h.numerator <= self.h.denominator):
-            raise ValueError(f"rectangle {self.w} x {self.h} outside (0,1]^2")
+    __slots__ = ()
+
+    def __new__(cls, w, h):
+        return cls.from_pairs(parse_rational(w).as_integer_ratio(),
+                              parse_rational(h).as_integer_ratio())
+
+    @classmethod
+    def from_pairs(cls, w: tuple, h: tuple) -> "Item2D":
+        (wp, wq), (hp, hq) = w, h
+        if not (0 < wp <= wq and 0 < hp <= hq):
+            raise ValueError(f"{named(wp, wq, 'rectangle')} {named(hp, hq, 'x')} "
+                             f"outside (0,1]^2")
+        return tuple.__new__(cls, (wp, wq, hp, hq))
+
+    @property
+    def w(self) -> Fraction:
+        return Fraction(self[0], self[1])
+
+    @property
+    def h(self) -> Fraction:
+        return Fraction(self[2], self[3])
 
     @property
     def transposed(self) -> "Item2D":
-        return Item2D(w=self.h, h=self.w)
+        """The rectangle turned a quarter: (hp, hq, wp, wq), not re-checked."""
+        wp, wq, hp, hq = self
+        return tuple.__new__(Item2D, (hp, hq, wp, wq))
+
+    def __reduce__(self):  # copy and pickle rebuild the pairs as written
+        return Item2D.from_pairs, (self[:2], self[2:])
 
 
 @dataclass(frozen=True)
@@ -86,18 +111,17 @@ def generate(spec: InstanceSpec) -> Instance:
         if spec.dims == 1:
             items = [_uniform_pair(rng) for _ in range(spec.n)]
         else:
-            items = [Item2D(Fraction(*_uniform_pair(rng)),
-                            Fraction(*_uniform_pair(rng))) for _ in range(spec.n)]
+            items = [Item2D.from_pairs(_uniform_pair(rng), _uniform_pair(rng))
+                     for _ in range(spec.n)]
         return Instance(spec=spec, items=items)
 
     if spec.kind == "harmonic-adversarial":
-        sizes = [lv + _JITTER for lv in _LEVELS]
+        pairs = [(lv + _JITTER).as_integer_ratio() for lv in _LEVELS]
         rng = random.Random(spec.seed)
         if spec.dims == 1:
-            pairs = [s.as_integer_ratio() for s in sizes]
             items = [pairs[i % len(pairs)] for i in range(spec.n)]
         else:
-            items = [Item2D(sizes[i % len(sizes)], Fraction(*_uniform_pair(rng)))
+            items = [Item2D.from_pairs(pairs[i % len(pairs)], _uniform_pair(rng))
                      for i in range(spec.n)]
         return Instance(spec=spec, items=items)
 
@@ -107,7 +131,7 @@ def generate(spec: InstanceSpec) -> Instance:
         if spec.dims == 1:
             items = [s for _ in range(bins) for s in _PATTERN_1D]
         else:
-            tile = Item2D(Fraction(1, _TILES_2D), Fraction(1, _TILES_2D))
+            tile = Item2D.from_pairs((1, _TILES_2D), (1, _TILES_2D))
             items = [tile for _ in range(bins * _TILES_2D ** 2)]
         rng.shuffle(items)
         return Instance(spec=spec, items=items, known_opt=bins)
@@ -120,8 +144,8 @@ def generate(spec: InstanceSpec) -> Instance:
                 parts = line.partition("#")[0].split()
                 if len(parts) == dims:
                     items.append(parse_pair(parts[0]) if dims == 1 else
-                                 Item2D(parse_rational(parts[0]),
-                                        parse_rational(parts[1])))
+                                 Item2D.from_pairs(parse_pair(parts[0]),
+                                                   parse_pair(parts[1])))
                 elif parts:
                     what = "one size" if dims == 1 else "'w h'"
                     raise ValueError(f"expected {what} per line, got "

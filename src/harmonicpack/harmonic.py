@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .params import exact_add
+from .params import exact_add, named
 
 
 def harmonic_type(p: int, q: int, k: int) -> int:
     """Type index in 1..k of an item of size x = p/q (q > 0, not necessarily
     in lowest terms): the i with 1/(i+1) < x <= 1/i, or k for x <= 1/k."""
     if not 0 < p <= q:
-        raise ValueError(f"item size {Fraction(p, q)} outside (0, 1]")
+        raise ValueError(f"{named(p, q, 'item size')} outside (0, 1]")
     return k if p * k <= q else q // p  # floor(1/size)
 
 

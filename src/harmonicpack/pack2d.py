@@ -18,16 +18,19 @@ loads at gamma*t <= Delta[phi], so slices never overlap; items never
 overlap inside a slice because their heights are stacked.  The slices are
 the only record of this geometry: a rectangle sits at its slice's x and on
 the heights below it, and the audit checks these columns, not rectangle
-pairs.  It is all integers: a slice's x and width share a denominator, its
-stacked height (like the audit's sum) has the lcm of the heights', the audit
+pairs.  It is all integers: a rectangle is the tuple (wp, wq, hp, hq) of its
+sides as read, a slice's x and width share a denominator, its stacked height
+(like the audit's sum) has the lcm of the heights', the audit
 cross-multiplies, and the weight totals build one Fraction per width type.
 
 The geometric grid is an exact integer ladder: value(m) is an 18-digit
 integer over a power of ten, one step per factor (1-d) truncated to 18
-significant digits (the exact power's digits grow linearly with m).  The
-drift after m steps is below m * 1e-17; classes are found by bisection on
-exact integer comparisons, so slices always cover their items.  The ladder
-stops at 10^6 steps, which reaches widths of about 1e-45 at the default d.
+significant digits (the exact power's digits grow linearly with m).  It
+stores the numerators and, once per power of ten, the index where that
+power's run of steps starts.  The drift after m steps is below m * 1e-17;
+classes are found by bisection on exact integer comparisons, so slices
+always cover their items.  The ladder stops at 10^6 steps, which reaches
+widths of about 1e-45 at the default d.
 
 The two-orientation average satisfies the slice analysis bound
 
@@ -48,7 +51,7 @@ from operator import itemgetter, neg
 
 from .generators import Item2D
 from .harmonic import harmonic_type, height_index, w_h
-from .params import ParamTable, exact_add
+from .params import ParamTable, decimal_digits, exact_add, named
 from .superharmonic import Bin, ShState
 from .weighting import WeightFunctionSet
 
@@ -57,28 +60,10 @@ _MAX_DEPTH = 10 ** 6  # the deepest ladder step
 DEFAULT_DELTA = Fraction(1, 10000)
 
 
-def _digits(n: int) -> int:
-    """Decimal digits of n >= 1, counted up from a lower bound read from its
-    bit length (0.30102999566 < log10(2))."""
-    d = (n.bit_length() - 1) * 30102999566 // 10 ** 11 + 1
-    while n >= 10 ** d:
-        d += 1
-    return d
-
-
-def _named(p: int, q: int, side: str, digits=None) -> str:
-    """``side p/q``, as in ``width 1/3``; by digit counts where str() refuses so
-    long an integer.  ``digits`` are p's and q's if known."""
-    try:
-        return f"{side} {Fraction(p, q)}"
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        dn, dd = digits or (_digits(abs(p)), _digits(q))
-        return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"
-
-
 class TinyGrid:
     """The geometric width grid below eps: value(m) ~ eps * (1-d)^m, with
-    value(0) = eps and value(m) = num[m] / 10**exp[m], grown on demand."""
+    value(0) = eps and value(m) = num[m] / 10**(e1 + j) on the j-th run of
+    steps that share a power of ten, grown on demand."""
 
     def __init__(self, eps: Fraction, delta: Fraction):
         if not 0 < delta < Fraction(1, 2):
@@ -88,7 +73,10 @@ class TinyGrid:
         p, r = (eps * (1 - delta)).as_integer_ratio()
         e = 17 + len(str(r)) - len(str(p))  # p * 10**e / r lies in (10^16, 10^18)
         e += p * 10 ** e // r < _LOW
-        self._num, self._exp = [None, p * 10 ** e // r], [None, e]  # index 0 is eps
+        self._num = [None, p * 10 ** e // r]  # index 0 is eps
+        # a step loses at most one digit (1-d > 1/2), so the exponents run
+        # e1, e1+1, ... and _starts[j] is the first index at exponent e1 + j
+        self._e1, self._starts = e, [1]
         # 10**-floor <= value(_MAX_DEPTH): each step keeps more than a factor
         # (1-d)(1-10^-17); with u = d/(2-d), -ln(1-d) = 2 sum u^k/k over odd k is
         # at most five terms plus the geometric tail 2u^11/(11(1-u^2)); -ln(1-10^-17)
@@ -102,49 +90,54 @@ class TinyGrid:
 
     def _grow(self, m: int) -> None:
         """Extend the ladder to index m."""
-        num, exp, a, b = self._num, self._exp, self._a, self._b
-        n, e = num[-1], exp[-1]
-        for _ in range(len(num), m + 1):
+        num, starts, a, b = self._num, self._starts, self._a, self._b
+        n = num[-1]
+        for i in range(len(num), m + 1):
             q = n * a // b
             if q < _LOW:  # one digit deeper
-                q, e = n * a * 10 // b, e + 1
+                q = n * a * 10 // b
+                starts.append(i)
             n = q
             num.append(n)
-            exp.append(e)
+
+    def _start(self, e: int) -> int:
+        """The first index at exponent e or deeper, len(num) past the ladder."""
+        j = e - self._e1
+        return 1 if j <= 0 else self._starts[j] if j < len(self._starts) else len(self._num)
 
     def value(self, m: int) -> tuple:
-        """value(m) as an integer pair, (num[m], 10**exp[m]) below eps."""
+        """value(m) as an integer pair, (num[m], 10**exp) below eps."""
         if m == 0:
             return self.eps.as_integer_ratio()
         self._grow(m)
-        return self._num[m], 10 ** self._exp[m]
+        return self._num[m], 10 ** (self._e1 + bisect.bisect_right(self._starts, m) - 1)
 
     def class_of(self, p: int, q: int, side: str = "width") -> int:
         """The unique m with value(m+1) < w <= value(m) for w = p/q (q > 0, not
         necessarily in lowest terms); errors call w ``side``."""
         en, ed = self.eps.as_integer_ratio()
         if not (0 < p and p * ed <= en * q):
-            raise ValueError(f"{_named(p, q, side)} outside the tiny range (0, {self.eps}]")
-        num, exp = self._num, self._exp
+            raise ValueError(f"{named(p, q, side)} outside the tiny range (0, {self.eps}]")
+        num = self._num
         # 10**(15-top) < w < 10**(17-top) and 10**(17-e) <= value(m) < 10**(18-e)
-        # with e = exp[m]: value(m) > w for e <= top and value(m) < w for
+        # at exponent e: value(m) > w for e <= top and value(m) < w for
         # e >= top+3, so only at the exponents top+1 and top+2 does the exact
         # product decide
-        dn, dd = _digits(p), _digits(q)
+        dn, dd = decimal_digits(p), decimal_digits(q)
         top = 16 - dn + dd
-        while exp[-1] < top + 3 and (exp[-1] <= top
-                                     or num[-1] * q >= p * 10 ** exp[-1]):
+        while ((e := self._e1 + len(self._starts) - 1) < top + 3
+               and (e <= top or num[-1] * q >= p * 10 ** e)):
             # past the floor, w < 10**(dn-dd+1) <= 10**-floor <= value(_MAX_DEPTH)
             if len(num) > _MAX_DEPTH or dd - dn > self._floor:
-                raise ValueError(f"{_named(p, q, side, (dn, dd))} lies below the tiny "
+                raise ValueError(f"{named(p, q, side, (dn, dd))} lies below the tiny "
                                  f"grid's depth floor of {_MAX_DEPTH} classes")
             self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
         # num falls along the steps at one exponent e, and value(m) < w there
         # exactly when -num[m] > floor(-p * 10**e / q): bisect each run in C.
         # Past both runs lies a step at exp >= top+3, below w
-        lo = bisect.bisect_right(exp, top, 1)
+        lo = self._start(top + 1)
         for e in (top + 1, top + 2):
-            hi = bisect.bisect_right(exp, e, lo)
+            hi = self._start(e + 1)
             m = bisect.bisect_right(num, p * 10 ** e // -q, lo, hi, key=neg)
             if m < hi:
                 return m - 1
@@ -163,7 +156,7 @@ class Slice:
     height_type: int  # Harmonic type of the heights stacked here
     fill_num: int = 0  # the stacked height is fill_num / fill_den
     fill_den: int = 1
-    items: list = field(default_factory=list)  # Item2D, bottom to top
+    items: list = field(default_factory=list)  # Item2D tuples, bottom to top
 
 
 class TensorRun:
@@ -211,8 +204,8 @@ class TensorRun:
 
     def insert(self, item: Item2D) -> Slice:
         """Stack ``item`` on its slice and return that slice."""
-        hn, hd = item.h.numerator, item.h.denominator
-        key, (vn, vd) = self.width_class(item.w.numerator, item.w.denominator)
+        wn, wd, hn, hd = item
+        key, (vn, vd) = self.width_class(wn, wd)
         ht = harmonic_type(hn, hd, self.hk)
         slot = (key, ht)
         sl = self._open.get(slot)
@@ -305,10 +298,10 @@ def validate_geometry(run: TensorRun) -> list:
         if not (0 <= x and x + w <= den):
             bad.append(f"slice {sl.sid}: column outside the unit bin")
         num, fden = 0, 1  # the stack's height is num/fden
-        for pos, it in enumerate(sl.items):
-            if it.w.numerator * den > w * it.w.denominator:
+        for pos, (wp, wq, hp, hq) in enumerate(sl.items):
+            if wp * den > w * wq:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-            num, fden = exact_add(num, fden, it.h.numerator, it.h.denominator)
+            num, fden = exact_add(num, fden, hp, hq)
         if num > fden:
             bad.append(f"slice {sl.sid}: stack outside the unit bin")
         per_bin.setdefault(sl.bin_id, []).append(sl)

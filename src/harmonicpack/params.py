@@ -68,6 +68,25 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
     return Fraction(*parse_pair(str(text)))
 
 
+def decimal_digits(n: int) -> int:
+    """Decimal digits of n >= 1, counted up from a lower bound read from its
+    bit length (0.30102999566 < log10(2))."""
+    d = (n.bit_length() - 1) * 30102999566 // 10 ** 11 + 1
+    while n >= 10 ** d:
+        d += 1
+    return d
+
+
+def named(p: int, q: int, side: str, digits=None) -> str:
+    """``side p/q``, as in ``width 1/3``; by digit counts where str() refuses so
+    long an integer.  ``digits`` are p's and q's if known."""
+    try:
+        return f"{side} {Fraction(p, q)}"
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        dn, dd = digits or (decimal_digits(abs(p)), decimal_digits(q))
+        return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"
+
+
 def exact_add(num: int, den: int, p: int, q: int) -> tuple:
     """``num/den + p/q`` as an integer pair over lcm(den, q); ``p/q`` need
     not be in lowest terms."""
@@ -124,7 +143,7 @@ class ParamTable:
         Raises ValueError outside (0, 1].
         """
         if not 0 < p <= q:
-            raise ValueError(f"item size {Fraction(p, q)} outside (0, 1]")
+            raise ValueError(f"{named(p, q, 'item size')} outside (0, 1]")
         # number of breakpoints strictly below `size` among t[k+1]..t[2]
         return self.k + 1 - bisect_left(self._asc_breaks, -(-p * self._den // q))
 

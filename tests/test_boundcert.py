@@ -273,6 +273,7 @@ class TestPatternMax:
         # types 1..7 would read t[8] = 0.  Without cuts any table builds
         other = harmonic_table(m)
         for build in (lambda: shplus_pattern_model(other),
+                      lambda: builtin_model_constraints(other),
                       lambda: ratio_certificate(WeightFunctionSet(other), mode="exact")):
             with pytest.raises(ValueError, match=r"^the compound cuts hold for the "
                                                  r"built-in table only; [^\n]*$"):

@@ -91,18 +91,27 @@ class TestInputErrors:
          "lambda_key_8_8.json: pair 8,8 lies outside the 7 x 7 case pairs"),
         ("pack1d --algorithm harmonic --n 10 --trace-out {dir}/trace.csv",
          "--trace-out traces the sh+ algorithm only"),
+        ("pack1d --input {dir}/huge.txt", "item size with a 5001-digit numerator "
+                                          "and a 1-digit denominator outside (0, 1]"),
+        ("pack1d --algorithm harmonic --input {dir}/huge.txt",
+         "item size with a 5001-digit numerator and a 1-digit denominator outside (0, 1]"),
+        ("pack2d --input {dir}/huge_rect.txt", "rectangle 2 x with a 1-digit numerator "
+                                               "and a 5001-digit denominator outside"),
     ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
             "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
             "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
             "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
-            "lambda-key-8-8", "harmonic-trace-out"])
+            "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
+            "harmonic-size-5001-digits", "rectangle-side-5001-digits"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
         (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
         (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
+        (tmp_path / "huge.txt").write_text("1e5000\n")  # str() refuses its integers
+        (tmp_path / "huge_rect.txt").write_text("2 1e-5000\n")
         (tmp_path / "not_json.json").write_text("{not json")
         (tmp_path / "lacks_pair.json").write_text(json.dumps(
             {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)
@@ -139,8 +148,8 @@ class TestInputErrors:
         # reuses those counts
         import harmonicpack.pack2d as pack2d
         monkeypatch.setattr(pack2d, "_MAX_DEPTH", 2000)
-        counted, digits = [], pack2d._digits
-        monkeypatch.setattr(pack2d, "_digits",
+        counted, digits = [], pack2d.decimal_digits
+        monkeypatch.setattr(pack2d, "decimal_digits",
                             lambda n: counted.append(n) or digits(n))
         (tmp_path / "thin.txt").write_text("1e-300000 1/2\n")
         rc = main(["pack2d", "--delta", "49/100", "--orientation", "hxb",
@@ -480,3 +489,29 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert "FAIL solver: mismatch vs enumeration on trial 5" in err
         assert "self-check: FAIL (1 failure(s))" in out
+
+    def test_solver_trial_has_a_binding_row(self, table, wset):
+        # the trial model keeps cut_7_15 as a constraint row, which holds its
+        # last function to 3: {7: 1, 15: 2} weighs 4 without cuts
+        from harmonicpack.boundcert import pattern_max
+        from harmonicpack.cli import solver_trials
+        model, fns = solver_trials(table, wset)
+        assert len(model.grid[3]) >= 1 and "cut_7_15" in [c.name for c in model.constraints]
+        assert pattern_max(fns[-1], model)[0] == 3
+
+    def test_solver_check_fails_without_a_binding_row(self, monkeypatch, capsys):
+        # the trials on a model without rows would leave pattern_max's row
+        # code unrun, and verify says so
+        import harmonicpack.cli as climod
+        from harmonicpack.boundcert import shplus_pattern_model
+        trials = climod.solver_trials
+
+        def cut_free(table, wset):
+            _, fns = trials(table, wset)
+            return shplus_pattern_model(table, include_cuts=False, num_types=15), fns
+
+        monkeypatch.setattr(climod, "solver_trials", cut_free)
+        assert climod.main(["verify"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "FAIL solver: no constraint row binds on the last trial\n"
+        assert out == "self-check: FAIL (1 failure(s))\n"

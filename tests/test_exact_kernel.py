@@ -342,3 +342,24 @@ class TestPairPath:
                             for path in (empty, full))
             assert total - fixed < 2000 // 10, (algorithm, fixed, total)
             assert algorithm == "sh+" or fixed < 100, fixed
+
+    def test_pack2d_builds_no_fraction_per_rectangle(self, tmp_path):
+        # the 2,000 rectangles of a file, a tenth with a thin side, add fewer
+        # than one Fraction per 10 rectangles to what an empty file takes
+        rng = random.Random(7)
+
+        def side():
+            if rng.random() < 0.1:
+                return f"{rng.randint(1, 1000)}/{10 ** rng.randint(4, 6)}"
+            return f"{rng.randint(1, 10 ** 6)}/{10 ** 6}"
+
+        full, empty = tmp_path / "full.txt", tmp_path / "empty.txt"
+        full.write_text("".join(f"{side()} {side()}\n" for _ in range(2000)))
+        empty.write_text("")
+
+        def quiet_pack2d(path):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["pack2d", "--verify", "--input", str(path)]) == 0
+
+        fixed, total = (fraction_builds(quiet_pack2d, path) for path in (empty, full))
+        assert total - fixed < 2000 // 10, (fixed, total)

@@ -1,9 +1,22 @@
+import copy
+import pickle
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonicpack.generators import Instance, InstanceSpec, generate
 from harmonicpack.pack2d import Item2D
+from harmonicpack.params import parse_rational
+
+# rectangle sides as written: unreduced, decimal, exponent and Unicode-digit
+# forms, sides outside (0, 1], malformed tokens, and integer pairs
+_SIDE_TOKENS = ["1/2", "2/4", "7/14", "0001/0002", "353/500", "0.294", "1e-3", "2E-1",
+                ".5", "1", "\u0663/\uff17", "1_0/3_0", "+1/3", "0", "3/2", "-1/2",
+                "1/0", "abc", "1e-5000", "2"]
+_SIDES = st.sampled_from(_SIDE_TOKENS) | st.builds(
+    "{}/{}".format, st.integers(0, 10 ** 20), st.integers(0, 10 ** 20))
 
 
 class TestDeterminism:
@@ -92,7 +105,38 @@ class TestFileKind:
                       "" if i % 2 else "\t  \t"]
         p = tmp_path / "layout.txt"
         p.write_text("\r\n".join(lines) + "\n", encoding="utf-8")
-        want = [Fraction(t) if dims == 1 else Item2D(Fraction(t), Fraction(o))
+        want = [Fraction(t) if dims == 1 else (Fraction(t), Fraction(o))
                 for t, o in zip(tokens, reversed(tokens))]
         got = generate(InstanceSpec(kind="file", dims=dims, path=str(p))).items
-        assert (got if dims == 2 else [Fraction(*pair) for pair in got]) == want
+        assert [Fraction(*it) if dims == 1 else (it.w, it.h) for it in got] == want
+
+
+def _outcome(read):
+    """(w, h) of the rectangle ``read()`` returns, or its error message."""
+    try:
+        it = read()
+    except ValueError as exc:
+        return str(exc)
+    return it.w, it.h
+
+
+@given(st.tuples(_SIDES, _SIDES))
+@settings(max_examples=200, deadline=None)
+def test_rectangle_reader_equals_rational_reader(sides):
+    # the file reader keeps the tokens' integers as written; by value, and in
+    # its error messages, it reads what Item2D makes of two parsed rationals
+    a, b = sides
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/rect.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{a} {b}\n")
+        got = _outcome(lambda: generate(InstanceSpec(kind="file", dims=2,
+                                                     path=path)).items[0])
+    assert got == _outcome(lambda: Item2D(parse_rational(a), parse_rational(b)))
+
+
+def test_rectangle_copies_keep_its_pairs_as_written():
+    it = Item2D.from_pairs((2, 4), (7, 14))
+    for clone in (pickle.loads(pickle.dumps(it)), copy.deepcopy(it), copy.copy(it)):
+        assert type(clone) is Item2D and clone == it == (2, 4, 7, 14)
+    assert it.transposed == (7, 14, 2, 4) and (it.w, it.h) == (Fraction(1, 2),) * 2

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from harmonicpack.boundcert import build_f
 from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
-                                 tensor_cost, validate_geometry, w2d)
+                                 pack_orientations, tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
 from conftest import class_value, grid_sizes, move_column, packed
@@ -117,7 +118,7 @@ class TestWidthClasses:
         # ladder would reject it too: 10**-floor <= value(_MAX_DEPTH)
         grid = TinyGrid(table.eps, delta)
         grid._grow(_MAX_DEPTH)
-        assert grid._num[-1] * 10 ** grid._floor >= 10 ** grid._exp[-1]
+        assert grid._num[-1] * 10 ** grid._floor >= grid.value(_MAX_DEPTH)[1]
         fresh = TinyGrid(table.eps, delta)
         with pytest.raises(ValueError, match="depth floor"):
             class_of(fresh, Fraction(1, 10 ** (grid._floor + 1)))  # dd - dn = floor + 1
@@ -163,6 +164,18 @@ class TestWidthClasses:
             m = class_of(grid, w)
             assert len(grid._num) - 1 == 1 + 1024 * -(-m // 1024), w
             assert value(grid, m + 1) < w <= value(grid, m), w
+
+    def test_full_ladder_allocates_under_5_mb(self, table):
+        # the 101,775 steps down to 1e-6 at the default d hold one 18-digit
+        # numerator each; the exponent is stored once per power of ten
+        tracemalloc.start()
+        try:
+            grid = TinyGrid(table.eps, Fraction(1, 10000))
+            assert grid.class_of(1, 10 ** 6) == 101774
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size < 5 * 10 ** 6, size
 
     def test_grid_strictly_decreasing(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
@@ -230,6 +243,22 @@ class TestSlicePacking:
                 for c in range(1, wset.num_cases + 1):
                     assert totals[c] == sum((hw * wset.w(v, c) for hw, v in charges),
                                             Fraction(0)), (n, c)
+
+    def test_bxh_on_transposed_tuples_equals_swapped_items(self, table):
+        # pack_orientations turns each tuple without re-reading its sides; the
+        # bxh run equals one fed the rectangles built from the swapped sides
+        rng = random.Random(9)
+
+        def side():
+            if rng.random() < 0.2:
+                return Fraction(rng.randint(1, 1000), 10 ** rng.randint(4, 6))
+            return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+
+        items = [Item2D(side(), side()) for _ in range(1500)]
+        (run,) = pack_orientations(items, table, ("bxh",), Fraction(1, 10000))
+        ref = packed(TensorRun(table, "bxh"), [Item2D(it.h, it.w) for it in items])
+        assert len(run.slices) > 100 and run.slices == ref.slices
+        assert run.cost == ref.cost
 
     def test_transpose_run_equals_swapped_items(self, table):
         items = grid_items(random.Random(8), 1500)
