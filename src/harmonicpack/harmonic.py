@@ -14,6 +14,8 @@ total charge plus k (one open bin per type).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from math import lcm
 
 from .params import exact_add, named
 
@@ -89,13 +91,16 @@ class HarmonicPacker:
     @property
     def total_weight(self) -> Fraction:
         """Summed W_H of the packed items: 1/i per type-i item (i < k) and
-        k/(k-1) times the tail's content, closed bins and open one."""
-        k = self.k
+        k/(k-1) times the tail's content, closed bins and open one, summed on
+        one integer denominator over the types that hold items."""
+        k, count = self.k, self.count
         num, den = self._closed_tail
         if self._open_tiny is not None:
             num, den = exact_add(num, den, *self._open_tiny[1:])
-        return sum((Fraction(self.count[i], i) for i in range(1, k)),
-                   Fraction(k * num, (k - 1) * den))
+        held = list(compress(range(k), count))
+        total = lcm((k - 1) * den, *held)
+        return Fraction(sum(count[i] * (total // i) for i in held)
+                        + k * num * (total // ((k - 1) * den)), total)
 
     def weight_slack(self) -> Fraction:
         """cost - total weight; at most k by the open-bin argument."""

@@ -23,6 +23,14 @@ opens a group (i) bin, and when phi(i) > 0 it converts the oldest
 red-indeterminate bin whose red load fits Delta[phi(i)] (scanning red
 types in increasing order) before opening an (i,?) bin.
 
+The scans depend on the table alone, so ``ShState`` builds them once, as a
+plan entry per type i: the blue-indeterminate pools a red type-i item may
+convert and the red-indeterminate pools a blue type-i item may convert, each
+in the ascending order above, chosen by comparing reserved spaces and red
+loads as integers over one denominator.  An item then tests only whether
+each pool in its list is empty; the scan order and the cascade are those
+described here.
+
 The per-type "open" bin pointers are exact: a new bin is opened or
 converted only when no existing bin has room for that colour and type, and
 bins are filled oldest-first, so at most one bin per (type, colour) is ever
@@ -49,9 +57,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .params import ParamTable, exact_add
+from .params import ParamTable, exact_add, on_one_denominator
 
 
 def _group_name(table: ParamTable, blue: Optional[int], red: Optional[int]) -> str:
@@ -130,7 +139,7 @@ class ShState:
 
     def __init__(self, table: ParamTable, keep_trace: bool = False):
         self.table = table
-        k = table.k
+        k, K, phi, gamma = table.k, table.K, table.phi, table.gamma
         self.s = [0] * (k + 1)  # items seen per type
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
@@ -140,61 +149,91 @@ class ShState:
         # at most one bin has room for each (type, colour)
         self._blue_open: list = [None] * (k + 1)
         self._red_open: list = [None] * (k + 1)
-        # indeterminate pools, FIFO per type
-        self._blue_indet: list = [None] + [deque() for _ in range(k)]  # (i,?) bins
-        self._red_indet: list = [None] + [deque() for _ in range(k)]  # (?,j) bins
-        # alpha per type as an integer pair, and the space a full red load needs
-        self._alpha = [None] + [table.alpha[i].as_integer_ratio() for i in range(1, k + 1)]
-        self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
-        # red-convertible blue types (phi > 0) and red types (alpha > 0), ascending
-        self._convertible_blue = [i for i in range(1, k + 1) if table.phi[i] > 0]
-        self._red_types = [i for i in range(1, k + 1) if table.alpha[i] > 0]
-
-    # -- bin bookkeeping ---------------------------------------------------
+        # indeterminate pools, FIFO per type: (i,?) bins where phi(i) > 0, (?,j) bins
+        types = range(1, k + 1)
+        blue_indet = [None] + [deque() if phi[i] else None for i in types]
+        self._red_indet: list = [None] + [deque() for _ in types]
+        # t_i, Delta[phi(i)] and a full red load gamma_i*t_i as integers over
+        # one denominator, for the plan and check_feasibility
+        self._den, nums = on_one_denominator(table.Delta + table.t[1:k + 1])
+        self._t = t = [None, *nums[K + 1:]]
+        self._space = space = [None] + [nums[phi[i]] for i in types]
+        self._red_load = load = [None] + [gamma[i] * t[i] for i in types]
+        convertible = [j for j in types if phi[j]]
+        red_types = [j for j in types if table.alpha[j]]
+        # per type i: alpha_i as (a_num, a_den), beta_i, gamma_i, the (i,?)
+        # pools a red item may convert and the (?,j) pools a blue item may
+        # convert, each in the cascade's ascending scan order, and its own
+        # two pools; None for the tail type
+        self._plan = [None, *((
+            *table.alpha[i].as_integer_ratio(), table.beta[i], gamma[i],
+            [blue_indet[j] for j in convertible if space[j] >= load[i]],
+            [self._red_indet[j] for j in red_types if load[j] <= space[i]]
+            if phi[i] else [],
+            blue_indet[i], self._red_indet[i]) for i in types), None]
 
     def _open_bin(self) -> Bin:
         b = Bin(len(self.bins))
         self.bins.append(b)
         return b
 
-    def _add_blue(self, b: Bin, i: int, p: int, q: int):
-        b.blue_type = i
-        b.blue_count += 1
-        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
-        if b.blue_count < self.table.beta[i]:
-            self._blue_open[i] = b
-        elif self._blue_open[i] is b:
-            self._blue_open[i] = None
-
-    def _add_red(self, b: Bin, i: int, p: int, q: int):
-        b.red_type = i
-        b.red_count += 1
-        b.red_num, b.red_den = exact_add(b.red_num, b.red_den, p, q)
-        if b.red_count < self.table.gamma[i]:
-            self._red_open[i] = b
-        elif self._red_open[i] is b:
-            self._red_open[i] = None
-
     # -- the cascade ---------------------------------------------------------
 
     def insert(self, p: int, q: int) -> Bin:
         """Place one item of size p/q (q > 0, not necessarily in lowest terms)
         and return the bin it went into."""
-        table = self.table
-        i = table.classify(p, q)
-        if i == table.k + 1:
+        i = self.table.classify(p, q)
+        plan = self._plan[i]
+        if plan is None:
             color = "tiny"
-            b = self._insert_tiny(p, q)
+            b = self._nf_bin
+            if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
+                b = self._nf_bin = self._open_bin()
+            b.blue_count += 1  # content only; NF bins never join groups
+            b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
         else:
-            self.s[i] += 1
-            a_num, a_den = self._alpha[i]
-            if self.e[i] < a_num * self.s[i] // a_den:
+            a_num, a_den, beta, gamma, red_scan, blue_scan, blue_pool, red_pool = plan
+            s = self.s[i] = self.s[i] + 1
+            if self.e[i] < a_num * s // a_den:
                 self.e[i] += 1
                 color = "red"
-                b = self._insert_red(i, p, q)
+                b = self._red_open[i]
+                if b is None:
+                    for pool in red_scan:  # convert the oldest (j,?) bin that fits
+                        if pool:
+                            b = pool.popleft()
+                            break
+                    else:
+                        b = self._open_bin()
+                        red_pool.append(b)
+                b.red_type = i
+                b.red_count += 1
+                self._red_open[i] = b if b.red_count < gamma else None
+                num, den = b.red_num, b.red_den  # exact_add, in line
+                if den % q:
+                    m = lcm(den, q)
+                    num, den = num * (m // den), m
+                b.red_num, b.red_den = num + p * (den // q), den
             else:
                 color = "blue"
-                b = self._insert_blue(i, p, q)
+                b = self._blue_open[i]
+                if b is None:
+                    for pool in blue_scan:  # convert the oldest (?,j) bin that fits
+                        if pool:
+                            b = pool.popleft()
+                            break
+                    else:
+                        b = self._open_bin()
+                        if blue_pool is not None:
+                            blue_pool.append(b)
+                b.blue_type = i
+                b.blue_count += 1
+                self._blue_open[i] = b if b.blue_count < beta else None
+                num, den = b.blue_num, b.blue_den
+                if den % q:
+                    m = lcm(den, q)
+                    num, den = num * (m // den), m
+                b.blue_num, b.blue_den = num + p * (den // q), den
         if self.keep_trace:
             self.trace.append(self._trace_row(Fraction(p, q), i, color, b))
         return b
@@ -209,49 +248,6 @@ class ShState:
         after = _group_name(self.table, b.blue_type, b.red_type)
         return PlacementTrace(len(self.trace), size, i, color, before, after,
                               b.bid, opened)
-
-    def _insert_tiny(self, p: int, q: int) -> Bin:
-        b = self._nf_bin
-        if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
-            b = self._nf_bin = self._open_bin()
-        b.blue_count += 1  # content only; NF bins never join groups
-        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
-        return b
-
-    def _insert_red(self, i: int, p: int, q: int) -> Bin:
-        table = self.table
-        b = self._red_open[i]
-        if b is None:
-            # convert the oldest blue-indeterminate bin with enough reserved space
-            need = self._red_space[i]
-            for j in self._convertible_blue:
-                pool = self._blue_indet[j]
-                if pool and table.Delta[table.phi[j]] >= need:
-                    b = pool.popleft()
-                    break
-        if b is None:
-            b = self._open_bin()
-            self._red_indet[i].append(b)
-        self._add_red(b, i, p, q)
-        return b
-
-    def _insert_blue(self, i: int, p: int, q: int) -> Bin:
-        table = self.table
-        b = self._blue_open[i]
-        if b is None and table.phi[i] > 0:
-            # convert the oldest red-indeterminate bin whose reds fit our space
-            space = table.Delta[table.phi[i]]
-            for j in self._red_types:
-                pool = self._red_indet[j]
-                if pool and self._red_space[j] <= space:
-                    b = pool.popleft()
-                    break
-        if b is None:
-            b = self._open_bin()
-            if table.phi[i] > 0:
-                self._blue_indet[i].append(b)
-        self._add_blue(b, i, p, q)
-        return b
 
     def pack(self, sizes) -> "ShState":
         """Insert the Fractions ``sizes`` in order."""
@@ -297,39 +293,37 @@ class ShState:
 
     def final_case(self) -> FinalCase:
         """Classify the finished packing by its red-indeterminate leftovers."""
-        pools = self._red_indet
-        E = sum(len(pools[i]) for i in self._red_types)
+        pools = self._red_indet  # a red-free type's pool stays empty
+        E = sum(map(len, pools[1:]))
         if E == 0:
             return FinalCase(E=0, r=None, j=None, case_id=1)
-        r = max(i for i in self._red_types if pools[i])
+        r = max(i for i in range(1, len(pools)) if pools[i])
         j = self.table.varphi[r]
         return FinalCase(E=E, r=r, j=j, case_id=self.table.K + 2 - j)
 
     def check_feasibility(self) -> list:
-        """Red-count, capacity and reserved-space violations of the run."""
-        table = self.table
+        """Red-count, capacity and reserved-space violations of the run, read
+        from each bin's current types; the caps beta*t and gamma*t and the
+        spaces Delta[phi] are integers over one denominator."""
+        table, plan, den = self.table, self._plan, self._den
+        space, red_cap = self._space, self._red_load
         bad = [f"type {i}: red-count law broken" for i in range(1, table.k + 1)
-               if self.e[i] != self._alpha[i][0] * self.s[i] // self._alpha[i][1]]
-        blue_space = [None] + [table.beta[i] * table.t[i] for i in range(1, table.k + 1)]
+               if self.e[i] != plan[i][0] * self.s[i] // plan[i][1]]
+        blue_cap = [None] + [table.beta[i] * self._t[i] for i in range(1, table.k + 1)]
         for b in self.bins:
+            i, j = b.blue_type, b.red_type
             if b.blue_num * b.red_den + b.red_num * b.blue_den > b.blue_den * b.red_den:
                 bad.append(f"bin {b.bid}: content {b.content_sum} > 1")
-            if b.blue_type is not None:
-                i = b.blue_type
+            if i is not None:
                 if b.blue_count > table.beta[i]:
                     bad.append(f"bin {b.bid}: {b.blue_count} blues > beta[{i}]")
-                cap = blue_space[i]
-                if b.blue_num * cap.denominator > cap.numerator * b.blue_den:
+                if b.blue_num * den > blue_cap[i] * b.blue_den:
                     bad.append(f"bin {b.bid}: blue mass over beta*t for type {i}")
-            if b.red_type is not None:
-                jj = b.red_type
-                if b.red_count > table.gamma[jj]:
-                    bad.append(f"bin {b.bid}: {b.red_count} reds > gamma[{jj}]")
-                cap = self._red_space[jj]
-                if b.red_num * cap.denominator > cap.numerator * b.red_den:
-                    bad.append(f"bin {b.bid}: red mass over gamma*t for type {jj}")
-            if b.blue_type is not None and b.red_type is not None:
-                need = self._red_space[b.red_type]
-                if need > table.Delta[table.phi[b.blue_type]]:
+            if j is not None:
+                if b.red_count > table.gamma[j]:
+                    bad.append(f"bin {b.bid}: {b.red_count} reds > gamma[{j}]")
+                if b.red_num * den > red_cap[j] * b.red_den:
+                    bad.append(f"bin {b.bid}: red mass over gamma*t for type {j}")
+                if i is not None and red_cap[j] > space[i]:
                     bad.append(f"bin {b.bid}: red load does not fit reserved space")
         return bad

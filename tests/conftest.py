@@ -1,3 +1,5 @@
+import cProfile
+import fractions
 import json
 import pathlib
 import random
@@ -86,3 +88,23 @@ def harmonic_bins(k: int, sizes):
     for s in sizes:
         bins.setdefault(packer.insert(s.numerator, s.denominator), []).append(s)
     return packer, bins
+
+
+def fraction_calls(names, fn, *args) -> int:
+    """Calls of the ``fractions`` functions ``names`` while ``fn(*args)``
+    runs, counted by cProfile."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args)
+    prof.create_stats()
+    return sum(stat[1] for (path, _, name), stat in prof.stats.items()
+               if path == fractions.__file__ and name in names)
+
+
+def fraction_builds(fn, *args) -> int:
+    """Fractions constructed while ``fn(*args)`` runs."""
+    return fraction_calls(("__new__", "_from_coprime_ints"), fn, *args)
+
+
+def fraction_comparisons(fn, *args) -> int:
+    """Fraction order comparisons (<, <=, >, >=) made while ``fn(*args)`` runs."""
+    return fraction_calls(("_richcmp",), fn, *args)

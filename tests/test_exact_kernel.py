@@ -10,8 +10,6 @@ and ``check_feasibility`` is fed one broken bin per violation kind.
 
 import bisect
 import contextlib
-import cProfile
-import fractions
 import io
 import random
 from collections import Counter
@@ -28,7 +26,8 @@ from harmonicpack.params import builtin_shplus, exact_add, validate
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import class_value, harmonic_bins, harmonic_table, move_column, packed
+from conftest import (class_value, fraction_builds, fraction_comparisons, harmonic_bins,
+                      harmonic_table, move_column, packed)
 
 
 def fraction_type(table, size):
@@ -193,14 +192,22 @@ def fraction_weight_totals(run, wset, rects) -> list:
             for c in range(1, wset.num_cases + 1)]
 
 
-def fraction_builds(fn, *args) -> int:
-    """Fractions constructed while ``fn(*args)`` runs, counted by cProfile."""
-    prof = cProfile.Profile()
-    prof.runcall(fn, *args)
-    prof.create_stats()
-    return sum(stat[1] for (path, _, name), stat in prof.stats.items()
-               if path == fractions.__file__
-               and name in ("__new__", "_from_coprime_ints"))
+def size_files(tmp_path):
+    """(empty, full): an empty size file and one of 2,000 seeded sizes on the
+    10^-6 grid."""
+    rng = random.Random(6)
+    full, empty = tmp_path / "full.txt", tmp_path / "empty.txt"
+    full.write_text("".join(f"{Fraction(rng.randint(1, 10 ** 6), 10 ** 6)}\n"
+                            for _ in range(2000)))
+    empty.write_text("")
+    return empty, full
+
+
+def quiet_pack1d(algorithm, path):
+    """``pack1d --verify`` on a size file, its report discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["pack1d", "--algorithm", algorithm, "--verify",
+                     "--input", str(path)]) == 0
 
 
 RECTS = st.lists(st.tuples(mixed_size(), mixed_size()), min_size=1, max_size=150)
@@ -326,22 +333,21 @@ class TestPairPath:
         # building the table and the weights takes a fixed few hundred
         # Fractions, for SH+ only; the 2,000 sizes of a file add fewer than
         # one per 10 items
-        rng = random.Random(6)
-        full, empty = tmp_path / "full.txt", tmp_path / "empty.txt"
-        full.write_text("".join(f"{Fraction(rng.randint(1, 10 ** 6), 10 ** 6)}\n"
-                                for _ in range(2000)))
-        empty.write_text("")
-
-        def quiet_pack1d(algorithm, path):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(["pack1d", "--algorithm", algorithm, "--verify",
-                             "--input", str(path)]) == 0
-
+        empty, full = size_files(tmp_path)
         for algorithm in ("sh+", "harmonic"):
             fixed, total = (fraction_builds(quiet_pack1d, algorithm, path)
                             for path in (empty, full))
             assert total - fixed < 2000 // 10, (algorithm, fixed, total)
             assert algorithm == "sh+" or fixed < 100, fixed
+
+    def test_pack1d_sh_compares_no_fraction_per_item(self, tmp_path):
+        # the conversion scans are planned once per run on integers, and the
+        # audit's caps are integers: the 2,000 sizes add no Fraction comparison
+        # to what the table, the weights and the report of an empty file take
+        empty, full = size_files(tmp_path)
+        fixed, total = (fraction_comparisons(quiet_pack1d, "sh+", path)
+                        for path in (empty, full))
+        assert total == fixed, (fixed, total)
 
     def test_pack2d_builds_no_fraction_per_rectangle(self, tmp_path):
         # the 2,000 rectangles of a file, a tenth with a thin side, add fewer

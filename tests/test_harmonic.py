@@ -6,7 +6,7 @@ import pytest
 from harmonicpack.harmonic import HarmonicPacker, harmonic_type, w_h
 from harmonicpack.params import exact_add
 
-from conftest import grid_sizes, harmonic_bins
+from conftest import fraction_builds, grid_sizes, harmonic_bins
 
 
 class OracleHarmonic:
@@ -191,6 +191,16 @@ class TestAgainstOracle:
                 assert (p.cost, p.total_weight) == (oracle.cost, oracle.total_weight), n
         assert oracle.closed_tiny_sums  # tail bins closed on the way
         assert p.weight_slack() == oracle.cost - oracle.total_weight
+
+    def test_total_weight_builds_no_fraction_per_type(self):
+        # five items, one on the tail, over a million types: the weight is
+        # summed over the types that hold items; the oracle test above holds
+        # it to the Fraction sum over every type at k = 2, 3, 7 and 38
+        k = 10 ** 6
+        sizes = grid_sizes(random.Random(5), 4) + [Fraction(1, 3 * k)]
+        p, _ = harmonic_bins(k, sizes)
+        assert fraction_builds(lambda: p.total_weight) < 10
+        assert p.total_weight == sum(w_h(s, k) for s in sizes)
 
     def test_state_is_o_k(self):
         # 20,000 items, a third on the tail: no container the packer keeps

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -7,10 +7,11 @@ import pytest
 from harmonicpack import superharmonic
 from harmonicpack.generators import Item2D
 from harmonicpack.pack2d import TensorRun, validate_geometry
-from harmonicpack.superharmonic import ShState
+from harmonicpack.params import exact_add
+from harmonicpack.superharmonic import FinalCase, ShState
 from harmonicpack.weighting import bound_check, slack_allowance
 
-from conftest import grid_sizes, harmonic_bins, packed
+from conftest import grid_sizes, harmonic_bins, harmonic_table, packed
 
 
 def red_heavy_sizes(table, n, seed):
@@ -32,6 +33,194 @@ def partly_filled(st) -> Counter:
         if b.red_type is not None and b.red_count < st.table.gamma[b.red_type]:
             part[b.red_type, "red"] += 1
     return part
+
+
+class OracleShState(ShState):
+    """SH+ as it placed items before the cascade moved to a per-type plan, the
+    oracle of that rewrite: each item goes through a colour helper and an add
+    helper, and each conversion scan compares the table's Fractions.  The
+    bins, trace rows, census and small mass are read by ShState's methods."""
+
+    def __init__(self, table, keep_trace=False):
+        self.table = table
+        k = table.k
+        self.s = [0] * (k + 1)
+        self.e = [0] * (k + 1)
+        self.bins = []
+        self._nf_bin = None
+        self.keep_trace = keep_trace
+        self.trace = []
+        self._blue_open = [None] * (k + 1)
+        self._red_open = [None] * (k + 1)
+        self._blue_indet = [None] + [deque() for _ in range(k)]
+        self._red_indet = [None] + [deque() for _ in range(k)]
+        self._alpha = [None] + [table.alpha[i].as_integer_ratio() for i in range(1, k + 1)]
+        self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
+        self._convertible_blue = [i for i in range(1, k + 1) if table.phi[i] > 0]
+        self._red_types = [i for i in range(1, k + 1) if table.alpha[i] > 0]
+
+    def _add_blue(self, b, i, p, q):
+        b.blue_type = i
+        b.blue_count += 1
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
+        if b.blue_count < self.table.beta[i]:
+            self._blue_open[i] = b
+        elif self._blue_open[i] is b:
+            self._blue_open[i] = None
+
+    def _add_red(self, b, i, p, q):
+        b.red_type = i
+        b.red_count += 1
+        b.red_num, b.red_den = exact_add(b.red_num, b.red_den, p, q)
+        if b.red_count < self.table.gamma[i]:
+            self._red_open[i] = b
+        elif self._red_open[i] is b:
+            self._red_open[i] = None
+
+    def insert(self, p, q):
+        table = self.table
+        i = table.classify(p, q)
+        if i == table.k + 1:
+            color = "tiny"
+            b = self._insert_tiny(p, q)
+        else:
+            self.s[i] += 1
+            a_num, a_den = self._alpha[i]
+            if self.e[i] < a_num * self.s[i] // a_den:
+                self.e[i] += 1
+                color = "red"
+                b = self._insert_red(i, p, q)
+            else:
+                color = "blue"
+                b = self._insert_blue(i, p, q)
+        if self.keep_trace:
+            self.trace.append(self._trace_row(Fraction(p, q), i, color, b))
+        return b
+
+    def _insert_tiny(self, p, q):
+        b = self._nf_bin
+        if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
+            b = self._nf_bin = self._open_bin()
+        b.blue_count += 1
+        b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
+        return b
+
+    def _insert_red(self, i, p, q):
+        table = self.table
+        b = self._red_open[i]
+        if b is None:
+            need = self._red_space[i]
+            for j in self._convertible_blue:
+                pool = self._blue_indet[j]
+                if pool and table.Delta[table.phi[j]] >= need:
+                    b = pool.popleft()
+                    break
+        if b is None:
+            b = self._open_bin()
+            self._red_indet[i].append(b)
+        self._add_red(b, i, p, q)
+        return b
+
+    def _insert_blue(self, i, p, q):
+        table = self.table
+        b = self._blue_open[i]
+        if b is None and table.phi[i] > 0:
+            space = table.Delta[table.phi[i]]
+            for j in self._red_types:
+                pool = self._red_indet[j]
+                if pool and self._red_space[j] <= space:
+                    b = pool.popleft()
+                    break
+        if b is None:
+            b = self._open_bin()
+            if table.phi[i] > 0:
+                self._blue_indet[i].append(b)
+        self._add_blue(b, i, p, q)
+        return b
+
+    def final_case(self):
+        pools = self._red_indet
+        E = sum(len(pools[i]) for i in self._red_types)
+        if E == 0:
+            return FinalCase(E=0, r=None, j=None, case_id=1)
+        r = max(i for i in self._red_types if pools[i])
+        j = self.table.varphi[r]
+        return FinalCase(E=E, r=r, j=j, case_id=self.table.K + 2 - j)
+
+    def check_feasibility(self):
+        table = self.table
+        bad = [f"type {i}: red-count law broken" for i in range(1, table.k + 1)
+               if self.e[i] != self._alpha[i][0] * self.s[i] // self._alpha[i][1]]
+        blue_space = [None] + [table.beta[i] * table.t[i] for i in range(1, table.k + 1)]
+        for b in self.bins:
+            if b.blue_num * b.red_den + b.red_num * b.blue_den > b.blue_den * b.red_den:
+                bad.append(f"bin {b.bid}: content {b.content_sum} > 1")
+            if b.blue_type is not None:
+                i = b.blue_type
+                if b.blue_count > table.beta[i]:
+                    bad.append(f"bin {b.bid}: {b.blue_count} blues > beta[{i}]")
+                cap = blue_space[i]
+                if b.blue_num * cap.denominator > cap.numerator * b.blue_den:
+                    bad.append(f"bin {b.bid}: blue mass over beta*t for type {i}")
+            if b.red_type is not None:
+                jj = b.red_type
+                if b.red_count > table.gamma[jj]:
+                    bad.append(f"bin {b.bid}: {b.red_count} reds > gamma[{jj}]")
+                cap = self._red_space[jj]
+                if b.red_num * cap.denominator > cap.numerator * b.red_den:
+                    bad.append(f"bin {b.bid}: red mass over gamma*t for type {jj}")
+            if b.blue_type is not None and b.red_type is not None:
+                need = self._red_space[b.red_type]
+                if need > table.Delta[table.phi[b.blue_type]]:
+                    bad.append(f"bin {b.bid}: red load does not fit reserved space")
+        return bad
+
+
+def size_stream(table, kind, n, seed):
+    """n seeded size pairs (p, q) of one kind for the differential test."""
+    rng = random.Random(f"{kind}/{seed}")
+    breaks = [table.t[i] for i in range(2, table.k + 2)]
+    eta = Fraction(1, 10 ** 6)
+    if kind == "uniform":
+        return [(rng.randint(1, 10 ** 6), 10 ** 6) for _ in range(n)]
+    if kind == "small":  # uniform on (0, 1/7]
+        return [(rng.randint(1, 10 ** 6), 7 * 10 ** 6) for _ in range(n)]
+    if kind == "on-breakpoint":
+        return [rng.choice(breaks).as_integer_ratio() for _ in range(n)]
+    if kind == "above-breakpoint":
+        return [(rng.choice(breaks) + eta).as_integer_ratio() for _ in range(n)]
+    if kind == "above-ascending":  # red pools of many types fill before the large blues
+        return sorted(size_stream(table, "above-breakpoint", n, seed),
+                      key=lambda pq: Fraction(*pq))
+    if kind == "unreduced":  # 2p/2q for sizes on the 10^-6 grid and breakpoints
+        pairs = (size_stream(table, "uniform", n, seed)
+                 + size_stream(table, "on-breakpoint", n, seed))
+        return [(2 * p, 2 * q) for p, q in rng.sample(pairs, n)]
+    assert kind == "long"  # 100-digit denominators
+    out = []
+    for _ in range(n):
+        q = rng.randrange(10 ** 99, 10 ** 100)
+        out.append((rng.randint(1, q // rng.choice((1, 7, 40))), q))
+    return out
+
+
+def bin_state(b):
+    return (b.bid, b.blue_type, b.blue_count, b.blue_num, b.blue_den,
+            b.red_type, b.red_count, b.red_num, b.red_den)
+
+
+def bin_edit(rng, table):
+    """{field: value} of one seeded edit to a bin's type, count or sum."""
+    colour, what = rng.choice(("blue", "red")), rng.choice(("type", "count", "sum"))
+    if what == "type":
+        return {f"{colour}_type": rng.choice([None, *range(1, table.k + 1)])}
+    if what == "count":
+        return {f"{colour}_count": rng.randint(0, 8)}
+    den = rng.choice((7, 10, 100))
+    return {f"{colour}_num": rng.randint(0, den + den // 5), f"{colour}_den": den}
+
+
+TABLES = {"builtin": None, "harmonic7": 7, "harmonic38": 38}
 
 
 class TestCascadeTraces:
@@ -369,3 +558,48 @@ class TestCostBound:
         assert rep.slack <= slack_allowance(table)
         assert rep.final_case_slack <= slack_allowance(table)
         assert rep.max_total >= rep.final_case_total
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("kind", ["uniform", "small", "on-breakpoint", "above-breakpoint",
+                                      "above-ascending", "unreduced", "long"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_placements_and_state_equal_the_oracle(self, table, name, kind):
+        table = table if TABLES[name] is None else harmonic_table(TABLES[name])
+        st, oracle = ShState(table, keep_trace=True), OracleShState(table, keep_trace=True)
+        for n, (p, q) in enumerate(size_stream(table, kind, 1500, 3)):
+            assert st.insert(p, q).bid == oracle.insert(p, q).bid, n
+            assert st.trace[-1] == oracle.trace[-1], n
+        assert (st.s, st.e) == (oracle.s, oracle.e)
+        assert list(map(bin_state, st.bins)) == list(map(bin_state, oracle.bins))
+        assert st.group_census() == oracle.group_census()
+        assert st.final_case() == oracle.final_case()
+        assert st.small_mass == oracle.small_mass
+        assert st.check_feasibility() == oracle.check_feasibility() == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_audit_of_edited_bins_equals_the_oracle(self, table, seed):
+        # the same seeded edits to the types, counts and sums of both runs'
+        # bins and to their red counts break every rule; both audits must
+        # name the same violations
+        rng = random.Random(seed)
+        sizes = size_stream(table, "uniform", 1000, seed) + size_stream(
+            table, "small", 1000, seed)
+        st, oracle = ShState(table), OracleShState(table)
+        for p, q in sizes:
+            st.insert(p, q)
+            oracle.insert(p, q)
+        assert st.check_feasibility() == oracle.check_feasibility() == []
+        for _ in range(300):
+            bid, fields = rng.randrange(len(st.bins)), bin_edit(rng, table)
+            for run in (st, oracle):
+                for field, value in fields.items():
+                    setattr(run.bins[bid], field, value)
+        for i in rng.sample(range(1, table.k + 1), 3):
+            st.e[i] += 1
+            oracle.e[i] += 1
+        bad = st.check_feasibility()
+        assert bad == oracle.check_feasibility()
+        for kind in ("red-count law", "content", "blues >", "blue mass", "reds >",
+                     "red mass", "reserved space"):
+            assert any(kind in line for line in bad), kind
