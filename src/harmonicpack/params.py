@@ -1,32 +1,33 @@
 """Parameter tables for Super-Harmonic style online bin packing.
 
-A Super-Harmonic instance is described by a table of breakpoints and
-per-type packing parameters:
+A Super-Harmonic instance is chosen by four free arrays and two sizes k, K:
 
   * ``t[1] = 1 > t[2] > ... > t[k+1] = eps > t[k+2] = 0`` -- size breakpoints.
     An item of size ``x`` has type ``i`` iff ``t[i+1] < x <= t[i]``; items of
     type ``k+1`` (size at most ``eps``) are packed by Next Fit.
   * ``alpha[i]`` -- fraction of type-i items coloured red.
-  * ``beta[i] = floor(1/t[i])`` -- blue items of type i per bin.
-  * ``delta[i] = 1 - t[i]*beta[i]`` -- space left by a full blue load.
   * ``Delta[0] = 0 < Delta[1] < ... < Delta[K] < 1/2`` -- the finite menu of
     reserved spaces into which red items may be packed.
   * ``phi[i]`` -- index of the reserved space assigned to blue-i bins
     (0 means blue-i bins accept no red items).
-  * ``varphi[i]`` -- index of the smallest reserved space a red type-i item
-    fits into (0 when the item is too large for every space).
-  * ``gamma[i]`` -- red items of type i per reserved space.
+
+The other columns follow from these:
+
+  * ``beta[i] = floor(1/t[i])`` -- blue items of type i per bin.
+  * ``delta[i] = 1 - t[i]*beta[i]`` -- space left by a full blue load.
+  * ``varphi[i] = min{j : t[i] <= Delta[j]}`` -- the smallest reserved space a
+    red type-i item fits into.
+  * ``gamma[i] = max(1, floor(Delta[1]/t[i]))`` -- red items of type i per
+    reserved space.
+
+A type that makes no red items (``alpha[i] = 0``), or whose items fit no
+reserved space, has ``varphi[i] = gamma[i] = 0``.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
 parsed as exact base-10 fractions.  A size reaches ``classify`` as an integer
 pair (p, q), which bisects the breakpoints as integers over their common
 denominator.  The built-in instance ("SH+") is
 the one used by the 2D slice packer and the ratio certifier.
-
-Types with ``alpha[i] = 0`` never produce red items, so their red-side
-attributes are vacuous.  The built-in table records 0 for ``varphi``/``gamma``
-on two such rows (14 and 50) where the general formulas would give a nonzero
-value; :func:`validate` accepts either convention for red-free types.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 
@@ -104,31 +106,57 @@ def on_one_denominator(xs) -> tuple:
 
 @dataclass(frozen=True)
 class ParamTable:
-    """A Super-Harmonic parameter instance.
+    """A Super-Harmonic parameter instance, built from its free arrays ``t``,
+    ``alpha``, ``Delta`` and ``phi``; ``beta``, ``delta``, ``varphi`` and
+    ``gamma`` are derived from them by the rules above.
 
     Arrays are 1-indexed (index 0 is padding) so that code reads like the
     definitions above: ``t[i]``, ``alpha[i]`` etc. for ``1 <= i <= k``.
     ``t`` has entries ``1..k+2``.  Row ``k+1`` (the Next-Fit tail type) has
     no alpha/beta/... attributes.  Instances are immutable and safe to share.
+
+    Raises ValueError when an array's length disagrees with k and K, or when
+    some t[1..k+1] lies outside (0, 1].  Every other rule is :func:`validate`'s.
     """
 
     k: int
     K: int
     t: tuple  # t[1..k+2], index 0 is None
     alpha: tuple  # alpha[1..k]
-    beta: tuple  # beta[1..k]
-    delta: tuple = field(init=False)  # delta[1..k], leftover 1 - t[i]*beta[i]
     Delta: tuple  # Delta[0..K]
     phi: tuple  # phi[1..k], values in 0..K
-    varphi: tuple  # varphi[1..k], values in 0..K
-    gamma: tuple  # gamma[1..k]
+    beta: tuple = field(init=False)  # beta[1..k], floor(1/t[i])
+    delta: tuple = field(init=False)  # delta[1..k], leftover 1 - t[i]*beta[i]
+    varphi: tuple = field(init=False)  # varphi[1..k], values in 0..K
+    gamma: tuple = field(init=False)  # gamma[1..k]
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", (None, *(
-            1 - self.t[i] * self.beta[i] for i in range(1, self.k + 1))))
+        k, K, t, Delta = self.k, self.K, self.t, self.Delta
+        if k < 0 or K < 0:
+            raise ValueError(f"k = {k} and K = {K} must not be negative")
+        for name, got, want in (("t", len(t) - 1, k + 2), ("alpha", len(self.alpha) - 1, k),
+                                ("Delta", len(Delta), K + 1), ("phi", len(self.phi) - 1, k)):
+            if got != want:
+                raise ValueError(f"{name} has {got} entries where k = {k} and K = {K} "
+                                 f"need {want}")
+        bad = next((i for i in range(1, k + 2) if not 0 < t[i] <= 1), None)
+        if bad:
+            raise ValueError(f"t[{bad}] outside (0, 1]")
+        beta, varphi, gamma = [None], [None], [None]
+        for i in range(1, k + 1):
+            beta.append(1 // t[i])
+            # the smallest space a red item fits; 0 for no reds or no such space
+            j = (next((j for j in range(1, K + 1) if t[i] <= Delta[j]), 0)
+                 if self.alpha[i] > 0 else 0)
+            varphi.append(j)
+            gamma.append(max(1, Delta[1] // t[i]) if j else 0)
+        delta = [None, *(1 - t[i] * beta[i] for i in range(1, k + 1))]
+        for name, column in (("beta", beta), ("delta", delta), ("varphi", varphi),
+                             ("gamma", gamma)):
+            object.__setattr__(self, name, tuple(column))
         # classify() bisects [t[k+1], t[k], ..., t[2]] scaled to integers over
         # their common denominator D: t < p/q exactly when t*D < ceil(p*D/q)
-        den, breaks = on_one_denominator([self.t[i] for i in range(self.k + 1, 1, -1)])
+        den, breaks = on_one_denominator([t[i] for i in range(k + 1, 1, -1)])
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_asc_breaks", breaks)
 
@@ -170,50 +198,61 @@ class ParamTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParamTable":
-        k = int(data["k"])
-        bigk = int(data["K"])
-        t_in = [parse_rational(x) for x in data["t"]]
-        if len(t_in) == k + 1:  # trailing 0 may be omitted
-            t_in.append(Fraction(0))
-        if len(t_in) != k + 2:
-            raise ValueError(f"t must have k+1 or k+2 entries, got {len(t_in)}")
-        t = (None, *t_in)
-        alpha = (None, *(parse_rational(x) for x in data["alpha"]))
-        beta = (None, *(int(x) for x in data["beta"]))
-        gamma = (None, *(int(x) for x in data["gamma"]))
-        phi = (None, *(int(x) for x in data["phi"]))
-        varphi = (None, *(int(x) for x in data["varphi"]))
-        Delta = tuple(parse_rational(x) for x in data["Delta"])
-        return cls(k=k, K=bigk, t=t, alpha=alpha, beta=beta, Delta=Delta,
-                   phi=phi, varphi=varphi, gamma=gamma)
+        """The table of a parsed ``dump-params`` JSON.  It needs ``k``, ``K``,
+        ``t``, ``alpha``, ``Delta`` and ``phi``; ``beta``, ``varphi`` and
+        ``gamma`` may be left out, and each one given must equal the derived
+        column.  Raises ValueError, naming the first key or entry at fault."""
+        try:
+            missing = next((key for key in ("k", "K", "t", "alpha", "Delta", "phi")
+                            if key not in data), None)
+            if missing:
+                raise ValueError(f"parameter table has no {missing!r}")
+            k = int(data["k"])
+            t = [parse_rational(x) for x in data["t"]]
+            if len(t) == k + 1:  # trailing 0 may be omitted
+                t.append(Fraction(0))
+            table = cls(k=k, K=int(data["K"]), t=(None, *t),
+                        alpha=(None, *map(parse_rational, data["alpha"])),
+                        Delta=tuple(map(parse_rational, data["Delta"])),
+                        phi=(None, *map(int, data["phi"])))
+            for name in ("beta", "varphi", "gamma"):
+                derived = getattr(table, name)[1:]
+                given = [int(x) for x in data.get(name, derived)]
+                for i, (g, d) in enumerate(zip_longest(given, derived), 1):
+                    if g != d:
+                        raise ValueError(f"{name}[{i}] = {g}, but t, alpha and Delta "
+                                         f"give {d}")
+        except TypeError as exc:  # a number where a dict or list belongs, or a null
+            raise ValueError(f"parameter table: {exc}") from None
+        return table
 
 
 # -- the built-in SH+ instance (k = 50, K = 6, eps = 1/38) -----------------
 
-# Rows 1..20 and 50: (i, t_i, alpha_i, beta_i, phi_i, varphi_i, gamma_i).
-# delta_i is derived.  Rows 21..49 follow closed forms, see _builtin_rows().
+# Rows 1..20 and 50: (i, t_i, alpha_i, phi_i).  Rows 21..49 follow closed
+# forms, see builtin_shplus().
 _EXPLICIT_ROWS = [
-    (1, "1", "0", 1, 0, 0, 0),
-    (2, "0.706", "0", 1, 1, 0, 0),
-    (3, "0.657", "0", 1, 2, 0, 0),
-    (4, "0.647", "0", 1, 3, 0, 0),
-    (5, "0.625", "0", 1, 4, 0, 0),
-    (6, "0.6", "0", 1, 5, 0, 0),
-    (7, "0.58", "0", 1, 6, 0, 0),
-    (8, "0.5", "0", 2, 0, 0, 0),
-    (9, "0.42", "0.162", 2, 0, 6, 1),
-    (10, "0.4", "0.192", 2, 0, 5, 1),
-    (11, "0.375", "0.2346", 2, 0, 4, 1),
-    (12, "0.353", "0.3004", 2, 1, 3, 1),
-    (13, "0.343", "0.3077", 2, 1, 2, 1),
-    (14, "1/3", "0", 3, 0, 0, 0),
-    (15, "0.294", "0.0816", 3, 0, 1, 1),
-    (16, "1/4", "0.186", 4, 0, 1, 1),
-    (17, "1/5", "0.092", 5, 0, 1, 1),
-    (18, "1/6", "0.1456", 6, 0, 1, 1),
-    (19, "0.147", "0.2162", 6, 0, 1, 2),
-    (20, "1/7", "0.1525", 7, 0, 1, 2),
-    (50, "1/37", "0", 37, 0, 0, 0),
+    (1, "1", "0", 0),
+    (2, "0.706", "0", 1),
+    (3, "0.657", "0", 2),
+    (4, "0.647", "0", 3),
+    (5, "0.625", "0", 4),
+    (6, "0.6", "0", 5),
+    (7, "0.58", "0", 6),
+    (8, "0.5", "0", 0),
+    (9, "0.42", "0.162", 0),
+    (10, "0.4", "0.192", 0),
+    (11, "0.375", "0.2346", 0),
+    (12, "0.353", "0.3004", 1),
+    (13, "0.343", "0.3077", 1),
+    (14, "1/3", "0", 0),
+    (15, "0.294", "0.0816", 0),
+    (16, "1/4", "0.186", 0),
+    (17, "1/5", "0.092", 0),
+    (18, "1/6", "0.1456", 0),
+    (19, "0.147", "0.2162", 0),
+    (20, "1/7", "0.1525", 0),
+    (50, "1/37", "0", 0),
 ]
 
 _DELTAS = ["0", "0.294", "0.343", "0.353", "0.375", "0.4", "0.42"]
@@ -224,33 +263,15 @@ def middle_red_fraction(i: int) -> Fraction:
     return Fraction(27 * (50 - i), 740 * (i - 12))
 
 
-def _builtin_rows() -> list:
-    rows = {i: (parse_rational(t), parse_rational(a), b, p, v, g)
-            for i, t, a, b, p, v, g in _EXPLICIT_ROWS}
-    d1 = parse_rational(_DELTAS[1])
-    for i in range(21, 50):
-        t = Fraction(1, i - 13)
-        # gamma = floor(Delta_1 / t); these rows all fit the smallest space
-        rows[i] = (t, middle_red_fraction(i), i - 13, 0, 1, int(d1 / t))
-    return [rows[i] for i in range(1, 51)]
-
-
 def builtin_shplus() -> ParamTable:
     """The built-in 50-type instance with reserved spaces {0.294, ..., 0.42}."""
-    rows = _builtin_rows()
-    k = 50
-    t = [None, *(r[0] for r in rows), Fraction(1, 38), Fraction(0)]
-    alpha = [None, *(r[1] for r in rows)]
-    beta = [None, *(r[2] for r in rows)]
-    phi = [None, *(r[3] for r in rows)]
-    varphi = [None, *(r[4] for r in rows)]
-    gamma = [None, *(r[5] for r in rows)]
-    return ParamTable(
-        k=k, K=6,
-        t=tuple(t), alpha=tuple(alpha), beta=tuple(beta),
-        Delta=tuple(parse_rational(d) for d in _DELTAS),
-        phi=tuple(phi), varphi=tuple(varphi), gamma=tuple(gamma),
-    )
+    rows = {i: (parse_rational(t), parse_rational(a), p) for i, t, a, p in _EXPLICIT_ROWS}
+    for i in range(21, 50):
+        rows[i] = (Fraction(1, i - 13), middle_red_fraction(i), 0)
+    t, alpha, phi = zip(*(rows[i] for i in range(1, 51)))
+    return ParamTable(k=50, K=6, t=(None, *t, Fraction(1, 38), Fraction(0)),
+                      alpha=(None, *alpha), Delta=tuple(map(parse_rational, _DELTAS)),
+                      phi=(None, *phi))
 
 
 def validate(table: ParamTable) -> list:
@@ -269,9 +290,7 @@ def validate(table: ParamTable) -> list:
     for i in range(1, k + 2):
         if not table.t[i] > table.t[i + 1]:
             v.append(f"t not strictly decreasing at row {i}")
-    if not (0 < table.eps):
-        v.append("eps must be positive")
-    elif table.eps.numerator != 1:
+    if table.eps.numerator != 1:  # the constructor holds eps in (0, 1]
         v.append(f"1/eps = {1 / table.eps} is not an integer: the 2D height "
                  f"weighting stacks at Harmonic index 1/eps")
 
@@ -284,32 +303,12 @@ def validate(table: ParamTable) -> list:
         v.append("Delta[K] must be below 1/2")
 
     for i in range(1, k + 1):
-        ti = table.t[i]
         if not (0 <= table.alpha[i] <= 1):
             v.append(f"alpha[{i}] outside [0,1]")
-        want_beta = int(1 / ti)
-        if table.beta[i] != want_beta:
-            v.append(f"beta[{i}] != floor(1/t[{i}]) = {want_beta}")
         if not (0 <= table.phi[i] <= K):
             v.append(f"phi[{i}] outside 0..K")
-        if table.phi[i] > 0 and not table.Delta[table.phi[i]] <= table.delta[i]:
+        elif table.phi[i] > 0 and not table.Delta[table.phi[i]] <= table.delta[i]:
             v.append(f"Delta[phi[{i}]] > delta[{i}]")
-
-        # varphi / gamma follow closed forms; for red-free types (alpha = 0)
-        # a recorded 0 is accepted as "not used".
-        if ti > table.Delta[K]:
-            want_varphi = 0
-            want_gamma = 0
-        else:
-            want_varphi = next(j for j in range(1, K + 1) if ti <= table.Delta[j])
-            want_gamma = max(1, int(table.Delta[1] / ti))
-        red_free = table.alpha[i] == 0
-        if table.varphi[i] != want_varphi and not (red_free and table.varphi[i] == 0):
-            v.append(f"varphi[{i}] != {want_varphi}")
-        if table.gamma[i] != want_gamma and not (red_free and table.gamma[i] == 0):
-            v.append(f"gamma[{i}] != {want_gamma}")
-        if table.gamma[i] == 0 and table.alpha[i] != 0:
-            v.append(f"alpha[{i}] > 0 but gamma[{i}] = 0")
-        if table.alpha[i] > 0 and table.varphi[i] < 1:
-            v.append(f"alpha[{i}] > 0 but varphi[{i}] = 0")
+        if table.alpha[i] > 0 and table.varphi[i] == 0:
+            v.append(f"alpha[{i}] > 0 but type {i} fits no reserved space")
     return v

@@ -243,7 +243,7 @@ class ShState:
         group without the item's colour when it is the first of that colour."""
         blue = None if color == "blue" and b.blue_count == 1 else b.blue_type
         red = None if color == "red" and b.red_count == 1 else b.red_type
-        opened = b.content_sum == size  # the item is all that b holds
+        opened = b.blue_count + b.red_count == 1  # sizes are positive: b holds only it
         before = "-" if opened and color != "tiny" else _group_name(self.table, blue, red)
         after = _group_name(self.table, b.blue_type, b.red_type)
         return PlacementTrace(len(self.trace), size, i, color, before, after,

@@ -56,9 +56,7 @@ def harmonic_table(m):
     k = m - 1
     return ParamTable(
         k=k, K=0, t=(None, *(Fraction(1, i) for i in range(1, m + 1)), Fraction(0)),
-        alpha=(None, *[Fraction(0)] * k), beta=(None, *range(1, m)),
-        Delta=(Fraction(0),), phi=(None, *[0] * k), varphi=(None, *[0] * k),
-        gamma=(None, *[0] * k))
+        alpha=(None, *[Fraction(0)] * k), Delta=(Fraction(0),), phi=(None, *[0] * k))
 
 
 def move_column(sl, x: Fraction):

@@ -377,6 +377,13 @@ class TestReports:
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
             "3684231a7aee598e5dd9982d2f754f942fe9c85de962d695af57bc18b70398d7")
 
+    def test_dump_params_pinned_bit_for_bit(self):
+        # the built-in table as JSON, derived columns included, byte for byte
+        r = run_cli("dump-params")
+        assert r.returncode == 0 and len(r.stdout.encode()) == 2992
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "06f556670573569d3a2d04f23994595a4607839a79b5fc4e61346bdbf4696cd5")
+
     def test_trace_output(self, tmp_path):
         trace = tmp_path / "trace.csv"
         run_cli("pack1d", "--n", "50", "--seed", "3", "--trace-out", str(trace))

@@ -6,9 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import harmonic_table
 from harmonicpack.pack2d import TensorRun
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
                                  parse_pair, parse_rational, validate)
+
+# (i, beta_i, varphi_i, gamma_i) of the published table's rows 1..20 and 50
+PUBLISHED_DERIVED = [
+    (1, 1, 0, 0), (2, 1, 0, 0), (3, 1, 0, 0), (4, 1, 0, 0), (5, 1, 0, 0),
+    (6, 1, 0, 0), (7, 1, 0, 0), (8, 2, 0, 0), (9, 2, 6, 1), (10, 2, 5, 1),
+    (11, 2, 4, 1), (12, 2, 3, 1), (13, 2, 2, 1), (14, 3, 0, 0), (15, 3, 1, 1),
+    (16, 4, 1, 1), (17, 5, 1, 1), (18, 6, 1, 1), (19, 6, 1, 2), (20, 7, 1, 2),
+    (50, 37, 0, 0),
+]
 
 
 class TestBuiltinTable:
@@ -59,6 +69,24 @@ class TestBuiltinTable:
         assert accepted[3] == [12, 13] + accepted[1]
         assert accepted[6] == [9, 10, 11, 12, 13] + accepted[1]
 
+    @pytest.mark.parametrize("i,beta,varphi,gamma", PUBLISHED_DERIVED)
+    def test_derived_columns_match_published(self, table, i, beta, varphi, gamma):
+        assert (table.beta[i], table.varphi[i], table.gamma[i]) == (beta, varphi, gamma)
+
+    def test_middle_rows_closed_forms(self, table):
+        # t_i = 1/(i-13) fits the smallest space Delta_1 = 0.294 on rows 21..49
+        for i in range(21, 50):
+            want = (i - 13, 1, 294 * (i - 13) // 1000)
+            assert (table.beta[i], table.varphi[i], table.gamma[i]) == want, i
+
+    @pytest.mark.parametrize("m", [2, 7, 38])
+    def test_harmonic_table_derives_harmonic_columns(self, m):
+        # no reds and no reserved space: beta_i = i, varphi = gamma = 0
+        h = harmonic_table(m)
+        assert h.beta == (None, *range(1, m))
+        assert h.varphi == h.gamma == (None, *[0] * (m - 1))
+        assert validate(h) == []
+
     def test_red_types_fit_some_space(self, table):
         for i in range(1, 51):
             if table.alpha[i] > 0:
@@ -67,26 +95,24 @@ class TestBuiltinTable:
 
 
 class TestValidateViolations:
-    def _mutated(self, table, **kw):
-        data = table.to_json_dict()
-        data.update(kw)
-        return ParamTable.from_json_dict(data)
-
     def test_bad_beta_flagged(self, table):
+        # a given derived column must equal the derived one: the reader
+        # refuses the table and names the first entry that differs
         data = table.to_json_dict()
         data["beta"][7] = 3  # row 8 has t = 0.5, so beta must be 2
-        bad = validate(ParamTable.from_json_dict(data))
-        assert any("beta[8]" in v for v in bad)
+        with pytest.raises(ValueError, match=r"^beta\[8\] = 3, but t, alpha and Delta give 2$"):
+            ParamTable.from_json_dict(data)
 
     def test_bad_gamma_flagged_for_red_type(self, table):
         data = table.to_json_dict()
         data["gamma"][8] = 2  # row 9: 0.294 < t <= 0.42 forces gamma 1
-        bad = validate(ParamTable.from_json_dict(data))
-        assert any("gamma[9]" in v for v in bad)
+        with pytest.raises(ValueError, match=r"^gamma\[9\] = 2, but t, alpha and Delta give 1$"):
+            ParamTable.from_json_dict(data)
 
     def test_red_free_rows_accept_zero_red_attributes(self, table):
-        # rows 14 and 50 record 0 for gamma/varphi although the closed
-        # forms give nonzero values; vacuous for red-free types
+        # red-free types (alpha = 0) get varphi = gamma = 0, as the published
+        # table records for rows 14 and 50, where t_i fits a reserved space
+        assert table.t[14] <= table.Delta[table.K] and table.t[50] <= table.Delta[1]
         assert table.alpha[14] == 0 and table.gamma[14] == 0 and table.varphi[14] == 0
         assert table.alpha[50] == 0 and table.gamma[50] == 0
         assert validate(table) == []
@@ -106,6 +132,45 @@ class TestValidateViolations:
         data["phi"][8] = 6  # row 9 leftover is 0.16 < Delta[6] = 0.42
         bad = validate(ParamTable.from_json_dict(data))
         assert any("Delta[phi[9]]" in v for v in bad)
+
+
+def _read_and_validate(data) -> list:
+    """The violations of a table JSON: validate's strings, or the reader's
+    ValueError message as the only one.  Any other exception escapes."""
+    try:
+        return validate(ParamTable.from_json_dict(data))
+    except ValueError as exc:
+        return [str(exc)]
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("edit,want", [
+        (lambda d: d["phi"].__setitem__(3, 7), "phi[4] outside 0..K"),
+        (lambda d: d["phi"].__setitem__(3, -1), "phi[4] outside 0..K"),
+        (lambda d: d["t"].__setitem__(20, "0"), "t[21] outside (0, 1]"),
+        (lambda d: d["t"].__setitem__(50, "-1/38"), "t[51] outside (0, 1]"),
+        (lambda d: d.pop("alpha"), "parameter table has no 'alpha'"),
+        (lambda d: d.pop("k"), "parameter table has no 'k'"),
+        (lambda d: d["beta"].pop(), "beta[50] = None, but t, alpha and Delta give 37"),
+        (lambda d: d["alpha"].pop(), "alpha has 49 entries where k = 50 and K = 6 need 50"),
+        (lambda d: d["phi"].pop(), "phi has 49 entries where k = 50 and K = 6 need 50"),
+        (lambda d: d["Delta"].pop(), "Delta has 6 entries where k = 50 and K = 6 need 7"),
+        (lambda d: d.update(K=-1, Delta=[]), "k = 50 and K = -1 must not be negative"),
+        (lambda d: d.update(phi=None), "parameter table: 'NoneType' object is not iterable"),
+        (lambda d: d.update(Delta=0.294), "parameter table: 'float' object is not iterable"),
+        (lambda d: d["alpha"].__setitem__(0, "1/10"),
+         "alpha[1] > 0 but type 1 fits no reserved space"),
+    ], ids=["phi-above-K", "phi-negative", "t-zero", "eps-negative", "no-alpha", "no-k",
+            "short-beta", "short-alpha", "short-phi", "short-Delta", "negative-K",
+            "null-phi", "number-Delta", "red-type-fits-no-space"])
+    def test_one_line_each(self, table, edit, want):
+        data = table.to_json_dict()
+        edit(data)
+        assert want in _read_and_validate(data)
+
+    def test_not_a_dict(self):
+        assert _read_and_validate(50) == [
+            "parameter table: argument of type 'int' is not iterable"]
 
 
 class TestClassify:
@@ -140,6 +205,12 @@ class TestSerialization:
     def test_round_trip(self, table):
         again = ParamTable.from_json_dict(json.loads(table.dumps()))
         assert again == table
+
+    def test_derived_keys_are_optional(self, table):
+        data = table.to_json_dict()
+        for key in ("beta", "varphi", "gamma"):
+            del data[key]
+        assert ParamTable.from_json_dict(data) == table
 
     def test_decimal_strings_parse_exactly(self):
         data = builtin_shplus().to_json_dict()
