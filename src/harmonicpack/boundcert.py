@@ -39,6 +39,11 @@ points (each interval plus the tail, where the linear slopes cancel), taken
 over the vertices of their upper-right convex hull.  W_H and the case weights
 W^c are read from :class:`~harmonicpack.weighting.WeightFunctionSet` as
 integers over its one denominator; this module derives no weight itself.
+From there to :func:`pattern_max` a function stays integers over one
+denominator (:class:`PiecewiseFn`): f, g, their six-decimal quantization and
+the search's gains are built without a Fraction per type.  f depends on the
+pair only through (i, lam), so :func:`ratio_certificate` builds and solves
+each distinct (i, lam) once and reuses it for every j that shares it.
 
 The certificate runs in one of two modes:
 
@@ -61,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import accumulate
 from math import ceil, lcm
 from typing import Optional
@@ -74,28 +79,50 @@ from .weighting import WeightFunctionSet
 
 @dataclass(frozen=True)
 class PiecewiseFn:
-    """A weight function: one value per type interval plus a linear tail."""
+    """A weight function: the value ``nums[m] / den`` on type interval m plus a
+    linear tail of slope ``tail_slope`` on (0, eps].
 
-    values: tuple  # 1-based, values[m] for type m, index 0 is None
+    ``nums`` is 1-based (index 0 is None) and need not be in lowest terms
+    over ``den``.  The certificate keeps a function on these integers from
+    the weight set to :func:`pattern_max`; ``values`` holds the same values
+    as Fractions for the oracle, the reports and the tests, and
+    :meth:`from_values` builds a function from rationals.
+    """
+
+    nums: tuple  # 1-based, nums[m] for type m, index 0 is None
+    den: int
     tail_slope: Fraction
+
+    @classmethod
+    def from_values(cls, values, tail_slope: Fraction) -> "PiecewiseFn":
+        """The function taking the rationals ``values`` on types 1, 2, ...,
+        on the lcm of their denominators."""
+        den, nums = on_one_denominator(tuple(values))
+        return cls(nums=(None, *nums), den=den, tail_slope=tail_slope)
 
     @property
     def ntypes(self) -> int:
-        return len(self.values) - 1
+        return len(self.nums) - 1
+
+    @cached_property
+    def values(self) -> tuple:
+        """values[m] = nums[m] / den as a Fraction (1-based, index 0 is None)."""
+        return (None, *(Fraction(n, self.den) for n in self.nums[1:]))
 
 
 def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
     """Mix of the height weight and the 1D case weight: lam*W_H + (1-lam)*W^case.
 
     Both components have tail slope 1/(1-eps), so the mix does too, and both
-    are integers over the weight set's one denominator.
+    are integers over the weight set's one denominator D: with lam = p/q the
+    mix is p*H + (q-p)*B over q*D.
     """
     if not 0 <= lam <= 1:
         raise ValueError("lam must lie in [0, 1]")
     D, p, q = wset.den, lam.numerator, lam.denominator
-    return PiecewiseFn(values=(None, *(Fraction(p * h + (q - p) * b, q * D) for h, b
-                                       in zip(wset.height[1:], wset.rows[case][1:]))),
-                       tail_slope=wset.tail_slope)
+    return PiecewiseFn(nums=(None, *(p * h + (q - p) * b for h, b
+                                     in zip(wset.height[1:], wset.rows[case][1:]))),
+                       den=q * D, tail_slope=wset.tail_slope)
 
 
 def _upper_right_hull(points) -> list:
@@ -124,27 +151,28 @@ def build_g(case_i: int, case_j: int, f: PiecewiseFn,
     (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
     y-interval n, and (1/2, 1/2) for a tail y, whose linear slopes cancel.
     Only the vertices of the points' upper-right hull, built once, can win.
-    Points and dot products are integers; each g value becomes a Fraction last.
+    Points and dot products are integers, and so are g's values, over 2*D*D*M.
     """
-    D, h, w = wset.den, wset.height, wset.rows
-    fv = f.values[1:len(h)]
-    if any(v.numerator <= 0 for v in fv) or f.tail_slope <= 0:
+    D, F, h, w = wset.den, f.den, wset.height, wset.rows
+    fv = f.nums[1:len(h)]
+    if any(u <= 0 for u in fv) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
-    # f_n = u/v and M = lcm(u): (B^i_n, H_n)/(2 f_n) = (w[i][n], h[n]) * v*(M/u) / (2DM)
-    M = lcm(*(v.numerator for v in fv))
-    scale = [v.denominator * (M // v.numerator) for v in fv]
+    # f_n = u/F and M = lcm(u): (B^i_n, H_n)/(2 f_n) = (w[i][n], h[n]) * F*(M/u) / (2DM),
+    # and the tail point (1/2, 1/2) is (DM, DM) / (2DM)
+    M = lcm(*fv)
+    scale = [F * (M // u) for u in fv]
     hull = _upper_right_hull([(D * M, D * M)] + [
         (b * s, hn * s) for b, hn, s in zip(w[case_i][1:], h[1:], scale)])
-    vals = (None, *(Fraction(max(hm * x + b * y for x, y in hull), 2 * D * D * M)
+    nums = (None, *(max(hm * x + b * y for x, y in hull)
                     for hm, b in zip(h[1:], w[case_j][1:])))
-    if tail_mode == "paper-compat":
-        slope = wset.tail_slope
-    elif tail_mode == "exact":
+    slope = wset.tail_slope
+    if tail_mode == "exact":
         # tail x: W_H(x) = W^j(x) = x/(1-eps), the direction (1, 1)
-        slope = wset.tail_slope * Fraction(max(x + y for x, y in hull), 2 * D * M)
-    else:
+        slope = Fraction(slope.numerator * max(x + y for x, y in hull),
+                         slope.denominator * 2 * D * M)
+    elif tail_mode != "paper-compat":
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
-    return PiecewiseFn(values=vals, tail_slope=slope)
+    return PiecewiseFn(nums=nums, den=2 * D * D * M, tail_slope=slope)
 
 
 # -- the integer pattern model ----------------------------------------------
@@ -279,12 +307,15 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
         raise ValueError("weight function does not cover all model types")
     R = fn.tail_slope
     S, CAP, G, rows = model.grid
-    # gain of type m: values[m] - sizes[m]*R = (v[m-1] - S[m]*r) / L
-    L, (r, *v) = on_one_denominator((Fraction(R, G), *fn.values[1:model.ntypes + 1]))
-    gains = {m: v[m - 1] - S[m] * r for m in range(1, model.ntypes + 1)}
-    # density order of the types worth packing; ties broken by type index
-    cand = sorted((m for m in gains if gains[m] > 0 and S[m] <= CAP), key=cmp_to_key(
-        lambda a, b: gains[b] * S[a] - gains[a] * S[b] or a - b))
+    # gain of type m: values[m] - sizes[m]*R = (nums[m]*(L/den) - S[m]*r) / L,
+    # where R/G = r/L
+    L = lcm(fn.den, R.denominator * G)
+    r, per = R.numerator * (L // (R.denominator * G)), L // fn.den
+    gains = {m: fn.nums[m] * per - S[m] * r for m in range(1, model.ntypes + 1)}
+    cand = [m for m in gains if gains[m] > 0 and S[m] <= CAP]
+    # density order, ties broken by type index: gain/size is gain*(P/size)/P
+    P = lcm(*(S[m] for m in cand))
+    cand.sort(key=lambda m: (-gains[m] * (P // S[m]), m))
     ncand = len(cand)
     caps = [min(model.caps[m], CAP // S[m]) for m in cand]
     sizes = [S[m] for m in cand]
@@ -302,14 +333,6 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
     PW = [0, *accumulate(w * c for w, c in zip(gain, caps))]
 
-    def pruned(idx: int, rem: int, obj: int) -> bool:
-        budget = PS[idx] + rem
-        p = bisect_right(PS, budget) - 1
-        if p >= ncand:
-            return obj + PW[ncand] - PW[idx] <= best_val
-        return ((obj + PW[p] - PW[idx] - best_val) * sizes[p]
-                + (budget - PS[p]) * gain[p] <= 0)
-
     best_val = 0
     best_pat: dict = {}
     x = [0] * ncand
@@ -320,7 +343,16 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
         if obj > best_val:
             best_val = obj
             best_pat = {cand[t]: x[t] for t in range(idx) if x[t]}
-        if idx == ncand or pruned(idx, rem, obj):
+        if idx == ncand:
+            return
+        # prune when the greedy bound cannot beat best_val: candidates
+        # idx..p-1 at their caps and p fractional fill the remaining capacity
+        budget = PS[idx] + rem
+        p = bisect_right(PS, budget) - 1
+        if p >= ncand:
+            if obj + PW[ncand] - PW[idx] <= best_val:
+                return
+        elif (obj + PW[p] - PW[idx] - best_val) * sizes[p] + (budget - PS[p]) * gain[p] <= 0:
             return
         vmax = min(caps[idx], rem // sizes[idx])
         for ci, co in var_cons[idx]:
@@ -337,7 +369,7 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
         x[idx] = 0
 
     rec(0, CAP, 0)
-    return R + Fraction(best_val, L), best_pat
+    return Fraction(R.numerator * (L // R.denominator) + best_val, L), best_pat
 
 
 _BRUTE_FORCE_NODES = 10 ** 8  # the largest enumeration space brute_force_max takes
@@ -402,8 +434,8 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
                           caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
                           capacity=Fraction(CAP - 1, G))
     coeff = dict(cut.coeffs)
-    fn = PiecewiseFn(values=(None, *(coeff.get(m, 0) for m in range(1, n + 1))),
-                     tail_slope=Fraction(0))
+    fn = PiecewiseFn.from_values((coeff.get(m, 0) for m in range(1, n + 1)),
+                                 tail_slope=Fraction(0))
     return pattern_max(fn, strict)
 
 
@@ -462,22 +494,24 @@ class RatioCertificate:
     bound: Fraction
 
 
-def round6(x: Fraction) -> Fraction:
-    """Round to six decimals, ties to even (for table comparison)."""
-    q, r = divmod(x.numerator * 10 ** 6, x.denominator)
-    return Fraction(q + (2 * r > x.denominator or 2 * r == x.denominator and q % 2),
-                    10 ** 6)
+def round6(num: int, den: int) -> int:
+    """num/den (den > 0) in millionths, rounded to the nearest integer, ties
+    to even.  Every pair of one value rounds alike, in lowest terms or not."""
+    q, r = divmod(num * 10 ** 6, den)
+    return q + (2 * r > den or 2 * r == den and q % 2)
 
 
 def quantized_fn(fn: PiecewiseFn) -> PiecewiseFn:
-    """Interval values rounded to the six-decimal data grid; tail untouched."""
-    return PiecewiseFn(values=(None, *(round6(v) for v in fn.values[1:])),
-                       tail_slope=fn.tail_slope)
+    """Interval values rounded to the six-decimal data grid, as integers over
+    10**6; tail untouched."""
+    return PiecewiseFn(nums=(None, *(round6(n, fn.den) for n in fn.nums[1:])),
+                       den=10 ** 6, tail_slope=fn.tail_slope)
 
 
 def quantized_model(model: PatternModel) -> PatternModel:
     """Sizes rounded to the six-decimal data grid (reference data files)."""
-    return PatternModel(sizes=(None, *(round6(s) for s in model.sizes[1:])),
+    return PatternModel(sizes=(None, *(Fraction(round6(s.numerator, s.denominator), 10 ** 6)
+                                       for s in model.sizes[1:])),
                         caps=model.caps, constraints=model.constraints,
                         capacity=model.capacity)
 
@@ -494,19 +528,21 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
         model = quantized_model(model)
     ncases = wset.num_cases
     entries = {}
+    solved = {}  # (i, lam) -> (f, P(f), its argmax): f does not depend on j
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             try:
                 lam = parse_rational(lam_table[(i, j)])
-                f = build_f(i, lam, wset)
-                g = build_g(i, j, f, wset,
-                            tail_mode="paper-compat" if compat else "exact")
+                known = solved.get((i, lam))
+                f = build_f(i, lam, wset) if known is None else known[0]
+                g = build_g(i, j, f, wset, tail_mode=mode)
             except ValueError as exc:  # a malformed lam, or one making f vanish
                 raise ValueError(f"pair {i},{j}: {exc}") from None
-            if compat:
-                f, g = quantized_fn(f), quantized_fn(g)
-            pf, pf_pat = pattern_max(f, model)
-            pg, pg_pat = pattern_max(g, model)
+            if known is None:
+                known = solved[(i, lam)] = (
+                    f, *pattern_max(quantized_fn(f) if compat else f, model))
+            _, pf, pf_pat = known
+            pg, pg_pat = pattern_max(quantized_fn(g) if compat else g, model)
             entries[(i, j)] = PairEntry(i=i, j=j, lam=lam, pf=pf, pg=pg,
                                         product=pf * pg,
                                         pf_pattern=pf_pat, pg_pattern=pg_pat)

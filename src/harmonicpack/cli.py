@@ -280,13 +280,15 @@ def cmd_bound(args) -> int:
     except ValueError as exc:  # only a lambda file can hold a pair that fails
         raise ValueError(f"lambda table {args.lambda_file}: {exc}") from None
     retained_pairs = {orient for orient, _ in cert.retained.values()}
+
+    def six(x: Fraction) -> str:  # rounded half to even, then printed
+        return f"{boundcert.round6(x.numerator, x.denominator) / 10 ** 6:.6f}"
+
     rows = []
     for (i, j), e in sorted(cert.entries.items()):
         rows.append({
             "i": i, "j": j, "lambda": str(e.lam),
-            "Pf": f"{float(boundcert.round6(e.pf)):.6f}",
-            "Pg": f"{float(boundcert.round6(e.pg)):.6f}",
-            "product": f"{float(boundcert.round6(e.product)):.6f}",
+            "Pf": six(e.pf), "Pg": six(e.pg), "product": six(e.product),
             "retained": int((i, j) in retained_pairs),
         })
     _emit(rows, "csv")
@@ -306,14 +308,13 @@ def solver_trials(table, wset) -> tuple:
     one on which cut_7_15 binds, excluding {7: 1, 15: 2} (weight 4, capped to 3)."""
     model = boundcert.shplus_pattern_model(table, num_types=15)
     n = model.ntypes
-    fns = [boundcert.PiecewiseFn(
-        values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(n))),
-        tail_slope=Fraction(38, 37)) for rnd in map(random.Random, range(5))]
+    fns = [boundcert.PiecewiseFn(nums=(None, *(rnd.randint(0, 2000) for _ in range(n))),
+                                 den=1000, tail_slope=Fraction(38, 37))
+           for rnd in map(random.Random, range(5))]
     lam = boundcert.TUNED_LAMBDA[(6, 1)]
     fns.append(boundcert.build_g(6, 1, boundcert.build_f(6, lam, wset), wset, "exact"))
-    fns.append(boundcert.PiecewiseFn(
-        values=(None, *(Fraction({7: 2, 15: 1}.get(m, 0)) for m in range(1, n + 1))),
-        tail_slope=Fraction(0)))
+    fns.append(boundcert.PiecewiseFn.from_values(
+        ({7: 2, 15: 1}.get(m, 0) for m in range(1, n + 1)), tail_slope=Fraction(0)))
     return model, fns
 
 

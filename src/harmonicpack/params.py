@@ -201,23 +201,27 @@ class ParamTable:
         """The table of a parsed ``dump-params`` JSON.  It needs ``k``, ``K``,
         ``t``, ``alpha``, ``Delta`` and ``phi``; ``beta``, ``varphi`` and
         ``gamma`` may be left out, and each one given must equal the derived
-        column.  Raises ValueError, naming the first key or entry at fault."""
+        column.  ``k``, ``K``, ``phi`` and those three hold JSON integers: a
+        float or a bool there is refused, not truncated.  Raises ValueError,
+        naming the first key or entry at fault."""
         try:
             missing = next((key for key in ("k", "K", "t", "alpha", "Delta", "phi")
                             if key not in data), None)
             if missing:
                 raise ValueError(f"parameter table has no {missing!r}")
-            k = int(data["k"])
+            k = _json_int(data["k"], "k")
             t = [parse_rational(x) for x in data["t"]]
             if len(t) == k + 1:  # trailing 0 may be omitted
                 t.append(Fraction(0))
-            table = cls(k=k, K=int(data["K"]), t=(None, *t),
+            table = cls(k=k, K=_json_int(data["K"], "K"), t=(None, *t),
                         alpha=(None, *map(parse_rational, data["alpha"])),
                         Delta=tuple(map(parse_rational, data["Delta"])),
-                        phi=(None, *map(int, data["phi"])))
+                        phi=(None, *(_json_int(x, f"phi[{i}]")
+                                     for i, x in enumerate(data["phi"], 1))))
             for name in ("beta", "varphi", "gamma"):
                 derived = getattr(table, name)[1:]
-                given = [int(x) for x in data.get(name, derived)]
+                given = [_json_int(x, f"{name}[{i}]")
+                         for i, x in enumerate(data.get(name, derived), 1)]
                 for i, (g, d) in enumerate(zip_longest(given, derived), 1):
                     if g != d:
                         raise ValueError(f"{name}[{i}] = {g}, but t, alpha and Delta "
@@ -225,6 +229,13 @@ class ParamTable:
         except TypeError as exc:  # a number where a dict or list belongs, or a null
             raise ValueError(f"parameter table: {exc}") from None
         return table
+
+
+def _json_int(x, where: str) -> int:
+    """``x`` if it is an integer, and not a bool; else a ValueError naming ``where``."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{where} = {x!r} is not an integer")
+    return x
 
 
 # -- the built-in SH+ instance (k = 50, K = 6, eps = 1/38) -----------------

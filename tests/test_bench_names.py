@@ -96,29 +96,54 @@ def _traced_cli(cmd) -> dict:
     return res
 
 
-@pytest.mark.parametrize("workload", ["pack1d-mixed", "slice2d-thin"])
-def test_traced_commands_keep_the_benchmark_contract(tmp_path, workload):
-    # the seed-7 check pass of a workload with --trace: the outputs hash to
-    # the stored references, the spans of SPAN_EXPECT fire or stay silent as
-    # its self-test demands, and the public-API re-check holds
+def _traced_check_pass(tmp_path, workload: str, seed: int = 7):
+    """(plan, results, fire) of a workload's seed-``seed`` check pass with
+    --trace, whose outputs hash to the stored references (the seeded ones, or
+    the fixed ones for a command whose output does not depend on the seed)
+    and whose spans fire or stay silent as SPAN_EXPECT's self-test demands;
+    ``fire`` is the workload's set of spans that must fire."""
     bench = _bench_run()
-    seed = 7
     plan = bench.WORKLOADS[workload](tmp_path, seed)
     results = {cmd.label: _traced_cli(cmd) for cmd in plan.check}
-    refs = bench.load_references()["seeded"][workload][str(seed)]
-    assert refs["input"] == bench.input_hash(plan)
+    refs = bench.load_references()
+    assert refs["seeded"][workload][str(seed)]["input"] == bench.input_hash(plan)
     for cmd in plan.check:
+        want = refs
+        for key in bench.reference_key(workload, seed, cmd):
+            want = want[key]
         got = {"stdout": bench._sha(results[cmd.label]["stdout"].encode())}
         got.update((kind, bench._sha(pathlib.Path(path).read_bytes()))
                    for kind, path in cmd.files.items())
-        assert got == refs[cmd.label], cmd.label
+        assert got == want[cmd.label], cmd.label
     calls = {}
     for res in results.values():
         for name, (n, _, _) in res["spans"].items():
             calls[name] = calls.get(name, 0) + n
     fire, silent = bench.SPAN_EXPECT[workload]
-    assert "params.parse_rational" in fire
     assert sorted(s for s in fire if not calls.get(s)) == []
     assert sorted(s for s in silent if calls.get(s)) == []
+    return plan, results, fire
+
+
+@pytest.mark.parametrize("workload", ["pack1d-mixed", "slice2d-thin"])
+def test_traced_commands_keep_the_benchmark_contract(tmp_path, workload):
+    # the seed-7 check pass of a packing workload with --trace: the outputs
+    # hash to the stored references, the spans of SPAN_EXPECT fire or stay
+    # silent as its self-test demands, and the public-API re-check holds
+    plan, results, fire = _traced_check_pass(tmp_path, workload)
+    assert "params.parse_rational" in fire
     checks = plan.recheck(results)
     assert checks and all(ok for ok, _ in checks), checks
+
+
+def test_traced_certificate_keeps_the_benchmark_contract(tmp_path):
+    # the seed-7 check pass of certify-lambda with --trace: the four bound
+    # commands (both modes, tuned and seeded lambda) with their witnesses and
+    # the cut audit; the tuned runs and the audit hash to the fixed
+    # references, the seeded runs to seed 7's, and every boundcert span fires
+    plan, _, fire = _traced_check_pass(tmp_path, "certify-lambda")
+    fixed = sorted(cmd.label for cmd in plan.check if cmd.fixed)
+    assert fixed == ["cut-audit", "exact-tuned", "paper-compat-tuned"]
+    assert len(plan.check) == 5
+    assert {"boundcert.build_f", "boundcert.build_g", "boundcert.pattern_max",
+            "boundcert.cut_audit"} <= fire

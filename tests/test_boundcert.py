@@ -15,7 +15,7 @@ from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
 from harmonicpack.harmonic import w_h
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import harmonic_table
+from conftest import fraction_builds, harmonic_table
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +24,8 @@ def model(table):
 
 
 def random_fn(rnd, ntypes, tail=Fraction(38, 37)):
-    return PiecewiseFn(
-        values=(None, *(Fraction(rnd.randint(0, 2000), 1000) for _ in range(ntypes))),
-        tail_slope=tail)
+    return PiecewiseFn(nums=(None, *(rnd.randint(0, 2000) for _ in range(ntypes))),
+                       den=1000, tail_slope=tail)
 
 
 def seeded_lambda(seed):
@@ -44,7 +43,21 @@ class TestRound6:
         xs += [Fraction(rnd.randint(-10 ** 12, 10 ** 12), rnd.randint(1, 10 ** 9))
                for _ in range(2000)]
         for x in xs:
-            assert round6(x) == Fraction(round(x * 10 ** 6), 10 ** 6), x
+            assert round6(x.numerator, x.denominator) == round(x * 10 ** 6), x
+
+    def test_unreduced_pairs_round_as_their_value(self):
+        # a pair not in lowest terms, an exact half-unit ((2k+1)/2 millionths)
+        # among them, rounds as the reduced Fraction does, ties included
+        rnd = random.Random(16)
+        pairs = [(2 * (2 * k + 1), 4 * 10 ** 6) for k in range(-21, 21)]
+        pairs += [(rnd.randint(-10 ** 12, 10 ** 12), rnd.randint(1, 10 ** 9))
+                  for _ in range(500)]
+        for num, den in pairs:
+            x = Fraction(num, den)
+            want = round6(x.numerator, x.denominator)
+            assert round6(num, den) == want == round(x * 10 ** 6), (num, den)
+            c = rnd.randint(2, 10 ** 30)
+            assert round6(num * c, den * c) == want, (num, den, c)
 
 
 def height_values(wset):
@@ -186,15 +199,14 @@ def _eval(fn, x, table):
 
 class TestPatternMax:
     def test_zero_weights_leave_only_the_tail(self, model):
-        fn = PiecewiseFn(values=(None, *([Fraction(0)] * 50)),
-                         tail_slope=Fraction(38, 37))
+        fn = PiecewiseFn.from_values([Fraction(0)] * 50, tail_slope=Fraction(38, 37))
         val, pat = pattern_max(fn, model)
         assert val == Fraction(38, 37) and pat == {}
 
     def test_reference_value_flagship(self, wset, model):
         f = build_f(1, Fraction(1, 2), wset)
         val, pat = pattern_max(quantized_fn(f), quantized_model(model))
-        assert round6(val) == Fraction("1.598272")
+        assert round6(val.numerator, val.denominator) == 1598272
         # the witness pattern is feasible and attains the value
         assert sum(model.sizes[m] * c for m, c in pat.items()) <= 1
 
@@ -212,8 +224,8 @@ class TestPatternMax:
             fn = random_fn(rnd, 12)
             assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
         model15 = shplus_pattern_model(table, include_cuts=include_cuts, num_types=15)
-        fn = PiecewiseFn(values=(None, *(Fraction({7: 2, 15: 1}.get(m, 0))
-                                         for m in range(1, 16))), tail_slope=Fraction(0))
+        fn = PiecewiseFn.from_values((Fraction({7: 2, 15: 1}.get(m, 0)) for m in range(1, 16)),
+                                     tail_slope=Fraction(0))
         want = 3 if include_cuts else 4
         assert pattern_max(fn, model15)[0] == brute_force_max(fn, model15)[0] == want
 
@@ -236,9 +248,18 @@ class TestPatternMax:
         # {1: 1, 2: 2} all weigh 2, and the search meets type 1 first
         model = PatternModel(sizes=(None, Fraction(1, 2), Fraction(1, 4)),
                              caps=(None, 2, 4), constraints=())
-        fn = PiecewiseFn(values=(None, Fraction(1), Fraction(1, 2)),
-                         tail_slope=Fraction(0))
+        fn = PiecewiseFn.from_values((Fraction(1), Fraction(1, 2)), tail_slope=Fraction(0))
         assert pattern_max(fn, model) == (2, {1: 2})
+
+    @pytest.mark.parametrize("tail", [Fraction(0), Fraction(1, 2)])
+    def test_density_ties_go_to_the_smaller_type_of_smaller_size(self, tail):
+        # now type 1 is the smaller item: {1: 4} and {2: 2} weigh the same,
+        # gain per unit size ties (3/2 each with the tail at 1/2) and the
+        # search meets type 1 first; unreduced values change nothing
+        model = PatternModel(sizes=(None, Fraction(1, 4), Fraction(1, 2)),
+                             caps=(None, 4, 2), constraints=())
+        fn = PiecewiseFn(nums=(None, 6, 12), den=12, tail_slope=tail)
+        assert pattern_max(fn, model) == (2, {1: 4})
 
     def test_witness_attains_value(self, wset, model):
         f = build_f(3, TUNED_LAMBDA[(3, 4)], wset)
@@ -286,8 +307,7 @@ class TestPatternMax:
 class TestBruteForce:
     def test_zero_weights(self, table):
         m = shplus_pattern_model(table, include_cuts=False, num_types=7)
-        fn = PiecewiseFn(values=(None, *([Fraction(0)] * 7)),
-                         tail_slope=Fraction(38, 37))
+        fn = PiecewiseFn.from_values([Fraction(0)] * 7, tail_slope=Fraction(38, 37))
         assert brute_force_max(fn, m)[0] == Fraction(38, 37)
 
     def test_large_type_model_single_item_only(self, table):
@@ -388,10 +408,43 @@ class TestValidateCut:
             coeffs = {m: Fraction(rnd.randint(0, 30), rnd.randint(1, 7))
                       for m in support}
             cut = LinearCut.make("r", coeffs, rnd.randint(-3, 20))
-            fn = PiecewiseFn(values=(None, *(coeffs.get(m, Fraction(0))
-                                             for m in range(1, 13))),
-                             tail_slope=Fraction(0))
+            fn = PiecewiseFn.from_values((coeffs.get(m, Fraction(0)) for m in range(1, 13)),
+                                         tail_slope=Fraction(0))
             assert cut_max_lhs(cut, model12)[0] == brute_force_max(fn, strict)[0]
+
+
+class TestIntegerFunctions:
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_values_equal_the_fraction_construction(self, table, wset, mode):
+        # f and g as integers over one denominator give, value by value, the
+        # Fractions of their definitions: f = lam*W_H + (1-lam)*W^i, g(x)
+        # the largest of 51 ratio candidates, each rounded to six decimals
+        # (ties to even) in paper-compat mode
+        H, k, ts = height_values(wset), table.k, wset.tail_slope
+        lams = seeded_lambda(3)
+        for i, j in ((1, 6), (4, 2), (7, 7)):
+            lam, Bi, Bj = lams[(i, j)], wset.values[i], wset.values[j]
+            fv = (None, *(lam * H[n] + (1 - lam) * Bi[n] for n in range(1, k + 1)))
+            points = [(Fraction(1, 2), Fraction(1, 2))] + [
+                (Bi[n] / (2 * fv[n]), H[n] / (2 * fv[n])) for n in range(1, k + 1)]
+            gv = (None, *(max(H[m] * p + Bj[m] * q for p, q in points)
+                          for m in range(1, k + 1)))
+            slope = ts * max(p + q for p, q in points) if mode == "exact" else ts
+            f = build_f(i, lam, wset)
+            g = build_g(i, j, f, wset, tail_mode=mode)
+            if mode == "paper-compat":
+                f, g = quantized_fn(f), quantized_fn(g)
+                fv, gv = ((None, *(Fraction(round(v * 10 ** 6), 10 ** 6) for v in vs[1:]))
+                          for vs in (fv, gv))
+            assert (f.values, f.tail_slope) == (fv, ts), (i, j)
+            assert (g.values, g.tail_slope) == (gv, slope), (i, j)
+
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_certificate_builds_few_fractions(self, wset, mode):
+        # f and g stay integers from the weight set to pattern_max: the 98
+        # solves of a seeded table build under 1,000 Fractions (over 5,000
+        # with a Fraction per value)
+        assert fraction_builds(ratio_certificate, wset, seeded_lambda(5), mode) < 1000
 
 
 @pytest.fixture(scope="module")

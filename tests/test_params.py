@@ -160,9 +160,18 @@ class TestMalformedTables:
         (lambda d: d.update(Delta=0.294), "parameter table: 'float' object is not iterable"),
         (lambda d: d["alpha"].__setitem__(0, "1/10"),
          "alpha[1] > 0 but type 1 fits no reserved space"),
+        # a float or a bool where an integer belongs is refused, not truncated
+        (lambda d: d["phi"].__setitem__(1, 1.9), "phi[2] = 1.9 is not an integer"),
+        (lambda d: d["phi"].__setitem__(0, False), "phi[1] = False is not an integer"),
+        (lambda d: d.update(k=50.9), "k = 50.9 is not an integer"),
+        (lambda d: d.update(K=6.0), "K = 6.0 is not an integer"),
+        (lambda d: d["beta"].__setitem__(0, True), "beta[1] = True is not an integer"),
+        (lambda d: d["varphi"].__setitem__(8, 1.0), "varphi[9] = 1.0 is not an integer"),
+        (lambda d: d["gamma"].__setitem__(9, "1"), "gamma[10] = '1' is not an integer"),
     ], ids=["phi-above-K", "phi-negative", "t-zero", "eps-negative", "no-alpha", "no-k",
             "short-beta", "short-alpha", "short-phi", "short-Delta", "negative-K",
-            "null-phi", "number-Delta", "red-type-fits-no-space"])
+            "null-phi", "number-Delta", "red-type-fits-no-space", "float-phi", "bool-phi",
+            "float-k", "float-K", "bool-beta", "float-varphi", "string-gamma"])
     def test_one_line_each(self, table, edit, want):
         data = table.to_json_dict()
         edit(data)

@@ -38,8 +38,9 @@ def partly_filled(st) -> Counter:
 class OracleShState(ShState):
     """SH+ as it placed items before the cascade moved to a per-type plan, the
     oracle of that rewrite: each item goes through a colour helper and an add
-    helper, and each conversion scan compares the table's Fractions.  The
-    bins, trace rows, census and small mass are read by ShState's methods."""
+    helper, and each conversion scan compares the table's Fractions.  A trace
+    row is built by the oracle's own rule; the bins, census and small mass
+    are read by ShState's methods."""
 
     def __init__(self, table, keep_trace=False):
         self.table = table
@@ -58,6 +59,17 @@ class OracleShState(ShState):
         self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
         self._convertible_blue = [i for i in range(1, k + 1) if table.phi[i] > 0]
         self._red_types = [i for i in range(1, k + 1) if table.alpha[i] > 0]
+
+    def _trace_row(self, size, i, color, b):
+        # the item opened b exactly when it is all that b holds
+        blue = None if color == "blue" and b.blue_count == 1 else b.blue_type
+        red = None if color == "red" and b.red_count == 1 else b.red_type
+        opened = b.content_sum == size
+        group = superharmonic._group_name
+        before = "-" if opened and color != "tiny" else group(self.table, blue, red)
+        return superharmonic.PlacementTrace(len(self.trace), size, i, color, before,
+                                            group(self.table, b.blue_type, b.red_type),
+                                            b.bid, opened)
 
     def _add_blue(self, b, i, p, q):
         b.blue_type = i
