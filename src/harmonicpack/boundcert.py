@@ -417,26 +417,35 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel):
 
 # -- cut validation -----------------------------------------------------------
 
+def strict_model(model: PatternModel, num_types: Optional[int] = None) -> PatternModel:
+    """The genuine patterns of ``model``'s types 1..num_types (all by default).
+
+    Genuine items lie strictly above their types' infimum sizes, so on the
+    model's integer grid a genuine pattern fits one grid unit below the
+    capacity: capacity ``(CAP-1)/G``, caps ``(CAP-1)//S[m]`` and no
+    constraints.
+    """
+    n = model.ntypes if num_types is None else num_types
+    S, CAP, G, _ = model.grid
+    return PatternModel(sizes=model.sizes[:n + 1], constraints=(),
+                        caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
+                        capacity=Fraction(CAP - 1, G))
+
+
 def cut_max_lhs(cut: LinearCut, model: PatternModel):
     """Maximum of the cut's left side over genuine patterns; (value, pattern).
 
-    Genuine items lie strictly above their types' infimum sizes, so a genuine
-    pattern fits one grid unit below the capacity.  The strict model (types up
-    to the cut's largest, that capacity, no caps or constraints beyond it)
-    holds exactly the genuine patterns; :func:`pattern_max` maximizes the
-    cut's nonnegative coefficients over it with a zero tail.  Used to validate
-    cuts, to derive the tightest valid right-hand side and to build mutation
-    tests (any rhs strictly below this maximum admits a counterexample).
+    :func:`pattern_max` maximizes the cut's nonnegative coefficients with a
+    zero tail over the strict model of the types up to the cut's largest.
+    Used to validate cuts, to derive the tightest valid right-hand side and to
+    build mutation tests (any rhs strictly below this maximum admits a
+    counterexample).
     """
     n = max((m for m in cut.support if m <= model.ntypes), default=0)
-    S, CAP, G, _ = model.grid
-    strict = PatternModel(sizes=model.sizes[:n + 1], constraints=(),
-                          caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
-                          capacity=Fraction(CAP - 1, G))
     coeff = dict(cut.coeffs)
     fn = PiecewiseFn.from_values((coeff.get(m, 0) for m in range(1, n + 1)),
                                  tail_slope=Fraction(0))
-    return pattern_max(fn, strict)
+    return pattern_max(fn, strict_model(model, n))
 
 
 def validate_cut(cut: LinearCut, model: PatternModel) -> Optional[dict]:

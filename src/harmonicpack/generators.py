@@ -21,12 +21,23 @@ Kinds:
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
     comments).  Every token becomes an integer pair by ``params.parse_pair``,
     so "2/4" reads as (2, 4), and a line "w h" becomes the ``Item2D`` of
-    its two pairs.
+    its two pairs.  The file is read in chunks of whole lines (about 64 KiB
+    each), never whole.  A plain chunk, the format ``gen`` writes, has only
+    ASCII tokens digits[/digits], exactly one (1D) or two (2D) a line, one
+    space apart, and "\\n" line ends, with no blank, padded or comment line;
+    its integers are read at once by one regex check and one JSON parse, with
+    the rule of ``parse_pair`` (a bare integer p is (p, 1)).  Every other
+    chunk, and a plain one with a leading zero, an integer too long for
+    ``int``, a zero denominator or a 2D side outside (0, 1], is read line
+    by line, so the items and any error, and its line, are the same either
+    way.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -40,6 +51,14 @@ _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
 _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
+
+# a file is read in chunks of whole lines of about this many characters; a
+# plain chunk has `dims` tokens digits[/digits] a line, one space apart, each
+# line ended by "\n" (re caches each pattern when it is first used)
+_CHUNK = 1 << 16
+_TOKEN = "[0-9]+(?:/[0-9]+)?"
+_PLAIN_LINES = {1: f"(?:{_TOKEN}\n)*", 2: f"(?:{_TOKEN} {_TOKEN}\n)*"}
+_BARE = "(?<![0-9/])([0-9]+)(?![0-9/])"  # a token with no "/"
 
 
 class Item2D(tuple):
@@ -105,6 +124,50 @@ def _uniform_pair(rng: random.Random) -> tuple:
     return p // g, GRID // g
 
 
+def _read_lines(lines, dims: int, items: list) -> None:
+    """Append the items of ``lines`` to ``items``, one line at a time: any
+    layout, any token form ``parse_pair`` reads, errors in line order."""
+    for line in lines:
+        parts = line.partition("#")[0].split()
+        if len(parts) == dims:
+            items.append(parse_pair(parts[0]) if dims == 1 else
+                         Item2D.from_pairs(parse_pair(parts[0]),
+                                           parse_pair(parts[1])))
+        elif parts:
+            what = "one size" if dims == 1 else "'w h'"
+            raise ValueError(f"expected {what} per line, got "
+                             f"{line.partition('#')[0].strip()!r}")
+
+
+def _read_plain(lines, dims: int) -> Optional[list]:
+    """The items of a chunk of plain lines, read in bulk, as ``_read_lines``
+    reads them.  None for any other chunk, and for a plain one with a token
+    JSON refuses or a line ``_read_lines`` refuses: that chunk is left to
+    ``_read_lines``, for its items or its error."""
+    text = "".join(lines)
+    if not text.endswith("\n"):  # the file's last line
+        text += "\n"
+    if not re.fullmatch(_PLAIN_LINES[dims], text):
+        return None
+    if text.count("/") < len(lines) * dims:
+        text = re.sub(_BARE, r"\1/1", text)
+    try:  # JSON refuses a leading zero and an integer over int's digit limit
+        ints = json.loads("[" + text[:-1].replace("/", ",").replace("\n", ",")
+                          .replace(" ", ",") + "]")
+    except ValueError:
+        return None
+    if 0 in ints[1::2]:  # "p/0" is parse_pair's error
+        return None
+    it = iter(ints)
+    pairs = list(zip(it, it))
+    if dims == 1:
+        return pairs
+    try:
+        return list(map(Item2D.from_pairs, pairs[::2], pairs[1::2]))
+    except ValueError:  # a side outside (0, 1]
+        return None
+
+
 def generate(spec: InstanceSpec) -> Instance:
     if spec.kind == "uniform":
         rng = random.Random(spec.seed)
@@ -140,16 +203,12 @@ def generate(spec: InstanceSpec) -> Instance:
         dims = 1 if spec.dims == 1 else 2  # tokens per line; any other dims is 2D
         items = []
         with open(spec.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.partition("#")[0].split()
-                if len(parts) == dims:
-                    items.append(parse_pair(parts[0]) if dims == 1 else
-                                 Item2D.from_pairs(parse_pair(parts[0]),
-                                                   parse_pair(parts[1])))
-                elif parts:
-                    what = "one size" if dims == 1 else "'w h'"
-                    raise ValueError(f"expected {what} per line, got "
-                                     f"{line.partition('#')[0].strip()!r}")
+            while lines := fh.readlines(_CHUNK):
+                plain = _read_plain(lines, dims)
+                if plain is None:
+                    _read_lines(lines, dims, items)
+                else:
+                    items += plain
         return Instance(spec=spec, items=items)
 
     raise ValueError(f"unknown instance kind {spec.kind!r}")

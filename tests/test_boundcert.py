@@ -11,7 +11,8 @@ from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
                                     cut_max_lhs, pattern_max,
                                     quantized_fn, quantized_model,
                                     ratio_certificate, round6,
-                                    shplus_pattern_model, validate_cut)
+                                    shplus_pattern_model, strict_model,
+                                    validate_cut)
 from harmonicpack.harmonic import w_h
 from harmonicpack.weighting import WeightFunctionSet
 
@@ -411,6 +412,43 @@ class TestValidateCut:
             fn = PiecewiseFn.from_values((coeffs.get(m, Fraction(0)) for m in range(1, 13)),
                                          tail_slope=Fraction(0))
             assert cut_max_lhs(cut, model12)[0] == brute_force_max(fn, strict)[0]
+
+
+class TestStrictModel:
+    def test_products_never_exceed_the_published_model_without_the_refuted_cut(
+            self, wset, table):
+        # the strict model holds exactly the genuine patterns, which every
+        # valid cut admits, and its tail fills one grid unit less of the bin
+        full = shplus_pattern_model(table)
+        sound = PatternModel(sizes=full.sizes, caps=full.caps,
+                             constraints=tuple(c for c in full.constraints
+                                               if c.name != "cut_7_11_18"),
+                             capacity=full.capacity)
+        strict = strict_model(full)
+        assert strict.ntypes == full.ntypes and strict.constraints == ()
+        lower = 0
+        for (i, j), lam in TUNED_LAMBDA.items():
+            f = build_f(i, lam, wset)
+            g = build_g(i, j, f, wset, tail_mode="exact")
+            ours = pattern_max(f, strict)[0] * pattern_max(g, strict)[0]
+            published = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
+            assert ours <= published, (i, j)
+            lower += ours < published
+        assert lower == 19
+
+    @pytest.mark.parametrize("num_types", [1, 7, 12, 15])
+    def test_matches_brute_force_on_strict_truncation(self, table, wset, num_types):
+        strict = strict_model(shplus_pattern_model(table), num_types)
+        assert strict.ntypes == num_types
+        rnd = random.Random(num_types)
+        fns = [random_fn(rnd, num_types) for _ in range(5)]
+        for i, j in ((1, 6), (7, 7)):
+            f = build_f(i, TUNED_LAMBDA[(i, j)], wset)
+            g = build_g(i, j, f, wset, tail_mode="exact")
+            fns += [PiecewiseFn(nums=fn.nums[:num_types + 1], den=fn.den,
+                                tail_slope=fn.tail_slope) for fn in (f, g)]
+        for fn in fns:
+            assert pattern_max(fn, strict)[0] == brute_force_max(fn, strict)[0]
 
 
 class TestIntegerFunctions:

@@ -1,11 +1,15 @@
 import copy
+import itertools
 import pickle
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonicpack import generators
+from harmonicpack.cli import main
 from harmonicpack.generators import Instance, InstanceSpec, generate
 from harmonicpack.pack2d import Item2D
 from harmonicpack.params import parse_rational
@@ -140,3 +144,128 @@ def test_rectangle_copies_keep_its_pairs_as_written():
     for clone in (pickle.loads(pickle.dumps(it)), copy.deepcopy(it), copy.copy(it)):
         assert type(clone) is Item2D and clone == it == (2, 4, 7, 14)
     assert it.transposed == (7, 14, 2, 4) and (it.w, it.h) == (Fraction(1, 2),) * 2
+
+
+# -- the chunked reader: plain chunks in bulk, every other chunk line by line
+
+def _as_written(pairs):
+    """Tokens as ``gen`` writes a pair: "p/q", or "p" when q is 1."""
+    return pairs.map(lambda pq: f"{pq[0]}/{pq[1]}" if pq[1] != 1 else str(pq[0]))
+
+
+_PLAIN_SIDE = _as_written(st.integers(1, 10 ** 6).flatmap(
+    lambda q: st.tuples(st.integers(1, q), st.just(q))) | st.just((1, 1)))
+_PLAIN_SIZE = _as_written(st.tuples(st.integers(0, 10 ** 7), st.integers(1, 10 ** 7)))
+# lines and tokens the bulk path must leave to the per-line loop
+_ODD_LINES = ["0012/0034", "# comment", "", "   ", "\t", " 1/2", "1/2 ", "1/2  # note",
+              "0.294", "٣/７", "5/0", "0/0", "9" * 5000, "1/" + "7" * 5000,
+              "1/2 1/3 1/4", "3/2", "1/2 3/2", "0 1/2", "1e-3", "+1/3", "1/2\x0b"]
+
+
+@st.composite
+def _instance_files(draw, dims):
+    token = _PLAIN_SIDE if dims == 2 else _PLAIN_SIZE | _PLAIN_SIDE
+    plain = st.lists(token, min_size=dims, max_size=dims).map(" ".join)
+    lines = draw(st.lists(plain | st.sampled_from(_ODD_LINES) if draw(st.booleans())
+                          else plain, min_size=1, max_size=60))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _file_outcome(read):
+    """The items ``read()`` returns with their types, or its error message."""
+    try:
+        items = read()
+    except ValueError as exc:
+        return str(exc)
+    return [(type(it), it) for it in items]
+
+
+def _by_lines(path, dims):
+    """The file read by the per-line loop alone."""
+    items = []
+    with open(path, "r", encoding="utf-8") as fh:
+        generators._read_lines(fh, dims, items)
+    return items
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_chunked_reader_equals_the_line_loop(dims, data):
+    # the same items, with the same types and pairs as written, or the same
+    # error; small chunks put bad chunks after good ones
+    text = data.draw(_instance_files(dims))
+    chunk = data.draw(st.sampled_from([1, 24, 200, generators._CHUNK]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(generators, "_CHUNK", chunk):
+            got = _file_outcome(lambda: generate(
+                InstanceSpec(kind="file", dims=dims, path=path)).items)
+        assert got == _file_outcome(lambda: _by_lines(path, dims))
+
+
+@pytest.mark.parametrize("dims,bad", [(1, "5/0"), (1, "0012/0034"), (2, "1/2 3/2"),
+                                      (2, "# a comment")])
+def test_bad_chunk_after_good_chunks(tmp_path, dims, bad):
+    # full-size chunks: a chunk that falls back after several bulk ones
+    # gives what the loop gives
+    line = "353/500" if dims == 1 else "353/500 1"
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join([line] * 30000 + [bad] + [line] * 10) + "\n")
+    got = _file_outcome(lambda: generate(InstanceSpec(kind="file", dims=dims,
+                                                      path=str(path))).items)
+    assert got == _file_outcome(lambda: _by_lines(path, dims))
+    assert isinstance(got, str) or len(got) >= 30010
+
+
+class TestBulkPathTaken:
+    """``gen`` files take the bulk path: no token goes through parse_pair."""
+
+    @staticmethod
+    def _gen_file(monkeypatch, tmp_path, dims):
+        # a uniform instance with a size of exactly 1 every 97 draws, which
+        # cmd_gen writes as the bare token "1"
+        real, draws = generators._uniform_pair, itertools.count()
+        monkeypatch.setattr(generators, "_uniform_pair",
+                            lambda rng: (1, 1) if next(draws) % 97 == 0 else real(rng))
+        out = tmp_path / f"gen{dims}.txt"
+        assert main(["gen", "--n", "20000" if dims == 1 else "8000",
+                     "--dims", str(dims), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        text = out.read_text()
+        assert len(text) > 2 * generators._CHUNK
+        assert "1" in text.split()
+        return out
+
+    @staticmethod
+    def _counted_read(monkeypatch, path, dims):
+        calls, real = [], generators.parse_pair
+        monkeypatch.setattr(generators, "parse_pair",
+                            lambda token: calls.append(token) or real(token))
+        items = generate(InstanceSpec(kind="file", dims=dims, path=str(path))).items
+        monkeypatch.undo()
+        return items, calls
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_gen_file_makes_no_parse_pair_call(self, monkeypatch, tmp_path, dims):
+        path = self._gen_file(monkeypatch, tmp_path, dims)
+        want = _by_lines(path, dims)
+        items, calls = self._counted_read(monkeypatch, path, dims)
+        assert calls == [] and items == want
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_comment_falls_back_for_its_chunk_only(self, monkeypatch, tmp_path, dims):
+        path = self._gen_file(monkeypatch, tmp_path, dims)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(len(lines) // 2, "# one comment\n")
+        path.write_text("".join(lines))
+        with open(path, "r", encoding="utf-8") as fh:
+            chunks = list(iter(lambda: fh.readlines(generators._CHUNK), []))
+        (chunk,) = [c for c in chunks if "# one comment\n" in c]
+        assert len(chunks) >= 3
+        want = [tok for line in chunk if not line.startswith("#") for tok in line.split()]
+        items, calls = self._counted_read(monkeypatch, path, dims)
+        assert calls == want and items == _by_lines(path, dims)
