@@ -27,7 +27,7 @@ from math import lcm
 
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker, w_h
-from .pack2d import DEFAULT_DELTA, pack_orientations, tensor_cost, validate_geometry
+from .pack2d import DEFAULT_DELTA, TensorRun, tensor_cost, validate_geometry
 from .superharmonic import ShState
 from .weighting import WeightFunctionSet, bound_check
 
@@ -199,7 +199,10 @@ def cmd_pack2d(args) -> int:
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
         else (args.orientation,)
-    for run in pack_orientations(inst.items, table, orientations, delta):
+    for orientation in orientations:
+        run = TensorRun(table, orientation, delta)
+        for it in inst.items:
+            run.insert(it)
         rows.append({"orientation": run.orientation, "bins": run.cost,
                      "slices": len(run.slices),
                      "weight_bound": f"{float(run.max_weight_bound(wset)):.6f}"})
@@ -262,9 +265,6 @@ def _load_lambda(path, ncases: int) -> dict:
         for j in range(1, ncases + 1):
             if (i, j) not in table:
                 raise ValueError(f"lambda table {path} lacks the pair {i},{j}")
-            if isinstance(table[(i, j)], bool):  # JSON true/false, an int to Python
-                raise ValueError(f"lambda table {path}: pair {i},{j}: "
-                                 f"{table[(i, j)]!r} is not a number")
     return table
 
 

@@ -30,7 +30,8 @@ stores the numerators and, once per power of ten, the index where that
 power's run of steps starts.  The drift after m steps is below m * 1e-17;
 classes are found by bisection on exact integer comparisons, so slices
 always cover their items.  The ladder stops at 10^6 steps, which reaches
-widths of about 1e-45 at the default d.
+widths of about 1e-45 at the default d.  Every run at one (eps, d) reads
+one ladder from a module dict, which keeps it for the life of the process.
 
 The two-orientation average satisfies the slice analysis bound
 
@@ -58,6 +59,7 @@ from .weighting import WeightFunctionSet
 _LOW = 10 ** 17  # ladder numerators have 18 digits: _LOW <= num < 10 * _LOW
 _MAX_DEPTH = 10 ** 6  # the deepest ladder step
 DEFAULT_DELTA = Fraction(1, 10000)
+_LADDERS: dict = {}  # (eps, d) -> the TinyGrid of every TensorRun at those values
 
 
 class TinyGrid:
@@ -162,8 +164,9 @@ class Slice:
 class TensorRun:
     """One orientation of the slice packer over a common 1D run: "hxb" cuts
     slices by width and stacks heights with Harmonic index 1/eps; "bxh" is the
-    transpose, fed and read transposed.  The weight totals and the geometry are
-    read from the slices, each holding one width class and one height type."""
+    transpose: it turns each rectangle it is given, and its slices hold the
+    turned tuples.  The weight totals and the geometry are read from the
+    slices, each holding one width class and one height type."""
 
     def __init__(self, table: ParamTable, orientation: str = "hxb",
                  delta: Fraction = DEFAULT_DELTA):
@@ -173,7 +176,8 @@ class TensorRun:
         self.table = table
         self.orientation = orientation
         self.inner = ShState(table)
-        self.grid = TinyGrid(table.eps, Fraction(delta))
+        key = (table.eps, Fraction(delta))
+        self.grid = _LADDERS.get(key) or _LADDERS.setdefault(key, TinyGrid(*key))
         self._t = [None, *(t.as_integer_ratio() for t in table.t[1:table.k + 1])]
         self.slices: list = []
         self._open: dict = {}  # (class key, height type) -> Slice
@@ -203,7 +207,9 @@ class TensorRun:
         return b.red_den - b.red_num, wn * f, b.red_den
 
     def insert(self, item: Item2D) -> Slice:
-        """Stack ``item`` on its slice and return that slice."""
+        """Stack ``item``, turned in a "bxh" run, on its slice; return the slice."""
+        if self.orientation == "bxh":
+            item = item.transposed
         wn, wd, hn, hd = item
         key, (vn, vd) = self.width_class(wn, wd)
         ht = harmonic_type(hn, hd, self.hk)
@@ -259,22 +265,13 @@ class TensorCost:
     avg: Fraction
 
 
-def pack_orientations(items, table: ParamTable, orientations, delta: Fraction) -> list:
-    """Finished TensorRuns ("bxh" packs the transposed items), one per
-    orientation, sharing one TinyGrid so that its ladder is grown once.
-    ``items`` is read once, so it may be an iterator."""
-    items = list(items)
-    runs = [TensorRun(table, orientation, delta) for orientation in orientations]
-    for run in runs:
-        run.grid = runs[0].grid
-        for it in (items if run.orientation == "hxb" else [it.transposed for it in items]):
-            run.insert(it)
-    return runs
-
-
 def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):
-    """Run both orientations and average them (the fair-coin expectation)."""
-    hxb, bxh = pack_orientations(items, table, ("hxb", "bxh"), delta)
+    """Run both orientations and average them (the fair-coin expectation).
+    ``items`` is read once, so it may be an iterator."""
+    hxb, bxh = TensorRun(table, "hxb", delta), TensorRun(table, "bxh", delta)
+    for it in items:
+        hxb.insert(it)
+        bxh.insert(it)
     return TensorCost(hxb.cost, bxh.cost, Fraction(hxb.cost + bxh.cost, 2)), hxb, bxh
 
 

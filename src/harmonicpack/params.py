@@ -61,6 +61,8 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
     if not isinstance(text, str):  # strings skip the slower ABC checks
         if isinstance(text, Fraction):
             return text
+        if isinstance(text, bool):  # JSON true/false, an int to Python
+            raise ValueError(f"{text!r} is not a number")
         if isinstance(text, int):
             return Fraction(text)
         if isinstance(text, float):
@@ -80,10 +82,10 @@ def decimal_digits(n: int) -> int:
 
 
 def named(p: int, q: int, side: str, digits=None) -> str:
-    """``side p/q``, as in ``width 1/3``; by digit counts where str() refuses so
-    long an integer.  ``digits`` are p's and q's if known."""
+    """``side p/q``, as in ``width 1/3`` or ``width 1/0``; by digit counts where
+    str() refuses so long an integer.  ``digits`` are p's and q's if known."""
     try:
-        return f"{side} {Fraction(p, q)}"
+        return f"{side} {Fraction(p, q) if q else f'{p}/0'}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
         dn, dd = digits or (decimal_digits(abs(p)), decimal_digits(q))
         return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"

@@ -148,6 +148,7 @@ class TestInputErrors:
         # reuses those counts
         import harmonicpack.pack2d as pack2d
         monkeypatch.setattr(pack2d, "_MAX_DEPTH", 2000)
+        monkeypatch.setattr(pack2d, "_LADDERS", {})  # no ladder outlives the patch
         counted, digits = [], pack2d.decimal_digits
         monkeypatch.setattr(pack2d, "decimal_digits",
                             lambda n: counted.append(n) or digits(n))

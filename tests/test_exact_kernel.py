@@ -239,12 +239,14 @@ class Test2DDifferential:
     @given(RECTS, st.sampled_from(["hxb", "bxh"]))
     @settings(max_examples=40, deadline=None)
     def test_weight_totals_equal_per_rectangle_sum(self, sides, orientation):
-        # tail items are tiny widths and tail heights alike
+        # tail items are tiny widths and tail heights alike; a bxh run is
+        # charged for each rectangle turned
         table = builtin_shplus()
         wset = WeightFunctionSet(table)
         rects = [Item2D(w, h) for w, h in sides]
         run = packed(TensorRun(table, orientation, Fraction(1, 100)), rects)
-        assert run.weight_bounds(wset)[1:] == fraction_weight_totals(run, wset, rects)
+        charged = rects if orientation == "hxb" else [Item2D(h, w) for w, h in sides]
+        assert run.weight_bounds(wset)[1:] == fraction_weight_totals(run, wset, charged)
 
     def test_audit_and_weight_totals_build_no_fraction_per_slice(self, table, wset):
         # a tenth of the sides thin, down to 1e-6, on varying denominators

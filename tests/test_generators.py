@@ -146,6 +146,14 @@ def test_rectangle_copies_keep_its_pairs_as_written():
     assert it.transposed == (7, 14, 2, 4) and (it.w, it.h) == (Fraction(1, 2),) * 2
 
 
+@pytest.mark.parametrize("sides", [(True, "1/2"), ("1/2", True), (Fraction(1, 3), False)])
+def test_rectangle_refuses_a_bool_side(sides):
+    # True would read as the side 1: a bool is no number to parse_rational
+    flag = next(x for x in sides if isinstance(x, bool))
+    with pytest.raises(ValueError, match=f"^{flag} is not a number$"):
+        Item2D(*sides)
+
+
 # -- the chunked reader: plain chunks in bulk, every other chunk line by line
 
 def _as_written(pairs):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from harmonicpack import pack2d
 from harmonicpack.boundcert import build_f
 from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
-                                 pack_orientations, tensor_cost, validate_geometry, w2d)
+                                 tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
 from conftest import class_value, grid_sizes, move_column, packed
@@ -231,13 +232,12 @@ class TestSlicePacking:
             return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
 
         items = [Item2D(side(), side()) for _ in range(600)]
-        if orientation == "bxh":
-            items = [it.transposed for it in items]
         run = TensorRun(table, orientation, Fraction(1, 100))
-        charges = []  # (W_H(h), class value of w) per rectangle
+        charges = []  # (W_H(stacked side), class value of the sliced side)
         for n, it in enumerate(items, start=1):
             run.insert(it)
-            charges.append((w_h(it.h, run.hk), class_value(run, it.w)))
+            w, h = (it.w, it.h) if orientation == "hxb" else (it.h, it.w)
+            charges.append((w_h(h, run.hk), class_value(run, w)))
             if n in (1, 33, 300, 600):
                 totals = run.weight_bounds(wset)
                 for c in range(1, wset.num_cases + 1):
@@ -245,8 +245,8 @@ class TestSlicePacking:
                                             Fraction(0)), (n, c)
 
     def test_bxh_on_transposed_tuples_equals_swapped_items(self, table):
-        # pack_orientations turns each tuple without re-reading its sides; the
-        # bxh run equals one fed the rectangles built from the swapped sides
+        # a bxh run turns each tuple without re-reading its sides; it equals
+        # an hxb run fed the rectangles built from the swapped sides
         rng = random.Random(9)
 
         def side():
@@ -255,16 +255,17 @@ class TestSlicePacking:
             return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
 
         items = [Item2D(side(), side()) for _ in range(1500)]
-        (run,) = pack_orientations(items, table, ("bxh",), Fraction(1, 10000))
-        ref = packed(TensorRun(table, "bxh"), [Item2D(it.h, it.w) for it in items])
+        run = packed(TensorRun(table, "bxh"), items)
+        ref = packed(TensorRun(table, "hxb"), [Item2D(it.h, it.w) for it in items])
         assert len(run.slices) > 100 and run.slices == ref.slices
         assert run.cost == ref.cost
 
     def test_transpose_run_equals_swapped_items(self, table):
+        # the bxh run does the turning: fed the turned tuples, hxb packs alike
         items = grid_items(random.Random(8), 1500)
         a = packed(TensorRun(table, "hxb"), [it.transposed for it in items])
-        b = packed(TensorRun(table, "bxh"), [it.transposed for it in items])
-        assert a.cost == b.cost  # orientation tag does not change packing
+        b = packed(TensorRun(table, "bxh"), items)
+        assert a.cost == b.cost and a.slices == b.slices
 
     def test_rejects_bad_rectangle(self):
         with pytest.raises(ValueError):
@@ -413,14 +414,63 @@ class TestCombinedWeight:
 
 
 class TestTensorCost:
-    def test_orientations_share_one_grid(self, table):
-        # the ladder is grown once per instance, as deep as either side needs
+    def test_orientations_share_one_grid(self, table, monkeypatch):
+        # both orientations read one ladder, grown as deep as either side needs
+        monkeypatch.setattr(pack2d, "_LADDERS", {})  # no earlier run grew it
         items = [Item2D(Fraction(1, 10 ** 5), Fraction(1, 2)),
                  Item2D(Fraction(1, 2), Fraction(1, 10 ** 6))]
         _, hxb, bxh = tensor_cost(items, table)
         assert hxb.grid is bxh.grid
         m = class_of(hxb.grid, Fraction(1, 10 ** 6))  # the deeper side, in bxh
         assert len(hxb.grid._num) - 1 == 1 + 1024 * -(-m // 1024)
+
+    def test_calls_at_one_eps_and_d_share_a_ladder(self, table, monkeypatch):
+        # one ladder per (eps, d), kept between calls; a TinyGrid built
+        # directly is a fresh one
+        monkeypatch.setattr(pack2d, "_LADDERS", {})
+        d = Fraction(1, 100)
+        _, a, _ = tensor_cost([Item2D(Fraction(1, 10 ** 4), Fraction(1, 2))], table, d)
+        _, b, c = tensor_cost([Item2D(Fraction(1, 2), Fraction(1, 3))], table, d)
+        _, other, _ = tensor_cost([], table, Fraction(1, 1000))
+        assert a.grid is b.grid is c.grid and other.grid is not a.grid
+        assert len(a.grid._num) > 1024 and TinyGrid(table.eps, d) is not a.grid
+        assert pack2d._LADDERS == {(table.eps, d): a.grid,
+                                   (table.eps, Fraction(1, 1000)): other.grid}
+
+    def test_deeper_ladder_packs_the_same_slices(self, table, monkeypatch):
+        # a class does not depend on how far the shared ladder has grown: an
+        # instance packs to the same slices (x, width, rectangles) before and
+        # after a run grew the ladder more than twice as deep
+        monkeypatch.setattr(pack2d, "_LADDERS", {})
+        rng = random.Random(12)
+
+        def side():
+            if rng.random() < 0.3:
+                return Fraction(rng.randint(1, 1000), 10 ** rng.randint(4, 7))
+            return Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
+
+        items = [Item2D(side(), side()) for _ in range(800)]
+        _, hxb, bxh = tensor_cost(items, table)
+        shallow = len(hxb.grid._num)
+        packed(TensorRun(table), [Item2D(Fraction(1, 10 ** 15), Fraction(1, 2))])
+        assert len(hxb.grid._num) > 2 * shallow
+        _, hxb2, bxh2 = tensor_cost(items, table)
+        assert hxb2.grid is hxb.grid
+        assert hxb2.slices == hxb.slices and bxh2.slices == bxh.slices
+
+    def test_bxh_run_equals_hxb_run_of_transposed_instance(self, table):
+        # each orientation of an instance packs, slice for slice, as the
+        # other one of the instance with every rectangle turned
+        rng = random.Random(13)
+        items = [Item2D(Fraction(rng.randint(1, 1000), 10 ** rng.randint(3, 6)),
+                        Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
+                 for _ in range(1200)]
+        tc, hxb, bxh = tensor_cost(items, table)
+        turned, thxb, tbxh = tensor_cost([Item2D(it.h, it.w) for it in items], table)
+        assert len(bxh.slices) > 100 and bxh.slices == thxb.slices
+        assert hxb.slices == tbxh.slices
+        assert (tc.cost_hxb, tc.cost_bxh, tc.avg) == (turned.cost_bxh, turned.cost_hxb,
+                                                      turned.avg)
 
     def test_empty(self, table):
         tc, _, _ = tensor_cost([], table)

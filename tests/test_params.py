@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import harmonic_table
-from harmonicpack.pack2d import TensorRun
+from harmonicpack.generators import Item2D
+from harmonicpack.harmonic import harmonic_type
+from harmonicpack.pack2d import TensorRun, TinyGrid
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
                                  parse_pair, parse_rational, validate)
 
@@ -181,6 +183,16 @@ class TestMalformedTables:
         assert _read_and_validate(50) == [
             "parameter table: argument of type 'int' is not iterable"]
 
+    @pytest.mark.parametrize("key,pos", [("t", 0), ("t", 20), ("alpha", 0),
+                                         ("alpha", 10), ("Delta", 0)])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rational_refused(self, table, key, pos, flag):
+        # JSON true/false would read as 1 and 0: as t[1], alpha[1] and
+        # Delta[0] of the built-in table, whose values they are
+        data = json.loads(table.dumps())
+        data[key][pos] = flag
+        assert _read_and_validate(data) == [f"{flag} is not a number"]
+
 
 class TestClassify:
     @pytest.mark.parametrize("size,want", [
@@ -234,6 +246,8 @@ class TestSerialization:
 def _fraction_reader(x):
     """The reference reader: a number as itself, everything else through
     Fraction's own string parser."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is not a number")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     try:
@@ -285,6 +299,23 @@ class TestParseRational:
     def test_zero_denominator_message(self):
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
             parse_rational("1/0")
+
+
+@pytest.mark.parametrize("call,want", [
+    (lambda t: Item2D.from_pairs((1, 2), (1, 0)), "rectangle 1/2 x 1/0 outside (0,1]^2"),
+    (lambda t: Item2D.from_pairs((1, 2), (0, 0)), "rectangle 1/2 x 0/0 outside (0,1]^2"),
+    (lambda t: t.classify(1, 0), "item size 1/0 outside (0, 1]"),
+    (lambda t: harmonic_type(1, 0, 38), "item size 1/0 outside (0, 1]"),
+    (lambda t: TinyGrid(t.eps, Fraction(1, 10000)).class_of(1, 0, "height"),
+     "height 1/0 outside the tiny range (0, 1/38]"),
+], ids=["rectangle-height", "rectangle-zero-height", "classify", "harmonic-type",
+        "tiny-grid"])
+def test_zero_denominator_pair_names_its_side(table, call, want):
+    # a pair with q = 0 breaks the q > 0 contract of these entry points; each
+    # refuses it with one line, not with Fraction's ZeroDivisionError
+    with pytest.raises(ValueError) as exc:
+        call(table)
+    assert str(exc.value) == want
 
 
 def _check_pair(x):

@@ -117,6 +117,51 @@ def test_rational_tokens_have_one_reader():
     assert sorted(where) == ["params.parse_pair"]
 
 
+def _homes(pick) -> list:
+    """Where the syntax nodes ``pick`` accepts lie in the package: the
+    innermost def holding each, as "module.Class.function", or "module:line"
+    outside every def; sorted, each once."""
+    found = set()
+
+    def visit(node, scope, in_def):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}",
+                      in_def or not isinstance(child, ast.ClassDef))
+                continue
+            if pick(child):
+                found.add(scope if in_def else f"{scope}:{child.lineno}")
+            visit(child, scope, in_def)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+              path.stem, False)
+    return sorted(found)
+
+
+def test_ladders_have_one_home():
+    # the tiny-width ladder depends on (eps, d) alone: the per-(eps, d) store
+    # in TensorRun.__init__ alone builds a TinyGrid and sets a run's grid
+    # (by assignment, deletion or setattr), and a "bxh" run turns its own
+    # rectangles, so TensorRun.insert alone reads .transposed
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def sets_grid(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "grid"
+                and not isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Call) and name(node.func) in ("setattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "grid"
+                        for a in node.args))
+
+    store = ["pack2d.TensorRun.__init__"]
+    assert _homes(lambda node: isinstance(node, ast.Call)
+                  and name(node.func) == "TinyGrid") == store
+    assert _homes(sets_grid) == store
+    assert _homes(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "transposed") == ["pack2d.TensorRun.insert"]
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()

@@ -35,12 +35,13 @@ def partly_filled(st) -> Counter:
     return part
 
 
-class OracleShState(ShState):
+class OracleShState:
     """SH+ as it placed items before the cascade moved to a per-type plan, the
     oracle of that rewrite: each item goes through a colour helper and an add
-    helper, and each conversion scan compares the table's Fractions.  A trace
-    row is built by the oracle's own rule; the bins, census and small mass
-    are read by ShState's methods."""
+    helper, and each conversion scan compares the table's Fractions.  Nothing
+    is inherited from ShState: the trace rows, the census (counted from a list
+    of each bin's group) and the small mass (summed from a list of the tail
+    sizes) are built by the oracle's own rules."""
 
     def __init__(self, table, keep_trace=False):
         self.table = table
@@ -59,6 +60,41 @@ class OracleShState(ShState):
         self._red_space = [None] + [table.gamma[i] * table.t[i] for i in range(1, k + 1)]
         self._convertible_blue = [i for i in range(1, k + 1) if table.phi[i] > 0]
         self._red_types = [i for i in range(1, k + 1) if table.alpha[i] > 0]
+        self._tail_sizes = []
+
+    def _open_bin(self):
+        self.bins.append(superharmonic.Bin(len(self.bins)))
+        return self.bins[-1]
+
+    @property
+    def cost(self):
+        return len(self.bins)
+
+    @property
+    def small_mass(self):
+        return sum(self._tail_sizes, Fraction(0))
+
+    def group_census(self):
+        groups = Counter()  # (kind, type or type pair) per bin
+        for b in self.bins:
+            if b.blue_type is None:
+                groups["nf" if b.red_type is None else "red", b.red_type] += 1
+            elif b.red_type is not None:
+                groups["pair", (b.blue_type, b.red_type)] += 1
+            else:
+                groups["indet" if self.table.phi[b.blue_type] else "only", b.blue_type] += 1
+
+        def part(kind):
+            return {key: n for (k, key), n in groups.items() if k == kind}
+
+        return superharmonic.GroupCensus(
+            blue_only=part("only"), blue_indet=part("indet"), red_indet=part("red"),
+            pairs=part("pair"), nf_bins=groups["nf", None], cost=self.cost)
+
+    def pack(self, sizes):
+        for s in sizes:
+            self.insert(*s.as_integer_ratio())
+        return self
 
     def _trace_row(self, size, i, color, b):
         # the item opened b exactly when it is all that b holds
@@ -115,6 +151,7 @@ class OracleShState(ShState):
             b = self._nf_bin = self._open_bin()
         b.blue_count += 1
         b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
+        self._tail_sizes.append(Fraction(p, q))
         return b
 
     def _insert_red(self, i, p, q):
@@ -595,12 +632,10 @@ class TestAgainstOracle:
         # bins and to their red counts break every rule; both audits must
         # name the same violations
         rng = random.Random(seed)
-        sizes = size_stream(table, "uniform", 1000, seed) + size_stream(
-            table, "small", 1000, seed)
-        st, oracle = ShState(table), OracleShState(table)
-        for p, q in sizes:
-            st.insert(p, q)
-            oracle.insert(p, q)
+        sizes = [Fraction(p, q) for p, q in size_stream(table, "uniform", 1000, seed)
+                 + size_stream(table, "small", 1000, seed)]
+        st, oracle = ShState(table).pack(sizes), OracleShState(table).pack(sizes)
+        assert st.group_census() == oracle.group_census()
         assert st.check_feasibility() == oracle.check_feasibility() == []
         for _ in range(300):
             bid, fields = rng.randrange(len(st.bins)), bin_edit(rng, table)
