@@ -1,14 +1,14 @@
 """2D online bin packing by slicing: Harmonic on one axis, Super-Harmonic on
 the other, and the fair-coin average of the two orientations.
 
-A rectangle is first rounded up in its width coordinate to a slice class:
-widths above eps round to the type breakpoint t[i] of their interval, and
-widths at or below eps round to a geometric grid eps*(1-d)^m for a small
-d > 0.  Items of one class are stacked on top of each other into slices
-(width = class value, height 1) by a per-class Harmonic packer over the
-height coordinate; whenever a class needs a fresh slice, the slice is
-allocated inside a real bin by one 1D Super-Harmonic run, common to all
-classes, that treats the slice as an item of size equal to the class value.
+A rectangle is first rounded up in its width coordinate to a slice class,
+one integer c: a width above eps is class c = i and rounds to the breakpoint
+t[i] of its type i, and a width at or below eps is class c = k+1+m and rounds
+to the step eps*(1-d)^m of a geometric grid, for a small d > 0.  Items of one
+class are stacked into slices (width = class value, height 1) by a per-class
+Harmonic packer over the height coordinate.  A class that needs a fresh slice
+reads its value, and one 1D Super-Harmonic run, common to all classes, places
+the slice in a real bin as an item of that size and of type min(c, k+1).
 
 Geometry inside a bin: blue slices of the bin's 1D type i sit side by side
 from the left edge (offsets 0, t[i], 2 t[i], ...), red slices fill the
@@ -147,7 +147,7 @@ class TinyGrid:
         return lo - 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Slice:
     sid: int
     bin_id: int
@@ -179,20 +179,27 @@ class TensorRun:
         key = (table.eps, Fraction(delta))
         self.grid = _LADDERS.get(key) or _LADDERS.setdefault(key, TinyGrid(*key))
         self._t = [None, *(t.as_integer_ratio() for t in table.t[1:table.k + 1])]
+        self._side = "height" if orientation == "bxh" else "width"
         self.slices: list = []
-        self._open: dict = {}  # (class key, height type) -> Slice
+        self._open: dict = {}  # class id * (hk+1) + height type -> Slice
 
     @property
     def cost(self) -> int:
         return self.inner.cost
 
-    def width_class(self, p: int, q: int):
-        """(class key, class value as an integer pair) of the width p/q."""
+    def _class_id(self, p: int, q: int) -> int:
+        """The width class of p/q: its type i <= k, or k+1+m at ladder step m."""
         i = self.table.classify(p, q)
-        if i <= self.table.k:
-            return ("t", i), self._t[i]
-        m = self.grid.class_of(p, q, "height" if self.orientation == "bxh" else "width")
-        return ("e", m), self.grid.value(m)
+        return i if i <= self.table.k else i + self.grid.class_of(p, q, self._side)
+
+    def _class_value(self, c: int) -> tuple:
+        """The value of width class c as an integer pair."""
+        return self._t[c] if c <= self.table.k else self.grid.value(c - self.table.k - 1)
+
+    def width_class(self, p: int, q: int):
+        """(class id, class value as an integer pair) of the width p/q."""
+        c = self._class_id(p, q)
+        return c, self._class_value(c)
 
     def _slice_x(self, b: Bin, width_type: int, wn: int, wd: int) -> tuple:
         """(x_num, w_num, den) of a new slice of width wn/wd in ``b`` from b's
@@ -207,24 +214,32 @@ class TensorRun:
         return b.red_den - b.red_num, wn * f, b.red_den
 
     def insert(self, item: Item2D) -> Slice:
-        """Stack ``item``, turned in a "bxh" run, on its slice; return the slice."""
+        """Stack ``item``, turned in a "bxh" run, on its slice; return the slice.
+        Only a slice that opens reads its class value and tells SH+ its type."""
         if self.orientation == "bxh":
             item = item.transposed
         wn, wd, hn, hd = item
-        key, (vn, vd) = self.width_class(wn, wd)
-        ht = harmonic_type(hn, hd, self.hk)
-        slot = (key, ht)
+        c = self._class_id(wn, wd)
+        hk = self.hk
+        ht = harmonic_type(hn, hd, hk)
+        slot = c * (hk + 1) + ht
         sl = self._open.get(slot)
-        if sl is None or (len(sl.items) >= ht if ht < self.hk
+        if sl is None or (len(sl.items) >= ht if ht < hk
                           else sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd):
-            b = self.inner.insert(vn, vd)
-            width_type = key[1] if key[0] == "t" else self.table.k + 1
+            vn, vd = self._class_value(c)
+            width_type = min(c, self.table.k + 1)
+            b = self.inner.insert(vn, vd, width_type)
             sl = Slice(len(self.slices), b.bid, *self._slice_x(b, width_type, vn, vd),
-                       width_type=width_type, height_type=ht)
+                       width_type, ht, hn, hd, [item])  # its stack: the item alone
             self.slices.append(sl)
             self._open[slot] = sl
+            return sl
         sl.items.append(item)
-        sl.fill_num, sl.fill_den = exact_add(sl.fill_num, sl.fill_den, hn, hd)
+        num, den = sl.fill_num, sl.fill_den  # exact_add, in line
+        if den % hd:
+            m = lcm(den, hd)
+            num, den = num * (m // den), m
+        sl.fill_num, sl.fill_den = num + hn * (den // hd), den
         return sl
 
     def weight_bounds(self, wset: WeightFunctionSet) -> list:

@@ -33,6 +33,7 @@ the one used by the 2D slice packer and the ratio certifier.
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,7 +89,8 @@ def named(p: int, q: int, side: str, digits=None) -> str:
         return f"{side} {Fraction(p, q) if q else f'{p}/0'}"
     except ValueError:  # beyond sys.get_int_max_str_digits()
         dn, dd = digits or (decimal_digits(abs(p)), decimal_digits(q))
-        return f"{side} with a {dn}-digit numerator and a {dd}-digit denominator"
+        return (f"{side} with a {dn}-digit numerator and "
+                + (f"a {dd}-digit denominator" if q else "denominator 0"))
 
 
 def exact_add(num: int, den: int, p: int, q: int) -> tuple:
@@ -212,12 +214,14 @@ class ParamTable:
             if missing:
                 raise ValueError(f"parameter table has no {missing!r}")
             k = _json_int(data["k"], "k")
-            t = [parse_rational(x) for x in data["t"]]
+            t = [_json_rational(x, f"t[{i}]") for i, x in enumerate(data["t"], 1)]
             if len(t) == k + 1:  # trailing 0 may be omitted
                 t.append(Fraction(0))
             table = cls(k=k, K=_json_int(data["K"], "K"), t=(None, *t),
-                        alpha=(None, *map(parse_rational, data["alpha"])),
-                        Delta=tuple(map(parse_rational, data["Delta"])),
+                        alpha=(None, *(_json_rational(x, f"alpha[{i}]")
+                                       for i, x in enumerate(data["alpha"], 1))),
+                        Delta=tuple(_json_rational(x, f"Delta[{j}]")
+                                    for j, x in enumerate(data["Delta"])),
                         phi=(None, *(_json_int(x, f"phi[{i}]")
                                      for i, x in enumerate(data["phi"], 1))))
             for name in ("beta", "varphi", "gamma"):
@@ -231,6 +235,15 @@ class ParamTable:
         except TypeError as exc:  # a number where a dict or list belongs, or a null
             raise ValueError(f"parameter table: {exc}") from None
         return table
+
+
+def _json_rational(x, where: str) -> Fraction:
+    """``parse_rational(x)``, with its ValueError naming ``where`` and x, cut
+    short if long."""
+    try:
+        return parse_rational(x)
+    except ValueError as exc:
+        raise ValueError(f"{where} = {reprlib.repr(x)}: {exc}") from None
 
 
 def _json_int(x, where: str) -> int:

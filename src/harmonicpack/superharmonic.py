@@ -179,10 +179,12 @@ class ShState:
 
     # -- the cascade ---------------------------------------------------------
 
-    def insert(self, p: int, q: int) -> Bin:
+    def insert(self, p: int, q: int, i: Optional[int] = None) -> Bin:
         """Place one item of size p/q (q > 0, not necessarily in lowest terms)
-        and return the bin it went into."""
-        i = self.table.classify(p, q)
+        and return the bin it went into.  ``i``, if given, is its type, as
+        ``classify(p, q)`` gives it; a caller that knows the type skips it."""
+        if i is None:
+            i = self.table.classify(p, q)
         plan = self._plan[i]
         if plan is None:
             color = "tiny"

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import random
@@ -14,7 +15,8 @@ from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import class_value, grid_sizes, move_column, packed
+from conftest import class_value, grid_sizes, harmonic_table, move_column, packed
+from test_superharmonic import OracleShState
 
 
 def grid_items(rng, n):
@@ -62,12 +64,28 @@ class TestWidthClasses:
     def test_large_width_rounds_to_breakpoint(self, table):
         run = TensorRun(table)
         key, val = run.width_class(7, 10)
-        assert key == ("t", 2) and val == (353, 500)
+        assert key == 2 and val == (353, 500)
 
     def test_breakpoint_width_is_its_own_class(self, table):
         run = TensorRun(table)
         key, val = run.width_class(5, 10)
-        assert key == ("t", 8) and val == (1, 2)
+        assert key == 8 and val == (1, 2)
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 100), Fraction(1, 10000),
+                                       Fraction(49, 100)])
+    @pytest.mark.parametrize("name", ["builtin", "harmonic7"])
+    def test_sh_type_of_a_class_is_its_classified_type(self, table, name, delta):
+        # a slice that opens hands the SH+ run the type c of a breakpoint class
+        # and k+1 of a tiny one, and the run skips classify: each must be the
+        # type classify gives the class value, which is its own class
+        table = table if name == "builtin" else harmonic_table(7)
+        run, k = TensorRun(table, "hxb", delta), table.k
+        for c in range(1, k + 1):
+            v = table.t[c].as_integer_ratio()
+            assert run.width_class(*v) == (c, v) and table.classify(*v) == c
+        for m in [0, 1, 2, *random.Random(4).sample(range(3, 20000), 40)]:
+            v = run.grid.value(m)
+            assert run.width_class(*v) == (k + 1 + m, v) and table.classify(*v) == k + 1
 
     def test_tiny_class_defining_inequality(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))
@@ -270,6 +288,111 @@ class TestSlicePacking:
     def test_rejects_bad_rectangle(self):
         with pytest.raises(ValueError):
             Item2D(Fraction(0), Fraction(1, 2))
+
+
+_ORACLE_LADDERS: dict = {}  # (eps, d) -> (reference ladder values so far, the rest)
+
+
+def _reference_step(eps, delta, w):
+    """(m, L[m]) for the m with L[m+1] < w <= L[m] on the reference ladder L
+    of (eps, d)."""
+    values, rest = _ORACLE_LADDERS.setdefault((eps, delta),
+                                              ([], _reference_ladder(eps, delta)))
+    while not values or values[-1] >= w:
+        values.append(next(rest))
+    m = bisect.bisect_right(values, -w, key=lambda v: -v) - 1
+    return m, values[m]
+
+
+class OracleTensorRun:
+    """The slice packer as the pack2d docstring states it, on Fractions.  A
+    width above eps rounds up to the breakpoint t[i] of its interval, and a
+    smaller one to its step of the reference ladder.  Each (width class, height
+    type) keeps one open slice: it takes ht items of height type ht < 1/eps,
+    and tail heights while their stack stays at most 1.  A new slice goes to
+    OracleShState as an item of its class value; blue and tiny slices sit left
+    to right from x = 0, red ones leftwards from x = 1.  A "bxh" run swaps
+    each rectangle's sides.  Nothing is inherited from TensorRun."""
+
+    def __init__(self, table, orientation, delta):
+        self.table, self.delta, self.turn = table, delta, orientation == "bxh"
+        self.hk = int(1 / table.eps)
+        self.sh = OracleShState(table, keep_trace=True)
+        self.open = {}  # (width class, height type) -> slice
+        self.slices = []  # [sid, bin id, x, width, [(w, h), ...]]
+
+    def width_class(self, w):
+        t, k = self.table.t, self.table.k
+        if w > t[k + 1]:
+            i = next(i for i in range(k, 0, -1) if w <= t[i])
+            return ("t", i), t[i]
+        m, v = _reference_step(t[k + 1], self.delta, w)
+        return ("e", m), v
+
+    def insert(self, w, h):
+        """(sid, bin id, x, width) of the slice the rectangle w x h joins."""
+        if self.turn:
+            w, h = h, w
+        key, v = self.width_class(w)
+        ht = min(int(1 / h), self.hk)  # 1/(ht+1) < h <= 1/ht
+        sl = self.open.get((key, ht))
+        if sl is None or (len(sl[4]) == ht if ht < self.hk
+                          else sum(y for _, y in sl[4]) + h > 1):
+            b = self.sh.insert(*v.as_integer_ratio())
+            if self.sh.trace[-1].color == "red":
+                x = 1 - Fraction(b.red_num, b.red_den)
+            else:
+                x = Fraction(b.blue_num, b.blue_den) - v
+            sl = self.open[key, ht] = [len(self.slices), b.bid, x, v, []]
+            self.slices.append(sl)
+        sl[4].append((w, h))
+        return tuple(sl[:4])
+
+
+def oracle_rects(kind, low, eps, n, seed):
+    """n seeded rectangles as side pairs: "uniform" sides on the 10^-8 grid of
+    [low, 1]; "thin" as uniform, but every other rectangle has one side, by
+    coin, log-uniform on [low, eps]; "unreduced" the thin pairs times 3."""
+    if kind == "unreduced":
+        return [((3 * a, 3 * b), (3 * c, 3 * d))
+                for (a, b), (c, d) in oracle_rects("thin", low, eps, n, seed)]
+    rng, den = random.Random(f"{kind}/{seed}"), 10 ** 8
+    lo = math.ceil(low * den)
+
+    def side():
+        return rng.randint(lo, den), den
+
+    out = []
+    for pos in range(n):
+        w, h = side(), side()
+        if kind == "thin" and pos % 2:
+            thin = max(lo, round(math.exp(rng.uniform(math.log(low), math.log(eps))) * den))
+            w, h = ((thin, den), h) if rng.random() < 0.5 else (w, (thin, den))
+        out.append((w, h))
+    return out
+
+
+class TestPlacementOracle:
+    @pytest.mark.parametrize("orientation", ["hxb", "bxh"])
+    @pytest.mark.parametrize("kind", ["uniform", "thin", "unreduced"])
+    @pytest.mark.parametrize("delta,low", [(Fraction(1, 100), 1e-6),
+                                           (Fraction(1, 10000), 1e-4)],
+                             ids=["d-1/100", "d-1/10000"])
+    @pytest.mark.parametrize("name", ["builtin", "harmonic7", "harmonic38"])
+    def test_placements_equal_the_oracle(self, table, name, delta, low, kind,
+                                         orientation):
+        table = table if name == "builtin" else harmonic_table(int(name[8:]))
+        rects = oracle_rects(kind, low, table.eps, 250, 1)
+        run = TensorRun(table, orientation, delta)
+        oracle = OracleTensorRun(table, orientation, delta)
+        for pos, (w, h) in enumerate(rects):
+            sl = run.insert(Item2D.from_pairs(w, h))
+            got = sl.sid, sl.bin_id, Fraction(sl.x_num, sl.den), Fraction(sl.w_num, sl.den)
+            assert got == oracle.insert(Fraction(*w), Fraction(*h)), pos
+        assert [[(Fraction(wp, wq), Fraction(hp, hq)) for wp, wq, hp, hq in sl.items]
+                for sl in run.slices] == [sl[4] for sl in oracle.slices]
+        assert run.cost == oracle.sh.cost
+        assert any(w <= table.eps for sl in oracle.slices for w, _ in sl[4])
 
 
 class TestGeometry:

@@ -170,14 +170,29 @@ class TestMalformedTables:
         (lambda d: d["beta"].__setitem__(0, True), "beta[1] = True is not an integer"),
         (lambda d: d["varphi"].__setitem__(8, 1.0), "varphi[9] = 1.0 is not an integer"),
         (lambda d: d["gamma"].__setitem__(9, "1"), "gamma[10] = '1' is not an integer"),
+        # an entry of t, alpha or Delta that is no rational is named as well
+        (lambda d: d["t"].__setitem__(3, "abc"),
+         "t[4] = 'abc': Invalid literal for Fraction: 'abc'"),
+        (lambda d: d["t"].__setitem__(50, "1/0"), "t[51] = '1/0': zero denominator in '1/0'"),
+        (lambda d: d["alpha"].__setitem__(8, None),
+         "alpha[9] = None: Invalid literal for Fraction: 'None'"),
+        (lambda d: d["Delta"].__setitem__(6, [1]),
+         "Delta[6] = [1]: Invalid literal for Fraction: '[1]'"),
     ], ids=["phi-above-K", "phi-negative", "t-zero", "eps-negative", "no-alpha", "no-k",
             "short-beta", "short-alpha", "short-phi", "short-Delta", "negative-K",
             "null-phi", "number-Delta", "red-type-fits-no-space", "float-phi", "bool-phi",
-            "float-k", "float-K", "bool-beta", "float-varphi", "string-gamma"])
+            "float-k", "float-K", "bool-beta", "float-varphi", "string-gamma",
+            "string-t", "zero-denominator-eps", "null-alpha", "list-Delta"])
     def test_one_line_each(self, table, edit, want):
         data = table.to_json_dict()
         edit(data)
         assert want in _read_and_validate(data)
+
+    def test_long_entry_is_cut_short(self, table):
+        data = table.to_json_dict()
+        data["t"][3] = "7" * 5000  # past int()'s digit limit
+        [msg] = _read_and_validate(data)
+        assert msg.startswith("t[4] = '777777777777...7777777777777': ") and len(msg) < 300
 
     def test_not_a_dict(self):
         assert _read_and_validate(50) == [
@@ -191,7 +206,8 @@ class TestMalformedTables:
         # Delta[0] of the built-in table, whose values they are
         data = json.loads(table.dumps())
         data[key][pos] = flag
-        assert _read_and_validate(data) == [f"{flag} is not a number"]
+        entry = f"{key}[{pos if key == 'Delta' else pos + 1}]"
+        assert _read_and_validate(data) == [f"{entry} = {flag}: {flag} is not a number"]
 
 
 class TestClassify:
@@ -308,8 +324,17 @@ class TestParseRational:
     (lambda t: harmonic_type(1, 0, 38), "item size 1/0 outside (0, 1]"),
     (lambda t: TinyGrid(t.eps, Fraction(1, 10000)).class_of(1, 0, "height"),
      "height 1/0 outside the tiny range (0, 1/38]"),
+    # str() refuses a 5001-digit numerator: the sides are named by digit counts
+    (lambda t: t.classify(10 ** 5000, 0),
+     "item size with a 5001-digit numerator and denominator 0 outside (0, 1]"),
+    (lambda t: harmonic_type(10 ** 5000, 0, 38),
+     "item size with a 5001-digit numerator and denominator 0 outside (0, 1]"),
+    (lambda t: TinyGrid(t.eps, Fraction(1, 10000)).class_of(10 ** 5000, 0),
+     "width with a 5001-digit numerator and denominator 0 outside the tiny range "
+     "(0, 1/38]"),
 ], ids=["rectangle-height", "rectangle-zero-height", "classify", "harmonic-type",
-        "tiny-grid"])
+        "tiny-grid", "classify-long-numerator", "harmonic-type-long-numerator",
+        "tiny-grid-long-numerator"])
 def test_zero_denominator_pair_names_its_side(table, call, want):
     # a pair with q = 0 breaks the q > 0 contract of these entry points; each
     # refuses it with one line, not with Fraction's ZeroDivisionError

@@ -626,6 +626,18 @@ class TestAgainstOracle:
         assert st.small_mass == oracle.small_mass
         assert st.check_feasibility() == oracle.check_feasibility() == []
 
+    @pytest.mark.parametrize("kind", ["uniform", "small", "on-breakpoint", "unreduced"])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_given_type_packs_as_classified(self, table, name, kind):
+        # the 2D packer hands each slice's type to insert, which then skips
+        # classify; the given type must place exactly as the classified one
+        table = table if TABLES[name] is None else harmonic_table(TABLES[name])
+        st, given = ShState(table, keep_trace=True), ShState(table, keep_trace=True)
+        for n, (p, q) in enumerate(size_stream(table, kind, 800, 5)):
+            assert st.insert(p, q).bid == given.insert(p, q, table.classify(p, q)).bid, n
+        assert st.trace == given.trace
+        assert list(map(bin_state, st.bins)) == list(map(bin_state, given.bins))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_audit_of_edited_bins_equals_the_oracle(self, table, seed):
         # the same seeded edits to the types, counts and sums of both runs'
