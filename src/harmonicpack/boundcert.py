@@ -14,10 +14,10 @@ constraint alone cannot express.
 
 Two independent maximizers are provided:
 
-  * :func:`pattern_max` -- best-first depth-first branch and bound whose
-    node bound is the greedy fractional relaxation (density order, caps
-    only).  Sizes and gains are scaled to common integer grids, so the
-    search is exact and runs on integers alone.
+  * :func:`pattern_max` -- best-first depth-first branch and bound, a loop
+    over an explicit stack, whose node bound is the greedy fractional
+    relaxation (density order, caps only).  Sizes and gains are scaled to
+    common integer grids, so the search is exact and runs on integers alone.
   * :func:`brute_force_max` -- plain exhaustive enumeration, usable on
     truncated models (at most 15 types); kept free of the ordering and
     pruning machinery so it can serve as an independent oracle.
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 from typing import Optional
 
 from .params import ParamTable, builtin_shplus, on_one_denominator, parse_rational
@@ -151,7 +151,8 @@ def build_g(case_i: int, case_j: int, f: PiecewiseFn,
     (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
     y-interval n, and (1/2, 1/2) for a tail y, whose linear slopes cancel.
     Only the vertices of the points' upper-right hull, built once, can win.
-    Points and dot products are integers, and so are g's values, over 2*D*D*M.
+    Points and dot products are integers over 2*D*D*M; g keeps them divided
+    by their common gcd, on its reduced denominator.
     """
     D, F, h, w = wset.den, f.den, wset.height, wset.rows
     fv = f.nums[1:len(h)]
@@ -163,8 +164,7 @@ def build_g(case_i: int, case_j: int, f: PiecewiseFn,
     scale = [F * (M // u) for u in fv]
     hull = _upper_right_hull([(D * M, D * M)] + [
         (b * s, hn * s) for b, hn, s in zip(w[case_i][1:], h[1:], scale)])
-    nums = (None, *(max(hm * x + b * y for x, y in hull)
-                    for hm, b in zip(h[1:], w[case_j][1:])))
+    nums = [max(hm * x + b * y for x, y in hull) for hm, b in zip(h[1:], w[case_j][1:])]
     slope = wset.tail_slope
     if tail_mode == "exact":
         # tail x: W_H(x) = W^j(x) = x/(1-eps), the direction (1, 1)
@@ -172,7 +172,9 @@ def build_g(case_i: int, case_j: int, f: PiecewiseFn,
                          slope.denominator * 2 * D * M)
     elif tail_mode != "paper-compat":
         raise ValueError(f"unknown tail_mode {tail_mode!r}")
-    return PiecewiseFn(nums=nums, den=2 * D * D * M, tail_slope=slope)
+    c = gcd(2 * D * D * M, *nums)
+    return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=2 * D * D * M // c,
+                       tail_slope=slope)
 
 
 # -- the integer pattern model ----------------------------------------------
@@ -227,6 +229,35 @@ class PatternModel:
             _, (rhs, *coeffs) = on_one_denominator((cut.rhs, *(c for _, c in cut.coeffs)))
             rows.append((rhs, tuple(zip(cut.support, coeffs))))
         return (None, *S), CAP, G, rows
+
+    @cached_property
+    def solver(self) -> tuple:
+        """(caps, var_rows, dens) for :func:`pattern_max`, per type m: its cap
+        min(caps[m], CAP // S[m]), the (row, coeff) pairs of the grid's rows it
+        is in, and P // S[m] for one common multiple P of all sizes S."""
+        (_, *S), CAP, _, rows = self.grid
+        var_rows = [[] for _ in S]
+        for ci, (_, coeffs) in enumerate(rows):
+            for m, c in coeffs:
+                if m <= len(S):
+                    var_rows[m - 1].append((ci, c))
+        P = lcm(*S)
+        return ((None, *(min(c, CAP // s) for c, s in zip(self.caps[1:], S))),
+                (None, *var_rows), (None, *(P // s for s in S)))
+
+    @cached_property
+    def strict(self) -> "PatternModel":
+        """The genuine patterns of the model's types, built once.
+
+        Genuine items lie strictly above their types' infimum sizes, so on the
+        model's integer grid a genuine pattern fits one grid unit below the
+        capacity: capacity ``(CAP-1)/G``, caps ``(CAP-1)//S[m]`` and no
+        constraints.
+        """
+        S, CAP, G, _ = self.grid
+        return PatternModel(sizes=self.sizes, constraints=(),
+                            caps=(None, *((CAP - 1) // s for s in S[1:])),
+                            capacity=Fraction(CAP - 1, G))
 
 
 # groups of the built-in 50-type model whose items share one published cap;
@@ -302,32 +333,27 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     as branching follows a fixed order), multiplied through by the size of
     its fractional variable.  Every comparison, the density sort's too, is the
     rational one times a positive integer: the argmax and its ties are unchanged.
+    The search loops over a stack of (idx, rem, obj) frames, one per node with
+    children left, its branch value in x[idx], on :attr:`PatternModel.solver`.
     """
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
     R = fn.tail_slope
     S, CAP, G, rows = model.grid
+    mcaps, mrows, dens = model.solver
     # gain of type m: values[m] - sizes[m]*R = (nums[m]*(L/den) - S[m]*r) / L,
     # where R/G = r/L
     L = lcm(fn.den, R.denominator * G)
     r, per = R.numerator * (L // (R.denominator * G)), L // fn.den
     gains = {m: fn.nums[m] * per - S[m] * r for m in range(1, model.ntypes + 1)}
-    cand = [m for m in gains if gains[m] > 0 and S[m] <= CAP]
-    # density order, ties broken by type index: gain/size is gain*(P/size)/P
-    P = lcm(*(S[m] for m in cand))
-    cand.sort(key=lambda m: (-gains[m] * (P // S[m]), m))
+    # density order, ties broken by type index: gain/size is gain*dens[m]/P
+    cand = [m for _, m in sorted((-g * dens[m], m) for m, g in gains.items()
+                                 if g > 0 and S[m] <= CAP)]
     ncand = len(cand)
-    caps = [min(model.caps[m], CAP // S[m]) for m in cand]
+    caps = [mcaps[m] for m in cand]
     sizes = [S[m] for m in cand]
     gain = [gains[m] for m in cand]
-
-    # the constraint rows each candidate variable appears in
-    var_cons = [[] for _ in range(ncand)]
-    pos_of = {m: t for t, m in enumerate(cand)}
-    for ci, (_, coeffs) in enumerate(rows):
-        for m, c in coeffs:
-            if m in pos_of:
-                var_cons[pos_of[m]].append((ci, c))
+    var_cons = [mrows[m] for m in cand]  # the constraint rows of each candidate
 
     # prefix sums over candidate order for the greedy bound
     PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
@@ -337,38 +363,47 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     best_pat: dict = {}
     x = [0] * ncand
     slack = [rhs for rhs, _ in rows]
-
-    def rec(idx: int, rem: int, obj: int):
-        nonlocal best_val, best_pat
+    stack = []  # (idx, rem, obj) of each node with children left
+    idx, rem, obj = 0, CAP, 0
+    while True:
+        # visit the node x[:idx], with rem capacity left and gain obj
         if obj > best_val:
             best_val = obj
             best_pat = {cand[t]: x[t] for t in range(idx) if x[t]}
-        if idx == ncand:
-            return
-        # prune when the greedy bound cannot beat best_val: candidates
-        # idx..p-1 at their caps and p fractional fill the remaining capacity
-        budget = PS[idx] + rem
-        p = bisect_right(PS, budget) - 1
-        if p >= ncand:
-            if obj + PW[ncand] - PW[idx] <= best_val:
-                return
-        elif (obj + PW[p] - PW[idx] - best_val) * sizes[p] + (budget - PS[p]) * gain[p] <= 0:
-            return
-        vmax = min(caps[idx], rem // sizes[idx])
+        if idx < ncand:
+            # prune when the greedy bound cannot beat best_val: candidates
+            # idx..p-1 at their caps and p fractional fill the remaining capacity
+            budget = PS[idx] + rem
+            p = bisect_right(PS, budget) - 1
+            if p >= ncand:
+                keep = obj + PW[ncand] - PW[idx] > best_val
+            else:
+                keep = (obj + PW[p] - PW[idx] - best_val) * sizes[p] \
+                    + (budget - PS[p]) * gain[p] > 0
+            if keep:
+                # branch on x[idx] = vmax, ..., 0; the node with vmax = 0 has
+                # its one child in place
+                vmax = min(caps[idx], rem // sizes[idx])
+                for ci, co in var_cons[idx]:
+                    vmax = min(vmax, slack[ci] // co)
+                x[idx] = vmax
+                if vmax:
+                    for ci, co in var_cons[idx]:
+                        slack[ci] -= co * vmax
+                    stack.append((idx, rem, obj))
+                    rem, obj = rem - vmax * sizes[idx], obj + vmax * gain[idx]
+                idx += 1
+                continue
+        # backtrack: the next branch value of the deepest node with children left
+        if not stack:
+            break
+        idx, rem, obj = stack[-1]
         for ci, co in var_cons[idx]:
-            vmax = min(vmax, slack[ci] // co)
-        for v in range(vmax, -1, -1):
-            x[idx] = v
-            if v:
-                for ci, co in var_cons[idx]:
-                    slack[ci] -= co * v
-            rec(idx + 1, rem - v * sizes[idx], obj + v * gain[idx])
-            if v:
-                for ci, co in var_cons[idx]:
-                    slack[ci] += co * v
-        x[idx] = 0
-
-    rec(0, CAP, 0)
+            slack[ci] += co
+        v = x[idx] = x[idx] - 1
+        if not v:
+            stack.pop()
+        rem, obj, idx = rem - v * sizes[idx], obj + v * gain[idx], idx + 1
     return Fraction(R.numerator * (L // R.denominator) + best_val, L), best_pat
 
 
@@ -417,35 +452,20 @@ def brute_force_max(fn: PiecewiseFn, model: PatternModel):
 
 # -- cut validation -----------------------------------------------------------
 
-def strict_model(model: PatternModel, num_types: Optional[int] = None) -> PatternModel:
-    """The genuine patterns of ``model``'s types 1..num_types (all by default).
-
-    Genuine items lie strictly above their types' infimum sizes, so on the
-    model's integer grid a genuine pattern fits one grid unit below the
-    capacity: capacity ``(CAP-1)/G``, caps ``(CAP-1)//S[m]`` and no
-    constraints.
-    """
-    n = model.ntypes if num_types is None else num_types
-    S, CAP, G, _ = model.grid
-    return PatternModel(sizes=model.sizes[:n + 1], constraints=(),
-                        caps=(None, *((CAP - 1) // S[m] for m in range(1, n + 1))),
-                        capacity=Fraction(CAP - 1, G))
-
-
 def cut_max_lhs(cut: LinearCut, model: PatternModel):
     """Maximum of the cut's left side over genuine patterns; (value, pattern).
 
     :func:`pattern_max` maximizes the cut's nonnegative coefficients with a
-    zero tail over the strict model of the types up to the cut's largest.
+    zero tail over :attr:`PatternModel.strict`; types outside the cut gain
+    nothing and stay out of the search.
     Used to validate cuts, to derive the tightest valid right-hand side and to
     build mutation tests (any rhs strictly below this maximum admits a
     counterexample).
     """
-    n = max((m for m in cut.support if m <= model.ntypes), default=0)
     coeff = dict(cut.coeffs)
-    fn = PiecewiseFn.from_values((coeff.get(m, 0) for m in range(1, n + 1)),
+    fn = PiecewiseFn.from_values((coeff.get(m, 0) for m in range(1, model.ntypes + 1)),
                                  tail_slope=Fraction(0))
-    return pattern_max(fn, strict_model(model, n))
+    return pattern_max(fn, model.strict)
 
 
 def validate_cut(cut: LinearCut, model: PatternModel) -> Optional[dict]:

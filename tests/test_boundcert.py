@@ -1,18 +1,19 @@
 import hashlib
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 import pytest
 
 from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
-                                    TUNED_LAMBDA, build_f, build_g,
+                                    TUNED_LAMBDA, _upper_right_hull, build_f, build_g,
                                     brute_force_max, builtin_model_constraints,
                                     cut_max_lhs, pattern_max,
                                     quantized_fn, quantized_model,
                                     ratio_certificate, round6,
-                                    shplus_pattern_model, strict_model,
-                                    validate_cut)
+                                    shplus_pattern_model, validate_cut)
 from harmonicpack.harmonic import w_h
 from harmonicpack.weighting import WeightFunctionSet
 
@@ -185,6 +186,29 @@ class TestBuildG:
                         factors = [p + q for p, q in points]  # (1/2, 1/2) gives 1
                         assert g.tail_slope / ts == max(factors), (lam, i, j)
 
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_g_is_on_its_reduced_denominator(self, wset, mode):
+        # every g of the tuned table has coprime integers, and its values and
+        # tail slope are those of the construction over 2*D*D*M
+        D, h, w = wset.den, wset.height, wset.rows
+        for (i, j), lam in TUNED_LAMBDA.items():
+            f = build_f(i, lam, wset)
+            g = build_g(i, j, f, wset, tail_mode=mode)
+            assert gcd(g.den, *g.nums[1:]) == 1, (i, j)
+            fv = f.nums[1:len(h)]
+            M = lcm(*fv)
+            scale = [f.den * (M // u) for u in fv]
+            hull = _upper_right_hull([(D * M, D * M)] + [
+                (b * s, hn * s) for b, hn, s in zip(w[i][1:], h[1:], scale)])
+            den = 2 * D * D * M
+            nums = [max(hm * x + b * y for x, y in hull) for hm, b in zip(h[1:], w[j][1:])]
+            assert g.values[1:] == tuple(Fraction(n, den) for n in nums), (i, j)
+            assert den % g.den == 0 and den > g.den, (i, j)
+            # tail x: the direction (1, 1), over the points' 2*D*M
+            slope = wset.tail_slope * (Fraction(max(x + y for x, y in hull), 2 * D * M)
+                                       if mode == "exact" else 1)
+            assert g.tail_slope == slope, (i, j)
+
     def test_requires_positive_f(self, wset):
         f = build_f(7, Fraction(0), wset)  # case-7 weights vanish on types 2..7
         with pytest.raises(ValueError):
@@ -303,6 +327,137 @@ class TestPatternMax:
         model = shplus_pattern_model(other, include_cuts=False)
         assert model.constraints == () and model.ntypes == other.k
         assert model.caps[1:] == tuple(range(1, m))  # type t: sizes in (1/(t+1), 1/t]
+
+
+def _recursive_pattern_max(fn, model):
+    """The recursive branch and bound that pattern_max ran before its search
+    became a loop, kept as a differential oracle: it reads PatternModel.grid
+    and the plain fields of fn and model, and no other boundcert code."""
+    if len(fn.nums) < len(model.sizes):
+        raise ValueError("weight function does not cover all model types")
+    R = fn.tail_slope
+    S, CAP, G, rows = model.grid
+    # gain of type m: values[m] - sizes[m]*R = (nums[m]*(L/den) - S[m]*r) / L,
+    # where R/G = r/L
+    L = lcm(fn.den, R.denominator * G)
+    r, per = R.numerator * (L // (R.denominator * G)), L // fn.den
+    gains = {m: fn.nums[m] * per - S[m] * r for m in range(1, len(model.sizes))}
+    cand = [m for m in gains if gains[m] > 0 and S[m] <= CAP]
+    # density order, ties broken by type index: gain/size is gain*(P/size)/P
+    P = lcm(*(S[m] for m in cand))
+    cand.sort(key=lambda m: (-gains[m] * (P // S[m]), m))
+    ncand = len(cand)
+    caps = [min(model.caps[m], CAP // S[m]) for m in cand]
+    sizes = [S[m] for m in cand]
+    gain = [gains[m] for m in cand]
+
+    # the constraint rows each candidate variable appears in
+    var_cons = [[] for _ in range(ncand)]
+    pos_of = {m: t for t, m in enumerate(cand)}
+    for ci, (_, coeffs) in enumerate(rows):
+        for m, c in coeffs:
+            if m in pos_of:
+                var_cons[pos_of[m]].append((ci, c))
+
+    # prefix sums over candidate order for the greedy bound
+    PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
+    PW = [0, *accumulate(w * c for w, c in zip(gain, caps))]
+
+    best_val = 0
+    best_pat: dict = {}
+    x = [0] * ncand
+    slack = [rhs for rhs, _ in rows]
+
+    def rec(idx: int, rem: int, obj: int):
+        nonlocal best_val, best_pat
+        if obj > best_val:
+            best_val = obj
+            best_pat = {cand[t]: x[t] for t in range(idx) if x[t]}
+        if idx == ncand:
+            return
+        # prune when the greedy bound cannot beat best_val: candidates
+        # idx..p-1 at their caps and p fractional fill the remaining capacity
+        budget = PS[idx] + rem
+        p = bisect_right(PS, budget) - 1
+        if p >= ncand:
+            if obj + PW[ncand] - PW[idx] <= best_val:
+                return
+        elif (obj + PW[p] - PW[idx] - best_val) * sizes[p] + (budget - PS[p]) * gain[p] <= 0:
+            return
+        vmax = min(caps[idx], rem // sizes[idx])
+        for ci, co in var_cons[idx]:
+            vmax = min(vmax, slack[ci] // co)
+        for v in range(vmax, -1, -1):
+            x[idx] = v
+            if v:
+                for ci, co in var_cons[idx]:
+                    slack[ci] -= co * v
+            rec(idx + 1, rem - v * sizes[idx], obj + v * gain[idx])
+            if v:
+                for ci, co in var_cons[idx]:
+                    slack[ci] += co * v
+        x[idx] = 0
+
+    rec(0, CAP, 0)
+    return Fraction(R.numerator * (L // R.denominator) + best_val, L), best_pat
+
+
+class TestSearchOracle:
+    """pattern_max against the recursive search: the value and the argmax
+    pattern, ties included."""
+
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    @pytest.mark.parametrize("seed", [None, 21, 22, 23])
+    def test_every_certificate_function(self, table, wset, mode, seed):
+        # every f and g that ratio_certificate solves, on the tuned table and
+        # on three seeded ones
+        lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
+        compat = mode == "paper-compat"
+        model = shplus_pattern_model(table)
+        model = quantized_model(model) if compat else model
+        fs, fns = {}, []
+        for (i, j), lam in lams.items():
+            if (i, lam) not in fs:
+                fs[(i, lam)] = build_f(i, lam, wset)
+                fns.append(fs[(i, lam)])
+            fns.append(build_g(i, j, fs[(i, lam)], wset, tail_mode=mode))
+        assert len(fns) == 49 + len(fs)
+        for fn in fns:
+            fn = quantized_fn(fn) if compat else fn
+            assert pattern_max(fn, model) == _recursive_pattern_max(fn, model)
+
+    @pytest.mark.parametrize("num_types", [7, 12, 15, 30, 50])
+    def test_random_functions(self, table, num_types):
+        # uniform values and tie-heavy ones (integers 0..5, with and without
+        # a tail), on the truncation with its cuts and on its strict model
+        cut_model = shplus_pattern_model(table, num_types=num_types)
+        rnd = random.Random(500 + num_types)
+        fns = [random_fn(rnd, num_types) for _ in range(12)]
+        fns += [PiecewiseFn(nums=(None, *(rnd.randint(0, 5) for _ in range(num_types))),
+                            den=rnd.choice((1, 4)), tail_slope=tail)
+                for tail in (Fraction(0), Fraction(38, 37)) for _ in range(12)]
+        for model in (cut_model, cut_model.strict):
+            for fn in fns:
+                assert pattern_max(fn, model) == _recursive_pattern_max(fn, model), fn
+
+    def test_every_published_cut(self, table, model):
+        # the function of each cut that cut_max_lhs maximizes on the model's
+        # strict model, and on that model's types up to the cut's largest
+        # alone, as the audit solved it before: both give the audit's peak
+        # and pattern
+        strict = model.strict
+        for cut in builtin_model_constraints(table):
+            coeff = dict(cut.coeffs)
+            n = max(cut.support)
+            head = PatternModel(sizes=strict.sizes[:n + 1], caps=strict.caps[:n + 1],
+                                constraints=(), capacity=strict.capacity)
+            solves = []
+            for sub in (strict, head):
+                fn = PiecewiseFn.from_values(
+                    (coeff.get(m, 0) for m in range(1, sub.ntypes + 1)), tail_slope=Fraction(0))
+                solves.append(_recursive_pattern_max(fn, sub))
+                assert pattern_max(fn, sub) == solves[-1], cut.name
+            assert cut_max_lhs(cut, model) == solves[0] == solves[1], cut.name
 
 
 class TestBruteForce:
@@ -424,7 +579,7 @@ class TestStrictModel:
                              constraints=tuple(c for c in full.constraints
                                                if c.name != "cut_7_11_18"),
                              capacity=full.capacity)
-        strict = strict_model(full)
+        strict = full.strict
         assert strict.ntypes == full.ntypes and strict.constraints == ()
         lower = 0
         for (i, j), lam in TUNED_LAMBDA.items():
@@ -438,7 +593,7 @@ class TestStrictModel:
 
     @pytest.mark.parametrize("num_types", [1, 7, 12, 15])
     def test_matches_brute_force_on_strict_truncation(self, table, wset, num_types):
-        strict = strict_model(shplus_pattern_model(table), num_types)
+        strict = shplus_pattern_model(table, num_types=num_types).strict
         assert strict.ntypes == num_types
         rnd = random.Random(num_types)
         fns = [random_fn(rnd, num_types) for _ in range(5)]

@@ -65,19 +65,23 @@ def test_no_float_decides_a_placement():
 
 
 def test_pattern_max_search_is_integer():
-    # the recursion of the branch and bound, its prune inlined, keeps the
-    # objective in integers: no function nested in pattern_max names Fraction
+    # the branch and bound is one loop in pattern_max itself and keeps the
+    # objective in integers: pattern_max defines no nested function, and
+    # Fraction is named only in its final return, which builds the value
     path = PACKAGE / "boundcert.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     outer = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
                  and node.name == "pattern_max")
-    nested = [node for node in ast.walk(outer)
-              if isinstance(node, ast.FunctionDef) and node is not outer]
-    assert "rec" in {fn.name for fn in nested}
-    bad = [f"{fn.name}:{node.lineno}" for fn in nested for node in ast.walk(fn)
-           if isinstance(node, (ast.Name, ast.Attribute))
-           and (node.id if isinstance(node, ast.Name) else node.attr) == "Fraction"]
-    assert bad == []
+    nested = [f"{node.lineno}" for node in ast.walk(outer) if node is not outer
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []
+    final = outer.body[-1]
+    assert isinstance(final, ast.Return)
+    named = [node for node in ast.walk(outer) if isinstance(node, (ast.Name, ast.Attribute))
+             and (node.id if isinstance(node, ast.Name) else node.attr) == "Fraction"]
+    inside = {id(node) for node in ast.walk(final)}
+    assert named and [node.lineno for node in named if id(node) not in inside] == []
+    assert any(isinstance(node, ast.While) for node in ast.walk(outer))
 
 
 def test_weights_have_one_home():
