@@ -279,6 +279,11 @@ def cmd_bound(args) -> int:
         cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode)
     except ValueError as exc:  # only a lambda file can hold a pair that fails
         raise ValueError(f"lambda table {args.lambda_file}: {exc}") from None
+    if args.witness:  # written before any row, so a path that fails prints nothing
+        wit = {f"{i},{j}": {"Pf_pattern": e.pf_pattern, "Pg_pattern": e.pg_pattern}
+               for (i, j), e in sorted(cert.entries.items())}
+        with open(args.witness, "w", encoding="utf-8") as fh:
+            json.dump(wit, fh, indent=2, sort_keys=True)
     retained_pairs = {orient for orient, _ in cert.retained.values()}
 
     def six(x: Fraction) -> str:  # rounded half to even, then printed
@@ -294,11 +299,6 @@ def cmd_bound(args) -> int:
     _emit(rows, "csv")
     bound = cert.bound if delta is None else cert.bound / (1 - delta)
     print(f"# mode={cert.mode} cuts=on overall_bound={float(bound):.6f}")
-    if args.witness:
-        wit = {f"{i},{j}": {"Pf_pattern": e.pf_pattern, "Pg_pattern": e.pg_pattern}
-               for (i, j), e in sorted(cert.entries.items())}
-        with open(args.witness, "w", encoding="utf-8") as fh:
-            json.dump(wit, fh, indent=2, sort_keys=True)
     return 0
 
 

@@ -19,6 +19,8 @@ from math import lcm
 
 from .params import exact_add, named
 
+_MAX_K = 10 ** 6  # the largest Harmonic index a packer accepts
+
 
 def harmonic_type(p: int, q: int, k: int) -> int:
     """Type index in 1..k of an item of size x = p/q (q > 0, not necessarily
@@ -44,7 +46,7 @@ def height_index(eps: Fraction) -> int:
 
 
 class HarmonicPacker:
-    """Online Harmonic(k) packing state, O(k) in size.
+    """Online Harmonic(k) packing state, O(k) in size, for 2 <= k <= 10**6.
 
     One packer per run; replaying the same item sequence reproduces the
     same bins.  ``count[i]`` is the number of type-i items (i < k) so far: a
@@ -57,6 +59,8 @@ class HarmonicPacker:
     def __init__(self, k: int):
         if k < 2:
             raise ValueError("k must be at least 2")
+        if k > _MAX_K:  # refused before the two lists of k counters are built
+            raise ValueError(f"k must be at most {_MAX_K}")
         self.k = k
         self.cost = 0
         self.count = [0] * k

@@ -21,7 +21,9 @@ otherwise it opens a (?,i) bin.  A blue type-i item goes into the bin
 accepting type-i blues if one has room; otherwise, when phi(i) = 0 it
 opens a group (i) bin, and when phi(i) > 0 it converts the oldest
 red-indeterminate bin whose red load fits Delta[phi(i)] (scanning red
-types in increasing order) before opening an (i,?) bin.
+types in increasing order) before opening an (i,?) bin.  Both colours and
+Next Fit share that last step, convert or else open, in ``ShState._claim``:
+it is the one place where a bin enters use or changes group.
 
 The scans depend on the table alone, so ``ShState`` builds them once, as a
 plan entry per type i: the blue-indeterminate pools a red type-i item may
@@ -54,7 +56,7 @@ a ``PlacementTrace`` row and its group names are built only under
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -172,12 +174,21 @@ class ShState:
             if phi[i] else [],
             blue_indet[i], self._red_indet[i]) for i in types), None]
 
-    def _open_bin(self) -> Bin:
+    # -- the cascade ---------------------------------------------------------
+
+    def _claim(self, scan, pool) -> Bin:
+        """The bin an item enters when no open bin of its colour and type has
+        room: the oldest bin of the first non-empty pool in ``scan``, which the
+        item converts, or else a new bin, queued in ``pool`` unless it is None.
+        Every bin enters use or changes group here."""
+        for convertible in scan:
+            if convertible:
+                return convertible.popleft()
         b = Bin(len(self.bins))
         self.bins.append(b)
+        if pool is not None:
+            pool.append(b)
         return b
-
-    # -- the cascade ---------------------------------------------------------
 
     def insert(self, p: int, q: int, i: Optional[int] = None) -> Bin:
         """Place one item of size p/q (q > 0, not necessarily in lowest terms)
@@ -190,7 +201,7 @@ class ShState:
             color = "tiny"
             b = self._nf_bin
             if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
-                b = self._nf_bin = self._open_bin()
+                b = self._nf_bin = self._claim((), None)
             b.blue_count += 1  # content only; NF bins never join groups
             b.blue_num, b.blue_den = exact_add(b.blue_num, b.blue_den, p, q)
         else:
@@ -200,15 +211,9 @@ class ShState:
                 self.e[i] += 1
                 color = "red"
                 b = self._red_open[i]
-                if b is None:
-                    for pool in red_scan:  # convert the oldest (j,?) bin that fits
-                        if pool:
-                            b = pool.popleft()
-                            break
-                    else:
-                        b = self._open_bin()
-                        red_pool.append(b)
-                b.red_type = i
+                if b is None:  # convert the oldest (j,?) bin that fits, or open one
+                    b = self._claim(red_scan, red_pool)
+                    b.red_type = i
                 b.red_count += 1
                 self._red_open[i] = b if b.red_count < gamma else None
                 num, den = b.red_num, b.red_den  # exact_add, in line
@@ -219,16 +224,9 @@ class ShState:
             else:
                 color = "blue"
                 b = self._blue_open[i]
-                if b is None:
-                    for pool in blue_scan:  # convert the oldest (?,j) bin that fits
-                        if pool:
-                            b = pool.popleft()
-                            break
-                    else:
-                        b = self._open_bin()
-                        if blue_pool is not None:
-                            blue_pool.append(b)
-                b.blue_type = i
+                if b is None:  # convert the oldest (?,j) bin that fits, or open one
+                    b = self._claim(blue_scan, blue_pool)
+                    b.blue_type = i
                 b.blue_count += 1
                 self._blue_open[i] = b if b.blue_count < beta else None
                 num, den = b.blue_num, b.blue_den
@@ -271,27 +269,16 @@ class ShState:
                     if b.blue_type is None and b.red_type is None), Fraction(0))
 
     def group_census(self) -> GroupCensus:
-        """Current group census, counted from the bins themselves."""
-        blue_only: dict = {}
-        blue_indet: dict = {}
-        red_indet: dict = {}
-        pairs: dict = {}
-        nf_bins = 0
-        for b in self.bins:
-            if b.blue_type is None and b.red_type is None:
-                nf_bins += 1
-                continue
-            if b.blue_type is not None and b.red_type is not None:
-                key = (b.blue_type, b.red_type)
-                pairs[key] = pairs.get(key, 0) + 1
-            elif b.blue_type is not None:
-                d = blue_only if self.table.phi[b.blue_type] == 0 else blue_indet
-                d[b.blue_type] = d.get(b.blue_type, 0) + 1
-            else:
-                red_indet[b.red_type] = red_indet.get(b.red_type, 0) + 1
-        return GroupCensus(blue_only=blue_only, blue_indet=blue_indet,
-                           red_indet=red_indet, pairs=pairs,
-                           nf_bins=nf_bins, cost=self.cost)
+        """Current group census, counted from each bin's (blue, red) type pair."""
+        count = Counter((b.blue_type, b.red_type) for b in self.bins)
+        phi = self.table.phi
+        blue = [(i, n) for (i, j), n in count.items() if i is not None and j is None]
+        return GroupCensus(blue_only={i: n for i, n in blue if not phi[i]},
+                           blue_indet={i: n for i, n in blue if phi[i]},
+                           red_indet={j: n for (i, j), n in count.items()
+                                      if i is None and j is not None},
+                           pairs={ij: n for ij, n in count.items() if None not in ij},
+                           nf_bins=count[None, None], cost=self.cost)
 
     def final_case(self) -> FinalCase:
         """Classify the finished packing by its red-indeterminate leftovers."""

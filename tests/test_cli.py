@@ -61,6 +61,7 @@ class TestInputErrors:
         ("pack1d --input {dir}/missing.txt", "No such file"),
         ("pack1d --input {dir}/too_big.txt", "3/2"),
         ("pack1d --algorithm harmonic --k 1", "k must be at least 2"),
+        ("pack1d --algorithm harmonic --k 1000000000000", "k must be at most 1000000"),
         ("pack2d --n 10 --delta 0", "grid parameter"),
         ("bound --lambda-file {dir}/not_json.json", "Expecting"),
         ("bound --lambda-file {dir}/lacks_pair.json", "lacks the pair 3,4"),
@@ -97,8 +98,8 @@ class TestInputErrors:
          "item size with a 5001-digit numerator and a 1-digit denominator outside (0, 1]"),
         ("pack2d --input {dir}/huge_rect.txt", "rectangle 2 x with a 1-digit numerator "
                                                "and a 5001-digit denominator outside"),
-    ], ids=["missing-input", "size-above-one", "k-1", "delta-0", "lambda-not-json",
-            "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
+    ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
+            "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
             "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
@@ -457,6 +458,14 @@ class TestBoundCommand:
         data = json.loads(wit.read_text())
         assert len(data) == 49
         assert "Pf_pattern" in data["1,1"]
+
+    def test_unwritable_witness_prints_nothing(self, tmp_path, capsys):
+        # the witness file is written before the first row: a path that
+        # cannot be opened ends the run with one error line and no report
+        rc = main(["bound", "--witness", str(tmp_path / "missing" / "w.json")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 class TestVerify:

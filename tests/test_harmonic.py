@@ -98,6 +98,12 @@ class TestTypeAndWeight:
 
 
 class TestPacking:
+    def test_k_above_a_million_is_refused(self):
+        # refused before any per-type list is built: a huge k would
+        # otherwise end in a MemoryError
+        with pytest.raises(ValueError, match=r"^k must be at most 1000000$"):
+            HarmonicPacker(10 ** 6 + 1)
+
     def test_two_large_items_two_bins(self):
         p = HarmonicPacker(3)
         a = p.insert(3, 5)

@@ -166,6 +166,16 @@ def test_ladders_have_one_home():
                   and node.attr == "transposed") == ["pack2d.TensorRun.insert"]
 
 
+def test_bins_enter_use_in_one_place():
+    # ShState._claim alone opens an SH+ bin (a Bin(...) call) and converts
+    # one (a pool's .popleft), for red, blue and Next-Fit items alike
+    claim = ["superharmonic.ShState._claim"]
+    assert _homes(lambda node: isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "Bin") == claim
+    assert _homes(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "popleft") == claim
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter, deque
 from fractions import Fraction
 
@@ -546,19 +547,30 @@ class TestTraceOutput:
 
     def test_group_before_is_the_bins_previous_group(self, table):
         # each row's group_before is the group_after of the bin's previous
-        # row; a coloured bin's first row opened it ("-"), tiny rows say "nf"
+        # row; a coloured bin's first row opened it ("-"), tiny rows say "nf".
+        # A bin changes group only when a red item converts an (i,?) bin or a
+        # blue item a (?,j) bin.  The run holds both kinds: in the ascending
+        # first half, small reds open (?,j) bins that larger blues convert; in
+        # the random second half, reds convert (i,?) bins
         sizes = grid_sizes(random.Random(9), 4000)
+        sizes[:2000] = sorted(sizes[:2000])
         st = ShState(table, keep_trace=True).pack(sizes)
         last = {}
-        converted = 0
+        converted = Counter()  # (colour, shape before, shape after) of each change
+
+        def shape(group):
+            return re.sub(r"\d+", "n", group)
+
         for n, tr in enumerate(st.trace):
             assert (tr.item_index, tr.size) == (n, sizes[n])
             want = "nf" if tr.color == "tiny" else last.get(tr.bin_id, "-")
             assert tr.group_before == want, n
             assert tr.opened == (tr.bin_id not in last), n
-            converted += tr.group_before not in ("-", tr.group_after)
+            if tr.group_before not in ("-", tr.group_after):
+                converted[tr.color, shape(tr.group_before), shape(tr.group_after)] += 1
             last[tr.bin_id] = tr.group_after
-        assert converted > 0
+        red, blue = ("red", "(n,?)", "(n,n)"), ("blue", "(?,n)", "(n,n)")
+        assert set(converted) == {red, blue}, converted  # each kind at least once
 
     def test_nothing_traced_unless_asked(self, table, monkeypatch):
         # untraced runs of the three packers build no trace row and name no
