@@ -41,21 +41,21 @@ W^c are read from :class:`~harmonicpack.weighting.WeightFunctionSet` as
 integers over its one denominator; this module derives no weight itself.
 From there to :func:`pattern_max` a function stays integers over one
 denominator (:class:`PiecewiseFn`): f, g, their six-decimal quantization and
-the search's gains are built without a Fraction per type.  f depends on the
-pair only through (i, lam), so :func:`ratio_certificate` builds and solves
-each distinct (i, lam) once and reuses it for every j that shares it.
+the search's gains are built without a Fraction per type.  f and its hull
+depend on the pair only through (i, lam), so :func:`ratio_certificate` keeps
+one entry per distinct (i, lam) -- the hull (:func:`ratio_hull`), P(f) and
+its argmax -- and :func:`build_g` forms each exact g from that one hull.
 
-The certificate runs in one of two modes:
+The certificate runs in one of two modes, which differ in what
+:func:`ratio_certificate` alone hands the maximizer:
 
   * ``mode="paper-compat"`` reproduces the published reference pipeline:
-    g's tail slope is pinned to the common value 1/(1-eps) (as in the
-    published model file), and the weight and size vectors handed to the
-    maximizer are quantized to six decimal places (the reference data
-    files carried six), which reproduces 92 of the 98 published table
-    values exactly.  The remaining six reference values sit on exact
-    decimal-half rounding boundaries whose direction was decided by the
-    original pipeline's binary arithmetic; no uniform rounding rule
-    reproduces all of them (see the test-suite notes).
+    the sizes and the f and g values are quantized to six decimal places
+    (the reference data files carried six), and every tail slope is pinned
+    to the common value 1/(1-eps) (as in the published model file).  This
+    reproduces 92 of the 98 published table values exactly; four of the
+    other six sit on exact decimal-half rounding ties that the original
+    pipeline's binary arithmetic decided (see the test-suite notes).
   * ``mode="exact"`` keeps all data exact and uses the true supremum tail
     slope of g, which can exceed 1/(1-eps) whenever lam != 1/2.  This is
     the sound mode; the certifier reports both so the gap is visible.
@@ -140,21 +140,14 @@ def _upper_right_hull(points) -> list:
     return hull
 
 
-def build_g(case_i: int, case_j: int, f: PiecewiseFn,
-            wset: WeightFunctionSet, tail_mode: str = "paper-compat") -> PiecewiseFn:
-    """Supremum-ratio partner of ``f``: g(x) = sup_y W(x,y) / f(y).
-
-    ``f`` must be the mix built by :func:`build_f` for ``case_i`` and must be
-    strictly positive everywhere.
-
-    For x in interval m the supremum is the largest dot product of
-    (W_H(x), W^j(x)) = (H_m, B^j_m) with 51 points: (B^i_n, H_n) / (2 f_n) per
-    y-interval n, and (1/2, 1/2) for a tail y, whose linear slopes cancel.
-    Only the vertices of the points' upper-right hull, built once, can win.
-    Points and dot products are integers over 2*D*D*M; g keeps them divided
-    by their common gcd, on its reduced denominator.
-    """
-    D, F, h, w = wset.den, f.den, wset.height, wset.rows
+def ratio_hull(case_i: int, f: PiecewiseFn, wset: WeightFunctionSet) -> tuple:
+    """(den, vertices): the upper-right hull of the 51 ratio points of ``f``,
+    the strictly positive mix :func:`build_f` gives for ``case_i``, as
+    integers over ``den``.  For y in interval n, W(x,y) / f(y) is the dot
+    product of (W_H(x), W^j(x)) with the point (B^i_n, H_n) / (2 f_n); for a
+    tail y the linear slopes cancel and the point is (1/2, 1/2).  Only the
+    vertices can attain the supremum g, whatever the case j."""
+    D, F, h = wset.den, f.den, wset.height
     fv = f.nums[1:len(h)]
     if any(u <= 0 for u in fv) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
@@ -162,19 +155,25 @@ def build_g(case_i: int, case_j: int, f: PiecewiseFn,
     # and the tail point (1/2, 1/2) is (DM, DM) / (2DM)
     M = lcm(*fv)
     scale = [F * (M // u) for u in fv]
-    hull = _upper_right_hull([(D * M, D * M)] + [
-        (b * s, hn * s) for b, hn, s in zip(w[case_i][1:], h[1:], scale)])
-    nums = [max(hm * x + b * y for x, y in hull) for hm, b in zip(h[1:], w[case_j][1:])]
-    slope = wset.tail_slope
-    if tail_mode == "exact":
-        # tail x: W_H(x) = W^j(x) = x/(1-eps), the direction (1, 1)
-        slope = Fraction(slope.numerator * max(x + y for x, y in hull),
-                         slope.denominator * 2 * D * M)
-    elif tail_mode != "paper-compat":
-        raise ValueError(f"unknown tail_mode {tail_mode!r}")
-    c = gcd(2 * D * D * M, *nums)
-    return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=2 * D * D * M // c,
-                       tail_slope=slope)
+    return 2 * D * M, _upper_right_hull([(D * M, D * M)] + [
+        (b * s, hn * s) for b, hn, s in zip(wset.rows[case_i][1:], h[1:], scale)])
+
+
+def build_g(case_j: int, hull: tuple, wset: WeightFunctionSet) -> PiecewiseFn:
+    """Supremum-ratio partner of f, g(x) = sup_y W(x,y) / f(y), from f's
+    :func:`ratio_hull`: on interval m the largest dot product of a vertex with
+    (W_H(x), W^j(x)) = (H_m, B^j_m), and on the tail, where both are
+    x/(1-eps), the direction (1, 1) gives g's exact slope.  The products are
+    integers over D times the hull's denominator; g keeps them divided by
+    their common gcd, on its reduced denominator."""
+    den, vertices = hull
+    D, slope = wset.den, wset.tail_slope
+    nums = [max(hm * x + b * y for x, y in vertices)
+            for hm, b in zip(wset.height[1:], wset.rows[case_j][1:])]
+    c = gcd(D * den, *nums)
+    return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=D * den // c,
+                       tail_slope=Fraction(slope.numerator * max(x + y for x, y in vertices),
+                                           slope.denominator * den))
 
 
 # -- the integer pattern model ----------------------------------------------
@@ -530,11 +529,11 @@ def round6(num: int, den: int) -> int:
     return q + (2 * r > den or 2 * r == den and q % 2)
 
 
-def quantized_fn(fn: PiecewiseFn) -> PiecewiseFn:
+def quantized_fn(fn: PiecewiseFn, tail_slope: Fraction) -> PiecewiseFn:
     """Interval values rounded to the six-decimal data grid, as integers over
-    10**6; tail untouched."""
+    10**6, and the tail slope set to ``tail_slope``."""
     return PiecewiseFn(nums=(None, *(round6(n, fn.den) for n in fn.nums[1:])),
-                       den=10 ** 6, tail_slope=fn.tail_slope)
+                       den=10 ** 6, tail_slope=tail_slope)
 
 
 def quantized_model(model: PatternModel) -> PatternModel:
@@ -547,31 +546,32 @@ def quantized_model(model: PatternModel) -> PatternModel:
 
 def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
                       mode: str = "paper-compat") -> RatioCertificate:
-    """Compute P(f) * P(g) for every case pair and the retained overall bound."""
+    """Compute P(f) * P(g) for every case pair and the retained overall bound.
+    Paper-compat's changes live here alone: six-decimal sizes and f and g
+    values, and every tail slope pinned to the common value 1/(1-eps)."""
     if mode not in ("paper-compat", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    compat = mode == "paper-compat"
+    compat, pin = mode == "paper-compat", wset.tail_slope
     lam_table = TUNED_LAMBDA if lam_table is None else lam_table
     model = shplus_pattern_model(wset.table)
     if compat:
         model = quantized_model(model)
     ncases = wset.num_cases
     entries = {}
-    solved = {}  # (i, lam) -> (f, P(f), its argmax): f does not depend on j
+    per_f = {}  # (i, lam) -> (ratio hull of f, P(f), its argmax): f does not depend on j
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             try:
                 lam = parse_rational(lam_table[(i, j)])
-                known = solved.get((i, lam))
-                f = build_f(i, lam, wset) if known is None else known[0]
-                g = build_g(i, j, f, wset, tail_mode=mode)
+                if (i, lam) not in per_f:
+                    f = build_f(i, lam, wset)
+                    per_f[(i, lam)] = (ratio_hull(i, f, wset), *pattern_max(
+                        quantized_fn(f, pin) if compat else f, model))
             except ValueError as exc:  # a malformed lam, or one making f vanish
                 raise ValueError(f"pair {i},{j}: {exc}") from None
-            if known is None:
-                known = solved[(i, lam)] = (
-                    f, *pattern_max(quantized_fn(f) if compat else f, model))
-            _, pf, pf_pat = known
-            pg, pg_pat = pattern_max(quantized_fn(g) if compat else g, model)
+            hull, pf, pf_pat = per_f[(i, lam)]
+            g = build_g(j, hull, wset)
+            pg, pg_pat = pattern_max(quantized_fn(g, pin) if compat else g, model)
             entries[(i, j)] = PairEntry(i=i, j=j, lam=lam, pf=pf, pg=pg,
                                         product=pf * pg,
                                         pf_pattern=pf_pat, pg_pattern=pg_pat)

@@ -240,7 +240,10 @@ def _load_lambda(path, ncases: int) -> dict:
     """The raw mixing weights of a JSON file, either a nested array (row i,
     column j) or an object keyed "i,j"; it holds exactly the case pairs."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"lambda table {path}: {exc}") from None
     table = {}
     if isinstance(raw, list) and all(isinstance(row, list) for row in raw):
         for i, row in enumerate(raw, start=1):
@@ -312,7 +315,8 @@ def solver_trials(table, wset) -> tuple:
                                  den=1000, tail_slope=Fraction(38, 37))
            for rnd in map(random.Random, range(5))]
     lam = boundcert.TUNED_LAMBDA[(6, 1)]
-    fns.append(boundcert.build_g(6, 1, boundcert.build_f(6, lam, wset), wset, "exact"))
+    f = boundcert.build_f(6, lam, wset)
+    fns.append(boundcert.build_g(1, boundcert.ratio_hull(6, f, wset), wset))
     fns.append(boundcert.PiecewiseFn.from_values(
         ({7: 2, 15: 1}.get(m, 0) for m in range(1, n + 1)), tail_slope=Fraction(0)))
     return model, fns

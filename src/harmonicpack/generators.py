@@ -31,6 +31,10 @@ Kinds:
     ``int``, a zero denominator or a 2D side outside (0, 1], is read line
     by line, so the items and any error, and its line, are the same either
     way.
+
+A generated instance holds at most ``_MAX_ITEMS`` (10^7) items or
+rectangles; a larger count is refused before any list is built.  Files are
+not capped.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
 _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
+# the most items or rectangles a generated instance holds: a 1D SH+ run of
+# 10**6 sizes peaks at about 280 MB, so 10**7 is about 2.8 GB; a 2D run at the
+# cap has not been measured
+_MAX_ITEMS = 10 ** 7
 
 # a file is read in chunks of whole lines of about this many characters; a
 # plain chunk has `dims` tokens digits[/digits] a line, one space apart, each
@@ -168,7 +176,17 @@ def _read_plain(lines, dims: int) -> Optional[list]:
         return None
 
 
+def _check_count(count: int, dims: int) -> None:
+    """Refuse a generated instance of more than ``_MAX_ITEMS`` items."""
+    if count > _MAX_ITEMS:
+        what = "items" if dims == 1 else "rectangles"
+        raise ValueError(f"an instance of {count} {what} exceeds the cap of "
+                         f"{_MAX_ITEMS}")
+
+
 def generate(spec: InstanceSpec) -> Instance:
+    if spec.kind in ("uniform", "harmonic-adversarial"):
+        _check_count(spec.n, spec.dims)
     if spec.kind == "uniform":
         rng = random.Random(spec.seed)
         if spec.dims == 1:
@@ -190,6 +208,8 @@ def generate(spec: InstanceSpec) -> Instance:
 
     if spec.kind == "tiled-known-opt":
         bins = max(1, spec.n) if spec.bins is None else spec.bins
+        _check_count(bins * (len(_PATTERN_1D) if spec.dims == 1 else _TILES_2D ** 2),
+                     spec.dims)
         rng = random.Random(spec.seed)
         if spec.dims == 1:
             items = [s for _ in range(bins) for s in _PATTERN_1D]

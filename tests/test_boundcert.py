@@ -7,12 +7,13 @@ from math import gcd, lcm
 
 import pytest
 
+from harmonicpack import boundcert
 from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
                                     TUNED_LAMBDA, _upper_right_hull, build_f, build_g,
                                     brute_force_max, builtin_model_constraints,
                                     cut_max_lhs, pattern_max,
                                     quantized_fn, quantized_model,
-                                    ratio_certificate, round6,
+                                    ratio_certificate, ratio_hull, round6,
                                     shplus_pattern_model, validate_cut)
 from harmonicpack.harmonic import w_h
 from harmonicpack.weighting import WeightFunctionSet
@@ -28,6 +29,11 @@ def model(table):
 def random_fn(rnd, ntypes, tail=Fraction(38, 37)):
     return PiecewiseFn(nums=(None, *(rnd.randint(0, 2000) for _ in range(ntypes))),
                        den=1000, tail_slope=tail)
+
+
+def exact_g(i, j, f, wset):
+    """The exact g of the pair (i, j), whose f is ``f``."""
+    return build_g(j, ratio_hull(i, f, wset), wset)
 
 
 def seeded_lambda(seed):
@@ -98,7 +104,7 @@ class TestBuildG:
         from harmonicpack.pack2d import w2d
         lam = Fraction(1, 2)
         f = build_f(1, lam, wset)
-        g = build_g(1, 1, f, wset, tail_mode="exact")
+        g = exact_g(1, 1, f, wset)
         rnd = random.Random(0)
         for _ in range(20000):
             x = Fraction(rnd.randint(1, 10 ** 6), 10 ** 6)
@@ -115,7 +121,7 @@ class TestBuildG:
         for (i, j) in ((1, 1), (2, 5), (7, 6), (6, 1)):
             lam = TUNED_LAMBDA[(i, j)]
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             for x in probes:
                 gx = _eval(g, x, table)
                 for y in probes:
@@ -133,7 +139,7 @@ class TestBuildG:
         for (i, j), lam in TUNED_LAMBDA.items():
             Bi, Bj = wset.values[i], wset.values[j]
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             for m in range(1, k + 1):
                 gm = g.values[m]
                 for n in range(1, k + 1):
@@ -147,17 +153,20 @@ class TestBuildG:
 
     def test_half_mix_tail_slope_is_common_value(self, wset):
         f = build_f(1, Fraction(1, 2), wset)
-        g = build_g(1, 1, f, wset, tail_mode="exact")
+        g = exact_g(1, 1, f, wset)
         assert g.tail_slope == Fraction(38, 37)
 
     def test_exact_tail_exceeds_pinned_for_skewed_mix(self, wset):
+        # paper-compat pins the tail where it rounds the values: the slope
+        # quantized_fn is given replaces g's exact one, which lies above it
         lam = TUNED_LAMBDA[(2, 5)]  # 0.565
         f = build_f(2, lam, wset)
-        g_exact = build_g(2, 5, f, wset, tail_mode="exact")
-        g_compat = build_g(2, 5, f, wset, tail_mode="paper-compat")
+        g_exact = exact_g(2, 5, f, wset)
+        g_compat = quantized_fn(g_exact, wset.tail_slope)
         assert g_compat.tail_slope == Fraction(38, 37)
         assert g_exact.tail_slope > g_compat.tail_slope
-        assert g_exact.values[1:] == g_compat.values[1:]
+        assert g_compat.values[1:] == tuple(Fraction(round6(n, g_exact.den), 10 ** 6)
+                                            for n in g_exact.nums[1:])
 
     def test_g_is_attained(self, table, wset):
         # each value of g is the largest of its 51 candidates (attained, and
@@ -177,23 +186,20 @@ class TestBuildG:
                 points = [(Fraction(1, 2), Fraction(1, 2))] + [
                     (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
                     for n in range(1, k + 1)]
-                for mode in ("paper-compat", "exact"):
-                    g = build_g(i, j, f, wset, tail_mode=mode)
-                    for m in range(1, k + 1):
-                        cands = [H[m] * p + Bj[m] * q for p, q in points]
-                        assert g.values[m] == max(cands), (lam, i, j, m)
-                    if mode == "exact":
-                        factors = [p + q for p, q in points]  # (1/2, 1/2) gives 1
-                        assert g.tail_slope / ts == max(factors), (lam, i, j)
+                g = exact_g(i, j, f, wset)
+                for m in range(1, k + 1):
+                    cands = [H[m] * p + Bj[m] * q for p, q in points]
+                    assert g.values[m] == max(cands), (lam, i, j, m)
+                factors = [p + q for p, q in points]  # (1/2, 1/2) gives 1
+                assert g.tail_slope / ts == max(factors), (lam, i, j)
 
-    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
-    def test_g_is_on_its_reduced_denominator(self, wset, mode):
+    def test_g_is_on_its_reduced_denominator(self, wset):
         # every g of the tuned table has coprime integers, and its values and
         # tail slope are those of the construction over 2*D*D*M
         D, h, w = wset.den, wset.height, wset.rows
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode=mode)
+            g = exact_g(i, j, f, wset)
             assert gcd(g.den, *g.nums[1:]) == 1, (i, j)
             fv = f.nums[1:len(h)]
             M = lcm(*fv)
@@ -205,14 +211,91 @@ class TestBuildG:
             assert g.values[1:] == tuple(Fraction(n, den) for n in nums), (i, j)
             assert den % g.den == 0 and den > g.den, (i, j)
             # tail x: the direction (1, 1), over the points' 2*D*M
-            slope = wset.tail_slope * (Fraction(max(x + y for x, y in hull), 2 * D * M)
-                                       if mode == "exact" else 1)
+            slope = wset.tail_slope * Fraction(max(x + y for x, y in hull), 2 * D * M)
             assert g.tail_slope == slope, (i, j)
 
     def test_requires_positive_f(self, wset):
         f = build_f(7, Fraction(0), wset)  # case-7 weights vanish on types 2..7
-        with pytest.raises(ValueError):
-            build_g(7, 1, f, wset)
+        with pytest.raises(ValueError, match="^f must be strictly positive to form "
+                                             "the ratio g$"):
+            ratio_hull(7, f, wset)
+
+
+class TestRatioHull:
+    @pytest.mark.parametrize("seed,mode", [(None, "paper-compat"), (None, "exact"),
+                                           (4, "exact")])
+    def test_one_hull_per_distinct_f(self, wset, monkeypatch, seed, mode):
+        # a certificate builds f's ratio hull once for every j sharing its
+        # (i, lam): 37 hulls of two vertices each on the tuned table's 49 pairs
+        lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
+        hulls = []
+        monkeypatch.setattr(boundcert, "_upper_right_hull", lambda points: hulls.append(
+            _upper_right_hull(points)) or hulls[-1])
+        ratio_certificate(wset, lam_table=lams, mode=mode)
+        assert len(hulls) == len({(i, lam) for (i, _), lam in lams.items()}) < 49
+        if seed is None:
+            assert len(hulls) == 37 and all(len(h) == 2 for h in hulls)
+
+
+class TestHarmonicClosedForms:
+    @pytest.mark.parametrize("m,ratio", [(3, Fraction(7, 4)), (7, Fraction(61, 36)),
+                                         (38, Fraction(438, 259))])
+    def test_height_weight_gives_lee_and_lee_ratios(self, m, ratio):
+        # on a Harmonic(m) table W_H is the Harmonic weight 1/t per type with
+        # tail m/(m-1), and its heaviest genuine bin is Lee and Lee's
+        # Harmonic(m) ratio (J. ACM 1985)
+        other = harmonic_table(m)
+        wh = WeightFunctionSet(other)
+        fn = PiecewiseFn(nums=wh.height, den=wh.den, tail_slope=wh.tail_slope)
+        assert wh.tail_slope == Fraction(m, m - 1)
+        model = shplus_pattern_model(other, include_cuts=False).strict
+        assert pattern_max(fn, model)[0] == ratio
+
+
+class TestCriterion1Ties:
+    """Four of the six reference values criterion 1 misses are paper-compat
+    P(f) values whose f has values on exact six-decimal half-ties: rounding
+    some of those ties the other way reproduces the published value.  The
+    other two, (7,1) P(g) and (7,7) P(f), stay unexplained."""
+
+    @staticmethod
+    def ties(f):
+        """The types whose f value lies exactly halfway between millionths."""
+        return {m for m in range(1, f.ntypes + 1) if 2 * (f.nums[m] * 10 ** 6 % f.den) == f.den}
+
+    @pytest.mark.parametrize("pair,ties,flip,unflipped", [
+        ((4, 3), {11, 16}, {11}, 1577139),
+        ((6, 3), {13, 19}, {13}, 1582238),
+        ((7, 3), {11, 13, 16}, {11, 16}, 1549823),
+        ((7, 5), {11, 13, 16}, {16}, 1533652),
+    ], ids=["4,3", "6,3", "7,3", "7,5"])
+    def test_flipped_ties_give_the_published_pf(self, wset, model, reference_table,
+                                                pair, ties, flip, unflipped):
+        f = build_f(pair[0], TUNED_LAMBDA[pair], wset)
+        assert self.ties(f) == ties
+        q = quantized_fn(f, wset.tail_slope)
+        # round6 takes a tie to its even neighbour; the flip takes the other
+        nums = list(q.nums)
+        for m in flip:
+            nums[m] += 1 if nums[m] * f.den < f.nums[m] * 10 ** 6 else -1
+        flipped = PiecewiseFn(nums=tuple(nums), den=q.den, tail_slope=q.tail_slope)
+        model = quantized_model(model)
+        published = Fraction(reference_table[pair]["pf"]) * 10 ** 6
+        for fn, want in ((q, unflipped), (flipped, published)):
+            value = pattern_max(fn, model)[0]
+            assert round6(value.numerator, value.denominator) == want, (fn is q, want)
+        assert unflipped != published
+
+    def test_open_entries_have_no_tie(self, wset, model, reference_table):
+        # (7,7) P(f) lies one unit above the published value, and neither its
+        # f nor the g of (7,1) has a tie to flip
+        f = build_f(7, TUNED_LAMBDA[(7, 1)], wset)
+        assert self.ties(exact_g(7, 1, f, wset)) == set()
+        f = build_f(7, TUNED_LAMBDA[(7, 7)], wset)
+        assert self.ties(f) == set()
+        value = pattern_max(quantized_fn(f, wset.tail_slope), quantized_model(model))[0]
+        assert round6(value.numerator, value.denominator) == 1517144
+        assert Fraction(reference_table[(7, 7)]["pf"]) * 10 ** 6 == 1517143
 
 
 def _eval(fn, x, table):
@@ -230,7 +313,7 @@ class TestPatternMax:
 
     def test_reference_value_flagship(self, wset, model):
         f = build_f(1, Fraction(1, 2), wset)
-        val, pat = pattern_max(quantized_fn(f), quantized_model(model))
+        val, pat = pattern_max(quantized_fn(f, wset.tail_slope), quantized_model(model))
         assert round6(val.numerator, val.denominator) == 1598272
         # the witness pattern is feasible and attains the value
         assert sum(model.sizes[m] * c for m, c in pat.items()) <= 1
@@ -263,7 +346,7 @@ class TestPatternMax:
         lams = seeded_lambda(1)
         for i, j in ((1, 6), (6, 1), (7, 7)):
             f = build_f(i, lams[(i, j)], wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             for fn in (f, g):
                 assert lcm(*(v.denominator for v in fn.values[1:13])) > 10 ** 5
                 assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
@@ -415,15 +498,16 @@ class TestSearchOracle:
         compat = mode == "paper-compat"
         model = shplus_pattern_model(table)
         model = quantized_model(model) if compat else model
-        fs, fns = {}, []
+        hulls, fns = {}, []
         for (i, j), lam in lams.items():
-            if (i, lam) not in fs:
-                fs[(i, lam)] = build_f(i, lam, wset)
-                fns.append(fs[(i, lam)])
-            fns.append(build_g(i, j, fs[(i, lam)], wset, tail_mode=mode))
-        assert len(fns) == 49 + len(fs)
+            if (i, lam) not in hulls:
+                f = build_f(i, lam, wset)
+                hulls[(i, lam)] = ratio_hull(i, f, wset)
+                fns.append(f)
+            fns.append(build_g(j, hulls[(i, lam)], wset))
+        assert len(fns) == 49 + len(hulls)
         for fn in fns:
-            fn = quantized_fn(fn) if compat else fn
+            fn = quantized_fn(fn, wset.tail_slope) if compat else fn
             assert pattern_max(fn, model) == _recursive_pattern_max(fn, model)
 
     @pytest.mark.parametrize("num_types", [7, 12, 15, 30, 50])
@@ -584,7 +668,7 @@ class TestStrictModel:
         lower = 0
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             ours = pattern_max(f, strict)[0] * pattern_max(g, strict)[0]
             published = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
             assert ours <= published, (i, j)
@@ -599,7 +683,7 @@ class TestStrictModel:
         fns = [random_fn(rnd, num_types) for _ in range(5)]
         for i, j in ((1, 6), (7, 7)):
             f = build_f(i, TUNED_LAMBDA[(i, j)], wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             fns += [PiecewiseFn(nums=fn.nums[:num_types + 1], den=fn.den,
                                 tail_slope=fn.tail_slope) for fn in (f, g)]
         for fn in fns:
@@ -624,9 +708,9 @@ class TestIntegerFunctions:
                           for m in range(1, k + 1)))
             slope = ts * max(p + q for p, q in points) if mode == "exact" else ts
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode=mode)
+            g = exact_g(i, j, f, wset)
             if mode == "paper-compat":
-                f, g = quantized_fn(f), quantized_fn(g)
+                f, g = quantized_fn(f, ts), quantized_fn(g, ts)
                 fv, gv = ((None, *(Fraction(round(v * 10 ** 6), 10 ** 6) for v in vs[1:]))
                           for vs in (fv, gv))
             assert (f.values, f.tail_slope) == (fv, ts), (i, j)
@@ -710,9 +794,9 @@ class TestCertificate:
         constraints = (*model.constraints, *builtin_model_constraints(table))
         for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
             f = build_f(i, e.lam, wset)
-            g = build_g(i, j, f, wset, tail_mode=mode)
+            g = exact_g(i, j, f, wset)
             if compat:
-                f, g = quantized_fn(f), quantized_fn(g)
+                f, g = quantized_fn(f, wset.tail_slope), quantized_fn(g, wset.tail_slope)
             for fn, value, pat in ((f, e.pf, e.pf_pattern), (g, e.pg, e.pg_pattern)):
                 assert all(0 < x <= model.caps[m] for m, x in pat.items()), (i, j)
                 assert all(cut.lhs(pat) <= cut.rhs for cut in constraints), (i, j)
@@ -733,7 +817,7 @@ class TestCertificate:
         prods = {}
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = build_g(i, j, f, wset, tail_mode="exact")
+            g = exact_g(i, j, f, wset)
             prods[(i, j)] = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
         retained = {(i, j): min(prods[(i, j)], prods[(j, i)])
                     for i in range(1, 8) for j in range(i, 8)}

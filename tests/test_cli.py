@@ -63,7 +63,7 @@ class TestInputErrors:
         ("pack1d --algorithm harmonic --k 1", "k must be at least 2"),
         ("pack1d --algorithm harmonic --k 1000000000000", "k must be at most 1000000"),
         ("pack2d --n 10 --delta 0", "grid parameter"),
-        ("bound --lambda-file {dir}/not_json.json", "Expecting"),
+        ("bound --lambda-file {dir}/not_json.json", "not_json.json: Expecting"),
         ("bound --lambda-file {dir}/lacks_pair.json", "lacks the pair 3,4"),
         ("pack1d --n -3", "--n: must be at least 0"),
         ("gen --kind tiled-known-opt --bins 0", "--bins: must be at least 1"),
@@ -98,6 +98,15 @@ class TestInputErrors:
          "item size with a 5001-digit numerator and a 1-digit denominator outside (0, 1]"),
         ("pack2d --input {dir}/huge_rect.txt", "rectangle 2 x with a 1-digit numerator "
                                                "and a 5001-digit denominator outside"),
+        # refused before a list is built: the instances would not fit in memory
+        ("pack1d --n 1000000000000",
+         "an instance of 1000000000000 items exceeds the cap of 10000000"),
+        ("pack1d --kind tiled-known-opt --bins 1000000000000",
+         "an instance of 2000000000000 items exceeds the cap of 10000000"),
+        ("pack2d --kind tiled-known-opt --bins 1000000000000",
+         "an instance of 4000000000000 rectangles exceeds the cap of 10000000"),
+        ("gen --kind harmonic-adversarial --dims 2 --n 1000000000000",
+         "an instance of 1000000000000 rectangles exceeds the cap of 10000000"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -105,7 +114,9 @@ class TestInputErrors:
             "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
             "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
             "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
-            "harmonic-size-5001-digits", "rectangle-side-5001-digits"])
+            "harmonic-size-5001-digits", "rectangle-side-5001-digits", "n-10-to-the-12",
+            "tiled-1d-bins-10-to-the-12", "tiled-2d-bins-10-to-the-12",
+            "gen-2d-n-10-to-the-12"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")

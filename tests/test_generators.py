@@ -65,6 +65,29 @@ class TestKinds:
             generate(InstanceSpec(kind="nope", n=1, seed=0))
 
 
+class TestSizeCap:
+    # the cap lowered to 8, so that no test builds an instance near the real one
+    @pytest.mark.parametrize("kind,dims,field,most", [
+        ("uniform", 1, "n", 8), ("uniform", 2, "n", 8),
+        ("harmonic-adversarial", 1, "n", 8), ("harmonic-adversarial", 2, "n", 8),
+        ("tiled-known-opt", 1, "bins", 4), ("tiled-known-opt", 2, "bins", 2),
+    ])
+    def test_generated_count_is_capped(self, monkeypatch, kind, dims, field, most):
+        monkeypatch.setattr(generators, "_MAX_ITEMS", 8)
+        spec = InstanceSpec(kind=kind, dims=dims, **{field: most})
+        assert len(generate(spec).items) == 8
+        what = "items" if dims == 1 else "rectangles"
+        with pytest.raises(ValueError, match=f"^an instance of {8 + 8 // most} {what} "
+                                             f"exceeds the cap of 8$"):
+            generate(InstanceSpec(kind=kind, dims=dims, **{field: most + 1}))
+
+    def test_files_are_not_capped(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(generators, "_MAX_ITEMS", 8)
+        p = tmp_path / "nine.txt"
+        p.write_text("1/2\n" * 9)
+        assert len(generate(InstanceSpec(kind="file", path=str(p))).items) == 9
+
+
 class TestFileKind:
     def test_reads_sizes_with_comments(self, tmp_path):
         p = tmp_path / "inst.txt"

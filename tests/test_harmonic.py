@@ -5,8 +5,9 @@ import pytest
 
 from harmonicpack.harmonic import HarmonicPacker, harmonic_type, w_h
 from harmonicpack.params import exact_add
+from harmonicpack.superharmonic import ShState
 
-from conftest import fraction_builds, grid_sizes, harmonic_bins
+from conftest import fraction_builds, grid_sizes, harmonic_bins, harmonic_table
 
 
 class OracleHarmonic:
@@ -197,6 +198,15 @@ class TestAgainstOracle:
                 assert (p.cost, p.total_weight) == (oracle.cost, oracle.total_weight), n
         assert oracle.closed_tiny_sums  # tail bins closed on the way
         assert p.weight_slack() == oracle.cost - oracle.total_weight
+
+    @pytest.mark.parametrize("k", [3, 7, 38])
+    def test_bins_equal_shplus_on_the_harmonic_table(self, k):
+        # Harmonic(k) is SH+ on the table with no red items, t_i = 1/i and
+        # eps = 1/k: both put every item in the same bin
+        p, st = HarmonicPacker(k), ShState(harmonic_table(k))
+        for n, pq in enumerate(mixed_pairs(random.Random(k), 20000, k)):
+            assert p.insert(*pq) == st.insert(*pq).bid, n
+        assert p.cost == st.cost
 
     def test_total_weight_builds_no_fraction_per_type(self):
         # five items, one on the tail, over a million types: the weight is

@@ -176,6 +176,29 @@ def test_bins_enter_use_in_one_place():
                   and node.attr == "popleft") == claim
 
 
+def _calls(name):
+    """A pick for ``_homes``: a call of the function ``name``, bare or as an
+    attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_paper_compat_has_one_home():
+    # the six-decimal data and the pinned tail are applied, and the mode is
+    # read, in ratio_certificate alone (the CLI only names the choices)
+    home = ["boundcert.ratio_certificate"]
+    assert _homes(_calls("quantized_fn")) == home
+    assert _homes(_calls("quantized_model")) == home
+    assert [h for h in _homes(lambda node: isinstance(node, ast.Constant)
+                              and node.value in ("paper-compat", "exact"))
+            if not h.startswith("cli.")] == home
+
+
+def test_ratio_hull_has_one_home():
+    # f's ratio hull is built in ratio_hull alone, once per (i, lam)
+    assert _homes(_calls("_upper_right_hull")) == ["boundcert.ratio_hull"]
+
+
 def _package_imports(tree) -> set:
     """Package modules imported by a module, relatively or absolutely."""
     found = set()
