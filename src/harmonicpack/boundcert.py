@@ -64,21 +64,19 @@ The certificate runs in one of two modes, which differ in what
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import ceil, gcd, lcm
-from typing import Optional
 
-from .params import ParamTable, builtin_shplus, on_one_denominator, parse_rational
+from .params import Frozen, ParamTable, builtin_shplus, on_one_denominator, parse_rational
 from .weighting import WeightFunctionSet
 
 
 # -- piecewise weight functions --------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewiseFn:
+class PiecewiseFn(Frozen):
     """A weight function: the value ``nums[m] / den`` on type interval m plus a
     linear tail of slope ``tail_slope`` on (0, eps].
 
@@ -89,9 +87,8 @@ class PiecewiseFn:
     :meth:`from_values` builds a function from rationals.
     """
 
-    nums: tuple  # 1-based, nums[m] for type m, index 0 is None
-    den: int
-    tail_slope: Fraction
+    def __init__(self, nums: tuple, den: int, tail_slope: Fraction):
+        self._set(nums=nums, den=den, tail_slope=tail_slope)
 
     @classmethod
     def from_values(cls, values, tail_slope: Fraction) -> "PiecewiseFn":
@@ -178,13 +175,14 @@ def build_g(case_j: int, hull: tuple, wset: WeightFunctionSet) -> PiecewiseFn:
 
 # -- the integer pattern model ----------------------------------------------
 
-@dataclass(frozen=True)
-class LinearCut:
+class LinearCut(namedtuple("LinearCut", [
+        "name",
+        "coeffs",  # ((type, Fraction coeff), ...) sorted by type
+        "rhs",
+])):
     """A linear constraint sum coeff[m]*x_m <= rhs with nonnegative coeffs."""
 
-    name: str
-    coeffs: tuple  # ((type, Fraction coeff), ...) sorted by type
-    rhs: Fraction
+    __slots__ = ()
 
     @classmethod
     def make(cls, name, coeffs: dict, rhs) -> "LinearCut":
@@ -199,8 +197,7 @@ class LinearCut:
         return sum((c * pattern.get(m, 0) for m, c in self.coeffs), Fraction(0))
 
 
-@dataclass(frozen=True)
-class PatternModel:
+class PatternModel(Frozen):
     """Feasible integer patterns of one bin, under caps and cuts.
 
     ``sizes[m]`` is the infimum size of a type-m item; the knapsack
@@ -209,10 +206,10 @@ class PatternModel:
     rows, such as the compound cuts.
     """
 
-    sizes: tuple  # 1-based, index 0 None
-    caps: tuple  # 1-based ints
-    constraints: tuple  # of LinearCut
-    capacity: Fraction = Fraction(1)
+    def __init__(self, sizes: tuple, caps: tuple, constraints: tuple,
+                 capacity: Fraction = Fraction(1)):
+        # sizes and caps 1-based (index 0 None), constraints of LinearCut
+        self._set(sizes=sizes, caps=caps, constraints=constraints, capacity=capacity)
 
     @property
     def ntypes(self) -> int:
@@ -290,7 +287,7 @@ def _require_builtin(table: ParamTable) -> None:
 
 
 def shplus_pattern_model(table: ParamTable, include_cuts: bool = True,
-                         num_types: Optional[int] = None) -> PatternModel:
+                         num_types: int | None = None) -> PatternModel:
     """The pattern model of a table (sizes t[m+1], per-type caps) over types
     1..num_types (all k by default).  The compound cuts, each keeping the terms
     of those types and dropped when none is left, hold for the built-in table
@@ -467,7 +464,7 @@ def cut_max_lhs(cut: LinearCut, model: PatternModel):
     return pattern_max(fn, model.strict)
 
 
-def validate_cut(cut: LinearCut, model: PatternModel) -> Optional[dict]:
+def validate_cut(cut: LinearCut, model: PatternModel) -> dict | None:
     """Check that no genuine pattern violates ``cut``; None when valid.
 
     Otherwise returns the heaviest counterexample, the argmax pattern of
@@ -495,20 +492,16 @@ for _i, _row in enumerate(_LAMBDA_ROWS, start=1):
         TUNED_LAMBDA[(_i, _j)] = parse_rational(_lam)
 
 
-@dataclass
-class PairEntry:
-    i: int
-    j: int
-    lam: Fraction
-    pf: Fraction
-    pg: Fraction
-    product: Fraction
-    pf_pattern: dict
-    pg_pattern: dict
+PairEntry = namedtuple("PairEntry", ["i", "j", "lam", "pf", "pg", "product",
+                                     "pf_pattern", "pg_pattern"])
 
 
-@dataclass
-class RatioCertificate:
+class RatioCertificate(namedtuple("RatioCertificate", [
+        "mode",
+        "entries",  # (i, j) -> PairEntry
+        "retained",  # frozenset({i, j}) -> (orientation (i, j), value)
+        "bound",
+])):
     """Per-pair products and the overall retained bound.
 
     For an unordered pair {i, j} the two orientations bound the same
@@ -516,10 +509,7 @@ class RatioCertificate:
     feasible patterns onto themselves), so the smaller product is retained.
     """
 
-    mode: str
-    entries: dict  # (i, j) -> PairEntry
-    retained: dict  # frozenset({i, j}) -> (orientation (i, j), value)
-    bound: Fraction
+    __slots__ = ()
 
 
 def round6(num: int, den: int) -> int:
@@ -544,7 +534,7 @@ def quantized_model(model: PatternModel) -> PatternModel:
                         capacity=model.capacity)
 
 
-def ratio_certificate(wset: WeightFunctionSet, lam_table: Optional[dict] = None,
+def ratio_certificate(wset: WeightFunctionSet, lam_table: dict | None = None,
                       mode: str = "paper-compat") -> RatioCertificate:
     """Compute P(f) * P(g) for every case pair and the retained overall bound.
     Paper-compat's changes live here alone: six-decimal sizes and f and g

@@ -42,10 +42,9 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .params import named, parse_pair, parse_rational
 
@@ -108,21 +107,20 @@ class Item2D(tuple):
         return Item2D.from_pairs, (self[:2], self[2:])
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    kind: str  # uniform | harmonic-adversarial | tiled-known-opt | file
-    n: int = 0
-    seed: int = 0
-    dims: int = 1
-    bins: Optional[int] = None  # tiled-known-opt; None means max(1, n)
-    path: Optional[str] = None  # file
+InstanceSpec = namedtuple("InstanceSpec", [
+    "kind",  # uniform | harmonic-adversarial | tiled-known-opt | file
+    "n",
+    "seed",
+    "dims",
+    "bins",  # tiled-known-opt; None means max(1, n)
+    "path",  # file
+], defaults=(0, 0, 1, None, None))
 
-
-@dataclass
-class Instance:
-    spec: InstanceSpec
-    items: list  # (p, q) integer pairs (1D) or Item2D (2D)
-    known_opt: Optional[int] = None
+Instance = namedtuple("Instance", [
+    "spec",
+    "items",  # (p, q) integer pairs (1D) or Item2D (2D)
+    "known_opt",
+], defaults=(None,))
 
 
 def _uniform_pair(rng: random.Random) -> tuple:
@@ -147,7 +145,7 @@ def _read_lines(lines, dims: int, items: list) -> None:
                              f"{line.partition('#')[0].strip()!r}")
 
 
-def _read_plain(lines, dims: int) -> Optional[list]:
+def _read_plain(lines, dims: int) -> list | None:
     """The items of a chunk of plain lines, read in bulk, as ``_read_lines``
     reads them.  None for any other chunk, and for a plain one with a token
     JSON refuses or a line ``_read_lines`` refuses: that chunk is left to

@@ -45,7 +45,7 @@ coordinate), which a run sums slice by slice; the test-suite pins C = 300.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter, neg
@@ -147,18 +147,27 @@ class TinyGrid:
         return lo - 1
 
 
-@dataclass(slots=True)
 class Slice:
-    sid: int
-    bin_id: int
-    x_num: int  # the column [x, x + width] x [0, 1]: x = x_num / den and the
-    w_num: int  # width, the class value, w_num / den
-    den: int
-    width_type: int  # table type of the widths, k+1 for the tiny grid
-    height_type: int  # Harmonic type of the heights stacked here
-    fill_num: int = 0  # the stacked height is fill_num / fill_den
-    fill_den: int = 1
-    items: list = field(default_factory=list)  # Item2D tuples, bottom to top
+    """Slice ``sid`` of bin ``bin_id``: the column [x, x + width] x [0, 1] with
+    x = x_num / den and the width, the class value, w_num / den.  It stacks
+    the Item2D tuples ``items``, bottom to top, of heights summing to
+    fill_num / fill_den; ``width_type`` is the table type of the widths, k+1
+    for the tiny grid, and ``height_type`` their Harmonic type."""
+
+    __slots__ = ("sid", "bin_id", "x_num", "w_num", "den", "width_type", "height_type",
+                 "fill_num", "fill_den", "items")
+
+    def __init__(self, sid: int, bin_id: int, x_num: int, w_num: int, den: int,
+                 width_type: int, height_type: int, fill_num: int, fill_den: int,
+                 items: list):
+        self.sid, self.bin_id = sid, bin_id
+        self.x_num, self.w_num, self.den = x_num, w_num, den
+        self.width_type, self.height_type = width_type, height_type
+        self.fill_num, self.fill_den, self.items = fill_num, fill_den, items
+
+    def __eq__(self, other):
+        return (isinstance(other, Slice)
+                and all(getattr(self, a) == getattr(other, a) for a in self.__slots__))
 
 
 class TensorRun:
@@ -273,11 +282,7 @@ def w2d(case_i: int, case_j: int, x: Fraction, y: Fraction,
     return (w_h(x, hk) * wset.w(y, case_i) + wset.w(x, case_j) * w_h(y, hk)) / 2
 
 
-@dataclass
-class TensorCost:
-    cost_hxb: int
-    cost_bxh: int
-    avg: Fraction
+TensorCost = namedtuple("TensorCost", ["cost_hxb", "cost_bxh", "avg"])
 
 
 def tensor_cost(items, table: ParamTable, delta: Fraction = DEFAULT_DELTA):

@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import reprlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -108,8 +107,22 @@ def on_one_denominator(xs) -> tuple:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-@dataclass(frozen=True)
-class ParamTable:
+class Frozen:
+    """Base of the package's immutable classes: ``__init__`` sets every
+    attribute once, through ``_set``, and assigning one later raises
+    AttributeError."""
+
+    def _set(self, **attrs):
+        # object.__setattr__, not vars(self).update: asking for __dict__
+        # builds a dict, and attribute reads from it are slower
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class ParamTable(Frozen):
     """A Super-Harmonic parameter instance, built from its free arrays ``t``,
     ``alpha``, ``Delta`` and ``phi``; ``beta``, ``delta``, ``varphi`` and
     ``gamma`` are derived from them by the rules above.
@@ -117,29 +130,19 @@ class ParamTable:
     Arrays are 1-indexed (index 0 is padding) so that code reads like the
     definitions above: ``t[i]``, ``alpha[i]`` etc. for ``1 <= i <= k``.
     ``t`` has entries ``1..k+2``.  Row ``k+1`` (the Next-Fit tail type) has
-    no alpha/beta/... attributes.  Instances are immutable and safe to share.
+    no alpha/beta/... attributes.  Instances are immutable and safe to share;
+    two tables are equal, and hash alike, when their free arrays are equal.
 
     Raises ValueError when an array's length disagrees with k and K, or when
     some t[1..k+1] lies outside (0, 1].  Every other rule is :func:`validate`'s.
     """
 
-    k: int
-    K: int
-    t: tuple  # t[1..k+2], index 0 is None
-    alpha: tuple  # alpha[1..k]
-    Delta: tuple  # Delta[0..K]
-    phi: tuple  # phi[1..k], values in 0..K
-    beta: tuple = field(init=False)  # beta[1..k], floor(1/t[i])
-    delta: tuple = field(init=False)  # delta[1..k], leftover 1 - t[i]*beta[i]
-    varphi: tuple = field(init=False)  # varphi[1..k], values in 0..K
-    gamma: tuple = field(init=False)  # gamma[1..k]
-
-    def __post_init__(self):
-        k, K, t, Delta = self.k, self.K, self.t, self.Delta
+    def __init__(self, k: int, K: int, t: tuple, alpha: tuple, Delta: tuple, phi: tuple):
+        # t[1..k+2] with index 0 None, alpha[1..k], Delta[0..K], phi[1..k] in 0..K
         if k < 0 or K < 0:
             raise ValueError(f"k = {k} and K = {K} must not be negative")
-        for name, got, want in (("t", len(t) - 1, k + 2), ("alpha", len(self.alpha) - 1, k),
-                                ("Delta", len(Delta), K + 1), ("phi", len(self.phi) - 1, k)):
+        for name, got, want in (("t", len(t) - 1, k + 2), ("alpha", len(alpha) - 1, k),
+                                ("Delta", len(Delta), K + 1), ("phi", len(phi) - 1, k)):
             if got != want:
                 raise ValueError(f"{name} has {got} entries where k = {k} and K = {K} "
                                  f"need {want}")
@@ -151,18 +154,24 @@ class ParamTable:
             beta.append(1 // t[i])
             # the smallest space a red item fits; 0 for no reds or no such space
             j = (next((j for j in range(1, K + 1) if t[i] <= Delta[j]), 0)
-                 if self.alpha[i] > 0 else 0)
+                 if alpha[i] > 0 else 0)
             varphi.append(j)
             gamma.append(max(1, Delta[1] // t[i]) if j else 0)
-        delta = [None, *(1 - t[i] * beta[i] for i in range(1, k + 1))]
-        for name, column in (("beta", beta), ("delta", delta), ("varphi", varphi),
-                             ("gamma", gamma)):
-            object.__setattr__(self, name, tuple(column))
         # classify() bisects [t[k+1], t[k], ..., t[2]] scaled to integers over
         # their common denominator D: t < p/q exactly when t*D < ceil(p*D/q)
         den, breaks = on_one_denominator([t[i] for i in range(k + 1, 1, -1)])
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_asc_breaks", breaks)
+        self._set(k=k, K=K, t=t, alpha=alpha, Delta=Delta, phi=phi, beta=tuple(beta),
+                  delta=(None, *(1 - t[i] * beta[i] for i in range(1, k + 1))),
+                  varphi=tuple(varphi), gamma=tuple(gamma), _den=den, _asc_breaks=breaks)
+
+    def __eq__(self, other):
+        return isinstance(other, ParamTable) and self._free() == other._free()
+
+    def __hash__(self):
+        return hash(self._free())
+
+    def _free(self) -> tuple:
+        return self.k, self.K, self.t, self.alpha, self.Delta, self.phi
 
     @property
     def eps(self) -> Fraction:

@@ -56,16 +56,14 @@ a ``PlacementTrace`` row and its group names are built only under
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .params import ParamTable, exact_add, on_one_denominator
 
 
-def _group_name(table: ParamTable, blue: Optional[int], red: Optional[int]) -> str:
+def _group_name(table: ParamTable, blue: int | None, red: int | None) -> str:
     """Name of the group of a bin holding blue type ``blue`` and red type ``red``."""
     if blue is not None and red is not None:
         return f"({blue},{red})"
@@ -84,9 +82,9 @@ class Bin:
 
     def __init__(self, bid: int):
         self.bid = bid
-        self.blue_type: Optional[int] = None
+        self.blue_type: int | None = None
         self.blue_count = 0
-        self.red_type: Optional[int] = None
+        self.red_type: int | None = None
         self.red_count = 0
         self.blue_num = self.red_num = 0  # blue_sum is blue_num / blue_den
         self.blue_den = self.red_den = 1
@@ -96,18 +94,19 @@ class Bin:
     content_sum = property(lambda self: self.blue_sum + self.red_sum)
 
 
-@dataclass(frozen=True)
-class PlacementTrace:
+class PlacementTrace(namedtuple("PlacementTrace", [
+        "item_index",
+        "size",
+        "type_index",
+        "color",  # "blue" | "red" | "tiny"
+        "group_before",
+        "group_after",
+        "bin_id",
+        "opened",
+])):
     """trace columns: item_index,size,type,color,group_before,group_after,bin_id,opened"""
 
-    item_index: int
-    size: Fraction
-    type_index: int
-    color: str  # "blue" | "red" | "tiny"
-    group_before: str
-    group_after: str
-    bin_id: int
-    opened: bool
+    __slots__ = ()
 
     def csv_row(self) -> str:
         return (f"{self.item_index},{self.size},{self.type_index},{self.color},"
@@ -115,25 +114,26 @@ class PlacementTrace:
                 f"{int(self.opened)}")
 
 
-@dataclass
-class GroupCensus:
-    blue_only: dict  # i -> count of (i) bins
-    blue_indet: dict  # i -> count of (i,?) bins
-    red_indet: dict  # j -> count of (?,j) bins
-    pairs: dict  # (i, j) -> count of (i,j) bins
-    nf_bins: int
-    cost: int
+GroupCensus = namedtuple("GroupCensus", [
+    "blue_only",  # i -> count of (i) bins
+    "blue_indet",  # i -> count of (i,?) bins
+    "red_indet",  # j -> count of (?,j) bins
+    "pairs",  # (i, j) -> count of (i,j) bins
+    "nf_bins",
+    "cost",
+])
 
 
-@dataclass
-class FinalCase:
+class FinalCase(namedtuple("FinalCase", [
+        "E",  # number of (?,.) bins: the summed pool lengths
+        "r",  # type of the smallest red item in them: the largest type whose
+        #       pool is not empty
+        "j",  # index of the smallest space that red item fits
+        "case_id",  # 1 if E == 0, else K+2-j (K+1 when j == 1)
+])):
     """End-of-run classification, read from the red-indeterminate pools."""
 
-    E: int  # number of (?,.) bins: the summed pool lengths
-    r: Optional[int]  # type of the smallest red item in them: the largest
-    #                   type whose pool is not empty
-    j: Optional[int]  # index of the smallest space that red item fits
-    case_id: int  # 1 if E == 0, else K+2-j (K+1 when j == 1)
+    __slots__ = ()
 
 
 class ShState:
@@ -145,7 +145,7 @@ class ShState:
         self.s = [0] * (k + 1)  # items seen per type
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
-        self._nf_bin: Optional[Bin] = None
+        self._nf_bin: Bin | None = None
         self.keep_trace = keep_trace
         self.trace: list = []
         # at most one bin has room for each (type, colour)
@@ -190,7 +190,7 @@ class ShState:
             pool.append(b)
         return b
 
-    def insert(self, p: int, q: int, i: Optional[int] = None) -> Bin:
+    def insert(self, p: int, q: int, i: int | None = None) -> Bin:
         """Place one item of size p/q (q > 0, not necessarily in lowest terms)
         and return the bin it went into.  ``i``, if given, is its type, as
         ``classify(p, q)`` gives it; a caller that knows the type skips it."""

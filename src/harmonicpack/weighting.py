@@ -30,7 +30,7 @@ the Next-Fit bin, and rounding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -122,17 +122,18 @@ class WeightFunctionSet:
                         for row in self.rows[1:])]
 
 
-@dataclass
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", [
+        "cost",
+        "case_id",  # realized final case
+        "case_totals",  # 1-based, K+1 entries
+        "max_total",
+        "slack",  # cost - max_total
+        "final_case_total",
+        "final_case_slack",  # cost - total of the realized case
+])):
     """Outcome of checking the cost bound on one finished run."""
 
-    cost: int
-    case_id: int  # realized final case
-    case_totals: list  # 1-based, K+1 entries
-    max_total: Fraction
-    slack: Fraction  # cost - max_total
-    final_case_total: Fraction
-    final_case_slack: Fraction  # cost - total of the realized case
+    __slots__ = ()
 
 
 def bound_check(state, wset: WeightFunctionSet | None = None) -> BoundReport:

@@ -675,6 +675,14 @@ class TestStrictModel:
             lower += ours < published
         assert lower == 19
 
+    def test_model_is_frozen(self, model):
+        # grid, solver and strict are cached: a model that could change
+        # would keep serving the ones of its old caps
+        strict = model.strict
+        with pytest.raises(AttributeError):
+            model.caps = strict.caps
+        assert model.strict is strict
+
     @pytest.mark.parametrize("num_types", [1, 7, 12, 15])
     def test_matches_brute_force_on_strict_truncation(self, table, wset, num_types):
         strict = shplus_pattern_model(table, num_types=num_types).strict

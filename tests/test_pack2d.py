@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -13,6 +12,7 @@ from harmonicpack.boundcert import build_f
 from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
+from harmonicpack.params import ParamTable
 from harmonicpack.weighting import WeightFunctionSet
 
 from conftest import class_value, grid_sizes, harmonic_table, move_column, packed
@@ -442,7 +442,7 @@ class TestGeometry:
         run = TensorRun(table)
         for sid, x_num, w in ((0, 0, Fraction(1, 10)), (1, 2, Fraction(3, 10))):
             run.slices.append(Slice(sid=sid, bin_id=0, x_num=x_num, w_num=3, den=10,
-                                    width_type=1, height_type=1,
+                                    width_type=1, height_type=1, fill_num=1, fill_den=2,
                                     items=[Item2D(w, Fraction(1, 2))]))
         assert any("overlap" in v for v in validate_geometry(run))
 
@@ -518,7 +518,8 @@ class TestCombinedWeight:
     def test_eps_without_integer_inverse_is_refused(self, table):
         # 1/eps = 75/2 has no Harmonic index: the 1D case totals still hold,
         # and everything that weighs or stacks heights refuses the table
-        odd = dataclasses.replace(table, t=(*table.t[:51], Fraction(2, 75), Fraction(0)))
+        odd = ParamTable(k=table.k, K=table.K, t=(*table.t[:51], Fraction(2, 75), Fraction(0)),
+                         alpha=table.alpha, Delta=table.Delta, phi=table.phi)
         wset = WeightFunctionSet(odd)
         assert wset.case_totals([0] * 51, Fraction(2, 75))[1:] == [Fraction(2, 73)] * 7
         x = Fraction(1, 100)

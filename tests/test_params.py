@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -31,6 +30,18 @@ class TestBuiltinTable:
         assert table.k == 50 and table.K == 6
         assert table.eps == Fraction(1, 38)
         assert table.t[52] == 0 and table.t[1] == 1
+
+    def test_equal_free_arrays_make_equal_frozen_tables(self, table):
+        # the compound cuts accept a table equal to the built-in one, so
+        # equality reads the free arrays and no assignment may change them
+        same = ParamTable(k=table.k, K=table.K, t=table.t, alpha=table.alpha,
+                          Delta=table.Delta, phi=table.phi)
+        assert same is not table and same == table and hash(same) == hash(table)
+        alpha = (*table.alpha[:9], table.alpha[9] / 2, *table.alpha[10:])
+        assert ParamTable(k=table.k, K=table.K, t=table.t, alpha=alpha,
+                          Delta=table.Delta, phi=table.phi) != table
+        with pytest.raises(AttributeError):
+            table.alpha = alpha
 
     def test_row_9(self, table):
         assert table.t[9] == Fraction("0.42")
@@ -123,7 +134,8 @@ class TestValidateViolations:
         # eps = 2/75 lies between t[50] = 1/37 and 1/38, so the 1D rules
         # hold, but the 2D packer's height weighting needs an integer 1/eps
         t = (*table.t[:table.k + 1], Fraction(2, 75), Fraction(0))
-        odd = dataclasses.replace(table, t=t)
+        odd = ParamTable(k=table.k, K=table.K, t=t, alpha=table.alpha, Delta=table.Delta,
+                         phi=table.phi)
         assert validate(odd) == ["1/eps = 75/2 is not an integer: the 2D height "
                                  "weighting stacks at Harmonic index 1/eps"]
         with pytest.raises(ValueError, match="1/eps must be an integer"):

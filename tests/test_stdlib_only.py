@@ -4,7 +4,6 @@ for callers that do not exist."""
 
 import ast
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -231,14 +230,21 @@ def test_generators_sit_below_the_packers():
 
 
 def test_submodule_import_loads_no_other_module():
-    # the package re-exports resolve on first access, not at import time
-    probe = ("import json, sys, harmonicpack.params\n"
+    # the package re-exports resolve on first access, not at import time, and
+    # the CLI's imports load none of the slow helpers of code generation and
+    # typing, which every command would pay for at start-up.  -I -S: no
+    # environment variable or site hook imports anything first
+    probe = (f"import json, sys; sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+             "import harmonicpack.params\n"
              "print(json.dumps(sorted(m for m in sys.modules"
-             " if m.startswith('harmonicpack'))))\n")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert json.loads(out.stdout) == ["harmonicpack", "harmonicpack.params"]
+             " if m.startswith('harmonicpack'))))\n"
+             "import harmonicpack.cli\n"
+             "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'}"
+             " & set(sys.modules))))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert [json.loads(line) for line in out.stdout.splitlines()] == [
+        ["harmonicpack", "harmonicpack.params"], []]
 
 
 def test_package_exports_resolve():
