@@ -36,9 +36,11 @@ so that W(x, y) <= f(y) g(x) pointwise and the single-bin weight of W is at
 most P(f) P(g).  Both f and g are piecewise constant on the type intervals
 with a linear tail; the supremum over y is a maximum of dot products with 51
 points (each interval plus the tail, where the linear slopes cancel), taken
-over the vertices of their upper-right convex hull.  W_H and the case weights
-W^c are read from :class:`~harmonicpack.weighting.WeightFunctionSet` as
-integers over its one denominator; this module derives no weight itself.
+over the vertices of their upper-right convex hull, which gift wrapping finds
+on the points' own small integers, as homogeneous triples (X, Y, W), with no
+common scale and no sort.  W_H and the case weights W^c are read from
+:class:`~harmonicpack.weighting.WeightFunctionSet` as integers over its one
+denominator; this module derives no weight itself.
 From there to :func:`pattern_max` a function stays integers over one
 denominator (:class:`PiecewiseFn`): f, g, their six-decimal quantization and
 the search's gains are built without a Fraction per type.  f and its hull
@@ -123,54 +125,69 @@ def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
 
 
 def _upper_right_hull(points) -> list:
-    """Hull vertices that can maximise a direction (a > 0, b >= 0): a monotone
-    chain, right to left, over the points higher than all points to their
-    right; a vertex on or below its neighbours' chord is dropped."""
-    hull = []
-    for x, y in sorted(points, reverse=True):
-        if hull and y <= hull[-1][1]:
-            continue
-        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                  <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
-            hull.pop()
-        hull.append((x, y))
-    return hull
+    """Hull vertices that can maximise a direction (a > 0, b >= 0), for
+    homogeneous points (X, Y, W), W > 0, standing for (X/W, Y/W): gift
+    wrapping from the rightmost point, the highest of ties.  Each step moves
+    to the point above the current one with no point above it beyond the edge
+    (the sign of a 3x3 determinant), the farthest of collinear ones, and the
+    chain stops where no point is higher."""
+    c = points[0]
+    for p in points:
+        d = p[0] * c[2] - c[0] * p[2]
+        if d > 0 or d == 0 and p[1] * c[2] > c[1] * p[2]:
+            c = p
+    hull = [c]
+    while True:
+        X, Y, W = c
+        q = None
+        for r in points:
+            if r[1] * W <= Y * r[2]:
+                continue  # not above c
+            if q is not None:
+                # det(c, q, r) = r . (c x q): below zero, r lies beyond c -> q
+                s = r[0] * a + r[1] * b + r[2] * e
+                if s > 0 or s == 0 and r[1] * q[2] <= q[1] * r[2]:
+                    continue
+            q = r
+            a, b, e = Y * q[2] - W * q[1], W * q[0] - X * q[2], X * q[1] - Y * q[0]
+        if q is None:
+            return hull
+        hull.append(q)
+        c = q
 
 
-def ratio_hull(case_i: int, f: PiecewiseFn, wset: WeightFunctionSet) -> tuple:
-    """(den, vertices): the upper-right hull of the 51 ratio points of ``f``,
-    the strictly positive mix :func:`build_f` gives for ``case_i``, as
-    integers over ``den``.  For y in interval n, W(x,y) / f(y) is the dot
-    product of (W_H(x), W^j(x)) with the point (B^i_n, H_n) / (2 f_n); for a
-    tail y the linear slopes cancel and the point is (1/2, 1/2).  Only the
-    vertices can attain the supremum g, whatever the case j."""
+def ratio_hull(case_i: int, f: PiecewiseFn, wset: WeightFunctionSet) -> list:
+    """The upper-right hull of the 51 ratio points of ``f``, the strictly
+    positive mix :func:`build_f` gives for ``case_i``, as homogeneous integer
+    triples (X, Y, W).  For y in interval n, W(x,y) / f(y) is the dot product
+    of (W_H(x), W^j(x)) with the point (B^i_n, H_n) / (2 f_n); with the
+    weights integers over D and f_n = u_n/F that is (B^i_n F, H_n F, 2 D u_n).
+    For a tail y the linear slopes cancel and the point is (1, 1, 2).  Only
+    the vertices can attain the supremum g, whatever the case j."""
     D, F, h = wset.den, f.den, wset.height
     fv = f.nums[1:len(h)]
     if any(u <= 0 for u in fv) or f.tail_slope <= 0:
         raise ValueError("f must be strictly positive to form the ratio g")
-    # f_n = u/F and M = lcm(u): (B^i_n, H_n)/(2 f_n) = (w[i][n], h[n]) * F*(M/u) / (2DM),
-    # and the tail point (1/2, 1/2) is (DM, DM) / (2DM)
-    M = lcm(*fv)
-    scale = [F * (M // u) for u in fv]
-    return 2 * D * M, _upper_right_hull([(D * M, D * M)] + [
-        (b * s, hn * s) for b, hn, s in zip(wset.rows[case_i][1:], h[1:], scale)])
+    return _upper_right_hull([(1, 1, 2)] + [
+        (b * F, hn * F, 2 * D * u) for b, hn, u in zip(wset.rows[case_i][1:], h[1:], fv)])
 
 
-def build_g(case_j: int, hull: tuple, wset: WeightFunctionSet) -> PiecewiseFn:
+def build_g(case_j: int, hull: list, wset: WeightFunctionSet) -> PiecewiseFn:
     """Supremum-ratio partner of f, g(x) = sup_y W(x,y) / f(y), from f's
     :func:`ratio_hull`: on interval m the largest dot product of a vertex with
     (W_H(x), W^j(x)) = (H_m, B^j_m), and on the tail, where both are
-    x/(1-eps), the direction (1, 1) gives g's exact slope.  The products are
-    integers over D times the hull's denominator; g keeps them divided by
+    x/(1-eps), the direction (1, 1) gives g's exact slope.  On V = lcm of the
+    vertices' W the products are integers over D*V; g keeps them divided by
     their common gcd, on its reduced denominator."""
-    den, vertices = hull
+    V = lcm(*(w for _, _, w in hull))
+    vertices = [(x * (V // w), y * (V // w)) for x, y, w in hull]
     D, slope = wset.den, wset.tail_slope
     nums = [max(hm * x + b * y for x, y in vertices)
             for hm, b in zip(wset.height[1:], wset.rows[case_j][1:])]
-    c = gcd(D * den, *nums)
-    return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=D * den // c,
+    c = gcd(D * V, *nums)
+    return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=D * V // c,
                        tail_slope=Fraction(slope.numerator * max(x + y for x, y in vertices),
-                                           slope.denominator * den))
+                                           slope.denominator * V))
 
 
 # -- the integer pattern model ----------------------------------------------

@@ -194,17 +194,23 @@ class TestBuildG:
                 assert g.tail_slope / ts == max(factors), (lam, i, j)
 
     def test_g_is_on_its_reduced_denominator(self, wset):
-        # every g of the tuned table has coprime integers, and its values and
-        # tail slope are those of the construction over 2*D*D*M
+        # every g of the tuned table has coprime integers over a divisor of
+        # D*V, V the lcm of its hull's W, and its values and tail slope are
+        # those of the old construction: the monotone chain over 2*D*M, M the
+        # lcm of f's numerators, and g over 2*D*D*M.  Every vertex coordinate
+        # stays below 2**160, so no such common scale comes back unseen
         D, h, w = wset.den, wset.height, wset.rows
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            vertices = ratio_hull(i, f, wset)
+            assert all(0 <= v < 2 ** 160 for vertex in vertices for v in vertex), (i, j)
+            g = build_g(j, vertices, wset)
             assert gcd(g.den, *g.nums[1:]) == 1, (i, j)
+            assert D * lcm(*(v for _, _, v in vertices)) % g.den == 0, (i, j)
             fv = f.nums[1:len(h)]
             M = lcm(*fv)
             scale = [f.den * (M // u) for u in fv]
-            hull = _upper_right_hull([(D * M, D * M)] + [
+            hull = _reference_hull([(D * M, D * M)] + [
                 (b * s, hn * s) for b, hn, s in zip(w[i][1:], h[1:], scale)])
             den = 2 * D * D * M
             nums = [max(hm * x + b * y for x, y in hull) for hm, b in zip(h[1:], w[j][1:])]
@@ -221,6 +227,35 @@ class TestBuildG:
             ratio_hull(7, f, wset)
 
 
+def _reference_hull(points) -> list:
+    """The monotone chain that built f's ratio hull on one common scale
+    before the hull ran on homogeneous points, kept as a differential oracle:
+    right to left over the points higher than all points to their right, a
+    vertex on or below its neighbours' chord dropped."""
+    hull = []
+    for x, y in sorted(points, reverse=True):
+        if hull and y <= hull[-1][1]:
+            continue
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                  <= (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
+def _rational(points) -> list:
+    """Homogeneous points (X, Y, W) as the rational points (X/W, Y/W)."""
+    return [(Fraction(x, w), Fraction(y, w)) for x, y, w in points]
+
+
+def _reference_vertices(points) -> list:
+    """The oracle's hull of homogeneous points, scaled to one denominator,
+    read back as rational points."""
+    L = lcm(*(w for _, _, w in points))
+    hull = _reference_hull([(x * (L // w), y * (L // w)) for x, y, w in points])
+    return [(Fraction(x, L), Fraction(y, L)) for x, y in hull]
+
+
 class TestRatioHull:
     @pytest.mark.parametrize("seed,mode", [(None, "paper-compat"), (None, "exact"),
                                            (4, "exact")])
@@ -235,6 +270,39 @@ class TestRatioHull:
         assert len(hulls) == len({(i, lam) for (i, _), lam in lams.items()}) < 49
         if seed is None:
             assert len(hulls) == 37 and all(len(h) == 2 for h in hulls)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+    def test_certificate_hulls_equal_the_monotone_chain(self, wset, monkeypatch, seed):
+        # every ratio hull of the tuned table (37) and of four seeded ones
+        # has the oracle's vertices, in order, as rational points
+        lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
+        seen = []
+        monkeypatch.setattr(boundcert, "_upper_right_hull", lambda points: seen.append(
+            (points, _upper_right_hull(points))) or seen[-1][1])
+        for i, lam in {(i, lam) for (i, _), lam in lams.items()}:
+            ratio_hull(i, build_f(i, lam, wset), wset)
+        assert len(seen) == (37 if seed is None else len({(i, lam) for (i, _), lam
+                                                           in lams.items()}))
+        for points, hull in seen:
+            assert len(points) == 51
+            assert _rational(hull) == _reference_vertices(points)
+
+    def test_random_hulls_equal_the_monotone_chain(self):
+        # coordinates from a small range and W in 1..6 make duplicates,
+        # collinear runs and ties in x and in y common
+        rnd = random.Random(33)
+        for _ in range(2500):
+            points = [(rnd.randint(0, 12), rnd.randint(0, 12), rnd.randint(1, 6))
+                      for _ in range(rnd.randint(3, 60))]
+            assert _rational(_upper_right_hull(points)) == _reference_vertices(points), points
+
+    def test_collinear_and_tied_points(self):
+        # the farthest of collinear points is kept, the start is the highest
+        # of the rightmost points, and a duplicate vertex appears once
+        points = [(2, 0, 1), (1, 1, 1), (0, 2, 1), (4, 0, 2), (2, 0, 2), (2, 2, 2)]
+        assert _rational(_upper_right_hull(points)) == [(2, 0), (0, 2)]
+        points = [(3, 0, 1), (3, 1, 1), (6, 2, 2), (1, 3, 1), (0, 3, 1)]
+        assert _rational(_upper_right_hull(points)) == [(3, 1), (1, 3)]
 
 
 class TestHarmonicClosedForms:

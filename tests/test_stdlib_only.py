@@ -194,8 +194,11 @@ def test_paper_compat_has_one_home():
 
 
 def test_ratio_hull_has_one_home():
-    # f's ratio hull is built in ratio_hull alone, once per (i, lam)
+    # f's ratio hull is built in ratio_hull alone, once per (i, lam), on the
+    # points' own integers: no lcm puts them on a common scale there
     assert _homes(_calls("_upper_right_hull")) == ["boundcert.ratio_hull"]
+    assert not {"boundcert.ratio_hull", "boundcert._upper_right_hull"} & set(
+        _homes(_calls("lcm")))
 
 
 def _package_imports(tree) -> set:
@@ -255,15 +258,38 @@ def test_package_exports_resolve():
         harmonicpack.no_such_name
 
 
+def _namedtuple_defaults(name, node) -> list:
+    """(name, field, position) of each field that ``node``, when it is a
+    ``namedtuple(typename, fields, defaults=...)`` call, gives a default: the
+    last len(defaults) fields.  ``name`` is the record's callee name."""
+    if not (isinstance(node, ast.Call) and _calls("namedtuple")(node)):
+        return []
+    defaults = next((kw.value for kw in node.keywords if kw.arg == "defaults"), None)
+    if defaults is None:
+        return []
+    fields = ast.literal_eval(node.args[1])
+    if isinstance(fields, str):
+        fields = fields.replace(",", " ").split()
+    first = len(fields) - len(defaults.elts)
+    return [(name, fields[k], k) for k in range(first, len(fields))]
+
+
 def _defaulted_parameters(tree):
     """(callee name, parameter, position) of every parameter with a default.
     A method's position skips self, ``__init__`` is called by its class name,
-    and a keyword-only parameter has no position."""
+    and a keyword-only parameter has no position.  A namedtuple's defaulted
+    fields count too, called by the name it is assigned to or, as a class
+    base, by the class's name."""
     found = []
 
     def visit(node, cls=None):
         for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assign) and len(child.targets) == 1 \
+                    and isinstance(child.targets[0], ast.Name):
+                found.extend(_namedtuple_defaults(child.targets[0].id, child.value))
             if isinstance(child, ast.ClassDef):
+                for base in child.bases:
+                    found.extend(_namedtuple_defaults(child.name, base))
                 visit(child, cls=child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
@@ -310,6 +336,18 @@ def _sets(call, param, pos) -> bool:
             else len(call.args))
     kws = {kw.arg for kw in call.keywords}
     return param in kws or None in kws or (pos is not None and npos > pos)
+
+
+def test_namedtuple_defaults_are_read():
+    # the default guard sees a namedtuple's defaulted fields, with their
+    # positions, as it sees a def's defaulted parameters
+    path = PACKAGE / "generators.py"
+    found = _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert {("InstanceSpec", "n", 1), ("InstanceSpec", "seed", 2),
+            ("InstanceSpec", "dims", 3), ("InstanceSpec", "bins", 4),
+            ("InstanceSpec", "path", 5), ("Instance", "known_opt", 2)} <= set(found)
+    probe = ast.parse("class R(namedtuple('R', 'a b c', defaults=(1,))):\n    pass\n")
+    assert _defaulted_parameters(probe) == [("R", "c", 2)]
 
 
 def test_every_default_is_passed_by_some_caller():
