@@ -568,6 +568,8 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: dict | None = None,
     per_f = {}  # (i, lam) -> (ratio hull of f, P(f), its argmax): f does not depend on j
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
+            if (i, j) not in lam_table:
+                raise ValueError(f"pair {i},{j}: the lambda table has no entry")
             try:
                 lam = parse_rational(lam_table[(i, j)])
                 if (i, lam) not in per_f:

@@ -28,7 +28,7 @@ from math import lcm
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker, w_h
 from .pack2d import DEFAULT_DELTA, TensorRun, tensor_cost, validate_geometry
-from .superharmonic import ShState
+from .superharmonic import PlacementTrace, ShState, traced_insert
 from .weighting import WeightFunctionSet, bound_check
 
 USAGE_ERROR = 1
@@ -162,20 +162,20 @@ def cmd_pack1d(args) -> int:
         elapsed = time.perf_counter() - t0
         failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
     else:
-        st = ShState(params.builtin_shplus(), keep_trace=bool(args.trace_out))
-        for p, q in inst.items:
-            st.insert(p, q)
+        st = ShState(params.builtin_shplus())
+        if args.trace_out:  # each row is written as its item is placed
+            with open(args.trace_out, "w", encoding="utf-8") as fh:
+                fh.write(PlacementTrace.CSV_HEADER + "\n")
+                for n, (p, q) in enumerate(inst.items):
+                    fh.write(traced_insert(st, n, p, q).csv_row() + "\n")
+        else:
+            for p, q in inst.items:
+                st.insert(p, q)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
                  "weight_slack": str(rep.slack)}
         elapsed = time.perf_counter() - t0
         failures = _sh_audit(st, rep) if args.verify else []
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write("item_index,size,type,color,group_before,"
-                         "group_after,bin_id,opened\n")
-                for tr in st.trace:
-                    fh.write(tr.csv_row() + "\n")
         cost = st.cost
     report = _report_common(args, inst, cost, lb, extra, elapsed, read_s)
     _emit(report, args.format)
@@ -312,7 +312,7 @@ def solver_trials(table, wset) -> tuple:
     model = boundcert.shplus_pattern_model(table, num_types=15)
     n = model.ntypes
     fns = [boundcert.PiecewiseFn(nums=(None, *(rnd.randint(0, 2000) for _ in range(n))),
-                                 den=1000, tail_slope=Fraction(38, 37))
+                                 den=1000, tail_slope=wset.tail_slope)
            for rnd in map(random.Random, range(5))]
     lam = boundcert.TUNED_LAMBDA[(6, 1)]
     f = boundcert.build_f(6, lam, wset)

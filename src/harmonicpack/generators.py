@@ -33,8 +33,8 @@ Kinds:
     way.
 
 A generated instance holds at most ``_MAX_ITEMS`` (10^7) items or
-rectangles; a larger count is refused before any list is built.  Files are
-not capped.
+``_MAX_RECTANGLES`` (3 * 10^6) rectangles; a larger count is refused before
+any list is built.  Files are not capped.
 """
 
 from __future__ import annotations
@@ -54,10 +54,13 @@ _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
 _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
-# the most items or rectangles a generated instance holds: a 1D SH+ run of
-# 10**6 sizes peaks at about 280 MB, so 10**7 is about 2.8 GB; a 2D run at the
-# cap has not been measured
+# the most items a generated 1D instance holds: a 1D SH+ run of 10**6 sizes
+# peaks at about 280 MB, so 10**7 is about 2.8 GB
 _MAX_ITEMS = 10 ** 7
+# the most rectangles a generated 2D instance holds: 10**5 uniform rectangles
+# packed in both orientations grow the peak RSS by about 81 MB (810 B each, 216
+# B of them the rectangles), so 3 * 10**6 stays below the 1D cap's 2.8 GB
+_MAX_RECTANGLES = 3 * 10 ** 6
 
 # a file is read in chunks of whole lines of about this many characters; a
 # plain chunk has `dims` tokens digits[/digits] a line, one space apart, each
@@ -175,11 +178,11 @@ def _read_plain(lines, dims: int) -> list | None:
 
 
 def _check_count(count: int, dims: int) -> None:
-    """Refuse a generated instance of more than ``_MAX_ITEMS`` items."""
-    if count > _MAX_ITEMS:
-        what = "items" if dims == 1 else "rectangles"
-        raise ValueError(f"an instance of {count} {what} exceeds the cap of "
-                         f"{_MAX_ITEMS}")
+    """Refuse a generated instance of more than ``_MAX_ITEMS`` items or
+    ``_MAX_RECTANGLES`` rectangles."""
+    most, what = (_MAX_ITEMS, "items") if dims == 1 else (_MAX_RECTANGLES, "rectangles")
+    if count > most:
+        raise ValueError(f"an instance of {count} {what} exceeds the cap of {most}")
 
 
 def generate(spec: InstanceSpec) -> Instance:

@@ -215,7 +215,8 @@ class TensorRun:
         sums, which hold it (so den is a multiple of wd): blue and tiny slices run
         left to right, x = blue sum - width; reds run leftwards, x = 1 - red sum."""
         # a slice of b's blue type is blue: in a valid table gamma_i*t_i >= t_i >
-        # delta_i >= Delta[phi(i)] keeps type-i reds out (check_feasibility audits it)
+        # delta_i >= Delta[phi(i)] keeps type-i reds out (a red slice placed as
+        # blue would lie over a blue one or left of 0: validate_geometry reports it)
         if width_type > self.table.k or b.blue_type == width_type:
             f = b.blue_den // wd
             return b.blue_num - wn * f, wn * f, b.blue_den
@@ -233,8 +234,9 @@ class TensorRun:
         ht = harmonic_type(hn, hd, hk)
         slot = c * (hk + 1) + ht
         sl = self._open.get(slot)
-        if sl is None or (len(sl.items) >= ht if ht < hk
-                          else sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd):
+        # full when the item would stack above 1: n heights of type ht < hk sum
+        # to more than n/(ht+1) and at most n/ht, so that is after ht items
+        if sl is None or sl.fill_num * hd + hn * sl.fill_den > sl.fill_den * hd:
             vn, vd = self._class_value(c)
             width_type = min(c, self.table.k + 1)
             b = self.inner.insert(vn, vd, width_type)

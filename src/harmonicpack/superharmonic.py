@@ -49,9 +49,9 @@ the case is K+2-j (case K+1 is j = 1).
 An item arrives as an integer pair (p, q) of size p/q.  Per item, the
 red-count law is a_num*s // a_den (alpha = a_num/a_den) and a bin's sums are
 integer numerators over the lcm of their items' denominators.
-``ShState.insert`` returns the bin the item went into; the item's Fraction,
-a ``PlacementTrace`` row and its group names are built only under
-``keep_trace=True``.
+``ShState.insert`` returns the bin the item went into and keeps no record of
+it; ``traced_insert`` alone builds a ``PlacementTrace`` row, with the item's
+Fraction and its group names, for a caller that asks for one.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ class PlacementTrace(namedtuple("PlacementTrace", [
         "bin_id",
         "opened",
 ])):
-    """trace columns: item_index,size,type,color,group_before,group_after,bin_id,opened"""
+    """One item's row of the placement trace, as ``traced_insert`` builds it."""
 
     __slots__ = ()
 
+    CSV_HEADER = "item_index,size,type,color,group_before,group_after,bin_id,opened"
+
     def csv_row(self) -> str:
-        return (f"{self.item_index},{self.size},{self.type_index},{self.color},"
-                f"{self.group_before},{self.group_after},{self.bin_id},"
-                f"{int(self.opened)}")
+        return ",".join(map(str, self[:-1])) + f",{int(self.opened)}"
 
 
 GroupCensus = namedtuple("GroupCensus", [
@@ -139,15 +139,13 @@ class FinalCase(namedtuple("FinalCase", [
 class ShState:
     """Live packing state; single-writer, one instance per run."""
 
-    def __init__(self, table: ParamTable, keep_trace: bool = False):
+    def __init__(self, table: ParamTable):
         self.table = table
         k, K, phi, gamma = table.k, table.K, table.phi, table.gamma
         self.s = [0] * (k + 1)  # items seen per type
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
         self._nf_bin: Bin | None = None
-        self.keep_trace = keep_trace
-        self.trace: list = []
         # at most one bin has room for each (type, colour)
         self._blue_open: list = [None] * (k + 1)
         self._red_open: list = [None] * (k + 1)
@@ -198,7 +196,6 @@ class ShState:
             i = self.table.classify(p, q)
         plan = self._plan[i]
         if plan is None:
-            color = "tiny"
             b = self._nf_bin
             if b is None or b.blue_num * q + p * b.blue_den > b.blue_den * q:
                 b = self._nf_bin = self._claim((), None)
@@ -209,7 +206,6 @@ class ShState:
             s = self.s[i] = self.s[i] + 1
             if self.e[i] < a_num * s // a_den:
                 self.e[i] += 1
-                color = "red"
                 b = self._red_open[i]
                 if b is None:  # convert the oldest (j,?) bin that fits, or open one
                     b = self._claim(red_scan, red_pool)
@@ -222,7 +218,6 @@ class ShState:
                     num, den = num * (m // den), m
                 b.red_num, b.red_den = num + p * (den // q), den
             else:
-                color = "blue"
                 b = self._blue_open[i]
                 if b is None:  # convert the oldest (?,j) bin that fits, or open one
                     b = self._claim(blue_scan, blue_pool)
@@ -234,20 +229,7 @@ class ShState:
                     m = lcm(den, q)
                     num, den = num * (m // den), m
                 b.blue_num, b.blue_den = num + p * (den // q), den
-        if self.keep_trace:
-            self.trace.append(self._trace_row(Fraction(p, q), i, color, b))
         return b
-
-    def _trace_row(self, size: Fraction, i: int, color: str, b: Bin) -> PlacementTrace:
-        """Trace row of the item just put in ``b``; the group before it is ``b``'s
-        group without the item's colour when it is the first of that colour."""
-        blue = None if color == "blue" and b.blue_count == 1 else b.blue_type
-        red = None if color == "red" and b.red_count == 1 else b.red_type
-        opened = b.blue_count + b.red_count == 1  # sizes are positive: b holds only it
-        before = "-" if opened and color != "tiny" else _group_name(self.table, blue, red)
-        after = _group_name(self.table, b.blue_type, b.red_type)
-        return PlacementTrace(len(self.trace), size, i, color, before, after,
-                              b.bid, opened)
 
     def pack(self, sizes) -> "ShState":
         """Insert the Fractions ``sizes`` in order."""
@@ -316,3 +298,20 @@ class ShState:
                 if i is not None and red_cap[j] > space[i]:
                     bad.append(f"bin {b.bid}: red load does not fit reserved space")
         return bad
+
+
+def traced_insert(st: ShState, index: int, p: int, q: int) -> PlacementTrace:
+    """Place item number ``index``, of size p/q, in ``st`` and return its trace
+    row: red when its type's red count rose, tiny when it is of the tail type."""
+    i = st.table.classify(p, q)
+    tail = i > st.table.k
+    reds = 0 if tail else st.e[i]
+    b = st.insert(p, q, i)
+    color = "tiny" if tail else "red" if st.e[i] > reds else "blue"
+    # b's group before the item lacks the item's colour if it is the first of it
+    blue = None if color == "blue" and b.blue_count == 1 else b.blue_type
+    red = None if color == "red" and b.red_count == 1 else b.red_type
+    opened = b.blue_count + b.red_count == 1  # sizes are positive: b holds only it
+    before = "-" if opened and not tail else _group_name(st.table, blue, red)
+    after = _group_name(st.table, b.blue_type, b.red_type)
+    return PlacementTrace(index, Fraction(p, q), i, color, before, after, b.bid, opened)

@@ -9,6 +9,7 @@ import pytest
 
 from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.params import ParamTable, builtin_shplus
+from harmonicpack.superharmonic import traced_insert
 from harmonicpack.weighting import WeightFunctionSet
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -76,6 +77,27 @@ def packed(run, rects):
     for it in rects:
         run.insert(it)
     return run
+
+
+class Traced:
+    """An SH+ run whose items are placed by ``traced_insert``: ``insert``
+    returns the item's bin, as ``ShState.insert`` does, and keeps the item's
+    row in ``trace``; every other name is read from the run ``st``."""
+
+    def __init__(self, st):
+        self.st, self.trace = st, []
+
+    def insert(self, p: int, q: int):
+        self.trace.append(traced_insert(self.st, len(self.trace), p, q))
+        return self.st.bins[self.trace[-1].bin_id]
+
+    def pack(self, sizes) -> "Traced":
+        for s in sizes:
+            self.insert(s.numerator, s.denominator)
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self.st, name)
 
 
 def harmonic_bins(k: int, sizes):

@@ -830,6 +830,16 @@ class TestCertificate:
         flat_peak = max(v for _, v in cert.retained.values())
         assert flat_peak >= Fraction("2.5544")
 
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_missing_lambda_pair_is_named(self, wset, mode):
+        # a table without some case pair is refused with a ValueError that
+        # names the first pair it lacks, not a KeyError
+        with pytest.raises(ValueError, match=r"^pair 1,2: the lambda table has no entry$"):
+            ratio_certificate(wset, lam_table={(1, 1): "0.5"}, mode=mode)
+        lam = {(i, j): "0.5" for i in range(1, 8) for j in range(1, 8) if (i, j) != (7, 3)}
+        with pytest.raises(ValueError, match=r"^pair 7,3: "):
+            ratio_certificate(wset, lam_table=lam, mode=mode)
+
     def test_certificate_pinned_bit_for_bit(self, wset):
         # the exact Fractions and the argmax tie-breaking of both modes with
         # the tuned table, as the rational-arithmetic search first gave them

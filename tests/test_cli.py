@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from harmonicpack.boundcert import ratio_certificate
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
 from harmonicpack.params import ParamTable, validate
+from harmonicpack.superharmonic import ShState
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -30,6 +32,13 @@ def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "harmonicpack.cli", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+class _Unpacked(ShState):
+    """An SH+ run that must fail before it packs an item."""
+
+    def insert(self, p, q, i=None):
+        raise AssertionError("the run began packing")
 
 
 class TestExitCodes:
@@ -104,9 +113,9 @@ class TestInputErrors:
         ("pack1d --kind tiled-known-opt --bins 1000000000000",
          "an instance of 2000000000000 items exceeds the cap of 10000000"),
         ("pack2d --kind tiled-known-opt --bins 1000000000000",
-         "an instance of 4000000000000 rectangles exceeds the cap of 10000000"),
+         "an instance of 4000000000000 rectangles exceeds the cap of 3000000"),
         ("gen --kind harmonic-adversarial --dims 2 --n 1000000000000",
-         "an instance of 1000000000000 rectangles exceeds the cap of 10000000"),
+         "an instance of 1000000000000 rectangles exceeds the cap of 3000000"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -416,6 +425,52 @@ class TestReports:
         assert len(rows) == 400
         bins = {row.split(",")[-2] for row in rows}  # groups hold commas
         assert len(bins) == int(json.loads(plain.stdout)["cost"])
+
+    def test_traced_run_holds_no_rows(self, tmp_path, capsys):
+        # each row is written as its item is placed: the traced run's peak
+        # allocation is the untraced run's and a little more, where holding
+        # 20,000 rows would add several MB
+        args = ["pack1d", "--n", "20000", "--seed", "7"]
+        assert main(args) == 0  # a first run fills the caches both runs share
+        peaks = []
+        for extra in ([], ["--trace-out", str(tmp_path / "trace.csv")]):
+            tracemalloc.start()
+            try:
+                assert main(args + extra) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert out[:len(out) // 3] * 3 == out  # three equal reports
+        assert len((tmp_path / "trace.csv").read_text().splitlines()) == 20001
+        assert peaks[1] <= peaks[0] + 500_000, peaks
+
+    def test_unwritable_trace_path_fails_before_packing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import harmonicpack.cli as climod
+        monkeypatch.setattr(climod, "ShState", _Unpacked)
+        trace = tmp_path / "missing" / "trace.csv"
+        assert main(["pack1d", "--n", "50", "--trace-out", str(trace)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ") and str(trace) in err, err
+
+    def test_bad_size_leaves_the_rows_placed_before_it(self, tmp_path, capsys):
+        # the size on line 7 is refused while packing: the trace holds the
+        # header and the rows of lines 1-6, and nothing is reported
+        (tmp_path / "inst.txt").write_text("1/2\n1/3\n1/100\n41/100\n1/2\n7/10\n"
+                                           "3/2\n1/4\n")
+        trace = tmp_path / "trace.csv"
+        rc = main(["pack1d", "--input", str(tmp_path / "inst.txt"),
+                   "--trace-out", str(trace)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "3/2" in err, err
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "item_index,size,type,color,group_before,group_after,bin_id,opened"
+        assert [row.split(",")[:2] for row in lines[1:]] == [
+            [str(n), size] for n, size in enumerate(
+                ["1/2", "1/3", "1/100", "41/100", "1/2", "7/10"])]
 
 
 class TestBoundCommand:

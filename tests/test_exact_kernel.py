@@ -26,8 +26,8 @@ from harmonicpack.params import builtin_shplus, exact_add, validate
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import (class_value, fraction_builds, fraction_comparisons, harmonic_bins,
-                      harmonic_table, move_column, packed)
+from conftest import (Traced, class_value, fraction_builds, fraction_comparisons,
+                      harmonic_bins, harmonic_table, move_column, packed)
 
 
 def fraction_type(table, size):
@@ -124,7 +124,7 @@ class TestIntegerSums:
     @settings(max_examples=60, deadline=None)
     def test_bin_sums_equal_fraction_sums(self, sizes):
         table = builtin_shplus()
-        st_ = ShState(table, keep_trace=True).pack(sizes)
+        st_ = Traced(ShState(table)).pack(sizes)
         blue = [Fraction(0)] * st_.cost
         red = [Fraction(0)] * st_.cost
         for tr in st_.trace:

@@ -73,7 +73,9 @@ class TestSizeCap:
         ("tiled-known-opt", 1, "bins", 4), ("tiled-known-opt", 2, "bins", 2),
     ])
     def test_generated_count_is_capped(self, monkeypatch, kind, dims, field, most):
-        monkeypatch.setattr(generators, "_MAX_ITEMS", 8)
+        # each dimension reads its own cap: the other one, set to 0, refuses all
+        monkeypatch.setattr(generators, "_MAX_ITEMS", 8 if dims == 1 else 0)
+        monkeypatch.setattr(generators, "_MAX_RECTANGLES", 0 if dims == 1 else 8)
         spec = InstanceSpec(kind=kind, dims=dims, **{field: most})
         assert len(generate(spec).items) == 8
         what = "items" if dims == 1 else "rectangles"

@@ -182,6 +182,22 @@ def _calls(name):
         getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
 
+def test_trace_rows_have_one_home():
+    # the SH+ packer keeps no trace: traced_insert alone builds a trace row and
+    # names groups, ShState takes its table alone and names no colour
+    home = ["superharmonic.traced_insert"]
+    assert _homes(_calls("PlacementTrace")) == home
+    assert _homes(_calls("_group_name")) == home
+    tree = ast.parse((PACKAGE / "superharmonic.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ShState")
+    assert not [node.lineno for node in ast.walk(cls) if isinstance(node, ast.Constant)
+                and node.value in ("red", "blue", "tiny")]
+    init = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert ast.unparse(init.args) == "self, table: ParamTable"
+
+
 def test_paper_compat_has_one_home():
     # the six-decimal data and the pinned tail are applied, and the mode is
     # read, in ratio_certificate alone (the CLI only names the choices)

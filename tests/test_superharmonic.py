@@ -9,10 +9,10 @@ from harmonicpack import superharmonic
 from harmonicpack.generators import Item2D
 from harmonicpack.pack2d import TensorRun, validate_geometry
 from harmonicpack.params import exact_add
-from harmonicpack.superharmonic import FinalCase, ShState
+from harmonicpack.superharmonic import FinalCase, ShState, traced_insert
 from harmonicpack.weighting import bound_check, slack_allowance
 
-from conftest import grid_sizes, harmonic_bins, harmonic_table, packed
+from conftest import Traced, grid_sizes, harmonic_bins, harmonic_table, packed
 
 
 def red_heavy_sizes(table, n, seed):
@@ -273,9 +273,16 @@ def bin_edit(rng, table):
 TABLES = {"builtin": None, "harmonic7": 7, "harmonic38": 38}
 
 
+class Classifying(ShState):
+    """An SH+ run that drops a given type and classifies every item itself."""
+
+    def insert(self, p, q, i=None):
+        return super().insert(p, q)
+
+
 class TestCascadeTraces:
     def test_first_type9_item_opens_blue_only_group(self, table):
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         b = st.insert(41, 100)
         tr = st.trace[-1]
         assert b is st.bins[0] and tr.bin_id == b.bid
@@ -284,7 +291,7 @@ class TestCascadeTraces:
         assert st.s[9] == 1 and st.e[9] == 0
 
     def test_seventh_type9_item_turns_red(self, table):
-        st = ShState(table, keep_trace=True).pack([Fraction("0.41")] * 7)
+        st = Traced(ShState(table)).pack([Fraction("0.41")] * 7)
         traces = st.trace
         # floor(0.162 * s) stays 0 until s = 7
         assert all(t.color == "blue" for t in traces[:6])
@@ -292,7 +299,7 @@ class TestCascadeTraces:
         assert st.e[9] == 1
 
     def test_large_blue_cannot_convert_too_big_red(self, table):
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         for _ in range(7):
             st.insert(41, 100)
         # type 2 reserves Delta[1] = 0.294 < gamma_9 * t_9 = 0.42
@@ -302,7 +309,7 @@ class TestCascadeTraces:
         assert tr.group_after == "(2,?)" and tr.opened
 
     def test_conversion_when_space_fits(self, table):
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         # force a red type-16 item (alpha(16) = 0.186: the 6th is red)
         for _ in range(6):
             st.insert(21, 100)
@@ -340,7 +347,7 @@ class TestCascadeTraces:
 
     def test_small_mass_is_summed_tail_size(self, table):
         rng = random.Random(12)
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         tail = Fraction(0)
         for n in range(1, 3001):
             s = Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
@@ -360,7 +367,7 @@ class TestCascadeTraces:
 class TestStateInvariants:
     @pytest.mark.parametrize("seed,n", [(1, 3000), (2, 3000)])
     def test_red_count_law_every_step(self, table, seed, n):
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         for s in grid_sizes(random.Random(seed), n):
             st.insert(s.numerator, s.denominator)
             i = st.trace[-1].type_index
@@ -406,7 +413,7 @@ class TestStateInvariants:
     def test_census_matches_placement_trace(self, table):
         # the trace records every bin's group as items arrive, so the last
         # group_after per bin is the group the census must count it in
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         for s in grid_sizes(random.Random(9), 4000):
             st.insert(s.numerator, s.denominator)
         last = {tr.bin_id: tr.group_after for tr in st.trace}
@@ -507,7 +514,7 @@ class TestFinalCase:
         # independent reference: the bins whose last traced group is (?,j)
         # are the red-indeterminate leftovers; their smallest traced red item
         # names the type that selects the case
-        st = ShState(table, keep_trace=True).pack(red_heavy_sizes(table, n, seed))
+        st = Traced(ShState(table)).pack(red_heavy_sizes(table, n, seed))
         last = {tr.bin_id: tr.group_after for tr in st.trace}
         leftover = {bid for bid, group in last.items() if group.startswith("(?,")}
         reds = [tr.size for tr in st.trace
@@ -533,17 +540,12 @@ class TestFinalCase:
 
 class TestTraceOutput:
     def test_trace_csv_shape(self, table):
-        st = ShState(table, keep_trace=True)
+        st = Traced(ShState(table))
         st.insert(41, 100)
         st.insert(1, 100)
         rows = [t.csv_row() for t in st.trace]
         assert rows[0].split(",") == ["0", "41/100", "9", "blue", "-", "(9)", "0", "1"]
         assert rows[1].split(",")[3] == "tiny"
-
-    def test_trace_off_by_default(self, table):
-        st = ShState(table)
-        st.insert(41, 100)
-        assert st.trace == []
 
     def test_group_before_is_the_bins_previous_group(self, table):
         # each row's group_before is the group_after of the bin's previous
@@ -554,7 +556,7 @@ class TestTraceOutput:
         # the random second half, reds convert (i,?) bins
         sizes = grid_sizes(random.Random(9), 4000)
         sizes[:2000] = sorted(sizes[:2000])
-        st = ShState(table, keep_trace=True).pack(sizes)
+        st = Traced(ShState(table)).pack(sizes)
         last = {}
         converted = Counter()  # (colour, shape before, shape after) of each change
 
@@ -581,13 +583,13 @@ class TestTraceOutput:
         monkeypatch.setattr(superharmonic, "PlacementTrace", refuse)
         monkeypatch.setattr(superharmonic, "_group_name", refuse)
         with pytest.raises(RuntimeError, match="trace record built"):
-            ShState(table, keep_trace=True).insert(41, 100)
+            traced_insert(ShState(table), 0, 41, 100)
         rng = random.Random(14)
         sizes = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 50)))
                  for _ in range(2000)]
         st = ShState(table).pack(sizes)
         census = st.group_census()
-        assert st.trace == [] and census.nf_bins > 0 and census.pairs
+        assert not hasattr(st, "trace") and census.nf_bins > 0 and census.pairs
         widths = [Fraction(rng.randint(1, 10 ** 6), 10 ** 6 * rng.choice((1, 10 ** 6)))
                   for _ in range(500)]
         rects = [Item2D(w, h) for w, h in zip(widths, sizes)]
@@ -627,7 +629,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_placements_and_state_equal_the_oracle(self, table, name, kind):
         table = table if TABLES[name] is None else harmonic_table(TABLES[name])
-        st, oracle = ShState(table, keep_trace=True), OracleShState(table, keep_trace=True)
+        st, oracle = Traced(ShState(table)), OracleShState(table, keep_trace=True)
         for n, (p, q) in enumerate(size_stream(table, kind, 1500, 3)):
             assert st.insert(p, q).bid == oracle.insert(p, q).bid, n
             assert st.trace[-1] == oracle.trace[-1], n
@@ -641,12 +643,14 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("kind", ["uniform", "small", "on-breakpoint", "unreduced"])
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_given_type_packs_as_classified(self, table, name, kind):
-        # the 2D packer hands each slice's type to insert, which then skips
-        # classify; the given type must place exactly as the classified one
+        # the 2D packer and traced_insert hand each item's type to insert,
+        # which then skips classify; the given type must place exactly as the
+        # classified one.  Both runs are traced: ``st`` drops the type that
+        # traced_insert hands it, ``given`` uses it
         table = table if TABLES[name] is None else harmonic_table(TABLES[name])
-        st, given = ShState(table, keep_trace=True), ShState(table, keep_trace=True)
+        st, given = Traced(Classifying(table)), Traced(ShState(table))
         for n, (p, q) in enumerate(size_stream(table, kind, 800, 5)):
-            assert st.insert(p, q).bid == given.insert(p, q, table.classify(p, q)).bid, n
+            assert st.insert(p, q).bid == given.insert(p, q).bid, n
         assert st.trace == given.trace
         assert list(map(bin_state, st.bins)) == list(map(bin_state, given.bins))
 
