@@ -33,6 +33,7 @@ from .weighting import WeightFunctionSet, bound_check
 
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
+_HARMONIC_K = 38  # the index of pack1d --algorithm harmonic without --k
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,6 +41,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
+
+
+def _field(value) -> str:
+    """A CSV field: None, as in an untimed report's wall_time_s, is empty."""
+    return "" if value is None else str(value)
 
 
 def _emit(data, fmt: str):
@@ -50,12 +56,12 @@ def _emit(data, fmt: str):
     else:  # csv: dict of scalars -> key,value rows; list of dicts -> table
         if isinstance(data, dict):
             for k in sorted(data):
-                stream.write(f"{k},{data[k]}\n")
+                stream.write(f"{k},{_field(data[k])}\n")
         else:
             cols = list(data[0]) if data else []
             stream.write(",".join(cols) + "\n")
             for row in data:
-                stream.write(",".join(str(row[c]) for c in cols) + "\n")
+                stream.write(",".join(_field(row[c]) for c in cols) + "\n")
 
 
 def _instance_from_args(args, dims: int) -> generators.Instance:
@@ -148,19 +154,22 @@ def cmd_gen(args) -> int:
 def cmd_pack1d(args) -> int:
     if args.trace_out and args.algorithm == "harmonic":
         raise ValueError("--trace-out traces the sh+ algorithm only")
+    if args.k is not None and args.algorithm == "sh+":
+        raise ValueError("--k sets the index of the harmonic algorithm only")
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=1)
     read_s, t0 = time.perf_counter() - t0, time.perf_counter()
     lb = inst.known_opt or _ceil_sum(inst.items)
     if args.algorithm == "harmonic":
-        packer = HarmonicPacker(args.k)
+        k = _HARMONIC_K if args.k is None else args.k
+        packer = HarmonicPacker(k)
         for p, q in inst.items:
             packer.insert(p, q)
         cost = packer.cost
         slack = packer.weight_slack()
-        extra = {"algorithm": f"harmonic({args.k})", "weight_slack": str(slack)}
+        extra = {"algorithm": f"harmonic({k})", "weight_slack": str(slack)}
         elapsed = time.perf_counter() - t0
-        failures = [] if slack <= args.k else [f"weight slack {slack} > {args.k}"]
+        failures = [] if slack <= k else [f"weight slack {slack} > {k}"]
     else:
         st = ShState(params.builtin_shplus())
         if args.trace_out:  # each row is written as its item is placed
@@ -390,7 +399,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("pack1d", help="run a 1D packer")
     p.add_argument("--algorithm", default="sh+", choices=["harmonic", "sh+"])
-    p.add_argument("--k", type=int, default=38, help="harmonic index")
+    p.add_argument("--k", type=int,
+                   help=f"harmonic index, for --algorithm harmonic (default {_HARMONIC_K})")
     _add_instance_args(p)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--trace-out", help="write the placement trace CSV here")

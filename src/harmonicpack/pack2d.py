@@ -26,12 +26,16 @@ cross-multiplies, and the weight totals build one Fraction per width type.
 The geometric grid is an exact integer ladder: value(m) is an 18-digit
 integer over a power of ten, one step per factor (1-d) truncated to 18
 significant digits (the exact power's digits grow linearly with m).  It
-stores the numerators and, once per power of ten, the index where that
-power's run of steps starts.  The drift after m steps is below m * 1e-17;
-classes are found by bisection on exact integer comparisons, so slices
-always cover their items.  The ladder stops at 10^6 steps, which reaches
-widths of about 1e-45 at the default d.  Every run at one (eps, d) reads
-one ladder from a module dict, which keeps it for the life of the process.
+stores the numerators, each below 10^18 < 2^63, in an int64 array at 8
+bytes a step, and, once per power of ten, the index where that power's run
+of steps starts.  It grows by blocks of at most 1024 steps: one list
+comprehension computes a block, cut at its first step below 10^17, and
+array.fromlist appends it in one copy.  The drift after m steps is below
+m * 1e-17; classes are found by bisection on exact integer comparisons, so
+slices always cover their items.  The ladder stops at 10^6 steps, about
+8 MB, which reaches widths of about 1e-45 at the default d.  Every run at
+one (eps, d) reads one ladder from a module dict, which keeps it for the
+life of the process.
 
 The two-orientation average satisfies the slice analysis bound
 
@@ -45,6 +49,7 @@ coordinate), which a run sums slice by slice; the test-suite pins C = 300.
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -58,6 +63,7 @@ from .weighting import WeightFunctionSet
 
 _LOW = 10 ** 17  # ladder numerators have 18 digits: _LOW <= num < 10 * _LOW
 _MAX_DEPTH = 10 ** 6  # the deepest ladder step
+_BLOCK = 1024  # the most ladder steps grown at once
 DEFAULT_DELTA = Fraction(1, 10000)
 _LADDERS: dict = {}  # (eps, d) -> the TinyGrid of every TensorRun at those values
 
@@ -75,7 +81,7 @@ class TinyGrid:
         p, r = (eps * (1 - delta)).as_integer_ratio()
         e = 17 + len(str(r)) - len(str(p))  # p * 10**e / r lies in (10^16, 10^18)
         e += p * 10 ** e // r < _LOW
-        self._num = [None, p * 10 ** e // r]  # index 0 is eps
+        self._num = array("q", (0, p * 10 ** e // r))  # 0 holds a place: value(0) is eps
         # a step loses at most one digit (1-d > 1/2), so the exponents run
         # e1, e1+1, ... and _starts[j] is the first index at exponent e1 + j
         self._e1, self._starts = e, [1]
@@ -91,16 +97,23 @@ class TinyGrid:
                        + len(str(ed)) + 1 - len(str(en)))
 
     def _grow(self, m: int) -> None:
-        """Extend the ladder to index m."""
+        """Extend the ladder to index m, a block of steps at a time: a block
+        is cut at its first step below _LOW, which is taken one digit deeper.
+        A block holds at most _BLOCK steps, and at most one step more than the
+        last whole run at one exponent, where that step is due: on a coarse
+        grid a run is three or four steps, and few steps are computed twice."""
         num, starts, a, b = self._num, self._starts, self._a, self._b
-        n = num[-1]
-        for i in range(len(num), m + 1):
-            q = n * a // b
-            if q < _LOW:  # one digit deeper
-                q = n * a * 10 // b
-                starts.append(i)
-            n = q
-            num.append(n)
+        while len(num) <= m:
+            run = starts[-1] - starts[-2] + 1 if len(starts) > 1 else _BLOCK
+            size = min(m + 1 - len(num), _BLOCK, run)
+            n = num[-1]
+            block = [n := n * a // b for _ in range(size)]
+            # the block falls, so its negation rises: bisect to its first step below _LOW
+            cut = bisect.bisect_right(block, -_LOW, key=neg)
+            num.fromlist(block[:cut])
+            if cut < size:  # one digit deeper
+                starts.append(len(num))
+                num.append(num[-1] * a * 10 // b)
 
     def _start(self, e: int) -> int:
         """The first index at exponent e or deeper, len(num) past the ladder."""
@@ -133,7 +146,7 @@ class TinyGrid:
             if len(num) > _MAX_DEPTH or dd - dn > self._floor:
                 raise ValueError(f"{named(p, q, side, (dn, dd))} lies below the tiny "
                                  f"grid's depth floor of {_MAX_DEPTH} classes")
-            self._grow(min(len(num) + 1023, _MAX_DEPTH))  # blocks of 1024 steps
+            self._grow(min(len(num) + _BLOCK - 1, _MAX_DEPTH))
         # num falls along the steps at one exponent e, and value(m) < w there
         # exactly when -num[m] > floor(-p * 10**e / q): bisect each run in C.
         # Past both runs lies a step at exp >= top+3, below w

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
@@ -51,6 +52,16 @@ def parse_pair(token: str) -> tuple:
             p, q = Fraction(token).as_integer_ratio()
     except ZeroDivisionError:
         q = 0
+    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        for side, text in (("numerator", p), ("denominator", q)):
+            mantissa, _, exponent = text.lower().partition("e")
+            for part, chars in ((side, mantissa), ("exponent", exponent)):
+                digits = sum(map(str.isdecimal, chars))
+                if digits > limit:
+                    raise ValueError(f"a token's {digits}-digit {part} is over the "
+                                     f"limit of {limit} digits") from None
+        raise
     if not q:  # "1/0" is malformed input, not an arithmetic fault
         raise ValueError(f"zero denominator in {token!r}")
     return p, q

@@ -116,6 +116,18 @@ class TestInputErrors:
          "an instance of 4000000000000 rectangles exceeds the cap of 3000000"),
         ("gen --kind harmonic-adversarial --dims 2 --n 1000000000000",
          "an instance of 1000000000000 rectangles exceeds the cap of 3000000"),
+        ("pack1d --algorithm sh+ --k 5 --n 10",
+         "--k sets the index of the harmonic algorithm only"),
+        ("pack1d --k 38 --n 10", "--k sets the index of the harmonic algorithm only"),
+        # int() refuses more than 4,300 digits: the token's part is named
+        ("pack1d --input {dir}/long_num.txt",
+         "a token's 4301-digit numerator is over the limit of 4300 digits"),
+        ("pack1d --algorithm harmonic --input {dir}/long_den.txt",
+         "a token's 4301-digit denominator is over the limit of 4300 digits"),
+        ("pack2d --input {dir}/long_rect_num.txt",
+         "a token's 4301-digit numerator is over the limit of 4300 digits"),
+        ("pack2d --input {dir}/long_rect_den.txt",
+         "a token's 4302-digit denominator is over the limit of 4300 digits"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -125,7 +137,9 @@ class TestInputErrors:
             "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
             "harmonic-size-5001-digits", "rectangle-side-5001-digits", "n-10-to-the-12",
             "tiled-1d-bins-10-to-the-12", "tiled-2d-bins-10-to-the-12",
-            "gen-2d-n-10-to-the-12"])
+            "gen-2d-n-10-to-the-12", "sh-k", "default-algorithm-k",
+            "sh-numerator-4301-digits", "harmonic-denominator-4301-digits",
+            "rectangle-numerator-4301-digits", "rectangle-denominator-4302-digits"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -133,6 +147,11 @@ class TestInputErrors:
         (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
         (tmp_path / "huge.txt").write_text("1e5000\n")  # str() refuses its integers
         (tmp_path / "huge_rect.txt").write_text("2 1e-5000\n")
+        long = "1" + "0" * 4300  # one digit over int()'s limit
+        (tmp_path / "long_num.txt").write_text(f"1/2\n{long}/{long}1\n")
+        (tmp_path / "long_den.txt").write_text(f"1/2\n1/{long}\n")
+        (tmp_path / "long_rect_num.txt").write_text(f"1/2 1/3\n{long}/{long}1 1/2\n")
+        (tmp_path / "long_rect_den.txt").write_text(f"1/2 1/{long}0\n")
         (tmp_path / "not_json.json").write_text("{not json")
         (tmp_path / "lacks_pair.json").write_text(json.dumps(
             {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)
@@ -263,6 +282,17 @@ class TestReports:
         assert data["lower_bound"] == "10"
         assert data["ratio"] == "3/2"
         assert data["wall_time_s"] is None  # byte-stable by default
+
+    def test_pack1d_csv_report_leaves_untimed_field_empty(self, capsys):
+        # the JSON report's null is an empty CSV field, not Python's None
+        assert main(["pack1d", "--n", "20", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "algorithm,sh+\ncost,19\nfinal_case,1\ninstance,uniform/n=20/seed=0\n"
+            "lower_bound,12\nratio,19/12\nwall_time_s,\nweight_slack,7645406/1595625\n")
+
+    def test_harmonic_index_defaults_to_38(self, capsys):
+        assert main(["pack1d", "--algorithm", "harmonic", "--n", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "harmonic(38)"
 
     @pytest.mark.parametrize("command", ["pack1d", "pack2d"])
     def test_empty_instance_has_no_lower_bound(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 import tracemalloc
@@ -184,9 +185,10 @@ class TestWidthClasses:
             assert len(grid._num) - 1 == 1 + 1024 * -(-m // 1024), w
             assert value(grid, m + 1) < w <= value(grid, m), w
 
-    def test_full_ladder_allocates_under_5_mb(self, table):
+    def test_full_ladder_allocates_under_1_mb(self, table):
         # the 101,775 steps down to 1e-6 at the default d hold one 18-digit
-        # numerator each; the exponent is stored once per power of ten
+        # numerator each in 8 bytes of an int64 array, about 0.85 MB; the
+        # exponent is stored once per power of ten
         tracemalloc.start()
         try:
             grid = TinyGrid(table.eps, Fraction(1, 10000))
@@ -194,7 +196,35 @@ class TestWidthClasses:
             size, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert size < 5 * 10 ** 6, size
+        assert size < 10 ** 6, size
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 10000), Fraction(1, 100),
+                                       Fraction(49, 100), Fraction(1, 3)])
+    def test_uneven_growth_matches_one_call(self, table, delta):
+        # _grow cuts each block at its first step below 10^17: however the
+        # ladder is grown, its steps and run starts are those of one call and
+        # of the reference.  Past the third digit drop, or down to 1e-300
+        whole = TinyGrid(table.eps, delta)
+        whole._grow(60_000)
+        ref = list(itertools.islice(_reference_ladder(table.eps, delta),
+                                    whole._starts[3] + 1100))
+        depth = len(ref) - 1
+        assert [value(whole, m) for m in range(depth + 1)] == ref
+        drop1, drop2 = whole._starts[1:3]
+        rng = random.Random(35)
+        increments = [1, 1023, 1024, 1025] + [rng.randint(1, 3000) for _ in range(60)]
+        ends = {
+            "uneven": list(itertools.accumulate(increments)),
+            # a block that starts on a digit drop, then one that ends on one
+            "drop-aligned": [drop1 - 1, drop2],
+        }
+        for name, marks in ends.items():
+            grid = TinyGrid(table.eps, delta)
+            for m in [*marks, depth]:
+                grid._grow(min(m, depth))
+            assert grid._num == whole._num[:depth + 1], name
+            assert grid._starts == [s for s in whole._starts if s <= depth], name
+            assert all(value(grid, m) == v for m, v in enumerate(ref)), name
 
     def test_grid_strictly_decreasing(self, table):
         grid = TinyGrid(table.eps, Fraction(1, 10000))

@@ -317,12 +317,20 @@ class TestParseRational:
     def test_edge_tokens_match_fraction_reader(self, x):
         assert _outcome(parse_rational, x) == _outcome(_fraction_reader, x)
 
-    def test_digit_limit_message(self):
-        # past Python's 4,300-digit limit int() refuses the numerator first
-        for x in ("7" * 4301, "1/" + "7" * 4301, "7" * 4301 + "/" + "3" * 4400):
-            got = _outcome(parse_rational, x)
-            assert got == _outcome(_fraction_reader, x), x[:10]
-            assert got[0] == "ValueError" and "4300 digits" in got[1]
+    @pytest.mark.parametrize("x,part", [
+        ("7" * 4301, "4301-digit numerator"),
+        ("1/" + "7" * 4301, "4301-digit denominator"),
+        ("7" * 4301 + "/" + "3" * 4400, "4301-digit numerator"),
+        ("\u0663" * 4301, "4301-digit numerator"),
+        ("-" + "3" * 4301 + "/2", "4301-digit numerator"),
+        ("0." + "5" * 4400, "4401-digit numerator"),
+        ("1e" + "1" * 4301, "4301-digit exponent")])
+    def test_digit_limit_message(self, x, part):
+        # past Python's 4,300-digit limit int() refuses the numerator first,
+        # where Fraction's reader refuses it too; the message names the part
+        assert _outcome(_fraction_reader, x)[0] == "ValueError"
+        assert _outcome(parse_rational, x) == (
+            "ValueError", f"a token's {part} is over the limit of 4300 digits")
 
     def test_zero_denominator_message(self):
         with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
@@ -358,12 +366,17 @@ def test_zero_denominator_pair_names_its_side(table, call, want):
 def _check_pair(x):
     """parse_pair(x) is a pair p/q, q > 0, of the value parse_rational must
     give x (the reference reader's, as TestParseRational checks), or raises
-    its error message."""
+    its error message; where int() refuses a part for its digits, the message
+    names that part instead."""
     want = _outcome(_fraction_reader, x)
     try:
         p, q = parse_pair(x)
     except ValueError as exc:
-        assert ("ValueError", str(exc)) == want, x
+        if isinstance(want, tuple) and want[1].startswith("Exceeds the limit (4300 digits)"):
+            assert re.fullmatch(r"a token's \d+-digit (numerator|denominator|exponent) "
+                                r"is over the limit of 4300 digits", str(exc)), x[:10]
+        else:
+            assert ("ValueError", str(exc)) == want, x
     else:
         assert q > 0 and Fraction(p, q) == want, (x, p, q, want)
 
