@@ -18,10 +18,12 @@ included with --timing.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 import time
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 
@@ -105,20 +107,30 @@ def _sh_audit(st: ShState, rep) -> list:
     return bad
 
 
-def _ceil_sum(pairs) -> int:
-    """Ceiling of the sum of (numerator, denominator) pairs, summed per
-    denominator and then over the lcm of the denominators, in integers."""
-    per_den: dict = {}
-    for p, q in pairs:
-        per_den[q] = per_den.get(q, 0) + p
+def _ceil_sum(per_den: dict) -> int:
+    """Ceiling of the sum of p/q over ``per_den``, which maps each denominator
+    q to the sum of its numerators p, over the lcm of the denominators, in
+    integers."""
     den = lcm(*per_den)
     return -(-sum(p * (den // q) for q, p in per_den.items()) // den)
 
 
-def _report_common(args, inst, cost, lower_bound, extra: dict,
+def _pack_pairs(items, insert) -> tuple:
+    """Hand each pair (p, q) of ``items`` to ``insert(p, q)`` as it is read;
+    returns their count and the ceiling of their sum."""
+    per_den = defaultdict(int)
+    n = 0
+    for p, q in items:
+        n += 1
+        per_den[q] += p
+        insert(p, q)
+    return n, _ceil_sum(per_den)
+
+
+def _report_common(args, inst, n: int, cost, lower_bound, extra: dict,
                    elapsed: float, read_s: float) -> dict:
     report = {
-        "instance": f"{inst.spec.kind}/n={len(inst.items)}/seed={inst.spec.seed}",
+        "instance": f"{inst.spec.kind}/n={n}/seed={inst.spec.seed}",
         "cost": str(cost),
         "lower_bound": str(lower_bound),
         "ratio": str(Fraction(cost) / lower_bound) if lower_bound else "",
@@ -156,15 +168,15 @@ def cmd_pack1d(args) -> int:
         raise ValueError("--trace-out traces the sh+ algorithm only")
     if args.k is not None and args.algorithm == "sh+":
         raise ValueError("--k sets the index of the harmonic algorithm only")
+    # a stream is read as it is packed, and its own read time is taken out of
+    # the run's wall time; a list's is the time it took to make
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=1)
-    read_s, t0 = time.perf_counter() - t0, time.perf_counter()
-    lb = inst.known_opt or _ceil_sum(inst.items)
+    made_s = time.perf_counter() - t0
     if args.algorithm == "harmonic":
         k = _HARMONIC_K if args.k is None else args.k
         packer = HarmonicPacker(k)
-        for p, q in inst.items:
-            packer.insert(p, q)
+        n, lb = _pack_pairs(inst.items, packer.insert)
         cost = packer.cost
         slack = packer.weight_slack()
         extra = {"algorithm": f"harmonic({k})", "weight_slack": str(slack)}
@@ -175,18 +187,20 @@ def cmd_pack1d(args) -> int:
         if args.trace_out:  # each row is written as its item is placed
             with open(args.trace_out, "w", encoding="utf-8") as fh:
                 fh.write(PlacementTrace.CSV_HEADER + "\n")
-                for n, (p, q) in enumerate(inst.items):
-                    fh.write(traced_insert(st, n, p, q).csv_row() + "\n")
+                index = itertools.count()
+                n, lb = _pack_pairs(inst.items, lambda p, q: fh.write(
+                    traced_insert(st, next(index), p, q).csv_row() + "\n"))
         else:
-            for p, q in inst.items:
-                st.insert(p, q)
+            n, lb = _pack_pairs(inst.items, st.insert)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
                  "weight_slack": str(rep.slack)}
         elapsed = time.perf_counter() - t0
         failures = _sh_audit(st, rep) if args.verify else []
         cost = st.cost
-    report = _report_common(args, inst, cost, lb, extra, elapsed, read_s)
+    read_s = inst.items.read_s if isinstance(inst.items, generators.Stream) else made_s
+    report = _report_common(args, inst, n, cost, inst.known_opt or lb, extra,
+                            elapsed - read_s, read_s)
     _emit(report, args.format)
     if failures:
         for f in failures:
@@ -198,19 +212,23 @@ def cmd_pack1d(args) -> int:
 def cmd_pack2d(args) -> int:
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=2)
+    items = list(inst.items)  # one pass per orientation
     read_s = time.perf_counter() - t0
     table = params.builtin_shplus()
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
     t0 = time.perf_counter()
-    lb = inst.known_opt or _ceil_sum((wp * hp, wq * hq) for wp, wq, hp, hq in inst.items)
+    per_den = defaultdict(int)
+    for wp, wq, hp, hq in items:
+        per_den[wq * hq] += wp * hp
+    lb = inst.known_opt or _ceil_sum(per_den)
     failures = []
     rows = []
     orientations = ("hxb", "bxh") if args.orientation == "tensor-avg" \
         else (args.orientation,)
     for orientation in orientations:
         run = TensorRun(table, orientation, delta)
-        for it in inst.items:
+        for it in items:
             run.insert(it)
         rows.append({"orientation": run.orientation, "bins": run.cost,
                      "slices": len(run.slices),
@@ -222,7 +240,7 @@ def cmd_pack2d(args) -> int:
     else:
         cost = Fraction(sum(row["bins"] for row in rows), len(rows))
         extra = {"algorithm": args.orientation, "runs": rows}
-        report = _report_common(args, inst, cost, lb, extra,
+        report = _report_common(args, inst, len(items), cost, lb, extra,
                                 time.perf_counter() - t0, read_s)
         _emit(report, "json")
     if failures:

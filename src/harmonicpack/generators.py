@@ -3,7 +3,7 @@
 Every generator is driven by a named seed through Python's Mersenne
 Twister (``random.Random``), whose sequence is stable across platforms and
 versions, so a spec (kind, n, seed, dims, bins) always produces the same
-list. Sizes are exact rationals on a 10^-6 grid: a 1D size is an integer
+items. Sizes are exact rationals on a 10^-6 grid: a 1D size is an integer
 pair (p, q) of value p/q, in lowest terms when generated, and a rectangle
 is an ``Item2D``, the tuple (wp, wq, hp, hq) of its two sides' pairs.
 
@@ -32,9 +32,18 @@ Kinds:
     by line, so the items and any error, and its line, are the same either
     way.
 
+The ``uniform`` and ``file`` kinds are streamed: their ``items`` is a
+``Stream``, read once, one block (a chunk of the file, or ``_BLOCK`` drawn
+items) at a time, so a run holds one block, not the instance.  The first
+block is read by ``generate`` itself: a missing file or a bad first chunk
+fails there, and a bad later chunk fails when the items before it are used
+up.  A plain 1D chunk hands its pairs on straight from the JSON integers,
+zipped in place, so no list of pairs is built.  The other two kinds return
+a list.
+
 A generated instance holds at most ``_MAX_ITEMS`` (10^7) items or
 ``_MAX_RECTANGLES`` (3 * 10^6) rectangles; a larger count is refused before
-any list is built.  Files are not capped.
+any item is made.  Files are not capped.
 """
 
 from __future__ import annotations
@@ -42,9 +51,12 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from time import perf_counter
 
 from .params import named, parse_pair, parse_rational
 
@@ -54,20 +66,32 @@ _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
 _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
-# the most items a generated 1D instance holds: a 1D SH+ run of 10**6 sizes
-# peaks at about 280 MB, so 10**7 is about 2.8 GB
+# the most items a generated 1D instance holds: the items are streamed, but a
+# 1D SH+ run keeps its bins, and one of 10**6 sizes peaks at about 154 MB, so
+# 10**7 is about 1.5 GB (Harmonic(k) keeps O(k) and stays near 20 MB)
 _MAX_ITEMS = 10 ** 7
 # the most rectangles a generated 2D instance holds: 10**5 uniform rectangles
 # packed in both orientations grow the peak RSS by about 81 MB (810 B each, 216
-# B of them the rectangles), so 3 * 10**6 stays below the 1D cap's 2.8 GB
+# B of them the rectangles), so 3 * 10**6 peak near 2.4 GB
 _MAX_RECTANGLES = 3 * 10 ** 6
 
-# a file is read in chunks of whole lines of about this many characters; a
-# plain chunk has `dims` tokens digits[/digits] a line, one space apart, each
-# line ended by "\n" (re caches each pattern when it is first used)
+# a file is read in chunks of whole lines of about this many characters, and
+# a uniform instance drawn in blocks of this many items
 _CHUNK = 1 << 16
-_TOKEN = "[0-9]+(?:/[0-9]+)?"
-_PLAIN_LINES = {1: f"(?:{_TOKEN}\n)*", 2: f"(?:{_TOKEN} {_TOKEN}\n)*"}
+_BLOCK = 1 << 12
+
+
+def _plain_lines(plus: str) -> dict:
+    """The patterns of a plain chunk, by dims: `dims` tokens digits[/digits]
+    a line, one space apart, each line ended by "\\n".  ``plus`` "+" makes
+    every quantifier possessive (3.11 syntax), which accepts the same chunks
+    without keeping backtracking state per line; "" keeps them greedy."""
+    token = f"[0-9]+{plus}(?:/[0-9]+{plus})?{plus}"
+    return {1: f"(?:{token}\n)*{plus}", 2: f"(?:{token} {token}\n)*{plus}"}
+
+
+# re caches each pattern when it is first used
+_PLAIN_LINES = _plain_lines("+" if sys.version_info >= (3, 11) else "")
 _BARE = "(?<![0-9/])([0-9]+)(?![0-9/])"  # a token with no "/"
 
 
@@ -121,9 +145,33 @@ InstanceSpec = namedtuple("InstanceSpec", [
 
 Instance = namedtuple("Instance", [
     "spec",
-    "items",  # (p, q) integer pairs (1D) or Item2D (2D)
+    "items",  # (p, q) integer pairs (1D) or Item2D (2D): a list, or a Stream
     "known_opt",
 ], defaults=(None,))
+
+
+class Stream:
+    """Items read once, a block at a time: the first block when the stream is
+    made, each later one when the items before it are used up.  ``read_s``
+    sums the seconds spent making the blocks."""
+
+    __slots__ = ("read_s", "_blocks", "_items")
+
+    def __init__(self, blocks):
+        self.read_s, self._blocks = 0.0, blocks
+        first = self._next()
+        # C-level iterators: no Python frame is resumed per item
+        self._items = chain(first or (), chain.from_iterable(iter(self._next, None)))
+
+    def _next(self):
+        """The next block, or None after the last, timed into ``read_s``."""
+        t0 = perf_counter()
+        block = next(self._blocks, None)
+        self.read_s += perf_counter() - t0
+        return block
+
+    def __iter__(self):
+        return self._items
 
 
 def _uniform_pair(rng: random.Random) -> tuple:
@@ -148,10 +196,11 @@ def _read_lines(lines, dims: int, items: list) -> None:
                              f"{line.partition('#')[0].strip()!r}")
 
 
-def _read_plain(lines, dims: int) -> list | None:
+def _read_plain(lines, dims: int):
     """The items of a chunk of plain lines, read in bulk, as ``_read_lines``
-    reads them.  None for any other chunk, and for a plain one with a token
-    JSON refuses or a line ``_read_lines`` refuses: that chunk is left to
+    reads them: in 1D the JSON integers zipped into pairs in place, in 2D a
+    list.  None for any other chunk, and for a plain one with a token JSON
+    refuses or a line ``_read_lines`` refuses: that chunk is left to
     ``_read_lines``, for its items or its error."""
     text = "".join(lines)
     if not text.endswith("\n"):  # the file's last line
@@ -168,13 +217,35 @@ def _read_plain(lines, dims: int) -> list | None:
     if 0 in ints[1::2]:  # "p/0" is parse_pair's error
         return None
     it = iter(ints)
-    pairs = list(zip(it, it))
     if dims == 1:
-        return pairs
+        return zip(it, it)
+    pairs = list(zip(it, it))
     try:
         return list(map(Item2D.from_pairs, pairs[::2], pairs[1::2]))
     except ValueError:  # a side outside (0, 1]
         return None
+
+
+def _file_blocks(path, dims: int):
+    """The items of the file at ``path``, one chunk of whole lines at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        while lines := fh.readlines(_CHUNK):
+            block = _read_plain(lines, dims)
+            if block is None:
+                block = []
+                _read_lines(lines, dims, block)
+            yield block
+
+
+def _uniform_blocks(rng: random.Random, n: int, dims: int):
+    """n uniform sizes (1D) or rectangles (2D), ``_BLOCK`` at a time."""
+    for start in range(0, n, _BLOCK):
+        draws = range(min(_BLOCK, n - start))
+        if dims == 1:
+            yield [_uniform_pair(rng) for _ in draws]
+        else:
+            yield [Item2D.from_pairs(_uniform_pair(rng), _uniform_pair(rng))
+                   for _ in draws]
 
 
 def _check_count(count: int, dims: int) -> None:
@@ -189,13 +260,8 @@ def generate(spec: InstanceSpec) -> Instance:
     if spec.kind in ("uniform", "harmonic-adversarial"):
         _check_count(spec.n, spec.dims)
     if spec.kind == "uniform":
-        rng = random.Random(spec.seed)
-        if spec.dims == 1:
-            items = [_uniform_pair(rng) for _ in range(spec.n)]
-        else:
-            items = [Item2D.from_pairs(_uniform_pair(rng), _uniform_pair(rng))
-                     for _ in range(spec.n)]
-        return Instance(spec=spec, items=items)
+        blocks = _uniform_blocks(random.Random(spec.seed), spec.n, spec.dims)
+        return Instance(spec=spec, items=Stream(blocks))
 
     if spec.kind == "harmonic-adversarial":
         pairs = [(lv + _JITTER).as_integer_ratio() for lv in _LEVELS]
@@ -222,14 +288,6 @@ def generate(spec: InstanceSpec) -> Instance:
 
     if spec.kind == "file":
         dims = 1 if spec.dims == 1 else 2  # tokens per line; any other dims is 2D
-        items = []
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            while lines := fh.readlines(_CHUNK):
-                plain = _read_plain(lines, dims)
-                if plain is None:
-                    _read_lines(lines, dims, items)
-                else:
-                    items += plain
-        return Instance(spec=spec, items=items)
+        return Instance(spec=spec, items=Stream(_file_blocks(spec.path, dims)))
 
     raise ValueError(f"unknown instance kind {spec.kind!r}")

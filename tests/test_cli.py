@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from harmonicpack import generators
 from harmonicpack.boundcert import ratio_certificate
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
@@ -84,6 +85,9 @@ class TestInputErrors:
         ("bound --lambda-file {dir}/string.json", "neither a list of lists"),
         ("bound --lambda-file {dir}/bad_key.json", "key '1,2,3' is not 'i,j'"),
         ("pack1d --input {dir}/zero_den.txt", "zero denominator"),
+        # a sign sends the token through Fraction's parser, which raises
+        # ZeroDivisionError: it is named as the bare "1/0" is
+        ("pack1d --input {dir}/signed_zero_den.txt", "zero denominator in '+1/0'"),
         ("pack2d --input {dir}/too_thin.txt",
          f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
         ("pack2d --input {dir}/too_flat.txt",
@@ -132,6 +136,7 @@ class TestInputErrors:
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
+            "signed-zero-denominator",
             "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
             "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
             "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
@@ -143,6 +148,7 @@ class TestInputErrors:
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
+        (tmp_path / "signed_zero_den.txt").write_text("1/2\n+1/0\n")
         (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
         (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
         (tmp_path / "huge.txt").write_text("1e5000\n")  # str() refuses its integers
@@ -376,7 +382,7 @@ class TestReports:
         assert main(["gen", *args, "--dims", str(dims), "--out", str(out)]) == 0
         spec = InstanceSpec(kind=kind, n=60, seed=3, dims=dims, bins=4)
         loaded = generate(InstanceSpec(kind="file", dims=dims, path=str(out)))
-        assert loaded.items == generate(spec).items
+        assert list(loaded.items) == list(generate(spec).items)
 
     @pytest.mark.parametrize("kind,dims,digest", [
         ("uniform", 1,
@@ -475,6 +481,30 @@ class TestReports:
         assert len((tmp_path / "trace.csv").read_text().splitlines()) == 20001
         assert peaks[1] <= peaks[0] + 500_000, peaks
 
+    def test_streamed_run_holds_no_item_list(self, tmp_path, capsys):
+        # the sizes are packed as the file is read, a chunk at a time: a
+        # Harmonic run on 20,000 sizes peaks below 1.6 MB, which the list of
+        # its items alone exceeds
+        path = tmp_path / "sizes.txt"
+        assert main(["gen", "--n", "20000", "--seed", "7", "--out", str(path)]) == 0
+        args = ["pack1d", "--algorithm", "harmonic", "--input", str(path)]
+        assert main(args) == 0  # a first run fills the caches
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert out[:len(out) // 2] * 2 == out  # two equal reports
+        tracemalloc.start()
+        try:
+            items = list(generate(InstanceSpec(kind="file", path=str(path))).items)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(items) == 20000 and peak < 1_600_000 < held, (peak, held)
+
     def test_unwritable_trace_path_fails_before_packing(self, tmp_path, capsys,
                                                          monkeypatch):
         import harmonicpack.cli as climod
@@ -501,6 +531,30 @@ class TestReports:
         assert [row.split(",")[:2] for row in lines[1:]] == [
             [str(n), size] for n, size in enumerate(
                 ["1/2", "1/3", "1/100", "41/100", "1/2", "7/10"])]
+
+    def test_bad_line_in_a_later_chunk_leaves_the_rows_before_it(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the file is read as it is packed: a line the reader refuses, in a
+        # chunk after the first, ends the run with one error line, and the
+        # trace holds the header and the rows of the chunks before that one
+        monkeypatch.setattr(generators, "_CHUNK", 24)
+        sizes = [f"1/{i}" for i in range(2, 40)]
+        sizes[25] = "1/2 1/3"
+        path, trace = tmp_path / "inst.txt", tmp_path / "trace.csv"
+        path.write_text("".join(f"{x}\n" for x in sizes))
+        with open(path, "r", encoding="utf-8") as fh:
+            chunks = list(iter(lambda: fh.readlines(24), []))
+        bad = next(k for k, chunk in enumerate(chunks) if "1/2 1/3\n" in chunk)
+        placed = sum(map(len, chunks[:bad]))
+        assert bad >= 2 and placed < 25
+        rc = main(["pack1d", "--input", str(path), "--trace-out", str(trace)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "error: expected one size per line, got '1/2 1/3'\n", err
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "item_index,size,type,color,group_before,group_after,bin_id,opened"
+        assert [row.split(",")[:2] for row in lines[1:]] == [
+            [str(n), size] for n, size in enumerate(sizes[:placed])]
 
 
 class TestBoundCommand:

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import pickle
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -26,11 +28,11 @@ _SIDES = st.sampled_from(_SIDE_TOKENS) | st.builds(
 class TestDeterminism:
     def test_same_spec_same_list(self):
         spec = InstanceSpec(kind="uniform", n=500, seed=7)
-        assert generate(spec).items == generate(spec).items
+        assert list(generate(spec).items) == list(generate(spec).items)
 
     def test_different_seed_differs(self):
-        a = generate(InstanceSpec(kind="uniform", n=500, seed=7)).items
-        b = generate(InstanceSpec(kind="uniform", n=500, seed=8)).items
+        a = list(generate(InstanceSpec(kind="uniform", n=500, seed=7)).items)
+        b = list(generate(InstanceSpec(kind="uniform", n=500, seed=8)).items)
         assert a != b
 
     def test_sizes_in_range(self):
@@ -77,7 +79,7 @@ class TestSizeCap:
         monkeypatch.setattr(generators, "_MAX_ITEMS", 8 if dims == 1 else 0)
         monkeypatch.setattr(generators, "_MAX_RECTANGLES", 0 if dims == 1 else 8)
         spec = InstanceSpec(kind=kind, dims=dims, **{field: most})
-        assert len(generate(spec).items) == 8
+        assert len(list(generate(spec).items)) == 8
         what = "items" if dims == 1 else "rectangles"
         with pytest.raises(ValueError, match=f"^an instance of {8 + 8 // most} {what} "
                                              f"exceeds the cap of 8$"):
@@ -87,7 +89,7 @@ class TestSizeCap:
         monkeypatch.setattr(generators, "_MAX_ITEMS", 8)
         p = tmp_path / "nine.txt"
         p.write_text("1/2\n" * 9)
-        assert len(generate(InstanceSpec(kind="file", path=str(p))).items) == 9
+        assert len(list(generate(InstanceSpec(kind="file", path=str(p))).items)) == 9
 
 
 class TestFileKind:
@@ -95,13 +97,13 @@ class TestFileKind:
         p = tmp_path / "inst.txt"
         p.write_text("# header\n0.5\n353/500  # exact rational\n\n0.25\n")
         inst = generate(InstanceSpec(kind="file", path=str(p)))
-        assert inst.items == [(1, 2), (353, 500), (1, 4)]
+        assert list(inst.items) == [(1, 2), (353, 500), (1, 4)]
 
     def test_reads_rectangles(self, tmp_path):
         p = tmp_path / "inst2d.txt"
         p.write_text("0.5 0.25\n1/3 0.75\n")
         inst = generate(InstanceSpec(kind="file", dims=2, path=str(p)))
-        assert inst.items[1] == Item2D(Fraction(1, 3), Fraction(3, 4))
+        assert list(inst.items)[1] == Item2D(Fraction(1, 3), Fraction(3, 4))
 
     def test_rejects_malformed_line(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -159,8 +161,8 @@ def test_rectangle_reader_equals_rational_reader(sides):
         path = f"{tmp}/rect.txt"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{a} {b}\n")
-        got = _outcome(lambda: generate(InstanceSpec(kind="file", dims=2,
-                                                     path=path)).items[0])
+        got = _outcome(lambda: list(generate(InstanceSpec(kind="file", dims=2,
+                                                          path=path)).items)[0])
     assert got == _outcome(lambda: Item2D(parse_rational(a), parse_rational(b)))
 
 
@@ -235,9 +237,25 @@ def test_chunked_reader_equals_the_line_loop(dims, data):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         with mock.patch.object(generators, "_CHUNK", chunk):
-            got = _file_outcome(lambda: generate(
-                InstanceSpec(kind="file", dims=dims, path=path)).items)
+            got = _file_outcome(lambda: list(generate(
+                InstanceSpec(kind="file", dims=dims, path=path)).items))
         assert got == _file_outcome(lambda: _by_lines(path, dims))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive quantifiers are 3.11 syntax")
+@pytest.mark.parametrize("drawn", [1, 2])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_possessive_check_takes_the_chunks_the_greedy_one_takes(drawn, data):
+    # the plain-chunk check of 3.11 and later and the one of 3.10 accept and
+    # refuse the same 1D and 2D chunks, as _read_plain hands them over
+    text = data.draw(_instance_files(drawn))
+    possessive, greedy = generators._plain_lines("+"), generators._plain_lines("")
+    for chunk in {text, text if text.endswith("\n") else text + "\n"}:
+        for dims in (1, 2):
+            assert (re.fullmatch(possessive[dims], chunk) is None) \
+                == (re.fullmatch(greedy[dims], chunk) is None), (dims, chunk)
+    assert re.fullmatch(possessive[1], "1/2\n3\n") and re.fullmatch(possessive[2], "1 1/2\n")
 
 
 @pytest.mark.parametrize("dims,bad", [(1, "5/0"), (1, "0012/0034"), (2, "1/2 3/2"),
@@ -248,8 +266,8 @@ def test_bad_chunk_after_good_chunks(tmp_path, dims, bad):
     line = "353/500" if dims == 1 else "353/500 1"
     path = tmp_path / "inst.txt"
     path.write_text("\n".join([line] * 30000 + [bad] + [line] * 10) + "\n")
-    got = _file_outcome(lambda: generate(InstanceSpec(kind="file", dims=dims,
-                                                      path=str(path))).items)
+    got = _file_outcome(lambda: list(generate(InstanceSpec(kind="file", dims=dims,
+                                                           path=str(path))).items))
     assert got == _file_outcome(lambda: _by_lines(path, dims))
     assert isinstance(got, str) or len(got) >= 30010
 
@@ -278,7 +296,7 @@ class TestBulkPathTaken:
         calls, real = [], generators.parse_pair
         monkeypatch.setattr(generators, "parse_pair",
                             lambda token: calls.append(token) or real(token))
-        items = generate(InstanceSpec(kind="file", dims=dims, path=str(path))).items
+        items = list(generate(InstanceSpec(kind="file", dims=dims, path=str(path))).items)
         monkeypatch.undo()
         return items, calls
 

@@ -311,9 +311,9 @@ class TestParseRational:
         assert got == want and type(got) is type(want), (x, got, want)
 
     @pytest.mark.parametrize("x", [
-        "1/0", "0/0", "7", "0", "12/18", "\u0663/\uff11\uff12", "0.294", "1e-400",
-        "-1/2", "+3", "1_000/3", " 1/2 ", "1 /2", "1/2/3", "/2", "2/", "", "²",
-        "1/²", None])
+        "1/0", "+1/0", "-1/0", "0/0", "7", "0", "12/18", "\u0663/\uff11\uff12",
+        "0.294", "1e-400", "-1/2", "+3", "1_000/3", " 1/2 ", "1 /2", "1/2/3", "/2",
+        "2/", "", "²", "1/²", None])
     def test_edge_tokens_match_fraction_reader(self, x):
         assert _outcome(parse_rational, x) == _outcome(_fraction_reader, x)
 
