@@ -93,6 +93,7 @@ def _plain_lines(plus: str) -> dict:
 # re caches each pattern when it is first used
 _PLAIN_LINES = _plain_lines("+" if sys.version_info >= (3, 11) else "")
 _BARE = "(?<![0-9/])([0-9]+)(?![0-9/])"  # a token with no "/"
+_COMMAS = str.maketrans("/\n ", ",,,")  # a plain chunk's separators, as JSON's
 
 
 class Item2D(tuple):
@@ -196,22 +197,21 @@ def _read_lines(lines, dims: int, items: list) -> None:
                              f"{line.partition('#')[0].strip()!r}")
 
 
-def _read_plain(lines, dims: int):
+def _read_plain(text: str, dims: int):
     """The items of a chunk of plain lines, read in bulk, as ``_read_lines``
     reads them: in 1D the JSON integers zipped into pairs in place, in 2D a
     list.  None for any other chunk, and for a plain one with a token JSON
     refuses or a line ``_read_lines`` refuses: that chunk is left to
     ``_read_lines``, for its items or its error."""
-    text = "".join(lines)
     if not text.endswith("\n"):  # the file's last line
         text += "\n"
     if not re.fullmatch(_PLAIN_LINES[dims], text):
         return None
-    if text.count("/") < len(lines) * dims:
-        text = re.sub(_BARE, r"\1/1", text)
     try:  # JSON refuses a leading zero and an integer over int's digit limit
-        ints = json.loads("[" + text[:-1].replace("/", ",").replace("\n", ",")
-                          .replace(" ", ",") + "]")
+        ints = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
+        if len(ints) != 2 * text.count("/"):  # a token p with no "/" is p/1
+            ints = json.loads("[" + re.sub(_BARE, r"\1/1", text)[:-1].translate(_COMMAS)
+                              + "]")
     except ValueError:
         return None
     if 0 in ints[1::2]:  # "p/0" is parse_pair's error
@@ -227,13 +227,17 @@ def _read_plain(lines, dims: int):
 
 
 def _file_blocks(path, dims: int):
-    """The items of the file at ``path``, one chunk of whole lines at a time."""
+    """The items of the file at ``path``, one chunk of whole lines at a time:
+    ``_CHUNK`` characters and the rest of the line they end in, which is the
+    chunk ``readlines(_CHUNK)`` returns, as one string."""
     with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(_CHUNK):
-            block = _read_plain(lines, dims)
+        while text := fh.read(_CHUNK) + fh.readline():
+            block = _read_plain(text, dims)
             if block is None:
                 block = []
-                _read_lines(lines, dims, block)
+                # at "\n" alone, as readlines splits: str.splitlines would
+                # also split at "\x0b", "\x1c", "\u2028" and others
+                _read_lines(text.split("\n"), dims, block)
             yield block
 
 

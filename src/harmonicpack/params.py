@@ -25,9 +25,11 @@ reserved space, has ``varphi[i] = gamma[i] = 0``.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
 parsed as exact base-10 fractions.  A size reaches ``classify`` as an integer
-pair (p, q), which bisects the breakpoints as integers over their common
-denominator.  The built-in instance ("SH+") is
-the one used by the 2D slice packer and the ratio certifier.
+pair (p, q).  A size on a denominator q seen often is typed from the
+integer floors floor(t*q) of the breakpoints, kept per q in a bounded
+table; any other by the breakpoints as integers over their common
+denominator.  The built-in instance ("SH+") is built once per process; it
+is the one used by the 2D slice packer and the ratio certifier.
 """
 
 from __future__ import annotations
@@ -38,7 +40,19 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
+
+# a number of more than this many digits is named by its digit count
+_NAMED_DIGITS = 40
+# the most item denominators a ParamTable keeps breakpoint floors for, and
+# counts sightings of; the built-in table's 50 floors of a denominator below
+# 2**64 take about 2 KB
+_FLOORS_MAX = 1024
+# the sighting of a denominator at which its floors are built: building them
+# (about 7 us for the built-in table and a denominator below 2**64) costs
+# what some 30 typings from the floors save, so a denominator seen only a
+# few times is never given them
+_SIGHTINGS = 32
 
 
 def parse_pair(token: str) -> tuple:
@@ -93,14 +107,18 @@ def decimal_digits(n: int) -> int:
 
 
 def named(p: int, q: int, side: str, digits=None) -> str:
-    """``side p/q``, as in ``width 1/3`` or ``width 1/0``; by digit counts where
-    str() refuses so long an integer.  ``digits`` are p's and q's if known."""
-    try:
+    """``side p/q`` in lowest terms, as in ``width 1/3`` or ``width 1/0``; by
+    digit counts where its numerator or denominator has more than
+    ``_NAMED_DIGITS`` digits, as in ``width with a 1-digit numerator and a
+    401-digit denominator``.  ``digits`` are p's and q's digit counts if known."""
+    g = gcd(p, q) if q else 1
+    if g > 1:
+        p, q, digits = p // g, q // g, None
+    dn, dd = digits or (decimal_digits(abs(p) or 1), decimal_digits(q or 1))
+    if max(dn, dd) <= _NAMED_DIGITS:
         return f"{side} {Fraction(p, q) if q else f'{p}/0'}"
-    except ValueError:  # beyond sys.get_int_max_str_digits()
-        dn, dd = digits or (decimal_digits(abs(p)), decimal_digits(q))
-        return (f"{side} with a {dn}-digit numerator and "
-                + (f"a {dd}-digit denominator" if q else "denominator 0"))
+    return (f"{side} with a {dn}-digit numerator and "
+            + (f"a {dd}-digit denominator" if q else "denominator 0"))
 
 
 def exact_add(num: int, den: int, p: int, q: int) -> tuple:
@@ -168,12 +186,14 @@ class ParamTable(Frozen):
                  if alpha[i] > 0 else 0)
             varphi.append(j)
             gamma.append(max(1, Delta[1] // t[i]) if j else 0)
-        # classify() bisects [t[k+1], t[k], ..., t[2]] scaled to integers over
-        # their common denominator D: t < p/q exactly when t*D < ceil(p*D/q)
+        # [t[k+1], t[k], ..., t[2]] as integers over their common denominator
+        # D; classify()'s table of their floors per item denominator, and its
+        # count of sightings of the denominators without floors
         den, breaks = on_one_denominator([t[i] for i in range(k + 1, 1, -1)])
         self._set(k=k, K=K, t=t, alpha=alpha, Delta=Delta, phi=phi, beta=tuple(beta),
                   delta=(None, *(1 - t[i] * beta[i] for i in range(1, k + 1))),
-                  varphi=tuple(varphi), gamma=tuple(gamma), _den=den, _asc_breaks=breaks)
+                  varphi=tuple(varphi), gamma=tuple(gamma), _den=den, _asc_breaks=breaks,
+                  _floors={}, _seen={})
 
     def __eq__(self, other):
         return isinstance(other, ParamTable) and self._free() == other._free()
@@ -190,13 +210,40 @@ class ParamTable(Frozen):
 
     def classify(self, p: int, q: int) -> int:
         """Type of an item of size p/q (q > 0, not necessarily in lowest
-        terms): the unique i with t[i+1] < p/q <= t[i].
+        terms): the unique i with t[i+1] < p/q <= t[i], that is k+1 less the
+        number of breakpoints t[k+1], ..., t[2] below p/q.
+
+        They are counted by a bisect over integers.  ``_floors`` maps an
+        item denominator q to the floors floor(t*q) of those breakpoints, in
+        ascending order, and t < p/q exactly when floor(t*q) < p.  A
+        denominator gets its floors at its ``_SIGHTINGS``-th sighting, counted
+        in ``_seen``, which is emptied when it counts ``_FLOORS_MAX``
+        denominators; at most ``_FLOORS_MAX`` denominators keep floors.  Any
+        other size is typed by ``_scaled_type``.
+        ``ShState.insert`` reads the same floors in line, and calls this
+        method on a miss.
 
         Raises ValueError outside (0, 1].
         """
         if not 0 < p <= q:
             raise ValueError(f"{named(p, q, 'item size')} outside (0, 1]")
-        # number of breakpoints strictly below `size` among t[k+1]..t[2]
+        floors = self._floors.get(q)
+        if floors is None:
+            seen = self._seen
+            n = seen.get(q, 0) + 1
+            if n < _SIGHTINGS or len(self._floors) >= _FLOORS_MAX:
+                if len(seen) >= _FLOORS_MAX:  # a stream of new denominators
+                    seen.clear()
+                seen[q] = n
+                return self._scaled_type(p, q)
+            den = self._den
+            floors = self._floors[q] = [t * q // den for t in self._asc_breaks]
+        return self.k + 1 - bisect_left(floors, p)
+
+    def _scaled_type(self, p: int, q: int) -> int:
+        """``classify(p, q)`` for 0 < p/q <= 1 without the floors: the
+        breakpoints t, as integers t*D over their common denominator D, are
+        bisected at ceil(p*D/q), since t < p/q exactly when t*D < ceil(p*D/q)."""
         return self.k + 1 - bisect_left(self._asc_breaks, -(-p * self._den // q))
 
     # -- serialization ----------------------------------------------------
@@ -309,15 +356,23 @@ def middle_red_fraction(i: int) -> Fraction:
     return Fraction(27 * (50 - i), 740 * (i - 12))
 
 
+_builtin = None  # the built-in table, once builtin_shplus() has built it
+
+
 def builtin_shplus() -> ParamTable:
-    """The built-in 50-type instance with reserved spaces {0.294, ..., 0.42}."""
-    rows = {i: (parse_rational(t), parse_rational(a), p) for i, t, a, p in _EXPLICIT_ROWS}
-    for i in range(21, 50):
-        rows[i] = (Fraction(1, i - 13), middle_red_fraction(i), 0)
-    t, alpha, phi = zip(*(rows[i] for i in range(1, 51)))
-    return ParamTable(k=50, K=6, t=(None, *t, Fraction(1, 38), Fraction(0)),
-                      alpha=(None, *alpha), Delta=tuple(map(parse_rational, _DELTAS)),
-                      phi=(None, *phi))
+    """The built-in 50-type instance with reserved spaces {0.294, ..., 0.42},
+    built at the first call: every call returns that one immutable table."""
+    global _builtin
+    if _builtin is None:
+        rows = {i: (parse_rational(t), parse_rational(a), p)
+                for i, t, a, p in _EXPLICIT_ROWS}
+        for i in range(21, 50):
+            rows[i] = (Fraction(1, i - 13), middle_red_fraction(i), 0)
+        t, alpha, phi = zip(*(rows[i] for i in range(1, 51)))
+        _builtin = ParamTable(k=50, K=6, t=(None, *t, Fraction(1, 38), Fraction(0)),
+                              alpha=(None, *alpha),
+                              Delta=tuple(map(parse_rational, _DELTAS)), phi=(None, *phi))
+    return _builtin
 
 
 def validate(table: ParamTable) -> list:

@@ -19,7 +19,7 @@ from harmonicpack import generators
 from harmonicpack.boundcert import ratio_certificate
 from harmonicpack.cli import main
 from harmonicpack.generators import InstanceSpec, generate
-from harmonicpack.params import ParamTable, validate
+from harmonicpack.params import ParamTable, builtin_shplus, validate
 from harmonicpack.superharmonic import ShState
 
 
@@ -88,10 +88,30 @@ class TestInputErrors:
         # a sign sends the token through Fraction's parser, which raises
         # ZeroDivisionError: it is named as the bare "1/0" is
         ("pack1d --input {dir}/signed_zero_den.txt", "zero denominator in '+1/0'"),
+        # a number of more than 40 digits is named by its digit count
         ("pack2d --input {dir}/too_thin.txt",
-         f"width 1/1{'0' * 400} lies below the tiny grid's depth floor"),
+         "width with a 1-digit numerator and a 401-digit denominator lies below "
+         "the tiny grid's depth floor"),
         ("pack2d --input {dir}/too_flat.txt",
-         f"height 1/1{'0' * 400} lies below the tiny grid's depth floor"),
+         "height with a 1-digit numerator and a 401-digit denominator lies below "
+         "the tiny grid's depth floor"),
+        ("pack2d --input {dir}/too_thin_unreduced.txt",
+         "width with a 1-digit numerator and a 401-digit denominator lies below "
+         "the tiny grid's depth floor"),
+        ("pack2d --input {dir}/thinner.txt",
+         "width with a 1-digit numerator and a 4001-digit denominator lies below "
+         "the tiny grid's depth floor of 1000000 classes"),
+        ("pack2d --input {dir}/long_side.txt",
+         "rectangle 1/2 x with a 42-digit numerator and a 41-digit denominator "
+         "outside (0,1]^2"),
+        ("pack1d --input {dir}/long_size.txt",
+         "item size with a 42-digit numerator and a 41-digit denominator outside (0, 1]"),
+        ("pack1d --algorithm harmonic --input {dir}/long_size.txt",
+         "item size with a 42-digit numerator and a 41-digit denominator outside (0, 1]"),
+        ("pack1d --input {dir}/forty_digits.txt",
+         f"item size 2{'0' * 38}1/1{'0' * 39} outside (0, 1]"),
+        # named in lowest terms: 2e41/1e40 is 20
+        ("pack1d --input {dir}/reducible.txt", "item size 20 outside (0, 1]"),
         ("bound --no-cuts", "unrecognized arguments: --no-cuts"),
         ("bound --lambda-file {dir}/lambda_true.json",
          "lambda_true.json: pair 3,4: True is not a number"),
@@ -137,7 +157,11 @@ class TestInputErrors:
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
             "signed-zero-denominator",
-            "width-below-depth-floor", "height-below-depth-floor", "bound-no-cuts",
+            "width-below-depth-floor", "height-below-depth-floor",
+            "width-unreduced-below-depth-floor", "width-4001-digits-below-depth-floor", "rectangle-side-42-digits",
+            "sh-size-42-digits", "harmonic-size-42-digits", "sh-size-40-digits",
+            "sh-size-reducible",
+            "bound-no-cuts",
             "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
             "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
             "harmonic-size-5001-digits", "rectangle-side-5001-digits", "n-10-to-the-12",
@@ -151,6 +175,12 @@ class TestInputErrors:
         (tmp_path / "signed_zero_den.txt").write_text("1/2\n+1/0\n")
         (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
         (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
+        (tmp_path / "too_thin_unreduced.txt").write_text(f"1{'0' * 41}/1{'0' * 441} 1/2\n")
+        (tmp_path / "thinner.txt").write_text("1e-4000 1/2\n")
+        (tmp_path / "long_side.txt").write_text(f"1/2 2{'0' * 40}1/1{'0' * 40}\n")
+        (tmp_path / "long_size.txt").write_text(f"1/2\n2{'0' * 40}1/1{'0' * 40}\n")
+        (tmp_path / "reducible.txt").write_text(f"1/2\n2{'0' * 41}/1{'0' * 40}\n")
+        (tmp_path / "forty_digits.txt").write_text(f"1/2\n2{'0' * 38}1/1{'0' * 39}\n")
         (tmp_path / "huge.txt").write_text("1e5000\n")  # str() refuses its integers
         (tmp_path / "huge_rect.txt").write_text("2 1e-5000\n")
         long = "1" + "0" * 4300  # one digit over int()'s limit
@@ -600,6 +630,17 @@ class TestBoundCommand:
         assert scaled[:-1] == plain[:-1]
         bound = ratio_certificate(wset).bound / (1 - Fraction(1, 10000))
         assert scaled[-1] == f"# mode=paper-compat cuts=on overall_bound={float(bound):.6f}"
+
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_builds_no_second_table(self, capsys, monkeypatch, mode):
+        # the built-in table is built once a process: the command and the
+        # cut model's check that its table is the built-in one share it
+        assert builtin_shplus() is builtin_shplus()
+        built, init = [], ParamTable.__init__
+        monkeypatch.setattr(ParamTable, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        assert main(["bound", "--mode", mode]) == 0
+        assert built == [] and "overall_bound=2.554" in capsys.readouterr().out
 
     def test_witness_file(self, tmp_path):
         wit = tmp_path / "wit.json"

@@ -22,7 +22,8 @@ from harmonicpack.generators import Item2D
 from harmonicpack.cli import main
 from harmonicpack.harmonic import harmonic_type, w_h
 from harmonicpack.pack2d import TensorRun, tensor_cost, validate_geometry
-from harmonicpack.params import builtin_shplus, exact_add, validate
+from harmonicpack.params import (_FLOORS_MAX, _SIGHTINGS, ParamTable, builtin_shplus,
+                                 exact_add, validate)
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
@@ -92,6 +93,99 @@ class TestClassifyDifferential:
             harmonic_type(size.numerator, size.denominator, 38)
         with pytest.raises(ValueError, match=r"outside \(0,1\]\^2$"):
             Item2D(size, Fraction(1, 2))
+
+
+def fresh(table):
+    """An equal table with an empty floors table of its own."""
+    return ParamTable(table.k, table.K, table.t, table.alpha, table.Delta, table.phi)
+
+
+def floors_cases(table):
+    """Sizes (p, q), not reduced, at and beside every breakpoint t[1..k+1]:
+    p = floor(t*q) - 1 ... floor(t*q) + 2 on q = 10**6, 10**40, a 4,300-digit q
+    and multiples of t's own denominator; then 2/4 and seeded random sizes."""
+    long_q = 10 ** 4299 + 7
+    out = {(2, 4), (2, 6), (50, 100), (3, 9)}
+    for t in table.t[1:table.k + 2]:
+        d = t.denominator
+        for q in (10 ** 6, 10 ** 40, long_q, d, 2 * d, 7 * d, 10 ** 6 * d):
+            f = t.numerator * q // d
+            out.update((p, q) for p in range(f - 1, f + 3) if 0 < p <= q)
+    rng = random.Random(1037)
+    for _ in range(400):
+        q = rng.choice((10 ** 6, rng.randrange(1, 10 ** 12)))
+        out.add((rng.randrange(1, q + 1), q))
+    return sorted(out)
+
+
+def inserted_type(st, p, q):
+    """The type ``st.insert(p, q)`` gave the item: the one whose count rose,
+    or the tail type."""
+    before = st.s[:]
+    st.insert(p, q)
+    return next((i for i, (a, b) in enumerate(zip(before, st.s)) if a != b), st.table.k + 1)
+
+
+class TestFloorsDifferential:
+    """``classify`` types a denominator seen before from its breakpoint floors,
+    and ``ShState.insert`` reads them in line; both agree with the scaled
+    bisect, which types a first sighting, and with the Fraction breakpoints."""
+
+    @pytest.mark.parametrize("make", [builtin_shplus, lambda: harmonic_table(7),
+                                      lambda: harmonic_table(38)],
+                             ids=["shplus", "h7", "h38"])
+    def test_three_paths_agree(self, make, monkeypatch):
+        table = fresh(make())
+        cases = floors_cases(table)
+        want = [table._scaled_type(p, q) for p, q in cases]
+        assert want == [fraction_type(table, Fraction(p, q)) for p, q in cases]
+        for _ in range(_SIGHTINGS):  # first sightings on, until the floors are built
+            assert [table.classify(p, q) for p, q in cases] == want
+        assert set(table._floors) == {q for _, q in cases}
+        assert [table.classify(p, q) for p, q in cases] == want  # the floors
+        st = ShState(table)
+
+        def missed(p, q):
+            raise AssertionError(f"insert called classify on {p}/{q}")
+
+        monkeypatch.setattr(ParamTable, "classify", missed)
+        assert [inserted_type(st, p, q) for p, q in cases] == want
+
+    @pytest.mark.parametrize("p,q,message", [
+        (0, 1, "item size 0"), (11, 10, "item size 11/10"), (-1, 2, "item size -1/2"),
+        (1, 0, "item size 1/0"),
+        (10 ** 5000, 0, "item size with a 5001-digit numerator and denominator 0")],
+        ids=["0/1", "11/10", "-1/2", "1/0", "10**5000/0"])
+    def test_out_of_range_errors_agree(self, p, q, message):
+        # the floors of q are built, and insert still calls classify
+        table = fresh(builtin_shplus())
+        for _ in range(_SIGHTINGS):
+            table.classify(1, q or 1)
+        assert list(table._floors) == [q or 1]
+        for insert in (table.classify, ShState(table).insert):
+            with pytest.raises(ValueError) as exc:
+                insert(p, q)
+            assert str(exc.value) == f"{message} outside (0, 1]"
+
+    def test_the_table_keeps_floors_max_denominators(self):
+        table = fresh(harmonic_table(7))
+        qs = range(7, _FLOORS_MAX + 17)  # 1/q is of the tail type 7
+        for q in qs:  # the floors of q are built at its last sighting here
+            assert [table.classify(1, q) for _ in range(_SIGHTINGS)] == [7] * _SIGHTINGS
+            assert (q in table._floors) == (q - 7 < _FLOORS_MAX)
+        assert list(table._floors) == list(qs[:_FLOORS_MAX])
+        assert table._floors[12] == [12 // i for i in range(7, 1, -1)]
+
+    def test_sightings_are_counted_for_floors_max_denominators(self):
+        # the count is emptied when it holds _FLOORS_MAX denominators, so
+        # one seen after many new ones still gets its floors
+        table = fresh(builtin_shplus())
+        for q in range(10 ** 9, 10 ** 9 + _FLOORS_MAX + 5):
+            table.classify(1, q)
+        assert len(table._seen) == 5 and table._floors == {}
+        for _ in range(_SIGHTINGS):
+            assert table.classify(1, 10 ** 6) == 51
+        assert list(table._floors) == [10 ** 6]
 
 
 class TestHarmonicTypeDifferential:

@@ -272,6 +272,71 @@ def test_bad_chunk_after_good_chunks(tmp_path, dims, bad):
     assert isinstance(got, str) or len(got) >= 30010
 
 
+# files whose chunk boundaries fall at every kind of line end: "\r\n", a lone
+# "\r", no final newline, a line longer than the small chunks, a non-ASCII
+# comment, and vertical-tab, file-separator and line-separator characters,
+# which str.splitlines would split at but readlines does not
+_CHUNK_FILES = [
+    "1/2\r\n1/3\r\n2/4\r\n",
+    "1/2\r1/3\r\n1/5\n1/6\r",
+    "1/2\n1/3\n1/7",
+    "1/2\n" + "1/" + "3" * 60 + "\n1/4\n",
+    "# taille \u00e9\u00e9 \u2014 \u6570\n1/2\n1/3 # \u00fc\n1/9\n",
+    "1/2 1/3\n1/4\x0b1/5\n1/6 1/7\n1/8\x1c1/9\n1/2\u20281/3\n",
+    "",
+    "\n\n\n",
+]
+
+
+class TestChunks:
+    """A chunk is ``_CHUNK`` characters and the rest of the line they end in:
+    the lines ``readlines(_CHUNK)`` returns, joined."""
+
+    @staticmethod
+    def _chunks(monkeypatch, path, dims):
+        # the text of each chunk _file_blocks reads, as _read_plain gets it
+        seen = []
+        monkeypatch.setattr(generators, "_read_plain",
+                            lambda text, dims: seen.append(text) or [])
+        assert list(generators._file_blocks(path, dims)) == [[]] * len(seen)
+        return seen
+
+    @pytest.mark.parametrize("chunk", [1, 2, 24, generators._CHUNK])
+    @pytest.mark.parametrize("text", _CHUNK_FILES)
+    def test_chunks_are_readlines_chunks(self, tmp_path, monkeypatch, chunk, text):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(generators, "_CHUNK", chunk)
+        with open(path, "r", encoding="utf-8") as fh:
+            want = ["".join(lines) for lines in iter(lambda: fh.readlines(chunk), [])]
+        assert self._chunks(monkeypatch, path, 1) == want
+
+    @pytest.mark.parametrize("chunk", [1, 2, 24, generators._CHUNK])
+    @pytest.mark.parametrize("text", _CHUNK_FILES)
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_items_and_errors_are_the_line_loop_s(self, tmp_path, monkeypatch, chunk,
+                                                 text, dims):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(generators, "_CHUNK", chunk)
+        got = _file_outcome(lambda: list(generate(InstanceSpec(kind="file", dims=dims,
+                                                                  path=str(path))).items))
+        assert got == _file_outcome(lambda: _by_lines(path, dims))
+
+    @pytest.mark.parametrize("line,shown", [("1/2\x0b1/3", "'1/2\\x0b1/3'"),
+                                            ("1/2\u20281/3", "'1/2\\u20281/3'"),
+                                            ("1/2\x1c1/3", "'1/2\\x1c1/3'")])
+    def test_a_line_split_only_by_str_splitlines_is_one_bad_line(self, tmp_path, capsys,
+                                                               line, shown):
+        # readlines ends lines at "\n", "\r" and "\r\n" alone, so each of
+        # these is one line of two sizes
+        path = tmp_path / "inst.txt"
+        path.write_bytes(f"1/2\n{line}\n1/4\n".encode("utf-8"))
+        assert main(["pack1d", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: expected one size per line, got {shown}\n"
+
+
 class TestBulkPathTaken:
     """``gen`` files take the bulk path: no token goes through parse_pair."""
 

@@ -175,6 +175,15 @@ def test_bins_enter_use_in_one_place():
                   and node.attr == "popleft") == claim
 
 
+def test_floors_are_read_in_two_places():
+    # ParamTable.classify types an item from its denominator's breakpoint
+    # floors, and ShState.insert reads the same floors in line: no other
+    # code reads that table
+    assert _homes(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "_floors") == ["params.ParamTable.classify",
+                                                  "superharmonic.ShState.insert"]
+
+
 def _calls(name):
     """A pick for ``_homes``: a call of the function ``name``, bare or as an
     attribute."""
