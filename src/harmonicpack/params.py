@@ -25,11 +25,12 @@ reserved space, has ``varphi[i] = gamma[i] = 0``.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
 parsed as exact base-10 fractions.  A size reaches ``classify`` as an integer
-pair (p, q).  A size on a denominator q seen often is typed from the
-integer floors floor(t*q) of the breakpoints, kept per q in a bounded
-table; any other by the breakpoints as integers over their common
-denominator.  The built-in instance ("SH+") is built once per process; it
-is the one used by the 2D slice packer and the ratio certifier.
+pair (p, q).  It is typed from a fixed table of ``_BUCKETS`` equal buckets
+over (0, 1], built from the breakpoints at the first ``classify``: the
+bucket floor(p/q * _BUCKETS) gives a base type, and the size is compared
+exactly with the few breakpoints that lie in that bucket.  The built-in
+instance ("SH+") is built once per process; it is the one used by the 2D
+slice packer and the ratio certifier.
 """
 
 from __future__ import annotations
@@ -37,22 +38,16 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
 
 # a number of more than this many digits is named by its digit count
 _NAMED_DIGITS = 40
-# the most item denominators a ParamTable keeps breakpoint floors for, and
-# counts sightings of; the built-in table's 50 floors of a denominator below
-# 2**64 take about 2 KB
-_FLOORS_MAX = 1024
-# the sighting of a denominator at which its floors are built: building them
-# (about 7 us for the built-in table and a denominator below 2**64) costs
-# what some 30 typings from the floors save, so a denominator seen only a
-# few times is never given them
-_SIGHTINGS = 32
+# classify()'s buckets over (0, 1]: the built-in table's closest breakpoints,
+# 1/38 and 1/37, are 1/1406 apart, so each bucket holds at most one of them
+_BUCKETS = 2048
 
 
 def parse_pair(token: str) -> tuple:
@@ -161,6 +156,8 @@ class ParamTable(Frozen):
     ``t`` has entries ``1..k+2``.  Row ``k+1`` (the Next-Fit tail type) has
     no alpha/beta/... attributes.  Instances are immutable and safe to share;
     two tables are equal, and hash alike, when their free arrays are equal.
+    ``classify``'s bucket table, which depends on ``t`` alone, is built at
+    the first ``classify``.
 
     Raises ValueError when an array's length disagrees with k and K, or when
     some t[1..k+1] lies outside (0, 1].  Every other rule is :func:`validate`'s.
@@ -186,14 +183,9 @@ class ParamTable(Frozen):
                  if alpha[i] > 0 else 0)
             varphi.append(j)
             gamma.append(max(1, Delta[1] // t[i]) if j else 0)
-        # [t[k+1], t[k], ..., t[2]] as integers over their common denominator
-        # D; classify()'s table of their floors per item denominator, and its
-        # count of sightings of the denominators without floors
-        den, breaks = on_one_denominator([t[i] for i in range(k + 1, 1, -1)])
         self._set(k=k, K=K, t=t, alpha=alpha, Delta=Delta, phi=phi, beta=tuple(beta),
                   delta=(None, *(1 - t[i] * beta[i] for i in range(1, k + 1))),
-                  varphi=tuple(varphi), gamma=tuple(gamma), _den=den, _asc_breaks=breaks,
-                  _floors={}, _seen={})
+                  varphi=tuple(varphi), gamma=tuple(gamma))
 
     def __eq__(self, other):
         return isinstance(other, ParamTable) and self._free() == other._free()
@@ -208,43 +200,44 @@ class ParamTable(Frozen):
     def eps(self) -> Fraction:
         return self.t[self.k + 1]
 
+    @cached_property
+    def _buckets(self) -> list:
+        """``classify``'s table, one row per bucket b = 0, ..., ``_BUCKETS``
+        of the sizes x with floor(x * _BUCKETS) = b: (base, inside), where
+        base is k+1 less the number of breakpoints t[k+1], ..., t[2] in the
+        buckets below b, and inside holds those in bucket b as integer pairs
+        (tn, td).  Equal rows are one object."""
+        inside = {}
+        for i in range(2, self.k + 2):
+            tn, td = self.t[i].as_integer_ratio()
+            inside.setdefault(tn * _BUCKETS // td, []).append((tn, td))
+        rows, shared, base = [], {}, self.k + 1
+        for b in range(_BUCKETS + 1):
+            row = (base, tuple(inside.get(b, ())))
+            rows.append(shared.setdefault(row, row))
+            base -= len(row[1])
+        return rows
+
     def classify(self, p: int, q: int) -> int:
         """Type of an item of size p/q (q > 0, not necessarily in lowest
         terms): the unique i with t[i+1] < p/q <= t[i], that is k+1 less the
         number of breakpoints t[k+1], ..., t[2] below p/q.
 
-        They are counted by a bisect over integers.  ``_floors`` maps an
-        item denominator q to the floors floor(t*q) of those breakpoints, in
-        ascending order, and t < p/q exactly when floor(t*q) < p.  A
-        denominator gets its floors at its ``_SIGHTINGS``-th sighting, counted
-        in ``_seen``, which is emptied when it counts ``_FLOORS_MAX``
-        denominators; at most ``_FLOORS_MAX`` denominators keep floors.  Any
-        other size is typed by ``_scaled_type``.
-        ``ShState.insert`` reads the same floors in line, and calls this
-        method on a miss.
+        A breakpoint t lies below p/q if its bucket is below p/q's bucket
+        b = floor(p * _BUCKETS / q), and not if it is above; one in bucket b
+        lies below exactly when tn*q < p*td.  So the type is the base of
+        bucket b less the breakpoints inside b that pass that test, exact for
+        any table and any p, q.
 
         Raises ValueError outside (0, 1].
         """
         if not 0 < p <= q:
             raise ValueError(f"{named(p, q, 'item size')} outside (0, 1]")
-        floors = self._floors.get(q)
-        if floors is None:
-            seen = self._seen
-            n = seen.get(q, 0) + 1
-            if n < _SIGHTINGS or len(self._floors) >= _FLOORS_MAX:
-                if len(seen) >= _FLOORS_MAX:  # a stream of new denominators
-                    seen.clear()
-                seen[q] = n
-                return self._scaled_type(p, q)
-            den = self._den
-            floors = self._floors[q] = [t * q // den for t in self._asc_breaks]
-        return self.k + 1 - bisect_left(floors, p)
-
-    def _scaled_type(self, p: int, q: int) -> int:
-        """``classify(p, q)`` for 0 < p/q <= 1 without the floors: the
-        breakpoints t, as integers t*D over their common denominator D, are
-        bisected at ceil(p*D/q), since t < p/q exactly when t*D < ceil(p*D/q)."""
-        return self.k + 1 - bisect_left(self._asc_breaks, -(-p * self._den // q))
+        i, inside = self._buckets[p * _BUCKETS // q]
+        for tn, td in inside:
+            if tn * q < p * td:
+                i -= 1
+        return i
 
     # -- serialization ----------------------------------------------------
 

@@ -46,11 +46,9 @@ as the index grows, so the smallest leftover red item is in the pool of the
 largest type that still has a (?,j) bin, and with j = varphi of that type
 the case is K+2-j (case K+1 is j = 1).
 
-An item arrives as an integer pair (p, q) of size p/q.  ``ShState.insert``
-types it as ``ParamTable.classify`` does, reading the table's floors of the
-breakpoints on q in line, k+1 - bisect_left(floors, p), and calls
-``classify`` when q has none yet or the size lies outside (0, 1].  Per item,
-the red-count law is a_num*s // a_den (alpha = a_num/a_den) and a bin's sums
+An item arrives as an integer pair (p, q) of size p/q, and
+``ShState.insert`` types it by ``ParamTable.classify``.  Per item, the
+red-count law is a_num*s // a_den (alpha = a_num/a_den) and a bin's sums
 are integer numerators over the lcm of their items' denominators.
 ``ShState.insert`` returns the bin the item went into and keeps no record of
 it; ``traced_insert`` alone builds a ``PlacementTrace`` row, with the item's
@@ -59,7 +57,6 @@ Fraction and its group names, for a caller that asks for one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from math import lcm
@@ -146,7 +143,6 @@ class ShState:
     def __init__(self, table: ParamTable):
         self.table = table
         k, K, phi, gamma = table.k, table.K, table.phi, table.gamma
-        self._tail = k + 1  # the Next-Fit type
         self.s = [0] * (k + 1)  # items seen per type
         self.e = [0] * (k + 1)  # reds per type
         self.bins: list = []
@@ -198,10 +194,8 @@ class ShState:
         and return the bin it went into.  ``i``, if given, is its type, as
         ``classify(p, q)`` gives it; a caller that knows the type skips the
         typing."""
-        if i is None:  # classify's floors bisect, in line; classify on a miss
-            floors = self.table._floors.get(q)
-            i = (self._tail - bisect_left(floors, p) if floors is not None and 0 < p <= q
-                 else self.table.classify(p, q))
+        if i is None:
+            i = self.table.classify(p, q)
         plan = self._plan[i]
         if plan is None:
             b = self._nf_bin

@@ -38,9 +38,10 @@ from operator import mul
 from .harmonic import height_index
 from .params import ParamTable, on_one_denominator
 
-#: explicit additive constant standing in for "O(1)" in the cost bound,
-#: for the built-in table: 2*50 + 6 + 2.
 def slack_allowance(table: ParamTable) -> int:
+    """The explicit additive constant 2k + K + 2 standing in for "O(1)" in
+    the SH+ cost bound of ``table``: 108 for the built-in table (k = 50,
+    K = 6)."""
     return 2 * table.k + table.K + 2
 
 

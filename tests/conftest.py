@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.params import ParamTable, builtin_shplus
@@ -58,6 +59,32 @@ def harmonic_table(m):
     return ParamTable(
         k=k, K=0, t=(None, *(Fraction(1, i) for i in range(1, m + 1)), Fraction(0)),
         alpha=(None, *[Fraction(0)] * k), Delta=(Fraction(0),), phi=(None, *[0] * k))
+
+
+@st.composite
+def valid_tables(draw):
+    """A ParamTable that ``validate`` accepts, drawn over the space of
+    ROADMAP item 15: k in 3..12, K in 0..4 and eps = 1/M with M in 4..14;
+    the breakpoints t[2..k] and the reserved spaces Delta[1..K] on the
+    1/1000 grid; phi[i] among the spaces that fit delta[i]; and alpha[i] on
+    the 1/1000 grid in [0, 0.4] where a red type-i item fits some space, 0
+    elsewhere.  Tests draw from it with ``derandomize=True``."""
+    k, K, m = draw(st.integers(3, 12)), draw(st.integers(0, 4)), draw(st.integers(4, 14))
+    grid = st.integers(1000 // m + 1, 999)  # n/1000 in (1/m, 1)
+    t = (None, Fraction(1),
+         *(Fraction(n, 1000) for n in sorted(draw(st.lists(
+             grid, min_size=k - 1, max_size=k - 1, unique=True)), reverse=True)),
+         Fraction(1, m), Fraction(0))
+    Delta = (Fraction(0), *(Fraction(n, 1000) for n in sorted(draw(st.lists(
+        st.integers(1, 499), min_size=K, max_size=K, unique=True)))))
+    alpha, phi = [None], [None]
+    for i in range(1, k + 1):
+        delta = 1 - t[i] * (1 // t[i])
+        phi.append(draw(st.sampled_from([0, *(j for j in range(1, K + 1)
+                                              if Delta[j] <= delta)])))
+        red = any(t[i] <= Delta[j] for j in range(1, K + 1))
+        alpha.append(Fraction(draw(st.integers(0, 400)), 1000) if red else Fraction(0))
+    return ParamTable(k=k, K=K, t=t, alpha=tuple(alpha), Delta=Delta, phi=tuple(phi))
 
 
 def move_column(sl, x: Fraction):

@@ -2,9 +2,9 @@
 
 The benchmark under ``bench/`` wraps functions by their dotted names and
 imports others directly; a renamed or deleted function would only show when
-the benchmark runs.  The check pass of each packing workload is run here as
-the benchmark runs it, traced.  These tests read ``bench/`` and change
-nothing there.
+the benchmark runs.  The check pass of each workload, and the timed pass of
+the 1D workload, are run here as the benchmark runs them, traced.  These
+tests read ``bench/`` and change nothing there.
 """
 
 import ast
@@ -115,6 +115,13 @@ def _traced_check_pass(tmp_path, workload: str, seed: int = 7):
         got.update((kind, bench._sha(pathlib.Path(path).read_bytes()))
                    for kind, path in cmd.files.items())
         assert got == want[cmd.label], cmd.label
+    return plan, results, _span_contract(bench, workload, results)
+
+
+def _span_contract(bench, workload: str, results: dict) -> set:
+    """Assert that the traced ``results`` of a pass over a workload's
+    commands fire or leave silent the spans SPAN_EXPECT names, as the
+    benchmark's self-test demands; return the set of spans that must fire."""
     calls = {}
     for res in results.values():
         for name, (n, _, _) in res["spans"].items():
@@ -122,7 +129,7 @@ def _traced_check_pass(tmp_path, workload: str, seed: int = 7):
     fire, silent = bench.SPAN_EXPECT[workload]
     assert sorted(s for s in fire if not calls.get(s)) == []
     assert sorted(s for s in silent if calls.get(s)) == []
-    return plan, results, fire
+    return fire
 
 
 @pytest.mark.parametrize("workload", ["pack1d-mixed", "slice2d-thin"])
@@ -134,6 +141,20 @@ def test_traced_commands_keep_the_benchmark_contract(tmp_path, workload):
     assert "params.parse_rational" in fire
     checks = plan.recheck(results)
     assert checks and all(ok for ok, _ in checks), checks
+
+
+def test_traced_timed_pass_keeps_the_span_contract(tmp_path):
+    # the timed pass of pack1d-mixed, traced as --trace 1 runs it: its spans
+    # fire or stay silent as SPAN_EXPECT demands.  The check pass reaches
+    # classify through traced_insert (--trace-out); the timed sh+ command has
+    # no trace, and ShState.insert types each item by calling classify
+    bench = _bench_run()
+    plan = bench.WORKLOADS["pack1d-mixed"](tmp_path, 7)
+    results = {cmd.label: _traced_cli(cmd) for cmd in plan.timed}
+    assert "--trace-out" not in plan.timed[0].args
+    _span_contract(bench, "pack1d-mixed", results)
+    spans = results["sh"]["spans"]
+    assert spans["params.classify"][0] >= spans["superharmonic.insert"][0] >= bench.N_1D
 
 
 def test_traced_certificate_keeps_the_benchmark_contract(tmp_path):

@@ -12,6 +12,7 @@ import bisect
 import contextlib
 import io
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -22,8 +23,7 @@ from harmonicpack.generators import Item2D
 from harmonicpack.cli import main
 from harmonicpack.harmonic import harmonic_type, w_h
 from harmonicpack.pack2d import TensorRun, tensor_cost, validate_geometry
-from harmonicpack.params import (_FLOORS_MAX, _SIGHTINGS, ParamTable, builtin_shplus,
-                                 exact_add, validate)
+from harmonicpack.params import _BUCKETS, builtin_shplus, exact_add, validate
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
@@ -95,11 +95,6 @@ class TestClassifyDifferential:
             Item2D(size, Fraction(1, 2))
 
 
-def fresh(table):
-    """An equal table with an empty floors table of its own."""
-    return ParamTable(table.k, table.K, table.t, table.alpha, table.Delta, table.phi)
-
-
 def floors_cases(table):
     """Sizes (p, q), not reduced, at and beside every breakpoint t[1..k+1]:
     p = floor(t*q) - 1 ... floor(t*q) + 2 on q = 10**6, 10**40, a 4,300-digit q
@@ -118,6 +113,18 @@ def floors_cases(table):
     return sorted(out)
 
 
+def bucket_edge_cases():
+    """Sizes (p, q) exactly on, and 1/q either side of, every bucket edge
+    b/_BUCKETS of classify's table, on q = _BUCKETS, 3*_BUCKETS and
+    10**12 * _BUCKETS."""
+    out = set()
+    for m in (1, 3, 10 ** 12):
+        q = m * _BUCKETS
+        out.update((b * m + d, q) for b in range(_BUCKETS + 1) for d in (-1, 0, 1)
+                   if 0 < b * m + d <= q)
+    return sorted(out)
+
+
 def inserted_type(st, p, q):
     """The type ``st.insert(p, q)`` gave the item: the one whose count rose,
     or the tail type."""
@@ -126,30 +133,28 @@ def inserted_type(st, p, q):
     return next((i for i, (a, b) in enumerate(zip(before, st.s)) if a != b), st.table.k + 1)
 
 
-class TestFloorsDifferential:
-    """``classify`` types a denominator seen before from its breakpoint floors,
-    and ``ShState.insert`` reads them in line; both agree with the scaled
-    bisect, which types a first sighting, and with the Fraction breakpoints."""
+class TestTypingDifferential:
+    """``classify`` types a size from its bucket's base type and the
+    breakpoints inside that bucket, and ``ShState.insert`` types by
+    ``classify``; both agree with the Fraction breakpoints, on tables whose
+    buckets hold at most one breakpoint and on one whose buckets hold several."""
 
     @pytest.mark.parametrize("make", [builtin_shplus, lambda: harmonic_table(7),
-                                      lambda: harmonic_table(38)],
-                             ids=["shplus", "h7", "h38"])
-    def test_three_paths_agree(self, make, monkeypatch):
-        table = fresh(make())
-        cases = floors_cases(table)
-        want = [table._scaled_type(p, q) for p, q in cases]
-        assert want == [fraction_type(table, Fraction(p, q)) for p, q in cases]
-        for _ in range(_SIGHTINGS):  # first sightings on, until the floors are built
-            assert [table.classify(p, q) for p, q in cases] == want
-        assert set(table._floors) == {q for _, q in cases}
-        assert [table.classify(p, q) for p, q in cases] == want  # the floors
+                                      lambda: harmonic_table(100)],
+                             ids=["shplus", "h7", "h100"])
+    def test_three_paths_agree(self, make):
+        table = make()
         st = ShState(table)
+        for p, q in floors_cases(table) + bucket_edge_cases():
+            want = fraction_type(table, Fraction(p, q))
+            assert table.classify(p, q) == inserted_type(st, p, q) == want, (p, q)
 
-        def missed(p, q):
-            raise AssertionError(f"insert called classify on {p}/{q}")
-
-        monkeypatch.setattr(ParamTable, "classify", missed)
-        assert [inserted_type(st, p, q) for p, q in cases] == want
+    def test_buckets_of_harmonic_100_hold_several_breakpoints(self):
+        # 1/99 - 1/100 = 1/9900 < 1/_BUCKETS: the bucket compare is exercised
+        # with more than one breakpoint, which the built-in table never needs
+        rows = harmonic_table(100)._buckets
+        assert max(len(inside) for _, inside in rows) > 1
+        assert max(len(inside) for _, inside in builtin_shplus()._buckets) == 1
 
     @pytest.mark.parametrize("p,q,message", [
         (0, 1, "item size 0"), (11, 10, "item size 11/10"), (-1, 2, "item size -1/2"),
@@ -157,35 +162,32 @@ class TestFloorsDifferential:
         (10 ** 5000, 0, "item size with a 5001-digit numerator and denominator 0")],
         ids=["0/1", "11/10", "-1/2", "1/0", "10**5000/0"])
     def test_out_of_range_errors_agree(self, p, q, message):
-        # the floors of q are built, and insert still calls classify
-        table = fresh(builtin_shplus())
-        for _ in range(_SIGHTINGS):
-            table.classify(1, q or 1)
-        assert list(table._floors) == [q or 1]
+        table = builtin_shplus()
         for insert in (table.classify, ShState(table).insert):
             with pytest.raises(ValueError) as exc:
                 insert(p, q)
             assert str(exc.value) == f"{message} outside (0, 1]"
 
-    def test_the_table_keeps_floors_max_denominators(self):
-        table = fresh(harmonic_table(7))
-        qs = range(7, _FLOORS_MAX + 17)  # 1/q is of the tail type 7
-        for q in qs:  # the floors of q are built at its last sighting here
-            assert [table.classify(1, q) for _ in range(_SIGHTINGS)] == [7] * _SIGHTINGS
-            assert (q in table._floors) == (q - 7 < _FLOORS_MAX)
-        assert list(table._floors) == list(qs[:_FLOORS_MAX])
-        assert table._floors[12] == [12 // i for i in range(7, 1, -1)]
-
-    def test_sightings_are_counted_for_floors_max_denominators(self):
-        # the count is emptied when it holds _FLOORS_MAX denominators, so
-        # one seen after many new ones still gets its floors
-        table = fresh(builtin_shplus())
-        for q in range(10 ** 9, 10 ** 9 + _FLOORS_MAX + 5):
-            table.classify(1, q)
-        assert len(table._seen) == 5 and table._floors == {}
-        for _ in range(_SIGHTINGS):
-            assert table.classify(1, 10 ** 6) == 51
-        assert list(table._floors) == [10 ** 6]
+    def test_typing_long_denominators_keeps_no_memory(self):
+        # the bucket table depends on the table alone: typing 64 distinct
+        # 4,300-digit denominators 32 times each neither grows it nor keeps
+        # anything per denominator
+        table = harmonic_table(38)
+        rng = random.Random(88)
+        qs = [rng.randrange(10 ** 4299, 10 ** 4300) for _ in range(64)]
+        sizes = [(q // rng.randrange(2, 60), q) for q in qs]
+        table.classify(1, 2)  # builds the bucket table
+        rows = table._buckets
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(32):
+                for p, q in sizes:
+                    table.classify(p, q)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert table._buckets is rows and grown < 64 * 1024, grown
 
 
 class TestHarmonicTypeDifferential:

@@ -175,13 +175,12 @@ def test_bins_enter_use_in_one_place():
                   and node.attr == "popleft") == claim
 
 
-def test_floors_are_read_in_two_places():
-    # ParamTable.classify types an item from its denominator's breakpoint
-    # floors, and ShState.insert reads the same floors in line: no other
-    # code reads that table
+def test_buckets_are_read_in_one_place():
+    # ParamTable.classify is the one typing implementation: no other code
+    # reads its bucket table, and the SH+ packer types an item by calling it
     assert _homes(lambda node: isinstance(node, ast.Attribute)
-                  and node.attr == "_floors") == ["params.ParamTable.classify",
-                                                  "superharmonic.ShState.insert"]
+                  and node.attr == "_buckets") == ["params.ParamTable.classify"]
+    assert "superharmonic.ShState.insert" in _homes(_calls("classify"))
 
 
 def _calls(name):
