@@ -25,7 +25,6 @@ import sys
 import time
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
 
 from . import boundcert, generators, params, weighting
 from .harmonic import HarmonicPacker, w_h
@@ -51,19 +50,26 @@ def _field(value) -> str:
 
 
 def _emit(data, fmt: str):
-    stream = sys.stdout
-    if fmt == "json":
-        json.dump(data, stream, indent=2, sort_keys=True, default=str)
-        stream.write("\n")
-    else:  # csv: dict of scalars -> key,value rows; list of dicts -> table
-        if isinstance(data, dict):
+    """Write ``data``, its Fractions as str() writes them.  Python's limit on
+    the digits str() writes of an int guards the instance reader, and is
+    lifted while a report is written: a size the reader takes, such as
+    1e-4299, can give a report value of more digits."""
+    stream, limit = sys.stdout, sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            json.dump(data, stream, indent=2, sort_keys=True, default=str)
+            stream.write("\n")
+        elif isinstance(data, dict):  # csv: dict of scalars -> key,value rows
             for k in sorted(data):
                 stream.write(f"{k},{_field(data[k])}\n")
-        else:
+        else:  # csv: list of dicts -> table
             cols = list(data[0]) if data else []
             stream.write(",".join(cols) + "\n")
             for row in data:
                 stream.write(",".join(_field(row[c]) for c in cols) + "\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _instance_from_args(args, dims: int) -> generators.Instance:
@@ -109,10 +115,16 @@ def _sh_audit(st: ShState, rep) -> list:
 
 def _ceil_sum(per_den: dict) -> int:
     """Ceiling of the sum of p/q over ``per_den``, which maps each denominator
-    q to the sum of its numerators p, over the lcm of the denominators, in
-    integers."""
-    den = lcm(*per_den)
-    return -(-sum(p * (den // q) for q, p in per_den.items()) // den)
+    q to the sum of its numerators p, in integers: the terms are added in
+    pairs, level by level, so each lcm joins two denominators of like size
+    (one lcm of them all costs the square of their number)."""
+    terms = [(p, q) for q, p in per_den.items()] or [(0, 1)]
+    while len(terms) > 1:
+        it = iter(terms)
+        terms = [params.exact_add(*a, *b) for a, b in
+                 itertools.zip_longest(it, it, fillvalue=(0, 1))]
+    num, den = terms[0]
+    return -(-num // den)
 
 
 def _pack_pairs(items, insert) -> tuple:
@@ -128,13 +140,17 @@ def _pack_pairs(items, insert) -> tuple:
 
 
 def _report_common(args, inst, n: int, cost, lower_bound, extra: dict,
-                   elapsed: float, read_s: float) -> dict:
+                   elapsed: float) -> dict:
+    """The report of a run that took ``elapsed`` seconds from before its
+    instance was made: the instance's stream was read while the run went on,
+    and its read time is the report's ``read_time_s``, not wall time."""
+    read_s = inst.items.read_s
     report = {
         "instance": f"{inst.spec.kind}/n={n}/seed={inst.spec.seed}",
         "cost": str(cost),
         "lower_bound": str(lower_bound),
         "ratio": str(Fraction(cost) / lower_bound) if lower_bound else "",
-        "wall_time_s": round(elapsed, 3) if args.timing else None,
+        "wall_time_s": round(elapsed - read_s, 3) if args.timing else None,
     }
     if args.timing:
         report["read_time_s"] = round(read_s, 3)
@@ -168,18 +184,15 @@ def cmd_pack1d(args) -> int:
         raise ValueError("--trace-out traces the sh+ algorithm only")
     if args.k is not None and args.algorithm == "sh+":
         raise ValueError("--k sets the index of the harmonic algorithm only")
-    # a stream is read as it is packed, and its own read time is taken out of
-    # the run's wall time; a list's is the time it took to make
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=1)
-    made_s = time.perf_counter() - t0
     if args.algorithm == "harmonic":
         k = _HARMONIC_K if args.k is None else args.k
         packer = HarmonicPacker(k)
         n, lb = _pack_pairs(inst.items, packer.insert)
         cost = packer.cost
         slack = packer.weight_slack()
-        extra = {"algorithm": f"harmonic({k})", "weight_slack": str(slack)}
+        extra = {"algorithm": f"harmonic({k})", "weight_slack": slack}
         elapsed = time.perf_counter() - t0
         failures = [] if slack <= k else [f"weight slack {slack} > {k}"]
     else:
@@ -194,13 +207,11 @@ def cmd_pack1d(args) -> int:
             n, lb = _pack_pairs(inst.items, st.insert)
         rep = bound_check(st)
         extra = {"algorithm": "sh+", "final_case": rep.case_id,
-                 "weight_slack": str(rep.slack)}
+                 "weight_slack": rep.slack}
         elapsed = time.perf_counter() - t0
         failures = _sh_audit(st, rep) if args.verify else []
         cost = st.cost
-    read_s = inst.items.read_s if isinstance(inst.items, generators.Stream) else made_s
-    report = _report_common(args, inst, n, cost, inst.known_opt or lb, extra,
-                            elapsed - read_s, read_s)
+    report = _report_common(args, inst, n, cost, inst.known_opt or lb, extra, elapsed)
     _emit(report, args.format)
     if failures:
         for f in failures:
@@ -213,11 +224,9 @@ def cmd_pack2d(args) -> int:
     t0 = time.perf_counter()
     inst = _instance_from_args(args, dims=2)
     items = list(inst.items)  # one pass per orientation
-    read_s = time.perf_counter() - t0
     table = params.builtin_shplus()
     wset = WeightFunctionSet(table)
     delta = params.parse_rational(args.delta)
-    t0 = time.perf_counter()
     per_den = defaultdict(int)
     for wp, wq, hp, hq in items:
         per_den[wq * hq] += wp * hp
@@ -241,7 +250,7 @@ def cmd_pack2d(args) -> int:
         cost = Fraction(sum(row["bins"] for row in rows), len(rows))
         extra = {"algorithm": args.orientation, "runs": rows}
         report = _report_common(args, inst, len(items), cost, lb, extra,
-                                time.perf_counter() - t0, read_s)
+                                time.perf_counter() - t0)
         _emit(report, "json")
     if failures:
         for f in failures[:20]:

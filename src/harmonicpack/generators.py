@@ -32,14 +32,13 @@ Kinds:
     by line, so the items and any error, and its line, are the same either
     way.
 
-The ``uniform`` and ``file`` kinds are streamed: their ``items`` is a
-``Stream``, read once, one block (a chunk of the file, or ``_BLOCK`` drawn
-items) at a time, so a run holds one block, not the instance.  The first
-block is read by ``generate`` itself: a missing file or a bad first chunk
-fails there, and a bad later chunk fails when the items before it are used
-up.  A plain 1D chunk hands its pairs on straight from the JSON integers,
-zipped in place, so no list of pairs is built.  The other two kinds return
-a list.
+Every kind is streamed: ``items`` is a ``Stream``, read once, one block
+at a time (a chunk of the file, ``_BLOCK`` drawn items, or the whole
+shuffled ``tiled-known-opt`` instance), so a run holds one block, not the
+instance.  The first block is read by ``generate`` itself: a missing file
+or a bad first chunk fails there, and a bad later chunk fails when the
+items before it are used up.  A plain 1D chunk hands its pairs on straight
+from the JSON integers, zipped in place, so no list of pairs is built.
 
 A generated instance holds at most ``_MAX_ITEMS`` (10^7) items or
 ``_MAX_RECTANGLES`` (3 * 10^6) rectangles; a larger count is refused before
@@ -54,7 +53,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle, islice, repeat
 from math import gcd
 from time import perf_counter
 
@@ -66,9 +65,10 @@ _LEVELS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 43))
 _JITTER = Fraction(1, GRID)
 _PATTERN_1D = ((51, 100), (49, 100))
 _TILES_2D = 2  # the 2D pattern is a 2 x 2 grid of squares
-# the most items a generated 1D instance holds: the items are streamed, but a
-# 1D SH+ run keeps its bins, and one of 10**6 sizes peaks at about 154 MB, so
-# 10**7 is about 1.5 GB (Harmonic(k) keeps O(k) and stays near 20 MB)
+# the most items a generated 1D instance holds: every kind is streamed (a
+# tiled one as a single block), but a 1D SH+ run keeps its bins, and one of
+# 10**6 sizes peaks at about 154 MB, so 10**7 is about 1.5 GB (Harmonic(k)
+# keeps O(k) and stays near 20 MB)
 _MAX_ITEMS = 10 ** 7
 # the most rectangles a generated 2D instance holds: 10**5 uniform rectangles
 # packed in both orientations grow the peak RSS by about 81 MB (810 B each, 216
@@ -76,7 +76,7 @@ _MAX_ITEMS = 10 ** 7
 _MAX_RECTANGLES = 3 * 10 ** 6
 
 # a file is read in chunks of whole lines of about this many characters, and
-# a uniform instance drawn in blocks of this many items
+# a uniform or harmonic-adversarial instance drawn in blocks of this many items
 _CHUNK = 1 << 16
 _BLOCK = 1 << 12
 
@@ -146,7 +146,7 @@ InstanceSpec = namedtuple("InstanceSpec", [
 
 Instance = namedtuple("Instance", [
     "spec",
-    "items",  # (p, q) integer pairs (1D) or Item2D (2D): a list, or a Stream
+    "items",  # a Stream of (p, q) integer pairs (1D) or Item2D (2D)
     "known_opt",
 ], defaults=(None,))
 
@@ -161,8 +161,11 @@ class Stream:
     def __init__(self, blocks):
         self.read_s, self._blocks = 0.0, blocks
         first = self._next()
-        # C-level iterators: no Python frame is resumed per item
-        self._items = chain(first or (), chain.from_iterable(iter(self._next, None)))
+        # C-level iterators: no Python frame is resumed per item, and a list
+        # iterator lets the first block go once it is used up, as chain lets
+        # each later one go
+        self._items = chain.from_iterable(chain(iter([first or ()]),
+                                                iter(self._next, None)))
 
     def _next(self):
         """The next block, or None after the last, timed into ``read_s``."""
@@ -241,15 +244,17 @@ def _file_blocks(path, dims: int):
             yield block
 
 
-def _uniform_blocks(rng: random.Random, n: int, dims: int):
-    """n uniform sizes (1D) or rectangles (2D), ``_BLOCK`` at a time."""
-    for start in range(0, n, _BLOCK):
-        draws = range(min(_BLOCK, n - start))
-        if dims == 1:
-            yield [_uniform_pair(rng) for _ in draws]
-        else:
-            yield [Item2D.from_pairs(_uniform_pair(rng), _uniform_pair(rng))
-                   for _ in draws]
+def _blocks(items, n: int):
+    """The first n of ``items``, ``_BLOCK`` at a time, each block a list."""
+    items = islice(items, n)
+    return iter(lambda: list(islice(items, _BLOCK)), [])
+
+
+def _shuffled(rng: random.Random, tile: tuple, copies: int):
+    """``copies`` copies of ``tile``, shuffled, as one block."""
+    items = list(tile) * copies
+    rng.shuffle(items)
+    yield items
 
 
 def _check_count(count: int, dims: int) -> None:
@@ -261,37 +266,26 @@ def _check_count(count: int, dims: int) -> None:
 
 
 def generate(spec: InstanceSpec) -> Instance:
-    if spec.kind in ("uniform", "harmonic-adversarial"):
-        _check_count(spec.n, spec.dims)
-    if spec.kind == "uniform":
-        blocks = _uniform_blocks(random.Random(spec.seed), spec.n, spec.dims)
-        return Instance(spec=spec, items=Stream(blocks))
-
-    if spec.kind == "harmonic-adversarial":
-        pairs = [(lv + _JITTER).as_integer_ratio() for lv in _LEVELS]
-        rng = random.Random(spec.seed)
-        if spec.dims == 1:
-            items = [pairs[i % len(pairs)] for i in range(spec.n)]
-        else:
-            items = [Item2D.from_pairs(pairs[i % len(pairs)], _uniform_pair(rng))
-                     for i in range(spec.n)]
-        return Instance(spec=spec, items=items)
-
-    if spec.kind == "tiled-known-opt":
-        bins = max(1, spec.n) if spec.bins is None else spec.bins
-        _check_count(bins * (len(_PATTERN_1D) if spec.dims == 1 else _TILES_2D ** 2),
-                     spec.dims)
-        rng = random.Random(spec.seed)
-        if spec.dims == 1:
-            items = [s for _ in range(bins) for s in _PATTERN_1D]
-        else:
-            tile = Item2D.from_pairs((1, _TILES_2D), (1, _TILES_2D))
-            items = [tile for _ in range(bins * _TILES_2D ** 2)]
-        rng.shuffle(items)
-        return Instance(spec=spec, items=items, known_opt=bins)
-
     if spec.kind == "file":
         dims = 1 if spec.dims == 1 else 2  # tokens per line; any other dims is 2D
         return Instance(spec=spec, items=Stream(_file_blocks(spec.path, dims)))
+
+    rng = random.Random(spec.seed)
+    if spec.kind in ("uniform", "harmonic-adversarial"):
+        _check_count(spec.n, spec.dims)
+        # C-level chains: a rectangle draws its width, then its height
+        draws = map(_uniform_pair, repeat(rng))
+        sizes = draws if spec.kind == "uniform" else cycle(
+            [(lv + _JITTER).as_integer_ratio() for lv in _LEVELS])
+        items = sizes if spec.dims == 1 else map(Item2D.from_pairs, sizes, draws)
+        return Instance(spec=spec, items=Stream(_blocks(items, spec.n)))
+
+    if spec.kind == "tiled-known-opt":
+        bins = max(1, spec.n) if spec.bins is None else spec.bins
+        tile = _PATTERN_1D if spec.dims == 1 else \
+            (Item2D.from_pairs((1, _TILES_2D), (1, _TILES_2D)),) * _TILES_2D ** 2
+        _check_count(bins * len(tile), spec.dims)
+        return Instance(spec=spec, items=Stream(_shuffled(rng, tile, bins)),
+                        known_opt=bins)
 
     raise ValueError(f"unknown instance kind {spec.kind!r}")

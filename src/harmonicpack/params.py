@@ -36,6 +36,7 @@ slice packer and the ratio certifier.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -48,28 +49,48 @@ _NAMED_DIGITS = 40
 # classify()'s buckets over (0, 1]: the built-in table's closest breakpoints,
 # 1/38 and 1/37, are 1/1406 apart, so each bucket holds at most one of them
 _BUCKETS = 2048
+# a decimal token with an exponent, as Fraction reads it once its underscores
+# are dropped: whole digits, fraction digits, exponent (re compiles and caches
+# it at the first such token, not at import or for the built-in table)
+_EXPONENT_FORM = r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*"
+
+
+def _refuse_over_limit(**digits) -> None:
+    """Refuse a token whose part (``numerator=4301``, say) has more digits
+    than int() reads and str() writes, sys.get_int_max_str_digits()."""
+    limit = sys.get_int_max_str_digits()
+    for part, count in digits.items():
+        if count > limit:
+            raise ValueError(f"a token's {count}-digit {part} is over the limit of "
+                             f"{limit} digits") from None
 
 
 def parse_pair(token: str) -> tuple:
     """A rational token as an integer pair (p, q), q > 0: digits[/digits] as
-    written ("2/4" is (2, 4)), any other form through Fraction's parser."""
+    written ("2/4" is (2, 4)), any other form through Fraction's parser.  A
+    token is refused, by ``_refuse_over_limit``, when int() refuses one of its
+    digit runs, or when its exponent gives its numerator or denominator, as
+    written, more digits than int() reads ("1e-5" is written 1/100000)."""
     p, slash, q = token.partition("/")
+    digits_only = p.isdecimal() and (q.isdecimal() or not slash)
+    form = (not digits_only and ("e" in token or "E" in token)
+            and re.fullmatch(_EXPONENT_FORM, token.replace("_", "")))
+    if form:  # counted before Fraction builds the power of ten
+        whole, fraction, exponent = form.groups("")
+        _refuse_over_limit(exponent=len(exponent.lstrip("+-")))
+        e = int(exponent)
+        _refuse_over_limit(numerator=len(whole + fraction) + max(e, 0),
+                           denominator=len(fraction) + max(-e, 0) + 1)
     try:  # digits skip Fraction's regex, whose \d is str.isdecimal
-        if p.isdecimal() and (q.isdecimal() or not slash):
+        if digits_only:
             p, q = int(p), int(q) if slash else 1
         else:
             p, q = Fraction(token).as_integer_ratio()
     except ZeroDivisionError:
         q = 0
-    except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
-        limit = sys.get_int_max_str_digits()
-        for side, text in (("numerator", p), ("denominator", q)):
-            mantissa, _, exponent = text.lower().partition("e")
-            for part, chars in ((side, mantissa), ("exponent", exponent)):
-                digits = sum(map(str.isdecimal, chars))
-                if digits > limit:
-                    raise ValueError(f"a token's {digits}-digit {part} is over the "
-                                     f"limit of {limit} digits") from None
+    except ValueError:  # int() refuses more than the limit: name the part
+        _refuse_over_limit(numerator=sum(map(str.isdecimal, p)),
+                           denominator=sum(map(str.isdecimal, q)))
         raise
     if not q:  # "1/0" is malformed input, not an arithmetic fault
         raise ValueError(f"zero denominator in {token!r}")

@@ -3,12 +3,14 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,10 +19,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from harmonicpack import generators
 from harmonicpack.boundcert import ratio_certificate
-from harmonicpack.cli import main
+from harmonicpack.cli import _ceil_sum, main
+from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.generators import InstanceSpec, generate
 from harmonicpack.params import ParamTable, builtin_shplus, validate
 from harmonicpack.superharmonic import ShState
+from harmonicpack.weighting import bound_check
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -125,13 +129,22 @@ class TestInputErrors:
          "lambda_key_8_8.json: pair 8,8 lies outside the 7 x 7 case pairs"),
         ("pack1d --algorithm harmonic --n 10 --trace-out {dir}/trace.csv",
          "--trace-out traces the sh+ algorithm only"),
-        ("pack1d --input {dir}/huge.txt", "item size with a 5001-digit numerator "
-                                          "and a 1-digit denominator outside (0, 1]"),
+        # an exponent past int()'s limit is refused by the reader, before the
+        # power of ten is built
+        ("pack1d --input {dir}/huge.txt",
+         "a token's 5001-digit numerator is over the limit of 4300 digits"),
         ("pack1d --algorithm harmonic --input {dir}/huge.txt",
-         "item size with a 5001-digit numerator and a 1-digit denominator outside (0, 1]"),
-        ("pack2d --input {dir}/huge_rect.txt", "rectangle 2 x with a 1-digit numerator "
-                                               "and a 5001-digit denominator outside"),
-        # refused before a list is built: the instances would not fit in memory
+         "a token's 5001-digit numerator is over the limit of 4300 digits"),
+        ("pack2d --input {dir}/huge_rect.txt",
+         "a token's 5001-digit denominator is over the limit of 4300 digits"),
+        # at the limit it is read, and a size outside (0, 1] named by its digits
+        ("pack1d --input {dir}/big.txt", "item size with a 4300-digit numerator "
+                                         "and a 1-digit denominator outside (0, 1]"),
+        ("pack1d --algorithm harmonic --input {dir}/big.txt",
+         "item size with a 4300-digit numerator and a 1-digit denominator outside (0, 1]"),
+        ("pack2d --input {dir}/big_rect.txt", "rectangle 2 x with a 1-digit numerator "
+                                              "and a 4300-digit denominator outside"),
+        # refused before any item is made: the instances would not fit in memory
         ("pack1d --n 1000000000000",
          "an instance of 1000000000000 items exceeds the cap of 10000000"),
         ("pack1d --kind tiled-known-opt --bins 1000000000000",
@@ -164,7 +177,8 @@ class TestInputErrors:
             "bound-no-cuts",
             "lambda-true", "lambda-above-one", "lambda-zero-f", "lambda-8x8-list",
             "lambda-key-8-8", "harmonic-trace-out", "sh-size-5001-digits",
-            "harmonic-size-5001-digits", "rectangle-side-5001-digits", "n-10-to-the-12",
+            "harmonic-size-5001-digits", "rectangle-side-5001-digits", "sh-size-4300-digits",
+            "harmonic-size-4300-digits", "rectangle-side-4300-digits", "n-10-to-the-12",
             "tiled-1d-bins-10-to-the-12", "tiled-2d-bins-10-to-the-12",
             "gen-2d-n-10-to-the-12", "sh-k", "default-algorithm-k",
             "sh-numerator-4301-digits", "harmonic-denominator-4301-digits",
@@ -181,8 +195,10 @@ class TestInputErrors:
         (tmp_path / "long_size.txt").write_text(f"1/2\n2{'0' * 40}1/1{'0' * 40}\n")
         (tmp_path / "reducible.txt").write_text(f"1/2\n2{'0' * 41}/1{'0' * 40}\n")
         (tmp_path / "forty_digits.txt").write_text(f"1/2\n2{'0' * 38}1/1{'0' * 39}\n")
-        (tmp_path / "huge.txt").write_text("1e5000\n")  # str() refuses its integers
+        (tmp_path / "huge.txt").write_text("1e5000\n")
         (tmp_path / "huge_rect.txt").write_text("2 1e-5000\n")
+        (tmp_path / "big.txt").write_text("1e4299\n")
+        (tmp_path / "big_rect.txt").write_text("2 1e-4299\n")
         long = "1" + "0" * 4300  # one digit over int()'s limit
         (tmp_path / "long_num.txt").write_text(f"1/2\n{long}/{long}1\n")
         (tmp_path / "long_den.txt").write_text(f"1/2\n1/{long}\n")
@@ -218,25 +234,41 @@ class TestInputErrors:
 
     def test_overlong_width_is_named_by_its_digits(self, tmp_path, capsys,
                                                     monkeypatch):
-        # str() refuses integers beyond 4,300 digits; a lowered depth floor
-        # is reached in milliseconds.  The numerator's and denominator's digits
-        # are counted once each, for the magnitude test, and the message
-        # reuses those counts
+        # a width of more than 40 digits is named by its digit counts; a
+        # lowered depth floor is reached in milliseconds.  The numerator's and
+        # denominator's digits are counted once each, for the magnitude test,
+        # and the message reuses those counts
         import harmonicpack.pack2d as pack2d
         monkeypatch.setattr(pack2d, "_MAX_DEPTH", 2000)
         monkeypatch.setattr(pack2d, "_LADDERS", {})  # no ladder outlives the patch
         counted, digits = [], pack2d.decimal_digits
         monkeypatch.setattr(pack2d, "decimal_digits",
                             lambda n: counted.append(n) or digits(n))
-        (tmp_path / "thin.txt").write_text("1e-300000 1/2\n")
+        (tmp_path / "thin.txt").write_text("1e-4299 1/2\n")
         rc = main(["pack2d", "--delta", "49/100", "--orientation", "hxb",
                    "--input", str(tmp_path / "thin.txt")])
         err = capsys.readouterr().err
         assert rc == 1 and "Traceback" not in err
-        assert err == ("error: width with a 1-digit numerator and a 300001-digit "
+        assert err == ("error: width with a 1-digit numerator and a 4300-digit "
                        "denominator lies below the tiny grid's depth floor of "
                        "2000 classes\n")
         assert len(counted) == 2
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("token,digits", [("1e-4300", 4301), ("1e-3000000", 3000001)])
+    def test_exponent_is_refused_before_its_power_is_built(self, tmp_path, dims, token,
+                                                           digits):
+        # building 10**3000000 took about a second; the digits are counted first
+        path = tmp_path / "thin.txt"
+        path.write_text(f"1/2\n{token}\n" if dims == 1 else f"1/2 1/3\n{token} 1/2\n")
+        spec = InstanceSpec(kind="file", dims=dims, path=str(path))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^a token's {digits}-digit denominator is "
+                                             f"over the limit of 4300 digits$"):
+            list(generate(spec).items)
+        assert time.perf_counter() - start < 0.25
+        path.write_text("1e-4299\n" if dims == 1 else "1e-4299 1/2\n")
+        assert [it[:2] for it in generate(spec).items] == [(1, 10 ** 4299)]
 
 
 # instance lines built from tokens, some valid sizes and some not; the
@@ -303,6 +335,27 @@ class TestErrorBoundary:
         assert rc == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
+class TestLowerBound:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ceil_sum_is_the_fraction_sum_s_ceiling(self, seed):
+        rng = random.Random(seed)
+        per_den = {}
+        for _ in range(rng.choice([1, 2, 3, 50, 300])):
+            q = rng.randint(1, 10 ** rng.randint(1, 30))
+            per_den[q] = per_den.get(q, 0) + rng.randint(1, 3 * q)
+        want = sum((Fraction(p, q) for q, p in per_den.items()), Fraction(0))
+        assert _ceil_sum(per_den) == math.ceil(want)
+        assert _ceil_sum({}) == 0
+
+    def test_ceil_sum_of_many_denominators_is_fast(self):
+        # one lcm of 30,000 distinct denominators took about 4 s; the sum of
+        # (q - 1)/q over them is 30,000 less a sum of 1/q below 1
+        per_den = {q: q - 1 for q in range(10 ** 6, 10 ** 6 + 30000)}
+        start = time.perf_counter()
+        assert _ceil_sum(per_den) == 30000
+        assert time.perf_counter() - start < 1
+
+
 class TestReports:
     def test_dump_params_round_trips(self):
         r = run_cli("dump-params")
@@ -351,6 +404,34 @@ class TestReports:
         assert "read_time_s" not in plain and plain["wall_time_s"] is None
         assert timed["read_time_s"] >= 0 and timed["wall_time_s"] >= 0
         assert set(timed) - set(plain) == {"read_time_s"}
+
+    @pytest.mark.parametrize("algorithm", ["sh+", "harmonic"])
+    def test_report_prints_a_value_past_the_digit_limit(self, tmp_path, capsys,
+                                                       algorithm):
+        # 1e-4299 is read, and weighs 38/37 of itself in the tail: the slack's
+        # denominator has 4,301 digits, more than str() writes of an int
+        # unless the report lifts the limit
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-4299\n")
+        limit = sys.get_int_max_str_digits()
+        assert main(["pack1d", "--algorithm", algorithm, "--input", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit  # restored
+        p, q = 1, 10 ** 4299
+        if algorithm == "harmonic":
+            packer = HarmonicPacker(38)
+            packer.insert(p, q)
+            want = packer.weight_slack()
+        else:
+            st = ShState(builtin_shplus())
+            st.insert(p, q)
+            want = bound_check(st).slack
+        assert want.denominator >= 10 ** limit
+        slack = json.loads(capsys.readouterr().out)["weight_slack"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(slack) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_reports_are_byte_stable(self):
         a = run_cli("pack1d", "--n", "200", "--seed", "5")

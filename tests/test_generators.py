@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import itertools
 import pickle
 import re
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -40,21 +42,27 @@ class TestDeterminism:
         assert all(0 < p <= q and Fraction(p, q).denominator == q for p, q in items)
 
 
+def _listed(inst: Instance) -> Instance:
+    """``inst`` with its stream read into a list, for indexing."""
+    return inst._replace(items=list(inst.items))
+
+
 class TestKinds:
     def test_adversarial_levels(self):
-        inst = generate(InstanceSpec(kind="harmonic-adversarial", n=8, seed=0))
+        inst = _listed(generate(InstanceSpec(kind="harmonic-adversarial", n=8, seed=0)))
         eta = Fraction(1, 10 ** 6)
         assert inst.items[0] == (Fraction(1, 2) + eta).as_integer_ratio()
         assert inst.items[1] == (Fraction(1, 3) + eta).as_integer_ratio()
         assert inst.items[4] == inst.items[0]  # round-robin
 
     def test_tiled_1d(self):
-        inst = generate(InstanceSpec(kind="tiled-known-opt", n=0, seed=3, bins=10))
+        inst = _listed(generate(InstanceSpec(kind="tiled-known-opt", n=0, seed=3, bins=10)))
         assert len(inst.items) == 20 and inst.known_opt == 10
         assert sorted(inst.items)[0] == (49, 100)
 
     def test_tiled_2d_quadrants(self):
-        inst = generate(InstanceSpec(kind="tiled-known-opt", seed=0, dims=2, bins=5))
+        inst = _listed(generate(InstanceSpec(kind="tiled-known-opt", seed=0, dims=2,
+                                             bins=5)))
         assert len(inst.items) == 20 and inst.known_opt == 5
         assert inst.items[0] == Item2D(Fraction(1, 2), Fraction(1, 2))
 
@@ -65,6 +73,50 @@ class TestKinds:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate(InstanceSpec(kind="nope", n=1, seed=0))
+
+    @pytest.mark.parametrize("kind", ["uniform", "harmonic-adversarial",
+                                      "tiled-known-opt", "file"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_every_kind_streams(self, tmp_path, kind, dims):
+        path = tmp_path / "inst.txt"
+        path.write_text("1/2\n" if dims == 1 else "1/2 1/3\n")
+        inst = generate(InstanceSpec(kind=kind, n=5, dims=dims, bins=3, path=str(path)))
+        assert isinstance(inst.items, generators.Stream)
+        assert inst.items.read_s >= 0 and list(inst.items)
+
+    # sha256 of `gen --kind K --dims D --seed 5` with --n 10000 (--bins 2500
+    # for the tiled kind), as written before every kind was streamed
+    @pytest.mark.parametrize("kind,dims,digest", [
+        ("uniform", 1, "94b973b697cf07de4c19a574b05014d3497113706b81e02bce34ead49cd29796"),
+        ("uniform", 2, "21f2ade4ab7ca514af6e560702bb4552f871cffa98c5e2b6d0e4c2868cc855e2"),
+        ("harmonic-adversarial", 1,
+         "4022b3594dfd76beccb088809488e36cfcc0129cee248a0e61fa32cd14d513ed"),
+        ("harmonic-adversarial", 2,
+         "0cf4f2c492e1a64fa580fcea419219e8e82000dd6adaba33959cba9d483b25a9"),
+        ("tiled-known-opt", 1,
+         "8d6c979b3b078ad8dc41b3d6131f780d61245019b0eedc6ac1c4ce35a578ee86"),
+        ("tiled-known-opt", 2,
+         "1448e5f5d3e59d525dba9b7a2475b12adc02cc5297d76c9cd3ea7dca2612d1e8"),
+    ])
+    def test_gen_output_is_pinned(self, tmp_path, kind, dims, digest):
+        out = tmp_path / "gen.txt"
+        assert main(["gen", "--kind", kind, "--dims", str(dims), "--seed", "5",
+                     "--n", "10000", "--bins", "2500", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_generated_rectangles_are_not_held(self, tmp_path):
+        # made as a list, 20,000 adversarial rectangles peak near 3.1 MB; a
+        # stream holds one block of 4,096 at a time, about 0.7 MB
+        out = tmp_path / "gen.txt"
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--kind", "harmonic-adversarial", "--dims", "2",
+                         "--n", "20000", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 20000
+        assert peak < 1_500_000, peak
 
 
 class TestSizeCap:

@@ -183,6 +183,14 @@ def test_buckets_are_read_in_one_place():
     assert "superharmonic.ShState.insert" in _homes(_calls("classify"))
 
 
+def test_read_time_has_one_home():
+    # every instance is a stream that times its own reads, and one function
+    # takes that time out of a run's wall time
+    assert [home for home in _homes(lambda node: isinstance(node, ast.Attribute)
+                                    and node.attr == "read_s")
+            if home.startswith("cli")] == ["cli._report_common"]
+
+
 def _calls(name):
     """A pick for ``_homes``: a call of the function ``name``, bare or as an
     attribute."""
