@@ -49,14 +49,25 @@ def _field(value) -> str:
     return "" if value is None else str(value)
 
 
+class _EveryDigit:
+    """A block run with Python's limit on the digits str() writes of an int
+    lifted, and the limit restored after.  The limit guards the readers; a
+    report is written with it lifted, as a value the readers take, such as a
+    size of 1e-4299 or a lambda of 1/(10**4300 - 1), can give a report value
+    of more digits."""
+
+    def __enter__(self):
+        self.limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        sys.set_int_max_str_digits(self.limit)
+
+
 def _emit(data, fmt: str):
-    """Write ``data``, its Fractions as str() writes them.  Python's limit on
-    the digits str() writes of an int guards the instance reader, and is
-    lifted while a report is written: a size the reader takes, such as
-    1e-4299, can give a report value of more digits."""
-    stream, limit = sys.stdout, sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    """Write ``data``, its Fractions as str() writes them, every digit."""
+    stream = sys.stdout
+    with _EveryDigit():
         if fmt == "json":
             json.dump(data, stream, indent=2, sort_keys=True, default=str)
             stream.write("\n")
@@ -68,8 +79,6 @@ def _emit(data, fmt: str):
             stream.write(",".join(cols) + "\n")
             for row in data:
                 stream.write(",".join(_field(row[c]) for c in cols) + "\n")
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _instance_from_args(args, dims: int) -> generators.Instance:
@@ -109,7 +118,8 @@ def _sh_audit(st: ShState, rep) -> list:
     """Violations of a finished SH+ run, given its cost-bound report."""
     bad = st.check_feasibility()
     if rep.slack > weighting.slack_allowance(st.table):
-        bad.append(f"cost bound slack {rep.slack} over allowance")
+        bad.append(f"cost bound {params.named(*rep.slack.as_integer_ratio(), 'slack')} "
+                   f"over allowance")
     return bad
 
 
@@ -194,7 +204,8 @@ def cmd_pack1d(args) -> int:
         slack = packer.weight_slack()
         extra = {"algorithm": f"harmonic({k})", "weight_slack": slack}
         elapsed = time.perf_counter() - t0
-        failures = [] if slack <= k else [f"weight slack {slack} > {k}"]
+        failures = [] if slack <= k else [
+            f"weight {params.named(*slack.as_integer_ratio(), 'slack')} > {k}"]
     else:
         st = ShState(params.builtin_shplus())
         if args.trace_out:  # each row is written as its item is placed
@@ -290,7 +301,7 @@ def _load_lambda(path, ncases: int) -> dict:
             try:
                 i, j = (int(x) for x in key.split(","))
             except ValueError:
-                raise ValueError(f"lambda table {path}: key {key!r} is not "
+                raise ValueError(f"lambda table {path}: key {params.shown(key)} is not "
                                  f"'i,j'") from None
             table[(i, j)] = lam
     else:
@@ -298,8 +309,8 @@ def _load_lambda(path, ncases: int) -> dict:
                          f"nor an object keyed 'i,j'")
     for i, j in table:
         if not (0 < i <= ncases and 0 < j <= ncases):
-            raise ValueError(f"lambda table {path}: pair {i},{j} lies outside the "
-                             f"{ncases} x {ncases} case pairs")
+            raise ValueError(f"lambda table {path}: pair {params.shown(i)},{params.shown(j)} "
+                             f"lies outside the {ncases} x {ncases} case pairs")
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             if (i, j) not in table:
@@ -312,7 +323,8 @@ def cmd_bound(args) -> int:
     wset = WeightFunctionSet(table)
     delta = None if args.delta is None else params.parse_rational(args.delta)
     if delta is not None and not 0 < delta < 1:
-        raise ValueError(f"--delta must lie in (0, 1), got {delta}")
+        raise ValueError(f"--delta must lie in (0, 1), "
+                         f"{params.named(*delta.as_integer_ratio(), 'got')}")
     lam = _load_lambda(args.lambda_file, wset.num_cases) if args.lambda_file else None
     try:
         cert = boundcert.ratio_certificate(wset, lam_table=lam, mode=args.mode)
@@ -325,19 +337,20 @@ def cmd_bound(args) -> int:
             json.dump(wit, fh, indent=2, sort_keys=True)
     retained_pairs = {orient for orient, _ in cert.retained.values()}
 
-    def six(x: Fraction) -> str:  # rounded half to even, then printed
-        return f"{boundcert.round6(x.numerator, x.denominator) / 10 ** 6:.6f}"
+    def six(x: Fraction) -> str:
+        """x >= 0 rounded half to even to six decimals, printed from the
+        integer millionths, so no float overflows on a large value."""
+        whole, frac = divmod(boundcert.round6(x.numerator, x.denominator), 10 ** 6)
+        return f"{whole}.{frac:06d}"
 
-    rows = []
-    for (i, j), e in sorted(cert.entries.items()):
-        rows.append({
-            "i": i, "j": j, "lambda": str(e.lam),
-            "Pf": six(e.pf), "Pg": six(e.pg), "product": six(e.product),
-            "retained": int((i, j) in retained_pairs),
-        })
-    _emit(rows, "csv")
     bound = cert.bound if delta is None else cert.bound / (1 - delta)
-    print(f"# mode={cert.mode} cuts=on overall_bound={float(bound):.6f}")
+    with _EveryDigit():
+        rows = [{"i": i, "j": j, "lambda": str(e.lam),
+                 "Pf": six(e.pf), "Pg": six(e.pg), "product": six(e.product),
+                 "retained": int((i, j) in retained_pairs)}
+                for (i, j), e in sorted(cert.entries.items())]
+        _emit(rows, "csv")
+        print(f"# mode={cert.mode} cuts=on overall_bound={six(bound)}")
     return 0
 
 
@@ -384,8 +397,7 @@ def cmd_verify(args) -> int:
     failures += [f"2d: {v}" for v in validate_geometry(hxb)[:5]]
     failures += [f"2d: {v}" for v in validate_geometry(bxh)[:5]]
     # the integer weight totals against a Fraction sum, rectangle by rectangle
-    charges = [(w_h(it.h, hxb.hk),
-                Fraction(*hxb.width_class(it.w.numerator, it.w.denominator)[1]))
+    charges = [(w_h(Fraction(*it[2:]), hxb.hk), Fraction(*hxb.width_class(*it[:2])[1]))
                for it in items]
     want = [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
             for c in range(1, wset.num_cases + 1)]

@@ -5,7 +5,8 @@ Twister (``random.Random``), whose sequence is stable across platforms and
 versions, so a spec (kind, n, seed, dims, bins) always produces the same
 items. Sizes are exact rationals on a 10^-6 grid: a 1D size is an integer
 pair (p, q) of value p/q, in lowest terms when generated, and a rectangle
-is an ``Item2D``, the tuple (wp, wq, hp, hq) of its two sides' pairs.
+is the plain tuple (wp, wq, hp, hq) of its two sides' pairs, checked once,
+where it is made, by ``rectangle``.
 
 Kinds:
 
@@ -20,7 +21,7 @@ Kinds:
     squares in 2D. The optimal cost equals ``bins`` and is recorded.
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
     comments).  Every token becomes an integer pair by ``params.parse_pair``,
-    so "2/4" reads as (2, 4), and a line "w h" becomes the ``Item2D`` of
+    so "2/4" reads as (2, 4), and a line "w h" becomes the ``rectangle`` of
     its two pairs.  The file is read in chunks of whole lines (about 64 KiB
     each), never whole.  A plain chunk, the format ``gen`` writes, has only
     ASCII tokens digits[/digits], exactly one (1D) or two (2D) a line, one
@@ -96,43 +97,24 @@ _BARE = "(?<![0-9/])([0-9]+)(?![0-9/])"  # a token with no "/"
 _COMMAS = str.maketrans("/\n ", ",,,")  # a plain chunk's separators, as JSON's
 
 
-class Item2D(tuple):
-    """A rectangle as the integers (wp, wq, hp, hq) of its width wp/wq and
-    height hp/hq, q > 0, as written (not necessarily in lowest terms); equal
-    tuples are equal rectangles, but "1/2" and "2/4" sides give unequal ones.
-    ``Item2D(w, h)`` reads two rationals, ``from_pairs`` two integer pairs;
-    both refuse a side outside (0, 1]."""
+def rectangle(w: tuple, h: tuple) -> tuple:
+    """The rectangle of width wp/wq and height hp/hq as the integers (wp, wq,
+    hp, hq) of the pairs ``w`` and ``h``, q > 0, as written (not necessarily in
+    lowest terms): equal tuples are equal rectangles, but "1/2" and "2/4" sides
+    give unequal ones.  A side outside (0, 1] is refused."""
+    (wp, wq), (hp, hq) = w, h
+    if not (0 < wp <= wq and 0 < hp <= hq):
+        raise ValueError(f"{named(wp, wq, 'rectangle')} {named(hp, hq, 'x')} "
+                         f"outside (0,1]^2")
+    return wp, wq, hp, hq
 
-    __slots__ = ()
 
-    def __new__(cls, w, h):
-        return cls.from_pairs(parse_rational(w).as_integer_ratio(),
-                              parse_rational(h).as_integer_ratio())
-
-    @classmethod
-    def from_pairs(cls, w: tuple, h: tuple) -> "Item2D":
-        (wp, wq), (hp, hq) = w, h
-        if not (0 < wp <= wq and 0 < hp <= hq):
-            raise ValueError(f"{named(wp, wq, 'rectangle')} {named(hp, hq, 'x')} "
-                             f"outside (0,1]^2")
-        return tuple.__new__(cls, (wp, wq, hp, hq))
-
-    @property
-    def w(self) -> Fraction:
-        return Fraction(self[0], self[1])
-
-    @property
-    def h(self) -> Fraction:
-        return Fraction(self[2], self[3])
-
-    @property
-    def transposed(self) -> "Item2D":
-        """The rectangle turned a quarter: (hp, hq, wp, wq), not re-checked."""
-        wp, wq, hp, hq = self
-        return tuple.__new__(Item2D, (hp, hq, wp, wq))
-
-    def __reduce__(self):  # copy and pickle rebuild the pairs as written
-        return Item2D.from_pairs, (self[:2], self[2:])
+def Item2D(w, h) -> tuple:
+    """The rectangle of the rationals ``w`` and ``h``, each read by
+    ``parse_rational``, as ``rectangle`` gives it from their pairs in lowest
+    terms."""
+    return rectangle(parse_rational(w).as_integer_ratio(),
+                     parse_rational(h).as_integer_ratio())
 
 
 InstanceSpec = namedtuple("InstanceSpec", [
@@ -146,7 +128,7 @@ InstanceSpec = namedtuple("InstanceSpec", [
 
 Instance = namedtuple("Instance", [
     "spec",
-    "items",  # a Stream of (p, q) integer pairs (1D) or Item2D (2D)
+    "items",  # a Stream of (p, q) pairs (1D) or (wp, wq, hp, hq) tuples (2D)
     "known_opt",
 ], defaults=(None,))
 
@@ -192,8 +174,7 @@ def _read_lines(lines, dims: int, items: list) -> None:
         parts = line.partition("#")[0].split()
         if len(parts) == dims:
             items.append(parse_pair(parts[0]) if dims == 1 else
-                         Item2D.from_pairs(parse_pair(parts[0]),
-                                           parse_pair(parts[1])))
+                         rectangle(parse_pair(parts[0]), parse_pair(parts[1])))
         elif parts:
             what = "one size" if dims == 1 else "'w h'"
             raise ValueError(f"expected {what} per line, got "
@@ -224,7 +205,7 @@ def _read_plain(text: str, dims: int):
         return zip(it, it)
     pairs = list(zip(it, it))
     try:
-        return list(map(Item2D.from_pairs, pairs[::2], pairs[1::2]))
+        return list(map(rectangle, pairs[::2], pairs[1::2]))
     except ValueError:  # a side outside (0, 1]
         return None
 
@@ -277,13 +258,13 @@ def generate(spec: InstanceSpec) -> Instance:
         draws = map(_uniform_pair, repeat(rng))
         sizes = draws if spec.kind == "uniform" else cycle(
             [(lv + _JITTER).as_integer_ratio() for lv in _LEVELS])
-        items = sizes if spec.dims == 1 else map(Item2D.from_pairs, sizes, draws)
+        items = sizes if spec.dims == 1 else map(rectangle, sizes, draws)
         return Instance(spec=spec, items=Stream(_blocks(items, spec.n)))
 
     if spec.kind == "tiled-known-opt":
         bins = max(1, spec.n) if spec.bins is None else spec.bins
         tile = _PATTERN_1D if spec.dims == 1 else \
-            (Item2D.from_pairs((1, _TILES_2D), (1, _TILES_2D)),) * _TILES_2D ** 2
+            (rectangle((1, _TILES_2D), (1, _TILES_2D)),) * _TILES_2D ** 2
         _check_count(bins * len(tile), spec.dims)
         return Instance(spec=spec, items=Stream(_shuffled(rng, tile, bins)),
                         known_opt=bins)

@@ -55,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter, neg
 
-from .generators import Item2D
+from .generators import Item2D  # re-exported: a rectangle from two rationals
 from .harmonic import harmonic_type, height_index, w_h
 from .params import ParamTable, decimal_digits, exact_add, named
 from .superharmonic import Bin, ShState
@@ -163,7 +163,7 @@ class TinyGrid:
 class Slice:
     """Slice ``sid`` of bin ``bin_id``: the column [x, x + width] x [0, 1] with
     x = x_num / den and the width, the class value, w_num / den.  It stacks
-    the Item2D tuples ``items``, bottom to top, of heights summing to
+    the rectangle tuples ``items``, bottom to top, of heights summing to
     fill_num / fill_den; ``width_type`` is the table type of the widths, k+1
     for the tiny grid, and ``height_type`` their Harmonic type."""
 
@@ -236,11 +236,12 @@ class TensorRun:
         f = b.red_den // wd
         return b.red_den - b.red_num, wn * f, b.red_den
 
-    def insert(self, item: Item2D) -> Slice:
-        """Stack ``item``, turned in a "bxh" run, on its slice; return the slice.
-        Only a slice that opens reads its class value and tells SH+ its type."""
+    def insert(self, item: tuple) -> Slice:
+        """Stack the rectangle ``item``, (wp, wq, hp, hq), turned in a "bxh" run
+        to (hp, hq, wp, wq), on its slice; return the slice.  Only a slice that
+        opens reads its class value and tells SH+ its type."""
         if self.orientation == "bxh":
-            item = item.transposed
+            item = (item[2], item[3], item[0], item[1])
         wn, wd, hn, hd = item
         c = self._class_id(wn, wd)
         hk = self.hk

@@ -46,6 +46,11 @@ from math import gcd, lcm
 
 # a number of more than this many digits is named by its digit count
 _NAMED_DIGITS = 40
+# an error line shows a value from outside by ``shown``: an int of more than
+# _NAMED_DIGITS digits, or a str of more characters, is cut short in the middle
+_SHORT = reprlib.Repr()
+_SHORT.maxlong, _SHORT.maxstring = _NAMED_DIGITS, _NAMED_DIGITS + 2  # + 2 quotes
+shown = _SHORT.repr
 # classify()'s buckets over (0, 1]: the built-in table's closest breakpoints,
 # 1/38 and 1/37, are 1/1406 apart, so each bucket holds at most one of them
 _BUCKETS = 2048

@@ -61,7 +61,7 @@ from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .params import ParamTable, exact_add, on_one_denominator
+from .params import ParamTable, exact_add, named, on_one_denominator
 
 
 def _group_name(table: ParamTable, blue: int | None, red: int | None) -> str:
@@ -286,7 +286,8 @@ class ShState:
         for b in self.bins:
             i, j = b.blue_type, b.red_type
             if b.blue_num * b.red_den + b.red_num * b.blue_den > b.blue_den * b.red_den:
-                bad.append(f"bin {b.bid}: content {b.content_sum} > 1")
+                content = b.content_sum.as_integer_ratio()
+                bad.append(f"bin {b.bid}: {named(*content, 'content')} > 1")
             if i is not None:
                 if b.blue_count > table.beta[i]:
                     bad.append(f"bin {b.bid}: {b.blue_count} blues > beta[{i}]")

@@ -99,6 +99,12 @@ def class_value(run, w: Fraction) -> Fraction:
     return Fraction(*run.width_class(w.numerator, w.denominator)[1])
 
 
+def sides_of(it) -> tuple:
+    """(width, height) of the rectangle tuple ``it``, (wp, wq, hp, hq), as
+    Fractions."""
+    return Fraction(*it[:2]), Fraction(*it[2:])
+
+
 def packed(run, rects):
     """The TensorRun ``run`` after inserting the rectangles ``rects`` in order."""
     for it in rects:

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from harmonicpack import generators
-from harmonicpack.boundcert import ratio_certificate
+from harmonicpack import generators, weighting
+from harmonicpack.boundcert import ratio_certificate, round6
 from harmonicpack.cli import _ceil_sum, main
 from harmonicpack.harmonic import HarmonicPacker
 from harmonicpack.generators import InstanceSpec, generate
@@ -165,6 +166,15 @@ class TestInputErrors:
          "a token's 4301-digit numerator is over the limit of 4300 digits"),
         ("pack2d --input {dir}/long_rect_den.txt",
          "a token's 4302-digit denominator is over the limit of 4300 digits"),
+        # a long flag value, lambda key or case index is cut to at most 40 digits
+        (f"bound --delta 1{'0' * 300}",
+         "--delta must lie in (0, 1), got with a 301-digit numerator and a 1-digit "
+         "denominator"),
+        ("bound --lambda-file {dir}/long_key.json",
+         "long_key.json: key '1,9999999999999999...9999999999999999999' is not 'i,j'"),
+        ("bound --lambda-file {dir}/long_j.json",
+         "long_j.json: pair 1,777777777777777777...7777777777777777777 lies outside "
+         "the 7 x 7 case pairs"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -182,7 +192,8 @@ class TestInputErrors:
             "tiled-1d-bins-10-to-the-12", "tiled-2d-bins-10-to-the-12",
             "gen-2d-n-10-to-the-12", "sh-k", "default-algorithm-k",
             "sh-numerator-4301-digits", "harmonic-denominator-4301-digits",
-            "rectangle-numerator-4301-digits", "rectangle-denominator-4302-digits"])
+            "rectangle-numerator-4301-digits", "rectangle-denominator-4302-digits",
+            "bound-delta-301-digits", "lambda-key-5002-characters", "lambda-j-500-digits"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -217,6 +228,10 @@ class TestInputErrors:
                               ("lambda_zero", "7,7", 0)):
             (tmp_path / f"{name}.json").write_text(json.dumps(
                 {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)} | {ij: lam}))
+        (tmp_path / "long_key.json").write_text(json.dumps({"1," + "9" * 5000: "0.5"}))
+        (tmp_path / "long_j.json").write_text(json.dumps(
+            {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)}
+            | {"1," + "7" * 500: "0.5"}))
         (tmp_path / "lambda_8x8.json").write_text(_LAMBDA_8X8)
         (tmp_path / "lambda_key_8_8.json").write_text(_LAMBDA_KEY_8_8)
         try:
@@ -228,6 +243,9 @@ class TestInputErrors:
         assert rc == 1
         assert len(errors) == 1 and fragment in errors[0], err
         assert "Traceback" not in err
+        # no number is spelled out in more than 40 digits
+        runs = re.findall("[0-9]+", errors[0])
+        assert all(len(run) <= 40 for run in runs), errors[0][:200]
         # anything else on stderr is argparse's usage block
         assert all(line.startswith(("usage:", " ")) for line in err.splitlines()
                    if not line.startswith("error:")), err
@@ -432,6 +450,25 @@ class TestReports:
             assert Fraction(slack) == want
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("algorithm,line", [
+        ("sh+", "cost bound slack with a 4301-digit numerator and a 4301-digit "
+                "denominator over allowance"),
+        ("harmonic", "weight slack with a 4303-digit numerator and a 4301-digit "
+                     "denominator > 38")], ids=["sh+", "harmonic"])
+    def test_validation_line_names_a_long_slack(self, tmp_path, capsys, monkeypatch,
+                                                algorithm, line):
+        # the validation lines are written after the report, with the digit
+        # limit back in place: a slack past it is named by its digit counts.
+        # Each check is made to fail, as only a faulty packer makes it fail
+        path = tmp_path / "tiny.txt"
+        path.write_text("1e-4299\n")
+        slack = HarmonicPacker.weight_slack
+        monkeypatch.setattr(HarmonicPacker, "weight_slack", lambda self: slack(self) + 100)
+        monkeypatch.setattr(weighting, "slack_allowance", lambda table: -100)
+        assert main(["pack1d", "--algorithm", algorithm, "--verify",
+                     "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"validation: {line}\n"
 
     def test_reports_are_byte_stable(self):
         a = run_cli("pack1d", "--n", "200", "--seed", "5")
@@ -701,6 +738,41 @@ class TestBoundCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert hashlib.sha256(wit.read_bytes()).hexdigest() == (
             "0ac7a5ecc985306760ebf1d98dc7af7470bd3236b2710cc6910690eed805f2fa")
+
+    @pytest.mark.parametrize("pair,lam,low", [
+        ((7, 7), 1e-320, 10 ** 308), ((7, 1), "1/" + "9" * 4300, 10 ** 4300)],
+        ids=["lambda-1e-320", "lambda-4300-nines"])
+    def test_bound_past_a_float_prints_exactly(self, tmp_path, capsys, wset, pair, lam,
+                                               low):
+        # a tiny lambda leaves f all but the 1D case weight, which is 0 on some
+        # types, so the pair's product passes float's range (at 7,7 the bound
+        # does too), and at 1/(10**4300 - 1) the digits str() writes of an
+        # int: each six-decimal value is written from its integer millionths,
+        # every digit, as round6 gives them
+        table = {(i, j): 0.5 for i in range(1, 8) for j in range(1, 8)} | {pair: lam}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({f"{i},{j}": x for (i, j), x in table.items()}))
+        limit = sys.get_int_max_str_digits()
+        assert main(["bound", "--lambda-file", str(path)]) == 0
+        assert sys.get_int_max_str_digits() == limit  # restored
+        header, *rows, summary = capsys.readouterr().out.splitlines()
+        cert = ratio_certificate(wset, lam_table=table)
+        e = cert.entries[pair]
+        assert e.product > low
+
+        def six(x):
+            return Fraction(round6(x.numerator, x.denominator), 10 ** 6)
+
+        row = dict(zip(header.split(","), rows[7 * pair[0] + pair[1] - 8].split(",")))
+        assert (row["i"], row["j"]) == tuple(map(str, pair))
+        assert summary.startswith("# mode=paper-compat cuts=on overall_bound=")
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [Fraction(row[k]) for k in ("lambda", "Pf", "Pg", "product")] == [
+                e.lam, six(e.pf), six(e.pg), six(e.product)]
+            assert Fraction(summary.rpartition("=")[2]) == six(cert.bound)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_delta_scales_bound(self, capsys, wset):
         # --delta divides the overall bound by (1 - delta); the table stays

@@ -1,14 +1,18 @@
-"""A seeded fuzzer over ``pack1d`` and ``pack2d``, run in-process.
+"""A seeded fuzzer over ``pack1d``, ``pack2d`` and ``bound``, run in-process.
 
 Each draw is an argv from a grammar of valid, boundary and malformed flag
-values, and an instance file mutated from ``gen`` output (truncation, byte
-flips, CRLF line ends, Unicode digits, 5,000-digit integers and swapped
-fields).  Every run must end in one of the documented ways:
+values, with an instance file mutated from ``gen`` output (truncation, byte
+flips, CRLF line ends, Unicode digits, 5,000-digit integers, exponent
+tokens and swapped fields) or a lambda table mutated from the tuned one
+(truncated JSON, wrong shapes, missing and extra pairs, 500-digit keys, and
+lambdas at and past the ends of [0, 1], past float's range and past the
+reader's digit limit).  Every run must end in one of the documented ways:
 
   * exit 0, and stdout parses as the JSON or CSV report;
   * exit 2, the report on stdout and only ``validation:`` lines on stderr;
   * exit 1, nothing on stdout and one ``error:`` line on stderr (argparse
-    adds its usage line).
+    adds its usage line; the ``bound`` grammar holds only values argparse
+    takes, so there it is the one line).
 
 Counts are capped (``--n`` 300, ``--bins`` 50, ``--k`` 1000, files of 40
 lines) so that no draw allocates more than a few MB; the larger values in
@@ -25,13 +29,15 @@ import tempfile
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from harmonicpack.boundcert import TUNED_LAMBDA
 from harmonicpack.cli import main
 from harmonicpack.superharmonic import PlacementTrace
 
 HUGE = "1" + "0" * 5000  # beyond str()'s 4,300-digit limit
-# placeholders, replaced by paths in the run's own directory
-INSTANCE, MISSING, TRACE, UNWRITABLE, DIRECTORY = (
-    "@instance", "@missing", "@trace", "@unwritable", "@directory")
+# placeholders, replaced by paths in the run's own directory; the drawn
+# content is written to the instance file, which is also the lambda table
+INSTANCE, LAMBDA, MISSING, TRACE, WITNESS, UNWRITABLE, DIRECTORY = (
+    "@instance", "@lambda", "@missing", "@trace", "@witness", "@unwritable", "@directory")
 
 # flag -> (valid values, boundary and malformed values)
 FLAG_VALUES = {
@@ -121,6 +127,16 @@ def huge_integer(draw, data):
     return data[:at.start()] + new + data[at.end():]
 
 
+def exponent_token(draw, data):
+    # at the reader's digit limit, one past it, and an upper-case exponent
+    tokens = _tokens(data)
+    if not tokens:
+        return data
+    at = draw(st.sampled_from(tokens))
+    new = draw(st.sampled_from(["1e-4299", "1e-4300", "2.5E-3"])).encode()
+    return data[:at.start()] + new + data[at.end():]
+
+
 def swap_fields(draw, data):
     lines = data.split(b"\n")
     pos = draw(st.integers(0, len(lines) - 1))
@@ -133,7 +149,8 @@ def swap_fields(draw, data):
     return b"\n".join(lines)
 
 
-MUTATIONS = [truncate, flip_byte, crlf, unicode_digits, huge_integer, swap_fields]
+MUTATIONS = [truncate, flip_byte, crlf, unicode_digits, huge_integer, exponent_token,
+             swap_fields]
 
 
 @st.composite
@@ -159,13 +176,15 @@ def parses(out: str) -> bool:
 
 def run(tokens: list, content: bytes) -> tuple:
     """(exit code, stdout, stderr, trace text or None) of ``main`` on ``tokens``,
-    with the placeholders replaced and ``content`` as the instance file."""
+    with the placeholders replaced and ``content`` as the instance file (and
+    lambda table)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "instance.txt").write_bytes(content)
         (tmp / "directory").mkdir()
-        paths = {INSTANCE: tmp / "instance.txt", MISSING: tmp / "missing.txt",
-                 TRACE: tmp / "trace.csv", UNWRITABLE: tmp / "missing" / "trace.csv",
+        paths = {INSTANCE: tmp / "instance.txt", LAMBDA: tmp / "instance.txt",
+                 MISSING: tmp / "missing.txt", TRACE: tmp / "trace.csv",
+                 WITNESS: tmp / "witness.json", UNWRITABLE: tmp / "missing" / "trace.csv",
                  DIRECTORY: tmp / "directory"}
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -201,3 +220,92 @@ def test_every_run_ends_in_a_documented_way(tokens, content):
                    if not line.startswith("error: ")), err
     if trace is not None:  # written as items are placed, from the header on
         assert trace.startswith(PlacementTrace.CSV_HEADER + "\n"), trace[:80]
+
+
+# -- bound: lambda tables mutated from the tuned one
+
+# lambda entries as JSON text: valid; at the ends of [0, 1]; past float's
+# range (the number 1e-4299 reads as the float 0) and at and past the
+# reader's digit limit; out of range; and not numbers
+LAMBDAS = ['"0.5"', "0.55", '"1/3"', "0", "1", '"1"', "1e-320", '"1e-320"', "1e-4299",
+           '"1e-4299"', "1e-4300", '"1e-4300"', '"-1/2"', '"3/2"', "-0.5", "1.5", "true",
+           "null", '"x"', "[0.5]"]
+LONG = "7" * 500
+# keys beside the 49 case pairs: 500- and 5,001-digit indices, pairs outside
+# the 7 x 7 cases, and keys that are not "i,j"
+EXTRA_KEYS = [f"1,{LONG}", f"{LONG},1", f"1,{HUGE}", "8,8", "0,1", "1,2,3", "a,b", ""]
+WRONG_SHAPES = ["flat", "nested", "scalar"]
+BOUND_FLAGS = {  # flag -> (eighths of the draws that hold it, values argparse takes)
+    "--lambda-file": (7, [LAMBDA, LAMBDA, LAMBDA, MISSING]),
+    "--mode": (4, ["paper-compat", "exact"]),
+    "--delta": (2, ["1/10000", "1/100", "0", "1", "2", "-1/2", "1" + "0" * 300, "x", "1/0",
+                    "nan", "1e-4300"]),
+    "--witness": (4, [WITNESS, WITNESS, UNWRITABLE, DIRECTORY]),
+}
+
+
+def table_text(entries: dict, shape: str) -> bytes:
+    """The lambda table of ``entries`` ("i,j" -> JSON text) as JSON: an object
+    keyed "i,j", rows of seven, one flat list, rows nested one level deeper,
+    or its first entry alone."""
+    values = list(entries.values())
+    rows = ", ".join("[" + ", ".join(values[r:r + 7]) + "]" for r in range(0, len(values), 7))
+    return {"object": "{" + ", ".join(f'"{k}": {v}' for k, v in entries.items()) + "}",
+            "rows": f"[{rows}]", "flat": "[" + ", ".join(values) + "]",
+            "nested": f"[[{rows}]]", "scalar": values[0]}[shape].encode()
+
+
+def tuned_entries() -> dict:
+    """The tuned table as "i,j" -> JSON text."""
+    return {f"{i},{j}": f'"{lam}"' for (i, j), lam in sorted(TUNED_LAMBDA.items())}
+
+
+@st.composite
+def lambda_table(draw) -> bytes:
+    """The tuned table with up to three entries replaced, maybe a pair
+    dropped and a key added, keyed "i,j" or in rows, or in one draw of four in
+    one of ``WRONG_SHAPES``, and in one of four truncated."""
+    entries = tuned_entries()
+    for _ in range(draw(st.integers(0, 3))):
+        entries[draw(st.sampled_from(sorted(entries)))] = draw(st.sampled_from(LAMBDAS))
+    if draw(st.integers(0, 5)) == 0:
+        del entries[draw(st.sampled_from(sorted(entries)))]
+    if draw(st.integers(0, 3)) == 0:
+        entries[draw(st.sampled_from(EXTRA_KEYS))] = '"0.5"'
+    shapes = WRONG_SHAPES if draw(st.integers(0, 3)) == 0 else ["object", "rows"]
+    text = table_text(entries, draw(st.sampled_from(shapes)))
+    return truncate(draw, text) if draw(st.integers(0, 3)) == 0 else text
+
+
+@st.composite
+def bound_argv(draw) -> list:
+    """``bound`` and some of ``BOUND_FLAGS``, each with a drawn value."""
+    tokens = ["bound"]
+    for flag, (eighths, values) in BOUND_FLAGS.items():
+        if draw(st.integers(0, 7)) < eighths:
+            value = draw(st.sampled_from(values))
+            # "=" keeps a value such as -1/2 from reading as a flag
+            tokens += [f"{flag}={value}"] if flag == "--delta" else [flag, value]
+    return tokens
+
+
+@given(bound_argv(), lambda_table())
+# past float's range: the bound was once divided as a float, which overflowed
+@example(["bound", "--lambda-file", LAMBDA], table_text(tuned_entries() | {"7,7": "1e-320"},
+                                                         "object"))
+@example(["bound", "--mode", "exact", "--lambda-file", LAMBDA],
+         table_text(tuned_entries() | {"7,1": '"1e-4299"'}, "rows"))
+@example(["bound", "--lambda-file", LAMBDA],
+         table_text(tuned_entries() | {f"1,{LONG}": '"0.5"'}, "object"))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_bound_run_ends_in_a_documented_way(tokens, table):
+    rc, out, err, _ = run(tokens, table)
+    if rc == 0:
+        *rows, summary = out.splitlines()
+        assert err == "" and len(rows) == 50 and {row.count(",") for row in rows} == {6}
+        assert re.fullmatch(r"# mode=(paper-compat|exact) cuts=on "
+                            r"overall_bound=[0-9]+\.[0-9]{6}", summary), summary[:80]
+    else:
+        assert rc == 1 and out == "" and err.startswith("error: "), (rc, out, err)
+        assert err.count("\n") == 1, err

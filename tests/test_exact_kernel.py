@@ -23,12 +23,12 @@ from harmonicpack.generators import Item2D
 from harmonicpack.cli import main
 from harmonicpack.harmonic import harmonic_type, w_h
 from harmonicpack.pack2d import TensorRun, tensor_cost, validate_geometry
-from harmonicpack.params import _BUCKETS, builtin_shplus, exact_add, validate
+from harmonicpack.params import _BUCKETS, builtin_shplus, exact_add, parse_pair, validate
 from harmonicpack.superharmonic import ShState
 from harmonicpack.weighting import WeightFunctionSet
 
 from conftest import (Traced, class_value, fraction_builds, fraction_comparisons,
-                      harmonic_bins, harmonic_table, move_column, packed)
+                      harmonic_bins, harmonic_table, move_column, packed, sides_of)
 
 
 def fraction_type(table, size):
@@ -239,7 +239,7 @@ class TestIntegerSums:
         assert Counter(it for sl in run.slices for it in sl.items) == Counter(rects)
         for sl in run.slices:
             fill = Fraction(sl.fill_num, sl.fill_den)
-            assert fill == sum(it.h for it in sl.items) <= 1, sl.sid
+            assert fill == sum(sides_of(it)[1] for it in sl.items) <= 1, sl.sid
 
     @given(st.lists(mixed_size(), min_size=1, max_size=300))
     @settings(max_examples=40, deadline=None)
@@ -267,9 +267,9 @@ def fraction_validate_geometry(run) -> list:
         if not (0 <= x and x + width <= 1):
             bad.append(f"slice {sl.sid}: column outside the unit bin")
         for pos, it in enumerate(sl.items):
-            if it.w > width:
+            if sides_of(it)[0] > width:
                 bad.append(f"slice {sl.sid} item {pos}: exceeds the slice span")
-        if sum((it.h for it in sl.items), Fraction(0)) > 1:
+        if sum((sides_of(it)[1] for it in sl.items), Fraction(0)) > 1:
             bad.append(f"slice {sl.sid}: stack outside the unit bin")
         per_bin.setdefault(sl.bin_id, []).append((x, width, sl.sid))
     for bin_id, cols in per_bin.items():
@@ -283,7 +283,7 @@ def fraction_validate_geometry(run) -> list:
 def fraction_weight_totals(run, wset, rects) -> list:
     """Per-case 2D weight totals summed rectangle by rectangle in Fractions:
     W_H(height) * W_case(class value of the width)."""
-    charges = [(w_h(it.h, run.hk), class_value(run, it.w)) for it in rects]
+    charges = [(w_h(h, run.hk), class_value(run, w)) for w, h in map(sides_of, rects)]
     return [sum((hw * wset.w(v, c) for hw, v in charges), Fraction(0))
             for c in range(1, wset.num_cases + 1)]
 
@@ -327,7 +327,7 @@ class Test2DDifferential:
                 move_column(sl, x + grow if data.draw(st.booleans()) else x - grow)
             else:
                 pos = data.draw(st.integers(0, len(sl.items) - 1))
-                w, h = sl.items[pos].w, sl.items[pos].h
+                w, h = sides_of(sl.items[pos])
                 w, h = (w + grow, h) if kind == 1 else (w, h + 5 * grow)
                 sl.items[pos] = Item2D(min(w, Fraction(1)), min(h, Fraction(1)))
             assert validate_geometry(run) == fraction_validate_geometry(run)
@@ -380,6 +380,18 @@ class TestAuditCatchesEachViolation:
         assert state.check_feasibility() == []
         nf.blue_num, nf.blue_den = 101, 100
         assert state.check_feasibility() == ["bin 4: content 101/100 > 1"]
+
+    def test_long_content_is_named_by_its_digits(self, table):
+        # a content of more digits than str() writes is named by its digit
+        # counts: the audit returns the violation, it does not raise
+        st_ = ShState(table)
+        for token in ("1e-4299", "1/1001", "1/1003"):
+            st_.insert(*parse_pair(token))
+        nf, = st_.bins
+        assert (nf.blue_type, nf.red_type) == (None, None) and st_.check_feasibility() == []
+        nf.blue_num = nf.blue_den + 1
+        assert st_.check_feasibility() == [
+            "bin 0: content with a 4306-digit numerator and a 4306-digit denominator > 1"]
 
     def test_blue_mass_over_beta_t(self, state):
         b = state.bins[1]  # beta*t = 2 * 0.42

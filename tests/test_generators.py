@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from harmonicpack import generators
 from harmonicpack.cli import main
-from harmonicpack.generators import Instance, InstanceSpec, generate
-from harmonicpack.pack2d import Item2D
-from harmonicpack.params import parse_rational
+from harmonicpack.generators import Instance, InstanceSpec, generate, rectangle
+from harmonicpack.pack2d import Item2D, TensorRun
+from harmonicpack.params import builtin_shplus, parse_rational
+
+from conftest import sides_of
 
 # rectangle sides as written: unreduced, decimal, exponent and Unicode-digit
 # forms, sides outside (0, 1], malformed tokens, and integer pairs
@@ -68,7 +70,8 @@ class TestKinds:
 
     def test_uniform_2d(self):
         inst = generate(InstanceSpec(kind="uniform", n=50, seed=2, dims=2))
-        assert all(isinstance(it, Item2D) for it in inst.items)
+        assert all(type(it) is tuple and len(it) == 4 and set(map(type, it)) == {int}
+                   for it in inst.items)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -82,7 +85,11 @@ class TestKinds:
         path.write_text("1/2\n" if dims == 1 else "1/2 1/3\n")
         inst = generate(InstanceSpec(kind=kind, n=5, dims=dims, bins=3, path=str(path)))
         assert isinstance(inst.items, generators.Stream)
-        assert inst.items.read_s >= 0 and list(inst.items)
+        items = list(inst.items)
+        assert inst.items.read_s >= 0 and items
+        # a size is the pair (p, q), a rectangle (wp, wq, hp, hq): exact tuples of ints
+        assert all(type(it) is tuple and len(it) == 2 * dims and set(map(type, it)) == {int}
+                   for it in items)
 
     # sha256 of `gen --kind K --dims D --seed 5` with --n 10000 (--bins 2500
     # for the tiled kind), as written before every kind was streamed
@@ -154,8 +161,8 @@ class TestFileKind:
     def test_reads_rectangles(self, tmp_path):
         p = tmp_path / "inst2d.txt"
         p.write_text("0.5 0.25\n1/3 0.75\n")
-        inst = generate(InstanceSpec(kind="file", dims=2, path=str(p)))
-        assert list(inst.items)[1] == Item2D(Fraction(1, 3), Fraction(3, 4))
+        items = list(generate(InstanceSpec(kind="file", dims=2, path=str(p))).items)
+        assert items[1] == Item2D(Fraction(1, 3), Fraction(3, 4)) and type(items[1]) is tuple
 
     def test_rejects_malformed_line(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -191,7 +198,7 @@ class TestFileKind:
         want = [Fraction(t) if dims == 1 else (Fraction(t), Fraction(o))
                 for t, o in zip(tokens, reversed(tokens))]
         got = generate(InstanceSpec(kind="file", dims=dims, path=str(p))).items
-        assert [Fraction(*it) if dims == 1 else (it.w, it.h) for it in got] == want
+        assert [Fraction(*it) if dims == 1 else sides_of(it) for it in got] == want
 
 
 def _outcome(read):
@@ -200,7 +207,7 @@ def _outcome(read):
         it = read()
     except ValueError as exc:
         return str(exc)
-    return it.w, it.h
+    return sides_of(it)
 
 
 @given(st.tuples(_SIDES, _SIDES))
@@ -219,10 +226,13 @@ def test_rectangle_reader_equals_rational_reader(sides):
 
 
 def test_rectangle_copies_keep_its_pairs_as_written():
-    it = Item2D.from_pairs((2, 4), (7, 14))
+    # a rectangle is a plain tuple: copies and pickles keep its pairs, and a
+    # "bxh" run stacks it turned, as written
+    it = rectangle((2, 4), (7, 14))
     for clone in (pickle.loads(pickle.dumps(it)), copy.deepcopy(it), copy.copy(it)):
-        assert type(clone) is Item2D and clone == it == (2, 4, 7, 14)
-    assert it.transposed == (7, 14, 2, 4) and (it.w, it.h) == (Fraction(1, 2),) * 2
+        assert type(clone) is tuple and clone == it == (2, 4, 7, 14)
+    turned = TensorRun(builtin_shplus(), "bxh").insert(it).items
+    assert turned == [(7, 14, 2, 4)] and sides_of(it) == (Fraction(1, 2),) * 2
 
 
 @pytest.mark.parametrize("sides", [(True, "1/2"), ("1/2", True), (Fraction(1, 3), False)])

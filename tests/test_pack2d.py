@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from harmonicpack import pack2d
 from harmonicpack.boundcert import build_f
+from harmonicpack.generators import rectangle
 from harmonicpack.harmonic import w_h
 from harmonicpack.pack2d import (_MAX_DEPTH, Item2D, Slice, TensorRun, TinyGrid,
                                  tensor_cost, validate_geometry, w2d)
 from harmonicpack.params import ParamTable
 from harmonicpack.weighting import WeightFunctionSet
 
-from conftest import class_value, grid_sizes, harmonic_table, move_column, packed
+from conftest import (class_value, grid_sizes, harmonic_table, move_column, packed,
+                      sides_of)
 from test_superharmonic import OracleShState
 
 
@@ -285,7 +287,7 @@ class TestSlicePacking:
         charges = []  # (W_H(stacked side), class value of the sliced side)
         for n, it in enumerate(items, start=1):
             run.insert(it)
-            w, h = (it.w, it.h) if orientation == "hxb" else (it.h, it.w)
+            w, h = sides_of(it) if orientation == "hxb" else sides_of(it)[::-1]
             charges.append((w_h(h, run.hk), class_value(run, w)))
             if n in (1, 33, 300, 600):
                 totals = run.weight_bounds(wset)
@@ -305,14 +307,14 @@ class TestSlicePacking:
 
         items = [Item2D(side(), side()) for _ in range(1500)]
         run = packed(TensorRun(table, "bxh"), items)
-        ref = packed(TensorRun(table, "hxb"), [Item2D(it.h, it.w) for it in items])
+        ref = packed(TensorRun(table, "hxb"), [Item2D(*sides_of(it)[::-1]) for it in items])
         assert len(run.slices) > 100 and run.slices == ref.slices
         assert run.cost == ref.cost
 
     def test_transpose_run_equals_swapped_items(self, table):
         # the bxh run does the turning: fed the turned tuples, hxb packs alike
         items = grid_items(random.Random(8), 1500)
-        a = packed(TensorRun(table, "hxb"), [it.transposed for it in items])
+        a = packed(TensorRun(table, "hxb"), [(hp, hq, wp, wq) for wp, wq, hp, hq in items])
         b = packed(TensorRun(table, "bxh"), items)
         assert a.cost == b.cost and a.slices == b.slices
 
@@ -417,7 +419,7 @@ class TestPlacementOracle:
         run = TensorRun(table, orientation, delta)
         oracle = OracleTensorRun(table, orientation, delta)
         for pos, (w, h) in enumerate(rects):
-            sl = run.insert(Item2D.from_pairs(w, h))
+            sl = run.insert(rectangle(w, h))
             got = sl.sid, sl.bin_id, Fraction(sl.x_num, sl.den), Fraction(sl.w_num, sl.den)
             assert got == oracle.insert(Fraction(*w), Fraction(*h)), pos
         assert [[(Fraction(wp, wq), Fraction(hp, hq)) for wp, wq, hp, hq in sl.items]
@@ -464,7 +466,7 @@ class TestGeometry:
         assert Fraction(sl.w_num, sl.den) == Fraction(1, 3)
         x = Fraction(2, 3) + Fraction(1, 60)
         move_column(sl, x)
-        assert x + sl.items[0].w < 1 < x + Fraction(sl.w_num, sl.den)
+        assert x + sides_of(sl.items[0])[0] < 1 < x + Fraction(sl.w_num, sl.den)
         assert any("unit bin" in v for v in validate_geometry(run))
 
     def test_overlapping_columns_reported(self, table):
@@ -486,11 +488,12 @@ def _pair_violations(run) -> list:
     for sl in run.slices:
         x, y = Fraction(sl.x_num, sl.den), Fraction(0)
         for it in sl.items:
-            r = (x, y, x + it.w, y + it.h)
+            w, h = sides_of(it)
+            r = (x, y, x + w, y + h)
             if not (0 <= r[0] and r[2] <= 1 and r[3] <= 1):
                 bad.append(("outside", r))
             per_bin.setdefault(sl.bin_id, []).append(r)
-            y += it.h
+            y += h
     for rects in per_bin.values():
         for i, a in enumerate(rects):
             for b in rects[:i]:
@@ -526,7 +529,7 @@ class TestGeometryNeverLooser:
                 move_column(sl, x + grow if rng.random() < 0.5 else x - grow)
             else:  # widen by up to 1/5, or heighten by up to 1, one rectangle
                 pos = rng.randrange(len(items))
-                w, h = items[pos].w, items[pos].h
+                w, h = sides_of(items[pos])
                 w, h = (w + grow, h) if kind == 1 else (w, h + 5 * grow)
                 sl.items[pos] = Item2D(min(w, Fraction(1)), min(h, Fraction(1)))
             if _pair_violations(run):
@@ -621,7 +624,7 @@ class TestTensorCost:
                         Fraction(rng.randint(1, 10 ** 6), 10 ** 6))
                  for _ in range(1200)]
         tc, hxb, bxh = tensor_cost(items, table)
-        turned, thxb, tbxh = tensor_cost([Item2D(it.h, it.w) for it in items], table)
+        turned, thxb, tbxh = tensor_cost([Item2D(*sides_of(it)[::-1]) for it in items], table)
         assert len(bxh.slices) > 100 and bxh.slices == thxb.slices
         assert hxb.slices == tbxh.slices
         assert (tc.cost_hxb, tc.cost_bxh, tc.avg) == (turned.cost_bxh, turned.cost_hxb,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import harmonic_table
-from harmonicpack.generators import Item2D
+from harmonicpack.generators import rectangle
 from harmonicpack.harmonic import harmonic_type
 from harmonicpack.pack2d import TensorRun, TinyGrid
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
@@ -338,8 +338,8 @@ class TestParseRational:
 
 
 @pytest.mark.parametrize("call,want", [
-    (lambda t: Item2D.from_pairs((1, 2), (1, 0)), "rectangle 1/2 x 1/0 outside (0,1]^2"),
-    (lambda t: Item2D.from_pairs((1, 2), (0, 0)), "rectangle 1/2 x 0/0 outside (0,1]^2"),
+    (lambda t: rectangle((1, 2), (1, 0)), "rectangle 1/2 x 1/0 outside (0,1]^2"),
+    (lambda t: rectangle((1, 2), (0, 0)), "rectangle 1/2 x 0/0 outside (0,1]^2"),
     (lambda t: t.classify(1, 0), "item size 1/0 outside (0, 1]"),
     (lambda t: harmonic_type(1, 0, 38), "item size 1/0 outside (0, 1]"),
     (lambda t: TinyGrid(t.eps, Fraction(1, 10000)).class_of(1, 0, "height"),

@@ -146,7 +146,7 @@ def test_ladders_have_one_home():
     # the tiny-width ladder depends on (eps, d) alone: the per-(eps, d) store
     # in TensorRun.__init__ alone builds a TinyGrid and sets a run's grid
     # (by assignment, deletion or setattr), and a "bxh" run turns its own
-    # rectangles, so TensorRun.insert alone reads .transposed
+    # rectangles, so TensorRun.insert alone turns one
     def name(node):
         return getattr(node, "id", None) or getattr(node, "attr", None)
 
@@ -161,8 +161,47 @@ def test_ladders_have_one_home():
     assert _homes(lambda node: isinstance(node, ast.Call)
                   and name(node.func) == "TinyGrid") == store
     assert _homes(sets_grid) == store
-    assert _homes(lambda node: isinstance(node, ast.Attribute)
-                  and node.attr == "transposed") == ["pack2d.TensorRun.insert"]
+    assert _homes(_turns_a_rectangle) == ["pack2d.TensorRun.insert"]
+    probe = ast.parse("(it[2], it[3], it[0], it[1])\nit[2:] + it[:2]\n(it[0], it[1])\n")
+    assert [_turns_a_rectangle(node.value) for node in probe.body] == [True, True, False]
+
+
+def _turns_a_rectangle(node) -> bool:
+    """Whether ``node`` swaps the sides of a rectangle tuple (wp, wq, hp, hq):
+    the display (x[2], x[3], x[0], x[1]) or the sum x[2:] + x[:2]."""
+    def index(e):
+        return e.slice.value if isinstance(e, ast.Subscript) and isinstance(
+            e.slice, ast.Constant) else None
+
+    def bounds(e):
+        return (getattr(e.slice.lower, "value", None), getattr(e.slice.upper, "value", None)) \
+            if isinstance(e, ast.Subscript) and isinstance(e.slice, ast.Slice) else None
+
+    return (isinstance(node, ast.Tuple) and [index(e) for e in node.elts] == [2, 3, 0, 1]
+            or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and (bounds(node.left), bounds(node.right)) == ((2, None), (None, 2)))
+
+
+def test_rectangle_sides_have_one_rule():
+    # generators.rectangle alone holds the (0,1]^2 rule on a rectangle's
+    # sides, its test (two chains 0 < p <= q over four names) and its error
+    # text, and every reader and generator of rectangles hands it their pairs
+    def chain(node):
+        return (isinstance(node, ast.Compare) and getattr(node.left, "value", None) == 0
+                and [type(op) for op in node.ops] == [ast.Lt, ast.LtE]
+                and all(isinstance(c, ast.Name) for c in node.comparators))
+
+    def side_rule(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return "(0,1]^2" in node.value
+        chains = [v for v in getattr(node, "values", []) if chain(v)]
+        return isinstance(node, ast.BoolOp) and len({c.id for v in chains
+                                                     for c in v.comparators}) == 4
+
+    assert _homes(side_rule) == ["generators.rectangle"]
+    assert _homes(lambda node: isinstance(node, ast.Name) and node.id == "rectangle") == [
+        "generators.Item2D", "generators._read_lines", "generators._read_plain",
+        "generators.generate"]
 
 
 def test_bins_enter_use_in_one_place():
