@@ -347,7 +347,12 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     its fractional variable.  Every comparison, the density sort's too, is the
     rational one times a positive integer: the argmax and its ties are unchanged.
     The search loops over a stack of (idx, rem, obj) frames, one per node with
-    children left, its branch value in x[idx], on :attr:`PatternModel.solver`.
+    children left, its branch value in x[idx], on :attr:`PatternModel.solver`;
+    x[idx:] is zero at every node.  A node is counted where it is visited, at
+    the top of the loop.  One whose remaining capacity is below every size from
+    idx on is a leaf; any other skips the candidates too large for it (no nodes:
+    they could not change the best, and their greedy bounds are no smaller),
+    then is bounded and branches at the first candidate that fits.
     """
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
@@ -371,6 +376,7 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     # prefix sums over candidate order for the greedy bound
     PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
     PW = [0, *accumulate(w * c for w, c in zip(gain, caps))]
+    least = [*accumulate(reversed(sizes), min, initial=CAP + 1)][::-1]  # min(sizes[t:])
 
     best_val = 0
     best_pat: dict = {}
@@ -383,7 +389,9 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
         if obj > best_val:
             best_val = obj
             best_pat = {cand[t]: x[t] for t in range(idx) if x[t]}
-        if idx < ncand:
+        if rem >= least[idx]:  # else nothing more fits: a leaf
+            while sizes[idx] > rem:  # skip the candidates too large to fit
+                idx += 1
             # prune when the greedy bound cannot beat best_val: candidates
             # idx..p-1 at their caps and p fractional fill the remaining capacity
             budget = PS[idx] + rem
@@ -566,6 +574,7 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: dict | None = None,
     ncases = wset.num_cases
     entries = {}
     per_f = {}  # (i, lam) -> (ratio hull of f, P(f), its argmax): f does not depend on j
+    per_g = {}  # (hull, j) -> (P(g), its argmax): g depends on f's hull and j alone
     for i in range(1, ncases + 1):
         for j in range(1, ncases + 1):
             if (i, j) not in lam_table:
@@ -574,13 +583,15 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: dict | None = None,
                 lam = parse_rational(lam_table[(i, j)])
                 if (i, lam) not in per_f:
                     f = build_f(i, lam, wset)
-                    per_f[(i, lam)] = (ratio_hull(i, f, wset), *pattern_max(
+                    per_f[(i, lam)] = (tuple(ratio_hull(i, f, wset)), *pattern_max(
                         quantized_fn(f, pin) if compat else f, model))
             except ValueError as exc:  # a malformed lam, or one making f vanish
                 raise ValueError(f"pair {i},{j}: {exc}") from None
             hull, pf, pf_pat = per_f[(i, lam)]
-            g = build_g(j, hull, wset)
-            pg, pg_pat = pattern_max(quantized_fn(g, pin) if compat else g, model)
+            if (hull, j) not in per_g:
+                g = build_g(j, hull, wset)
+                per_g[(hull, j)] = pattern_max(quantized_fn(g, pin) if compat else g, model)
+            pg, pg_pat = per_g[(hull, j)]
             entries[(i, j)] = PairEntry(i=i, j=j, lam=lam, pf=pf, pg=pg,
                                         product=pf * pg,
                                         pf_pattern=pf_pat, pg_pattern=pg_pat)

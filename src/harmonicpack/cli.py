@@ -285,10 +285,11 @@ def cmd_weights(args) -> int:
 
 def _load_lambda(path, ncases: int) -> dict:
     """The raw mixing weights of a JSON file, either a nested array (row i,
-    column j) or an object keyed "i,j"; it holds exactly the case pairs."""
+    column j) or an object keyed "i,j"; it holds exactly the case pairs.  A
+    number is kept as the text written, so it is read as exactly as a string."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=str, parse_int=str)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"lambda table {path}: {exc}") from None
     table = {}

@@ -98,7 +98,7 @@ def parse_pair(token: str) -> tuple:
                            denominator=sum(map(str.isdecimal, q)))
         raise
     if not q:  # "1/0" is malformed input, not an arithmetic fault
-        raise ValueError(f"zero denominator in {token!r}")
+        raise ValueError(f"zero denominator in {shown(token)}")
     return p, q
 
 

@@ -31,6 +31,25 @@ def random_fn(rnd, ntypes, tail=Fraction(38, 37)):
                        den=1000, tail_slope=tail)
 
 
+def random_model(rnd, ntypes):
+    """A model whose sizes p/q (q in 2..60, p up to q/2, so 1/2 down to 1/60
+    and pairs such as 2/4 among them) are drawn apart from the type index,
+    with caps 1..6 and 0..3 cut rows over 2..4 types, their coefficients and
+    right sides integer or fractional."""
+    sizes = []
+    for _ in range(ntypes):
+        q = rnd.randint(2, 60)
+        sizes.append(Fraction(rnd.randint(1, q // 2), q))
+    cuts = []
+    for c in range(rnd.randint(0, 3)):
+        support = rnd.sample(range(1, ntypes + 1), rnd.randint(2, 4))
+        cuts.append(LinearCut.make(f"row_{c}", {m: rnd.choice((1, 2, 3, "3/2", "0.7"))
+                                                for m in support},
+                                   rnd.choice((2, 3, 5, "7/2", "4.5"))))
+    return PatternModel(sizes=(None, *sizes), caps=(None, *(rnd.randint(1, 6) for _ in sizes)),
+                        constraints=tuple(cuts))
+
+
 def exact_g(i, j, f, wset):
     """The exact g of the pair (i, j), whose f is ``f``."""
     return build_g(j, ratio_hull(i, f, wset), wset)
@@ -270,6 +289,20 @@ class TestRatioHull:
         assert len(hulls) == len({(i, lam) for (i, _), lam in lams.items()}) < 49
         if seed is None:
             assert len(hulls) == 37 and all(len(h) == 2 for h in hulls)
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
+    def test_one_solve_per_distinct_g(self, wset, monkeypatch, seed, mode):
+        # g depends on f's hull and j alone: the tuned table's rows 2, 3 and 4
+        # share hulls, so its 49 g's are 36 solves beside the 37 f's; a
+        # seeded table shares none
+        lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
+        solve, calls = pattern_max, []
+        monkeypatch.setattr(boundcert, "pattern_max", lambda fn, model: calls.append(
+            fn) or solve(fn, model))
+        ratio_certificate(wset, lam_table=lams, mode=mode)
+        fs = len({(i, lam) for (i, _), lam in lams.items()})
+        assert len(calls) == (37 + 36 if seed is None else fs + 49)
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
     def test_certificate_hulls_equal_the_monotone_chain(self, wset, monkeypatch, seed):
@@ -591,6 +624,27 @@ class TestSearchOracle:
         for model in (cut_model, cut_model.strict):
             for fn in fns:
                 assert pattern_max(fn, model) == _recursive_pattern_max(fn, model), fn
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_models(self, seed):
+        # sizes drawn apart from the type index, so a large item often comes
+        # after smaller ones in density order and the search skips it; caps
+        # 1..6 and 0..3 cut rows.  Uniform, tie-heavy and zero-tail
+        # functions, gains of both signs; on at most 10 types the value is
+        # the enumeration's as well
+        rnd = random.Random(900 + seed)
+        for _ in range(12):
+            model = random_model(rnd, rnd.randint(5, 40))
+            n = model.ntypes
+            fns = [random_fn(rnd, n), random_fn(rnd, n, tail=Fraction(0))]
+            fns += [PiecewiseFn(nums=(None, *(rnd.randint(0, 5) for _ in range(n))),
+                                den=rnd.choice((1, 4)), tail_slope=tail)
+                    for tail in (Fraction(0), Fraction(3))]
+            for fn in fns:
+                got = pattern_max(fn, model)
+                assert got == _recursive_pattern_max(fn, model), (model, fn)
+                if n <= 10:
+                    assert got[0] == brute_force_max(fn, model)[0], (model, fn)
 
     def test_every_published_cut(self, table, model):
         # the function of each cut that cut_max_lhs maximizes on the model's

@@ -93,6 +93,9 @@ class TestInputErrors:
         # a sign sends the token through Fraction's parser, which raises
         # ZeroDivisionError: it is named as the bare "1/0" is
         ("pack1d --input {dir}/signed_zero_den.txt", "zero denominator in '+1/0'"),
+        # a long token is cut short in the middle, its end kept
+        ("pack1d --input {dir}/long_zero_den.txt",
+         f"zero denominator in '{'1' * 18}...{'1' * 17}/0'"),
         # a number of more than 40 digits is named by its digit count
         ("pack2d --input {dir}/too_thin.txt",
          "width with a 1-digit numerator and a 401-digit denominator lies below "
@@ -179,7 +182,7 @@ class TestInputErrors:
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
             "lambda-number", "lambda-string", "lambda-bad-key", "zero-denominator",
-            "signed-zero-denominator",
+            "signed-zero-denominator", "zero-denominator-4000-digits",
             "width-below-depth-floor", "height-below-depth-floor",
             "width-unreduced-below-depth-floor", "width-4001-digits-below-depth-floor", "rectangle-side-42-digits",
             "sh-size-42-digits", "harmonic-size-42-digits", "sh-size-40-digits",
@@ -198,6 +201,7 @@ class TestInputErrors:
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
         (tmp_path / "signed_zero_den.txt").write_text("1/2\n+1/0\n")
+        (tmp_path / "long_zero_den.txt").write_text(f"1/2\n{'1' * 4000}/0\n")
         (tmp_path / "too_thin.txt").write_text("1e-400 1/2\n")
         (tmp_path / "too_flat.txt").write_text("1/2 1e-400\n")
         (tmp_path / "too_thin_unreduced.txt").write_text(f"1{'0' * 41}/1{'0' * 441} 1/2\n")
@@ -773,6 +777,22 @@ class TestBoundCommand:
             assert Fraction(summary.rpartition("=")[2]) == six(cert.bound)
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("lam", ["0.55000000000000000001", "1e-4299"])
+    def test_lambda_number_reads_as_its_string(self, tmp_path, capsys, lam):
+        # a lambda written as a JSON number is read from the digits as
+        # written, as the same lambda written as a string, and not as the
+        # float they round to (0.55, and 0.0, which f refuses)
+        outputs = []
+        for value in (lam, f'"{lam}"', f'"{float(lam)!r}"'):
+            path = tmp_path / "lam.json"
+            path.write_text("{" + ", ".join(
+                f'"{i},{j}": ' + (value if (i, j) == (7, 1) else '"0.5"')
+                for i in range(1, 8) for j in range(1, 8)) + "}")
+            outputs.append((main(["bound", "--lambda-file", str(path)]),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1] != outputs[2]
+        assert outputs[0][0] == 0
 
     def test_delta_scales_bound(self, capsys, wset):
         # --delta divides the overall bound by (1 - delta); the table stays

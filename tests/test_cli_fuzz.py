@@ -225,8 +225,8 @@ def test_every_run_ends_in_a_documented_way(tokens, content):
 # -- bound: lambda tables mutated from the tuned one
 
 # lambda entries as JSON text: valid; at the ends of [0, 1]; past float's
-# range (the number 1e-4299 reads as the float 0) and at and past the
-# reader's digit limit; out of range; and not numbers
+# range (a number is read from its digits, as a string is) and at and past
+# the reader's digit limit; out of range; and not numbers
 LAMBDAS = ['"0.5"', "0.55", '"1/3"', "0", "1", '"1"', "1e-320", '"1e-320"', "1e-4299",
            '"1e-4299"', "1e-4300", '"1e-4300"', '"-1/2"', '"3/2"', "-0.5", "1.5", "true",
            "null", '"x"', "[0.5]"]

@@ -10,7 +10,7 @@ from harmonicpack.generators import rectangle
 from harmonicpack.harmonic import harmonic_type
 from harmonicpack.pack2d import TensorRun, TinyGrid
 from harmonicpack.params import (ParamTable, builtin_shplus, middle_red_fraction,
-                                 parse_pair, parse_rational, validate)
+                                 parse_pair, parse_rational, shown, validate)
 
 # (i, beta_i, varphi_i, gamma_i) of the published table's rows 1..20 and 50
 PUBLISHED_DERIVED = [
@@ -281,7 +281,7 @@ def _fraction_reader(x):
     try:
         return Fraction(str(x))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {x!r}") from None
+        raise ValueError(f"zero denominator in {shown(x)}") from None
 
 
 def _outcome(reader, x):
