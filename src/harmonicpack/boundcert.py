@@ -35,10 +35,10 @@ cases i, j of the 1D weighting set,
 so that W(x, y) <= f(y) g(x) pointwise and the single-bin weight of W is at
 most P(f) P(g).  Both f and g are piecewise constant on the type intervals
 with a linear tail; the supremum over y is a maximum of dot products with 51
-points (each interval plus the tail, where the linear slopes cancel), taken
-over the vertices of their upper-right convex hull, which gift wrapping finds
-on the points' own small integers, as homogeneous triples (X, Y, W), with no
-common scale and no sort.  W_H and the case weights W^c are read from
+points (each interval plus the tail, where the linear slopes cancel).  They
+all lie on the segment lam*y + (1-lam)*x = 1/2, so the maximum is taken over
+its two ends, homogeneous integer triples (X, Y, W) of two types that do not
+depend on lam.  W_H and the case weights W^c are read from
 :class:`~harmonicpack.weighting.WeightFunctionSet` as integers over its one
 denominator; this module derives no weight itself.
 From there to :func:`pattern_max` a function stays integers over one
@@ -71,6 +71,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import ceil, gcd, lcm
+from operator import mul
 
 from .params import Frozen, ParamTable, builtin_shplus, on_one_denominator, parse_rational
 from .weighting import WeightFunctionSet
@@ -124,66 +125,45 @@ def build_f(case: int, lam: Fraction, wset: WeightFunctionSet) -> PiecewiseFn:
                        den=q * D, tail_slope=wset.tail_slope)
 
 
-def _upper_right_hull(points) -> list:
-    """Hull vertices that can maximise a direction (a > 0, b >= 0), for
-    homogeneous points (X, Y, W), W > 0, standing for (X/W, Y/W): gift
-    wrapping from the rightmost point, the highest of ties.  Each step moves
-    to the point above the current one with no point above it beyond the edge
-    (the sign of a 3x3 determinant), the farthest of collinear ones, and the
-    chain stops where no point is higher."""
-    c = points[0]
-    for p in points:
-        d = p[0] * c[2] - c[0] * p[2]
-        if d > 0 or d == 0 and p[1] * c[2] > c[1] * p[2]:
-            c = p
-    hull = [c]
-    while True:
-        X, Y, W = c
-        q = None
-        for r in points:
-            if r[1] * W <= Y * r[2]:
-                continue  # not above c
-            if q is not None:
-                # det(c, q, r) = r . (c x q): below zero, r lies beyond c -> q
-                s = r[0] * a + r[1] * b + r[2] * e
-                if s > 0 or s == 0 and r[1] * q[2] <= q[1] * r[2]:
-                    continue
-            q = r
-            a, b, e = Y * q[2] - W * q[1], W * q[0] - X * q[2], X * q[1] - Y * q[0]
-        if q is None:
-            return hull
-        hull.append(q)
-        c = q
-
-
-def ratio_hull(case_i: int, f: PiecewiseFn, wset: WeightFunctionSet) -> list:
-    """The upper-right hull of the 51 ratio points of ``f``, the strictly
-    positive mix :func:`build_f` gives for ``case_i``, as homogeneous integer
-    triples (X, Y, W).  For y in interval n, W(x,y) / f(y) is the dot product
-    of (W_H(x), W^j(x)) with the point (B^i_n, H_n) / (2 f_n); with the
-    weights integers over D and f_n = u_n/F that is (B^i_n F, H_n F, 2 D u_n).
-    For a tail y the linear slopes cancel and the point is (1, 1, 2).  Only
-    the vertices can attain the supremum g, whatever the case j."""
-    D, F, h = wset.den, f.den, wset.height
-    fv = f.nums[1:len(h)]
-    if any(u <= 0 for u in fv) or f.tail_slope <= 0:
+def ratio_hull(case_i: int, lam: Fraction, wset: WeightFunctionSet) -> tuple:
+    """The upper-right hull of the 51 ratio points of f = :func:`build_f`
+    (case_i, lam), whose vertices alone can attain the supremum g, whatever the
+    case j: homogeneous integer triples (X, Y, W), the rightmost first.  For y
+    in interval n, W(x,y) / f(y) is the dot product of (W_H(x), W^j(x)) with
+    (B^i_n, H_n) / (2 f_n); with the weights integers over D and f_n = u_n/F
+    that is (B^i_n F, H_n F, 2 D u_n), and (1, 1, 2) for a tail y, where the
+    linear slopes cancel.  With lam = p/q each point has 2(pY + (q-p)X) = qW:
+    all lie on the segment lam*y + (1-lam)*x = 1/2, whose ends, the least and
+    the greatest H_n / B^i_n, are the weight set's ``ratio_ends``.  Both are
+    vertices, except at lam = 0, where they tie in x and the higher is, and at
+    lam = 1, where they tie in y and the right one is.  f must be strictly
+    positive: lam = 0 on a case with a zero weight is refused."""
+    if not 0 <= lam <= 1:
+        raise ValueError("lam must lie in [0, 1]")
+    D, p, q, h, b = wset.den, lam.numerator, lam.denominator, wset.height, wset.rows[case_i]
+    if not p and not all(b[1:]):
         raise ValueError("f must be strictly positive to form the ratio g")
-    return _upper_right_hull([(1, 1, 2)] + [
-        (b * F, hn * F, 2 * D * u) for b, hn, u in zip(wset.rows[case_i][1:], h[1:], fv)])
+    lo, hi = wset.ratio_ends[case_i]
+    ends = (hi,) if not p else (lo,) if p == q or lo == hi else (lo, hi)
+    F = q * D
+    return tuple((b[n] * F, h[n] * F, 2 * D * (p * h[n] + (q - p) * b[n])) if n else (1, 1, 2)
+                 for n in ends)
 
 
-def build_g(case_j: int, hull: list, wset: WeightFunctionSet) -> PiecewiseFn:
+def build_g(case_j: int, hull: tuple, wset: WeightFunctionSet) -> PiecewiseFn:
     """Supremum-ratio partner of f, g(x) = sup_y W(x,y) / f(y), from f's
     :func:`ratio_hull`: on interval m the largest dot product of a vertex with
     (W_H(x), W^j(x)) = (H_m, B^j_m), and on the tail, where both are
     x/(1-eps), the direction (1, 1) gives g's exact slope.  On V = lcm of the
-    vertices' W the products are integers over D*V; g keeps them divided by
-    their common gcd, on its reduced denominator."""
+    vertices' W the products are integers over D*V, one column per vertex, and
+    g takes their elementwise max, divided by the common gcd, on its reduced
+    denominator."""
     V = lcm(*(w for _, _, w in hull))
     vertices = [(x * (V // w), y * (V // w)) for x, y, w in hull]
     D, slope = wset.den, wset.tail_slope
-    nums = [max(hm * x + b * y for x, y in vertices)
-            for hm, b in zip(wset.height[1:], wset.rows[case_j][1:])]
+    h, b = wset.height[1:], wset.rows[case_j][1:]
+    cols = [[hm * x + bm * y for hm, bm in zip(h, b)] for x, y in vertices]
+    nums = [*map(max, *cols)] if len(cols) > 1 else cols[0]
     c = gcd(D * V, *nums)
     return PiecewiseFn(nums=(None, *(n // c for n in nums)), den=D * V // c,
                        tail_slope=Fraction(slope.numerator * max(x + y for x, y in vertices),
@@ -245,9 +225,10 @@ class PatternModel(Frozen):
 
     @cached_property
     def solver(self) -> tuple:
-        """(caps, var_rows, dens) for :func:`pattern_max`, per type m: its cap
-        min(caps[m], CAP // S[m]), the (row, coeff) pairs of the grid's rows it
-        is in, and P // S[m] for one common multiple P of all sizes S."""
+        """For :func:`pattern_max`, per type m: (m, S[m], its cap
+        c = min(caps[m], CAP // S[m]), S[m] * c, P // S[m] for one common
+        multiple P of all sizes S, and the (row, coeff) pairs of the grid's
+        rows it is in)."""
         (_, *S), CAP, _, rows = self.grid
         var_rows = [[] for _ in S]
         for ci, (_, coeffs) in enumerate(rows):
@@ -255,8 +236,9 @@ class PatternModel(Frozen):
                 if m <= len(S):
                     var_rows[m - 1].append((ci, c))
         P = lcm(*S)
-        return ((None, *(min(c, CAP // s) for c, s in zip(self.caps[1:], S))),
-                (None, *var_rows), (None, *(P // s for s in S)))
+        caps = [min(c, CAP // s) for c, s in zip(self.caps[1:], S)]
+        return tuple(zip(range(1, len(S) + 1), S, caps, map(mul, S, caps),
+                         (P // s for s in S), var_rows))
 
     @cached_property
     def strict(self) -> "PatternModel":
@@ -346,37 +328,36 @@ def pattern_max(fn: PiecewiseFn, model: PatternModel):
     as branching follows a fixed order), multiplied through by the size of
     its fractional variable.  Every comparison, the density sort's too, is the
     rational one times a positive integer: the argmax and its ties are unchanged.
+    One sorted pass over :attr:`PatternModel.solver` sets up the candidates, the
+    types of positive gain that fit, in density order (with none: the tail, {}).
     The search loops over a stack of (idx, rem, obj) frames, one per node with
-    children left, its branch value in x[idx], on :attr:`PatternModel.solver`;
-    x[idx:] is zero at every node.  A node is counted where it is visited, at
-    the top of the loop.  One whose remaining capacity is below every size from
-    idx on is a leaf; any other skips the candidates too large for it (no nodes:
-    they could not change the best, and their greedy bounds are no smaller),
-    then is bounded and branches at the first candidate that fits.
+    children left, its branch value in x[idx]; x[idx:] is zero at every node.
+    A node is counted where it is visited, at the top of the loop.  One whose
+    remaining capacity is below every size from idx on is a leaf; any other
+    skips the candidates too large for it (no nodes: they could not change the
+    best, and their greedy bounds are no smaller), then is bounded and branches
+    at the first candidate that fits.
     """
     if fn.ntypes < model.ntypes:
         raise ValueError("weight function does not cover all model types")
     R = fn.tail_slope
-    S, CAP, G, rows = model.grid
-    mcaps, mrows, dens = model.solver
+    _, CAP, G, rows = model.grid
     # gain of type m: values[m] - sizes[m]*R = (nums[m]*(L/den) - S[m]*r) / L,
     # where R/G = r/L
     L = lcm(fn.den, R.denominator * G)
-    r, per = R.numerator * (L // (R.denominator * G)), L // fn.den
-    gains = {m: fn.nums[m] * per - S[m] * r for m in range(1, model.ntypes + 1)}
-    # density order, ties broken by type index: gain/size is gain*dens[m]/P
-    cand = [m for _, m in sorted((-g * dens[m], m) for m, g in gains.items()
-                                 if g > 0 and S[m] <= CAP)]
+    r, per, nums = R.numerator * (L // (R.denominator * G)), L // fn.den, fn.nums
+    # density order, ties broken by type index: gain/size is gain*dens/P
+    order = sorted([(-g * dens, m, g, s, c, sc, var) for m, s, c, sc, dens, var in model.solver
+                    if (g := nums[m] * per - s * r) > 0 and s <= CAP])
+    _, cand, gain, sizes, caps, at_cap, var_cons = zip(*order) if order else ((),) * 7
     ncand = len(cand)
-    caps = [mcaps[m] for m in cand]
-    sizes = [S[m] for m in cand]
-    gain = [gains[m] for m in cand]
-    var_cons = [mrows[m] for m in cand]  # the constraint rows of each candidate
 
     # prefix sums over candidate order for the greedy bound
-    PS = [0, *accumulate(s * c for s, c in zip(sizes, caps))]
-    PW = [0, *accumulate(w * c for w, c in zip(gain, caps))]
-    least = [*accumulate(reversed(sizes), min, initial=CAP + 1)][::-1]  # min(sizes[t:])
+    PS = [0, *accumulate(at_cap)]
+    PW = [0, *accumulate(map(mul, gain, caps))]
+    least, lo = [CAP + 1] * (ncand + 1), CAP + 1  # least[t] = min(sizes[t:])
+    for t in range(ncand - 1, -1, -1):
+        lo = least[t] = sizes[t] if sizes[t] < lo else lo
 
     best_val = 0
     best_pat: dict = {}
@@ -583,7 +564,7 @@ def ratio_certificate(wset: WeightFunctionSet, lam_table: dict | None = None,
                 lam = parse_rational(lam_table[(i, j)])
                 if (i, lam) not in per_f:
                     f = build_f(i, lam, wset)
-                    per_f[(i, lam)] = (tuple(ratio_hull(i, f, wset)), *pattern_max(
+                    per_f[(i, lam)] = (ratio_hull(i, lam, wset), *pattern_max(
                         quantized_fn(f, pin) if compat else f, model))
             except ValueError as exc:  # a malformed lam, or one making f vanish
                 raise ValueError(f"pair {i},{j}: {exc}") from None

@@ -364,9 +364,8 @@ def solver_trials(table, wset) -> tuple:
     fns = [boundcert.PiecewiseFn(nums=(None, *(rnd.randint(0, 2000) for _ in range(n))),
                                  den=1000, tail_slope=wset.tail_slope)
            for rnd in map(random.Random, range(5))]
-    lam = boundcert.TUNED_LAMBDA[(6, 1)]
-    f = boundcert.build_f(6, lam, wset)
-    fns.append(boundcert.build_g(1, boundcert.ratio_hull(6, f, wset), wset))
+    hull = boundcert.ratio_hull(6, boundcert.TUNED_LAMBDA[(6, 1)], wset)
+    fns.append(boundcert.build_g(1, hull, wset))
     fns.append(boundcert.PiecewiseFn.from_values(
         ({7: 2, 15: 1}.get(m, 0) for m in range(1, n + 1)), tail_slope=Fraction(0)))
     return model, fns

@@ -96,7 +96,8 @@ def parse_pair(token: str) -> tuple:
     except ValueError:  # int() refuses more than the limit: name the part
         _refuse_over_limit(numerator=sum(map(str.isdecimal, p)),
                            denominator=sum(map(str.isdecimal, q)))
-        raise
+        # else Fraction refused the form, in a message that repeats it whole
+        raise ValueError(f"Invalid literal for Fraction: {shown(token)}") from None
     if not q:  # "1/0" is malformed input, not an arithmetic fault
         raise ValueError(f"zero denominator in {shown(token)}")
     return p, q

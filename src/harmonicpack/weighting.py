@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from operator import mul
 
 from .harmonic import height_index
@@ -99,6 +99,12 @@ class WeightFunctionSet:
                     f"breakpoint 1/{beta[m] + 1} falls inside")
         return (None, *(self.den // beta[m] for m in range(1, self.table.k + 1)))
 
+    @cached_property
+    def ratio_ends(self) -> tuple:
+        """ratio_ends[c] = :func:`_end_types` of case c, found at the first
+        ratio hull the weight set builds, once for every lam."""
+        return (None, *(_end_types(self.height, row) for row in self.rows[1:]))
+
     def w(self, size: Fraction, case: int) -> Fraction:
         """Weight of an item of ``size`` under ``case`` (w_sh)."""
         if not 1 <= case <= self.num_cases:
@@ -121,6 +127,18 @@ class WeightFunctionSet:
         tail = tail_mass * self.tail_slope
         return [None, *(Fraction(sum(map(mul, counts, row[1:])), den) + tail
                         for row in self.rows[1:])]
+
+
+def _end_types(height: tuple, row: tuple) -> tuple:
+    """(lo, hi): the types n with the least and the greatest H_n / B_n over
+    ``height`` and one case ``row`` (both 1-based), the first of ties, and 0
+    for the tail, whose ratio is 1, before them.  Ratios are compared by
+    cross-multiplication, so a zero B_n counts as +infinity.  Every ratio
+    point of a mix of W_H and the case lies on one segment, whose ends these
+    are, whatever the mix (see ``boundcert.ratio_hull``)."""
+    pairs = [(1, 1), *zip(height[1:], row[1:])]
+    ratio = cmp_to_key(lambda a, b: pairs[a][0] * pairs[b][1] - pairs[b][0] * pairs[a][1])
+    return min(range(len(pairs)), key=ratio), max(range(len(pairs)), key=ratio)
 
 
 class BoundReport(namedtuple("BoundReport", [

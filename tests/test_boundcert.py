@@ -7,9 +7,9 @@ from math import gcd, lcm
 
 import pytest
 
-from harmonicpack import boundcert
+from harmonicpack import boundcert, weighting
 from harmonicpack.boundcert import (LinearCut, PatternModel, PiecewiseFn,
-                                    TUNED_LAMBDA, _upper_right_hull, build_f, build_g,
+                                    TUNED_LAMBDA, build_f, build_g,
                                     brute_force_max, builtin_model_constraints,
                                     cut_max_lhs, pattern_max,
                                     quantized_fn, quantized_model,
@@ -50,9 +50,9 @@ def random_model(rnd, ntypes):
                         constraints=tuple(cuts))
 
 
-def exact_g(i, j, f, wset):
-    """The exact g of the pair (i, j), whose f is ``f``."""
-    return build_g(j, ratio_hull(i, f, wset), wset)
+def exact_g(i, j, lam, wset):
+    """The exact g of the pair (i, j) with the mixing weight ``lam``."""
+    return build_g(j, ratio_hull(i, lam, wset), wset)
 
 
 def seeded_lambda(seed):
@@ -123,7 +123,7 @@ class TestBuildG:
         from harmonicpack.pack2d import w2d
         lam = Fraction(1, 2)
         f = build_f(1, lam, wset)
-        g = exact_g(1, 1, f, wset)
+        g = exact_g(1, 1, lam, wset)
         rnd = random.Random(0)
         for _ in range(20000):
             x = Fraction(rnd.randint(1, 10 ** 6), 10 ** 6)
@@ -140,7 +140,7 @@ class TestBuildG:
         for (i, j) in ((1, 1), (2, 5), (7, 6), (6, 1)):
             lam = TUNED_LAMBDA[(i, j)]
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lam, wset)
             for x in probes:
                 gx = _eval(g, x, table)
                 for y in probes:
@@ -158,7 +158,7 @@ class TestBuildG:
         for (i, j), lam in TUNED_LAMBDA.items():
             Bi, Bj = wset.values[i], wset.values[j]
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lam, wset)
             for m in range(1, k + 1):
                 gm = g.values[m]
                 for n in range(1, k + 1):
@@ -171,8 +171,7 @@ class TestBuildG:
             assert ts <= g.tail_slope  # both coordinates in the tail
 
     def test_half_mix_tail_slope_is_common_value(self, wset):
-        f = build_f(1, Fraction(1, 2), wset)
-        g = exact_g(1, 1, f, wset)
+        g = exact_g(1, 1, Fraction(1, 2), wset)
         assert g.tail_slope == Fraction(38, 37)
 
     def test_exact_tail_exceeds_pinned_for_skewed_mix(self, wset):
@@ -180,7 +179,7 @@ class TestBuildG:
         # quantized_fn is given replaces g's exact one, which lies above it
         lam = TUNED_LAMBDA[(2, 5)]  # 0.565
         f = build_f(2, lam, wset)
-        g_exact = exact_g(2, 5, f, wset)
+        g_exact = exact_g(2, 5, lam, wset)
         g_compat = quantized_fn(g_exact, wset.tail_slope)
         assert g_compat.tail_slope == Fraction(38, 37)
         assert g_exact.tail_slope > g_compat.tail_slope
@@ -205,7 +204,7 @@ class TestBuildG:
                 points = [(Fraction(1, 2), Fraction(1, 2))] + [
                     (Bi[n] / (2 * f.values[n]), H[n] / (2 * f.values[n]))
                     for n in range(1, k + 1)]
-                g = exact_g(i, j, f, wset)
+                g = exact_g(i, j, lam, wset)
                 for m in range(1, k + 1):
                     cands = [H[m] * p + Bj[m] * q for p, q in points]
                     assert g.values[m] == max(cands), (lam, i, j, m)
@@ -221,7 +220,7 @@ class TestBuildG:
         D, h, w = wset.den, wset.height, wset.rows
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            vertices = ratio_hull(i, f, wset)
+            vertices = ratio_hull(i, lam, wset)
             assert all(0 <= v < 2 ** 160 for vertex in vertices for v in vertex), (i, j)
             g = build_g(j, vertices, wset)
             assert gcd(g.den, *g.nums[1:]) == 1, (i, j)
@@ -240,10 +239,10 @@ class TestBuildG:
             assert g.tail_slope == slope, (i, j)
 
     def test_requires_positive_f(self, wset):
-        f = build_f(7, Fraction(0), wset)  # case-7 weights vanish on types 2..7
+        # case-7 weights vanish on types 2..7, and so does f at lam = 0
         with pytest.raises(ValueError, match="^f must be strictly positive to form "
                                              "the ratio g$"):
-            ratio_hull(7, f, wset)
+            ratio_hull(7, Fraction(0), wset)
 
 
 def _reference_hull(points) -> list:
@@ -275,6 +274,15 @@ def _reference_vertices(points) -> list:
     return [(Fraction(x, L), Fraction(y, L)) for x, y in hull]
 
 
+def _ratio_points(i, lam, wset) -> list:
+    """The 51 ratio points of f = build_f(i, lam) as homogeneous integer
+    triples (X, Y, W): (1, 1, 2) for the tail, (B^i_n F, H_n F, 2 D u_n) for
+    interval n, f_n = u_n / F."""
+    f, D = build_f(i, lam, wset), wset.den
+    return [(1, 1, 2)] + [(b * f.den, h * f.den, 2 * D * u) for b, h, u
+                          in zip(wset.rows[i][1:], wset.height[1:], f.nums[1:])]
+
+
 class TestRatioHull:
     @pytest.mark.parametrize("seed,mode", [(None, "paper-compat"), (None, "exact"),
                                            (4, "exact")])
@@ -283,12 +291,27 @@ class TestRatioHull:
         # (i, lam): 37 hulls of two vertices each on the tuned table's 49 pairs
         lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
         hulls = []
-        monkeypatch.setattr(boundcert, "_upper_right_hull", lambda points: hulls.append(
-            _upper_right_hull(points)) or hulls[-1])
+        monkeypatch.setattr(boundcert, "ratio_hull", lambda i, lam, wset: hulls.append(
+            ratio_hull(i, lam, wset)) or hulls[-1])
         ratio_certificate(wset, lam_table=lams, mode=mode)
         assert len(hulls) == len({(i, lam) for (i, _), lam in lams.items()}) < 49
         if seed is None:
             assert len(hulls) == 37 and all(len(h) == 2 for h in hulls)
+
+    def test_end_types_found_once_per_case(self, table, monkeypatch):
+        # the two end types of each case are searched for at the first hull
+        # of the case, not when the weight set is built: 7 searches for a
+        # certificate, and none for the next one on the same weight set
+        searches = []
+        search = weighting._end_types
+        monkeypatch.setattr(weighting, "_end_types", lambda height, row: searches.append(
+            row) or search(height, row))
+        fresh = WeightFunctionSet(table)
+        assert searches == [] and "ratio_ends" not in vars(fresh)
+        ratio_certificate(fresh, mode="exact")
+        assert len(searches) == 7
+        ratio_certificate(fresh, lam_table=seeded_lambda(2), mode="paper-compat")
+        assert len(searches) == 7
 
     @pytest.mark.parametrize("seed", [None, 4])
     @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
@@ -305,37 +328,40 @@ class TestRatioHull:
         assert len(calls) == (37 + 36 if seed is None else fs + 49)
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
-    def test_certificate_hulls_equal_the_monotone_chain(self, wset, monkeypatch, seed):
-        # every ratio hull of the tuned table (37) and of four seeded ones
-        # has the oracle's vertices, in order, as rational points
+    def test_certificate_hulls_equal_the_monotone_chain(self, wset, seed):
+        # every ratio hull of the tuned table (37 of two vertices) and of four
+        # seeded ones has the oracle's vertices of its 51 points, in order, as
+        # rational points
         lams = TUNED_LAMBDA if seed is None else seeded_lambda(seed)
-        seen = []
-        monkeypatch.setattr(boundcert, "_upper_right_hull", lambda points: seen.append(
-            (points, _upper_right_hull(points))) or seen[-1][1])
+        hulls = []
         for i, lam in {(i, lam) for (i, _), lam in lams.items()}:
-            ratio_hull(i, build_f(i, lam, wset), wset)
-        assert len(seen) == (37 if seed is None else len({(i, lam) for (i, _), lam
-                                                           in lams.items()}))
-        for points, hull in seen:
+            points, hull = _ratio_points(i, lam, wset), ratio_hull(i, lam, wset)
             assert len(points) == 51
-            assert _rational(hull) == _reference_vertices(points)
+            assert _rational(hull) == _reference_vertices(points), (i, lam)
+            hulls.append(hull)
+        if seed is None:
+            assert len(hulls) == 37 and all(len(h) == 2 for h in hulls)
 
-    def test_random_hulls_equal_the_monotone_chain(self):
-        # coordinates from a small range and W in 1..6 make duplicates,
-        # collinear runs and ties in x and in y common
-        rnd = random.Random(33)
-        for _ in range(2500):
-            points = [(rnd.randint(0, 12), rnd.randint(0, 12), rnd.randint(1, 6))
-                      for _ in range(rnd.randint(3, 60))]
-            assert _rational(_upper_right_hull(points)) == _reference_vertices(points), points
-
-    def test_collinear_and_tied_points(self):
-        # the farthest of collinear points is kept, the start is the highest
-        # of the rightmost points, and a duplicate vertex appears once
-        points = [(2, 0, 1), (1, 1, 1), (0, 2, 1), (4, 0, 2), (2, 0, 2), (2, 2, 2)]
-        assert _rational(_upper_right_hull(points)) == [(2, 0), (0, 2)]
-        points = [(3, 0, 1), (3, 1, 1), (6, 2, 2), (1, 3, 1), (0, 3, 1)]
-        assert _rational(_upper_right_hull(points)) == [(3, 1), (1, 3)]
+    def test_ratio_points_lie_on_one_segment(self, wset):
+        # the fact ratio_hull rests on: with lam = p/q every ratio point
+        # (X, Y, W) has 2(pY + (q-p)X) = qW, so the hull is the segment's
+        # ends.  Every case on lam = 0, 7/1000, 14/1000, ..., on 1, on the
+        # tuned table and on four seeded ones; at lam = 0 case 7 has zero
+        # weights, and f vanishes
+        lams = {Fraction(k, 1000) for k in range(0, 1000, 7)} | {Fraction(1)}
+        for table in (TUNED_LAMBDA, *map(seeded_lambda, range(1, 5))):
+            lams.update(table.values())
+        for i in range(1, wset.num_cases + 1):
+            for lam in sorted(lams):
+                p, q = lam.numerator, lam.denominator
+                if (i, lam) == (7, 0):
+                    with pytest.raises(ValueError, match="^f must be strictly positive"):
+                        ratio_hull(i, lam, wset)
+                    continue
+                points = _ratio_points(i, lam, wset)
+                assert all(2 * (p * y + (q - p) * x) == q * w for x, y, w in points)
+                assert _rational(ratio_hull(i, lam, wset)) == _reference_vertices(points), \
+                    (i, lam)
 
 
 class TestHarmonicClosedForms:
@@ -391,7 +417,7 @@ class TestCriterion1Ties:
         # (7,7) P(f) lies one unit above the published value, and neither its
         # f nor the g of (7,1) has a tie to flip
         f = build_f(7, TUNED_LAMBDA[(7, 1)], wset)
-        assert self.ties(exact_g(7, 1, f, wset)) == set()
+        assert self.ties(exact_g(7, 1, TUNED_LAMBDA[(7, 1)], wset)) == set()
         f = build_f(7, TUNED_LAMBDA[(7, 7)], wset)
         assert self.ties(f) == set()
         value = pattern_max(quantized_fn(f, wset.tail_slope), quantized_model(model))[0]
@@ -447,7 +473,7 @@ class TestPatternMax:
         lams = seeded_lambda(1)
         for i, j in ((1, 6), (6, 1), (7, 7)):
             f = build_f(i, lams[(i, j)], wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lams[(i, j)], wset)
             for fn in (f, g):
                 assert lcm(*(v.denominator for v in fn.values[1:13])) > 10 ** 5
                 assert pattern_max(fn, model12)[0] == brute_force_max(fn, model12)[0]
@@ -603,7 +629,7 @@ class TestSearchOracle:
         for (i, j), lam in lams.items():
             if (i, lam) not in hulls:
                 f = build_f(i, lam, wset)
-                hulls[(i, lam)] = ratio_hull(i, f, wset)
+                hulls[(i, lam)] = ratio_hull(i, lam, wset)
                 fns.append(f)
             fns.append(build_g(j, hulls[(i, lam)], wset))
         assert len(fns) == 49 + len(hulls)
@@ -645,6 +671,16 @@ class TestSearchOracle:
                 assert got == _recursive_pattern_max(fn, model), (model, fn)
                 if n <= 10:
                     assert got[0] == brute_force_max(fn, model)[0], (model, fn)
+
+    def test_no_candidate_leaves_the_tail(self, model):
+        # no type gains over the tail, or none fits the bin: the value is the
+        # tail's alone and the pattern is empty
+        tail = Fraction(38, 37)
+        third = PatternModel(sizes=model.sizes[:8], caps=model.caps[:8],
+                             constraints=(), capacity=Fraction(1, 3))
+        for fn, sub in ((PiecewiseFn.from_values([0] * model.ntypes, tail), model),
+                        (PiecewiseFn.from_values([5] * 7, tail), third)):
+            assert pattern_max(fn, sub) == _recursive_pattern_max(fn, sub) == (tail, {})
 
     def test_every_published_cut(self, table, model):
         # the function of each cut that cut_max_lhs maximizes on the model's
@@ -790,7 +826,7 @@ class TestStrictModel:
         lower = 0
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lam, wset)
             ours = pattern_max(f, strict)[0] * pattern_max(g, strict)[0]
             published = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
             assert ours <= published, (i, j)
@@ -813,7 +849,7 @@ class TestStrictModel:
         fns = [random_fn(rnd, num_types) for _ in range(5)]
         for i, j in ((1, 6), (7, 7)):
             f = build_f(i, TUNED_LAMBDA[(i, j)], wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, TUNED_LAMBDA[(i, j)], wset)
             fns += [PiecewiseFn(nums=fn.nums[:num_types + 1], den=fn.den,
                                 tail_slope=fn.tail_slope) for fn in (f, g)]
         for fn in fns:
@@ -838,7 +874,7 @@ class TestIntegerFunctions:
                           for m in range(1, k + 1)))
             slope = ts * max(p + q for p, q in points) if mode == "exact" else ts
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lam, wset)
             if mode == "paper-compat":
                 f, g = quantized_fn(f, ts), quantized_fn(g, ts)
                 fv, gv = ((None, *(Fraction(round(v * 10 ** 6), 10 ** 6) for v in vs[1:]))
@@ -852,6 +888,17 @@ class TestIntegerFunctions:
         # solves of a seeded table build under 1,000 Fractions (over 5,000
         # with a Fraction per value)
         assert fraction_builds(ratio_certificate, wset, seeded_lambda(5), mode) < 1000
+
+
+def _certificate_digest(wset, lams) -> str:
+    """sha256 of both modes' certificates on ``lams``: every pair's lam, P(f),
+    P(g) and both argmax patterns."""
+    rows = []
+    for mode in ("paper-compat", "exact"):
+        for (i, j), e in ratio_certificate(wset, lam_table=lams, mode=mode).entries.items():
+            rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
+                         sorted(e.pf_pattern.items()), sorted(e.pg_pattern.items())))
+    return hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -897,30 +944,29 @@ class TestCertificate:
     def test_certificate_pinned_bit_for_bit(self, wset):
         # the exact Fractions and the argmax tie-breaking of both modes with
         # the tuned table, as the rational-arithmetic search first gave them
-        rows = []
-        for mode in ("paper-compat", "exact"):
-            for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
-                rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
-                             sorted(e.pf_pattern.items()),
-                             sorted(e.pg_pattern.items())))
-        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
-        assert digest == ("4c4a9b62dfd6d6243f3e5cca938a9e41"
-                          "0702197a4135f806e6d02c28bf7017e3")
+        assert _certificate_digest(wset, TUNED_LAMBDA) == (
+            "4c4a9b62dfd6d6243f3e5cca938a9e41"
+            "0702197a4135f806e6d02c28bf7017e3")
 
     def test_certificate_pinned_bit_for_bit_seeded_lambda(self, wset):
         # as above on a λ table where almost every pair has its own f: each
         # tuned entry moved by a seeded multiple of 1/1000 in [-0.03, 0.03],
         # as the rational-arithmetic search first gave them
-        rows = []
-        for mode in ("paper-compat", "exact"):
-            cert = ratio_certificate(wset, lam_table=seeded_lambda(1), mode=mode)
-            for (i, j), e in cert.entries.items():
-                rows.append((mode, i, j, str(e.lam), str(e.pf), str(e.pg),
-                             sorted(e.pf_pattern.items()),
-                             sorted(e.pg_pattern.items())))
-        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
-        assert digest == ("7a2d2a19cb94e04bb996fa5b9526e45a"
-                          "c9f9f9ed1609c5b8d90ae3aa1dfb4da1")
+        assert _certificate_digest(wset, seeded_lambda(1)) == (
+            "7a2d2a19cb94e04bb996fa5b9526e45a"
+            "c9f9f9ed1609c5b8d90ae3aa1dfb4da1")
+
+    @pytest.mark.parametrize("mix,want", [
+        ("one", "009eee6540f7cf793de88abde665b8b6d3fac90a4073f4c60745fcb521f8d1e2"),
+        ("zero", "c489161dc6edbfc726d37ae4ff0f32cc239dc51b534d684bf1e58c67f14f9ebe")])
+    def test_certificate_pinned_bit_for_bit_degenerate_mixes(self, wset, mix, want):
+        # the mixes whose ratio points lie on a horizontal line (lam = 1, f =
+        # W_H) and on a vertical one (lam = 0 on rows 1-6; case 7 has zero
+        # weights, so its row keeps the tuned lam), as gift wrapping the 51
+        # points gave them: each hull there has one vertex
+        lams = {(i, j): Fraction(1) if mix == "one" else Fraction(0) if i <= 6 else lam
+                for (i, j), lam in TUNED_LAMBDA.items()}
+        assert _certificate_digest(wset, lams) == want
 
     @pytest.mark.parametrize("mode", ["paper-compat", "exact"])
     def test_every_witness_is_feasible_and_attains_its_value(self, wset, table, mode):
@@ -934,7 +980,7 @@ class TestCertificate:
         constraints = (*model.constraints, *builtin_model_constraints(table))
         for (i, j), e in ratio_certificate(wset, mode=mode).entries.items():
             f = build_f(i, e.lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, e.lam, wset)
             if compat:
                 f, g = quantized_fn(f, wset.tail_slope), quantized_fn(g, wset.tail_slope)
             for fn, value, pat in ((f, e.pf, e.pf_pattern), (g, e.pg, e.pg_pattern)):
@@ -957,7 +1003,7 @@ class TestCertificate:
         prods = {}
         for (i, j), lam in TUNED_LAMBDA.items():
             f = build_f(i, lam, wset)
-            g = exact_g(i, j, f, wset)
+            g = exact_g(i, j, lam, wset)
             prods[(i, j)] = pattern_max(f, sound)[0] * pattern_max(g, sound)[0]
         retained = {(i, j): min(prods[(i, j)], prods[(j, i)])
                     for i in range(1, 8) for j in range(i, 8)}

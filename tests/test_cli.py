@@ -178,6 +178,12 @@ class TestInputErrors:
         ("bound --lambda-file {dir}/long_j.json",
          "long_j.json: pair 1,777777777777777777...7777777777777777777 lies outside "
          "the 7 x 7 case pairs"),
+        # a malformed token is cut short in the middle, not repeated whole
+        ("pack1d --input {dir}/malformed.txt",
+         f"Invalid literal for Fraction: '{'1' * 18}...{'1' * 18}x'"),
+        ("bound --lambda-file {dir}/lambda_malformed.json",
+         f"lambda_malformed.json: pair 2,3: Invalid literal for Fraction: "
+         f"'{'1' * 18}...{'1' * 18}x'"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -196,7 +202,8 @@ class TestInputErrors:
             "gen-2d-n-10-to-the-12", "sh-k", "default-algorithm-k",
             "sh-numerator-4301-digits", "harmonic-denominator-4301-digits",
             "rectangle-numerator-4301-digits", "rectangle-denominator-4302-digits",
-            "bound-delta-301-digits", "lambda-key-5002-characters", "lambda-j-500-digits"])
+            "bound-delta-301-digits", "lambda-key-5002-characters", "lambda-j-500-digits",
+            "malformed-token-1001-characters", "lambda-malformed-1001-characters"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -227,9 +234,11 @@ class TestInputErrors:
         (tmp_path / "number.json").write_text("5")
         (tmp_path / "string.json").write_text('"abc"')
         (tmp_path / "bad_key.json").write_text('{"1,2,3": "0.5"}')
+        (tmp_path / "malformed.txt").write_text(f"1/2\n{'1' * 1000}x\n")
         for name, ij, lam in (("lambda_true", "3,4", True),
                               ("lambda_above_one", "2,5", "1.5"),
-                              ("lambda_zero", "7,7", 0)):
+                              ("lambda_zero", "7,7", 0),
+                              ("lambda_malformed", "2,3", "1" * 1000 + "x")):
             (tmp_path / f"{name}.json").write_text(json.dumps(
                 {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)} | {ij: lam}))
         (tmp_path / "long_key.json").write_text(json.dumps({"1," + "9" * 5000: "0.5"}))

@@ -265,11 +265,14 @@ def test_paper_compat_has_one_home():
 
 
 def test_ratio_hull_has_one_home():
-    # f's ratio hull is built in ratio_hull alone, once per (i, lam), on the
-    # points' own integers: no lcm puts them on a common scale there
-    assert _homes(_calls("_upper_right_hull")) == ["boundcert.ratio_hull"]
-    assert not {"boundcert.ratio_hull", "boundcert._upper_right_hull"} & set(
-        _homes(_calls("lcm")))
+    # f's ratio hull is built in ratio_hull alone, from the end types that the
+    # weight set searches for once per case, on the points' own integers: no
+    # lcm puts them on a common scale there
+    assert _homes(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "ratio_ends") == ["boundcert.ratio_hull"]
+    assert _homes(_calls("_end_types")) == ["weighting.WeightFunctionSet.ratio_ends"]
+    assert not {"boundcert.ratio_hull", "weighting.WeightFunctionSet.ratio_ends",
+                "weighting._end_types"} & set(_homes(_calls("lcm")))
 
 
 def _package_imports(tree) -> set:
