@@ -91,14 +91,23 @@ def _instance_from_args(args, dims: int) -> generators.Instance:
     return generators.generate(spec)
 
 
-def _at_least(least: int):
-    """argparse type: an integer no smaller than ``least``."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+def _integer(least=None, most=None):
+    """argparse type: an integer, as int() reads it, in [least, most] (None
+    leaves that end open); a refusal names the value through ``params.shown``."""
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # malformed, or past int()'s digit limit
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {params.shown(text)}") from None
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {params.shown(value)}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {most}, got {params.shown(value)}")
         return value
-    return count
+    return integer
 
 
 def _add_instance_args(sub, with_input: bool = True):
@@ -108,9 +117,9 @@ def _add_instance_args(sub, with_input: bool = True):
         sub.set_defaults(input=None)
     sub.add_argument("--kind", default="uniform",
                      choices=["uniform", "harmonic-adversarial", "tiled-known-opt"])
-    sub.add_argument("--n", type=_at_least(0), default=1000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--bins", type=_at_least(1), default=10,
+    sub.add_argument("--n", type=_integer(0), default=1000)
+    sub.add_argument("--seed", type=_integer(), default=0)
+    sub.add_argument("--bins", type=_integer(1), default=10,
                      help="bins for tiled-known-opt")
 
 
@@ -432,13 +441,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gen", help="write a deterministic instance file")
     _add_instance_args(p, with_input=False)
-    p.add_argument("--dims", type=int, default=1, choices=[1, 2])
+    p.add_argument("--dims", type=_integer(1, 2), default=1, metavar="{1,2}")
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("pack1d", help="run a 1D packer")
     p.add_argument("--algorithm", default="sh+", choices=["harmonic", "sh+"])
-    p.add_argument("--k", type=int,
+    p.add_argument("--k", type=_integer(),
                    help=f"harmonic index, for --algorithm harmonic (default {_HARMONIC_K})")
     _add_instance_args(p)
     p.add_argument("--verify", action="store_true")

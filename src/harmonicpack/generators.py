@@ -21,8 +21,9 @@ Kinds:
     squares in 2D. The optimal cost equals ``bins`` and is recorded.
   * ``file`` -- read from ``path`` (one size, or "w h", per line; ``#``
     comments).  Every token becomes an integer pair by ``params.parse_pair``,
-    so "2/4" reads as (2, 4), and a line "w h" becomes the ``rectangle`` of
-    its two pairs.  The file is read in chunks of whole lines (about 64 KiB
+    so "2/4" reads as (2, 4) and any form ``Fraction`` reads, "0.5e-3" say,
+    in lowest terms, and a line "w h" becomes the ``rectangle`` of its two
+    pairs.  The file is read in chunks of whole lines (about 64 KiB
     each), never whole.  A plain chunk, the format ``gen`` writes, has only
     ASCII tokens digits[/digits], exactly one (1D) or two (2D) a line, one
     space apart, and "\\n" line ends, with no blank, padded or comment line;
@@ -43,7 +44,8 @@ from the JSON integers, zipped in place, so no list of pairs is built.
 
 A generated instance holds at most ``_MAX_ITEMS`` (10^7) items or
 ``_MAX_RECTANGLES`` (3 * 10^6) rectangles; a larger count is refused before
-any item is made.  Files are not capped.
+any item is made, in a line that cuts a count of more than 40 digits short.
+Files are not capped.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from itertools import chain, cycle, islice, repeat
 from math import gcd
 from time import perf_counter
 
-from .params import named, parse_pair, parse_rational
+from .params import named, parse_pair, parse_rational, shown
 
 GRID = 10 ** 6
 
@@ -243,7 +245,7 @@ def _check_count(count: int, dims: int) -> None:
     ``_MAX_RECTANGLES`` rectangles."""
     most, what = (_MAX_ITEMS, "items") if dims == 1 else (_MAX_RECTANGLES, "rectangles")
     if count > most:
-        raise ValueError(f"an instance of {count} {what} exceeds the cap of {most}")
+        raise ValueError(f"an instance of {shown(count)} {what} exceeds the cap of {most}")
 
 
 def generate(spec: InstanceSpec) -> Instance:

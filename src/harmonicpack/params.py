@@ -24,22 +24,24 @@ A type that makes no red items (``alpha[i] = 0``), or whose items fit no
 reserved space, has ``varphi[i] = gamma[i] = 0``.
 
 All entries are exact rationals; decimal literals such as ``0.294`` are
-parsed as exact base-10 fractions.  A size reaches ``classify`` as an integer
-pair (p, q).  It is typed from a fixed table of ``_BUCKETS`` equal buckets
-over (0, 1], built from the breakpoints at the first ``classify``: the
-bucket floor(p/q * _BUCKETS) gives a base type, and the size is compared
-exactly with the few breakpoints that lie in that bucket.  The built-in
-instance ("SH+") is built once per process; it is the one used by the 2D
-slice packer and the ratio certifier.
+parsed as exact base-10 fractions.  Every rational token is read by
+``parse_pair``: digits[/digits] as written, any other form by one match
+against the grammar ``fractions`` itself compiles, whose digit runs give the
+pair.  A size reaches ``classify`` as an integer pair (p, q).  It is typed
+from a fixed table of ``_BUCKETS`` equal buckets over (0, 1], built from the
+breakpoints at the first ``classify``: the bucket floor(p/q * _BUCKETS)
+gives a base type, and the size is compared exactly with the few
+breakpoints that lie in that bucket.  The built-in instance ("SH+") is built
+once per process; it is the one used by the 2D slice packer and the ratio
+certifier.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 import sys
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import cached_property
 from itertools import zip_longest
 from math import gcd, lcm
@@ -54,10 +56,6 @@ shown = _SHORT.repr
 # classify()'s buckets over (0, 1]: the built-in table's closest breakpoints,
 # 1/38 and 1/37, are 1/1406 apart, so each bucket holds at most one of them
 _BUCKETS = 2048
-# a decimal token with an exponent, as Fraction reads it once its underscores
-# are dropped: whole digits, fraction digits, exponent (re compiles and caches
-# it at the first such token, not at import or for the built-in table)
-_EXPONENT_FORM = r"\s*[-+]?(\d*)(?:\.(\d*))?[eE]([-+]?\d+)\s*"
 
 
 def _refuse_over_limit(**digits) -> None:
@@ -67,37 +65,40 @@ def _refuse_over_limit(**digits) -> None:
     for part, count in digits.items():
         if count > limit:
             raise ValueError(f"a token's {count}-digit {part} is over the limit of "
-                             f"{limit} digits") from None
+                             f"{limit} digits")
 
 
 def parse_pair(token: str) -> tuple:
     """A rational token as an integer pair (p, q), q > 0: digits[/digits] as
-    written ("2/4" is (2, 4)), any other form through Fraction's parser.  A
-    token is refused, by ``_refuse_over_limit``, when int() refuses one of its
-    digit runs, or when its exponent gives its numerator or denominator, as
-    written, more digits than int() reads ("1e-5" is written 1/100000)."""
+    written ("2/4" is (2, 4)), any other form Fraction reads in lowest terms,
+    from the digit runs of one match of Fraction's own grammar.  Refused when a
+    digit run is longer than int() reads, or when an exponent gives the numerator
+    or denominator, as written, more digits than that ("1e-5" is 1/100000)."""
     p, slash, q = token.partition("/")
-    digits_only = p.isdecimal() and (q.isdecimal() or not slash)
-    form = (not digits_only and ("e" in token or "E" in token)
-            and re.fullmatch(_EXPONENT_FORM, token.replace("_", "")))
-    if form:  # counted before Fraction builds the power of ten
-        whole, fraction, exponent = form.groups("")
-        _refuse_over_limit(exponent=len(exponent.lstrip("+-")))
-        e = int(exponent)
-        _refuse_over_limit(numerator=len(whole + fraction) + max(e, 0),
-                           denominator=len(fraction) + max(-e, 0) + 1)
-    try:  # digits skip Fraction's regex, whose \d is str.isdecimal
-        if digits_only:
-            p, q = int(p), int(q) if slash else 1
-        else:
-            p, q = Fraction(token).as_integer_ratio()
-    except ZeroDivisionError:
-        q = 0
-    except ValueError:  # int() refuses more than the limit: name the part
-        _refuse_over_limit(numerator=sum(map(str.isdecimal, p)),
-                           denominator=sum(map(str.isdecimal, q)))
-        # else Fraction refused the form, in a message that repeats it whole
-        raise ValueError(f"Invalid literal for Fraction: {shown(token)}") from None
+    if p.isdecimal() and (q.isdecimal() or not slash):  # as written
+        if len(token) > sys.get_int_max_str_digits():  # each run is at most that long
+            _refuse_over_limit(numerator=len(p), denominator=len(q))
+        p, q = int(p), int(q) if slash else 1
+    else:
+        form = _RATIONAL_FORMAT.match(token)
+        # Python 3.11's grammar has d* for \d*: it matches "1.d", which Fraction refuses
+        if form is None or (form["decimal"] or "").isalpha():
+            raise ValueError(f"Invalid literal for Fraction: {shown(token)}")
+        runs = form.groupdict("").values()  # sign, num, denom, decimal, exp
+        sign, whole, q, fraction, exponent = (
+            [run.replace("_", "") for run in runs] if "_" in token else runs)
+        e = 0
+        if exponent:  # its digits are counted before any power of ten is built
+            _refuse_over_limit(exponent=len(exponent.lstrip("+-")))
+            e = int(exponent)
+        if exponent or max(len(whole), len(fraction), len(q)) > sys.get_int_max_str_digits():
+            _refuse_over_limit(numerator=len(whole + fraction) + max(e, 0),
+                               denominator=len(q) or len(fraction) + max(-e, 0) + 1)
+        p = int(whole or 0) * 10 ** len(fraction) + int(fraction or 0)
+        e -= len(fraction)  # the token is p * 10^e / q
+        p, q = (p * 10 ** e, int(q or 1)) if e >= 0 else (p, int(q or 1) * 10 ** -e)
+        g = gcd(p, q) or 1  # "-0/0" reaches the zero check below
+        p, q = (-p if sign == "-" else p) // g, q // g
     if not q:  # "1/0" is malformed input, not an arithmetic fault
         raise ValueError(f"zero denominator in {shown(token)}")
     return p, q
@@ -113,9 +114,7 @@ def parse_rational(text: str | int | float | Fraction) -> Fraction:
         if isinstance(text, int):
             return Fraction(text)
         if isinstance(text, float):
-            # Floats are not exact; go through their shortest repr so that a
-            # literal like 0.294 means the decimal 294/1000, not its binary image.
-            return Fraction(repr(text))
+            text = repr(text)  # 0.294 is the decimal 294/1000, not its binary image
     return Fraction(*parse_pair(str(text)))
 
 

@@ -184,6 +184,19 @@ class TestInputErrors:
         ("bound --lambda-file {dir}/lambda_malformed.json",
          f"lambda_malformed.json: pair 2,3: Invalid literal for Fraction: "
          f"'{'1' * 18}...{'1' * 18}x'"),
+        # malformed, so no digit count is named, however long the exponent
+        ("pack1d --input {dir}/malformed_exponent.txt", "Invalid literal for Fraction: 'e5000'"),
+        ("bound --lambda-file {dir}/lambda_malformed_exponent.json",
+         "lambda_malformed_exponent.json: pair 4,4: Invalid literal for Fraction: '.e9999'"),
+        # an integer flag's value is cut short in the middle, not echoed whole
+        (f"pack1d --n 1{'0' * 5000}", f"--n: invalid int value: '1{'0' * 17}...{'0' * 19}'"),
+        (f"pack1d --seed 1{'0' * 5000}", "--seed: invalid int value: '1"),
+        (f"pack1d --algorithm harmonic --k 1{'0' * 5000}", "--k: invalid int value: '1"),
+        (f"gen --kind tiled-known-opt --bins 1{'0' * 5000}", "--bins: invalid int value: '1"),
+        (f"gen --dims 1{'0' * 4299}", f"--dims: must be at most 2, got 1{'0' * 17}..."),
+        (f"pack1d --n 1{'0' * 4299}", f"an instance of 1{'0' * 17}...{'0' * 19} items "
+                                      f"exceeds the cap of 10000000"),
+        (f"gen --kind tiled-known-opt --bins 1{'0' * 4299}", "items exceeds the cap"),
     ], ids=["missing-input", "size-above-one", "k-1", "k-10-to-the-12", "delta-0",
             "lambda-not-json", "lambda-lacks-pair", "negative-n", "bins-0", "bound-delta-1",
             "bound-delta-2", "bound-delta-minus-1", "lambda-flat-list",
@@ -203,7 +216,10 @@ class TestInputErrors:
             "sh-numerator-4301-digits", "harmonic-denominator-4301-digits",
             "rectangle-numerator-4301-digits", "rectangle-denominator-4302-digits",
             "bound-delta-301-digits", "lambda-key-5002-characters", "lambda-j-500-digits",
-            "malformed-token-1001-characters", "lambda-malformed-1001-characters"])
+            "malformed-token-1001-characters", "lambda-malformed-1001-characters",
+            "malformed-exponent", "lambda-malformed-exponent", "n-5001-digits",
+            "seed-5001-digits", "k-5001-digits", "bins-5001-digits", "dims-4300-digits",
+            "n-4300-digits", "bins-4300-digits"])
     def test_input_error_is_one_line(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "too_big.txt").write_text("1/2\n3/2\n")
         (tmp_path / "zero_den.txt").write_text("1/2\n1/0\n")
@@ -235,10 +251,12 @@ class TestInputErrors:
         (tmp_path / "string.json").write_text('"abc"')
         (tmp_path / "bad_key.json").write_text('{"1,2,3": "0.5"}')
         (tmp_path / "malformed.txt").write_text(f"1/2\n{'1' * 1000}x\n")
+        (tmp_path / "malformed_exponent.txt").write_text("1/2\ne5000\n")
         for name, ij, lam in (("lambda_true", "3,4", True),
                               ("lambda_above_one", "2,5", "1.5"),
                               ("lambda_zero", "7,7", 0),
-                              ("lambda_malformed", "2,3", "1" * 1000 + "x")):
+                              ("lambda_malformed", "2,3", "1" * 1000 + "x"),
+                              ("lambda_malformed_exponent", "4,4", ".e9999")):
             (tmp_path / f"{name}.json").write_text(json.dumps(
                 {f"{i},{j}": "0.5" for i in range(1, 8) for j in range(1, 8)} | {ij: lam}))
         (tmp_path / "long_key.json").write_text(json.dumps({"1," + "9" * 5000: "0.5"}))

@@ -3,7 +3,8 @@
 Each draw is an argv from a grammar of valid, boundary and malformed flag
 values, with an instance file mutated from ``gen`` output (truncation, byte
 flips, CRLF line ends, Unicode digits, 5,000-digit integers, exponent
-tokens and swapped fields) or a lambda table mutated from the tuned one
+tokens, malformed and zero-denominator tokens of 1,000 and 4,000 digits,
+and swapped fields) or a lambda table mutated from the tuned one
 (truncated JSON, wrong shapes, missing and extra pairs, 500-digit keys, and
 lambdas at and past the ends of [0, 1], past float's range and past the
 reader's digit limit).  Every run must end in one of the documented ways:
@@ -12,7 +13,8 @@ reader's digit limit).  Every run must end in one of the documented ways:
   * exit 2, the report on stdout and only ``validation:`` lines on stderr;
   * exit 1, nothing on stdout and one ``error:`` line on stderr (argparse
     adds its usage line; the ``bound`` grammar holds only values argparse
-    takes, so there it is the one line).
+    takes, so there it is the one line), which spells out no number in
+    more than 40 digits.
 
 Counts are capped (``--n`` 300, ``--bins`` 50, ``--k`` 1000, files of 40
 lines) so that no draw allocates more than a few MB; the larger values in
@@ -34,6 +36,7 @@ from harmonicpack.cli import main
 from harmonicpack.superharmonic import PlacementTrace
 
 HUGE = "1" + "0" * 5000  # beyond str()'s 4,300-digit limit
+MALFORMED_EXPONENTS = ["e5000", ".e9999", "1__0e4400", "_1e5000"]
 # placeholders, replaced by paths in the run's own directory; the drawn
 # content is written to the instance file, which is also the lambda table
 INSTANCE, LAMBDA, MISSING, TRACE, WITNESS, UNWRITABLE, DIRECTORY = (
@@ -128,12 +131,23 @@ def huge_integer(draw, data):
 
 
 def exponent_token(draw, data):
-    # at the reader's digit limit, one past it, and an upper-case exponent
+    # at the reader's digit limit, one past it, an upper-case exponent, and
+    # malformed tokens whose exponents would pass the limit
     tokens = _tokens(data)
     if not tokens:
         return data
     at = draw(st.sampled_from(tokens))
-    new = draw(st.sampled_from(["1e-4299", "1e-4300", "2.5E-3"])).encode()
+    new = draw(st.sampled_from(["1e-4299", "1e-4300", "2.5E-3", *MALFORMED_EXPONENTS])).encode()
+    return data[:at.start()] + new + data[at.end():]
+
+
+def long_token(draw, data):
+    # long tokens an error line must cut short: malformed, and over zero
+    tokens = _tokens(data)
+    if not tokens:
+        return data
+    at = draw(st.sampled_from(tokens))
+    new = draw(st.sampled_from(["1" * 1000 + "x", "1" * 4000 + "/0"])).encode()
     return data[:at.start()] + new + data[at.end():]
 
 
@@ -150,7 +164,7 @@ def swap_fields(draw, data):
 
 
 MUTATIONS = [truncate, flip_byte, crlf, unicode_digits, huge_integer, exponent_token,
-             swap_fields]
+             long_token, swap_fields]
 
 
 @st.composite
@@ -216,6 +230,7 @@ def test_every_run_ends_in_a_documented_way(tokens, content):
         assert rc == 1 and out == "", (rc, out, err)
         errors = [line for line in lines if line.startswith("error: ")]
         assert len(errors) == 1, err
+        assert not re.search("[0-9]{41}", errors[0]), errors[0][:200]
         assert all(line.startswith(("usage:", " ")) for line in lines
                    if not line.startswith("error: ")), err
     if trace is not None:  # written as items are placed, from the header on
@@ -309,3 +324,4 @@ def test_every_bound_run_ends_in_a_documented_way(tokens, table):
     else:
         assert rc == 1 and out == "" and err.startswith("error: "), (rc, out, err)
         assert err.count("\n") == 1, err
+        assert not re.search("[0-9]{41}", err), err[:200]

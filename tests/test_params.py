@@ -1,10 +1,13 @@
+import fractions
 import json
+import random
 import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prior_reader
 from conftest import harmonic_table
 from harmonicpack.generators import rectangle
 from harmonicpack.harmonic import harmonic_type
@@ -304,8 +307,11 @@ _TEXT = (st.text(st.sampled_from(_DIGITS + list("/.eE+-_ \t²")), max_size=10)
          .filter(lambda t: not _LONG_EXPONENT.search(t))
          | st.lists(st.sampled_from(_DIGITS), min_size=1, max_size=8).map("".join)
          .flatmap(lambda p: st.lists(st.sampled_from(_DIGITS), min_size=1,
-                                     max_size=8).map(lambda q: f"{p}/{q}")))
+                                     max_size=8).map(lambda q: f"{p}/{''.join(q)}")))
 _TOKEN = _TEXT | st.sampled_from([None, [1, 2], True])
+# malformed tokens whose exponent would pass the digit limit: Fraction's
+# grammar refuses each, so no digit count is named
+_MALFORMED_EXPONENTS = ["e5000", ".e9999", "1__0e4400", "_1e5000"]
 
 
 class TestParseRational:
@@ -318,7 +324,8 @@ class TestParseRational:
     @pytest.mark.parametrize("x", [
         "1/0", "+1/0", "-1/0", "0/0", "7", "0", "12/18", "\u0663/\uff11\uff12",
         "0.294", "1e-400", "-1/2", "+3", "1_000/3", " 1/2 ", "1 /2", "1/2/3", "/2",
-        "2/", "", "²", "1/²", None, "0/['0', '0', '0', '0', '0', '0', '0', '0']"])
+        "2/", "", "²", "1/²", None, "0/['0', '0', '0', '0', '0', '0', '0', '0']",
+        *_MALFORMED_EXPONENTS])
     def test_edge_tokens_match_fraction_reader(self, x):
         assert _outcome(parse_rational, x) == _outcome(_fraction_reader, x)
 
@@ -398,9 +405,45 @@ class TestReadSize:
         "1/0", "0/0", "7/0", "-1/2", "+3", "1_000/3", "1/-2", "0", "2/4",
         "500000/1000000", "0.294", "\u0663/\uff11\uff12", "7" * 4301,
         "1/" + "7" * 4301, "7" * 4301 + "/0", "7" * 4301 + "/" + "3" * 4400,
-        "1" * 39 + "x", "1" * 40 + "x", "1" * 1000 + "x", "1/" + "2" * 1000 + "x"])
+        "1" * 39 + "x", "1" * 40 + "x", "1" * 1000 + "x", "1/" + "2" * 1000 + "x",
+        *_MALFORMED_EXPONENTS])
     def test_edge_tokens_match_parse_rational(self, x):
         _check_pair(x)
+
+    @pytest.mark.parametrize("at,over,part", [
+        ("7" * 4300, "7" * 4301, "4301-digit numerator"),
+        ("1/" + "7" * 4300, "1/" + "7" * 4301, "4301-digit denominator"),
+        ("1e4299", "1e4300", "4301-digit numerator"),
+        ("1e-4299", "1e-4300", "4301-digit denominator"),
+        ("1e-" + "0" * 4299 + "1", "1e-" + "0" * 4300 + "1", "4301-digit exponent")],
+        ids=["digits", "denominator", "exponent", "negative-exponent", "exponent-digits"])
+    def test_digit_limit_is_inclusive(self, at, over, part):
+        # a part is counted as written: 1e-4299 is 1/10^4299, of 4,300 digits,
+        # and is read, while one digit more is refused
+        assert Fraction(*parse_pair(at)) == Fraction(at)
+        with pytest.raises(ValueError, match=f"^a token's {part} is over the limit "
+                                             f"of 4300 digits$"):
+            parse_pair(over)
+
+    def test_reads_as_the_prior_reader(self):
+        # seeded tokens over digits, Unicode digits and the characters of
+        # every form: the same pair or message as the reader that called
+        # Fraction(token), but for a token Fraction's grammar refuses, whose
+        # exponent the prior reader's looser pre-check counted
+        rng = random.Random(43)
+        chars = _DIGITS + list("/.eE+-_ \t²xd")
+        tokens = ["".join(rng.choices(chars, k=rng.randint(0, 10))) for _ in range(20000)]
+        tokens += ["1234." + "5" * 4300, "5" * 4301 + ".5", "-1/" + "0" * 5000, "-0/0",
+                   "1.d", "1.de99999", "1" * 5000 + "x", "1_" * 4300 + "1", "0.1e4299"]
+        moved = []
+        for token in tokens:
+            got, want = _outcome(parse_pair, token), _outcome(prior_reader.parse_pair, token)
+            if got != want:
+                assert fractions._RATIONAL_FORMAT.match(token) is None, token[:80]
+                assert got[1] == f"Invalid literal for Fraction: {shown(token)}", token[:80]
+                assert want[1].endswith("is over the limit of 4300 digits"), token[:80]
+                moved.append(token)
+        assert "1" * 5000 + "x" in moved and len(moved) < 100
 
     def test_digit_tokens_read_as_written(self):
         assert parse_pair("2/4") == (2, 4)

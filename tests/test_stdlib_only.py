@@ -3,6 +3,7 @@ loads only the package modules it imports, and no parameter default is kept
 for callers that do not exist."""
 
 import ast
+import fractions
 import json
 import pathlib
 import subprocess
@@ -273,6 +274,30 @@ def test_ratio_hull_has_one_home():
     assert _homes(_calls("_end_types")) == ["weighting.WeightFunctionSet.ratio_ends"]
     assert not {"boundcert.ratio_hull", "weighting.WeightFunctionSet.ratio_ends",
                 "weighting._end_types"} & set(_homes(_calls("lcm")))
+
+
+def test_rational_grammar_has_one_home():
+    # every token but digits[/digits] is matched once, in parse_pair, against
+    # the grammar fractions compiles at its import; params compiles none of
+    # its own.  No string reaches Fraction there: parse_pair builds no
+    # Fraction, and parse_rational builds one from an int or from the pair
+    assert _homes(lambda node: isinstance(node, ast.Name)
+                  and node.id == "_RATIONAL_FORMAT") == ["params.parse_pair"]
+    # parse_pair unpacks the named runs in this order
+    assert list(fractions._RATIONAL_FORMAT.groupindex) == ["sign", "num", "denom",
+                                                           "decimal", "exp"]
+    tree = ast.parse((PACKAGE / "params.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and "re" in [alias.name for alias in node.names]]
+    assert "params.parse_pair" not in _homes(_calls("Fraction"))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "parse_rational")
+    of_int = [node for branch in ast.walk(fn) if isinstance(branch, ast.If)
+              and ast.unparse(branch.test) == "isinstance(text, int)"
+              for node in ast.walk(branch)]
+    for call in filter(_calls("Fraction"), ast.walk(fn)):
+        assert (call in of_int and ast.unparse(call) == "Fraction(text)"
+                or ast.unparse(call) == "Fraction(*parse_pair(str(text)))"), call.lineno
 
 
 def _package_imports(tree) -> set:
